@@ -1,8 +1,8 @@
 """Micro-benchmarks of the hot paths (pytest-benchmark, multi-round).
 
 These track implementation performance rather than paper artifacts: the
-vectorized walk kernel, local-store operations, expression evaluation and
-a full engine snapshot step.
+vectorized walk kernel, the walk snapshot (cold and cached), local-store
+operations, expression evaluation and a full engine snapshot step.
 """
 
 import numpy as np
@@ -38,8 +38,36 @@ def test_batch_walk_kernel(benchmark, walk_setup):
     benchmark(run)
 
 
-def test_walk_context_snapshot(benchmark, walk_setup):
-    """CSR + weight snapshot of a 1000-node overlay (per-occasion cost)."""
+def test_walk_context_snapshot_cold(benchmark):
+    """Walk snapshot of a 1000-node overlay right after a topology change.
+
+    Each round toggles one edge first, so the per-version CSR cache misses
+    and the rebuild cost (the per-occasion cost under churn) stays tracked.
+    """
+    rng = np.random.default_rng(0)
+    graph = OverlayGraph(power_law_topology(1000, rng=rng), n_nodes=1000)
+    weight = uniform_weights()
+
+    def toggle_edge():
+        if graph.has_edge(0, 999):
+            graph.remove_edge(0, 999)
+        else:
+            graph.add_edge(0, 999)
+
+    benchmark.pedantic(
+        WalkContext.from_graph,
+        args=(graph, weight),
+        setup=toggle_edge,
+        rounds=100,
+        iterations=1,
+    )
+
+
+def test_walk_context_snapshot_warm(benchmark):
+    """Walk snapshot of an unchanged 1000-node overlay (CSR cache hit).
+
+    Only the weight vector is evaluated; the CSR arrays are shared.
+    """
     rng = np.random.default_rng(0)
     graph = OverlayGraph(power_law_topology(1000, rng=rng), n_nodes=1000)
     benchmark(WalkContext.from_graph, graph, uniform_weights())

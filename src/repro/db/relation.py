@@ -70,12 +70,25 @@ class P2PDatabase:
         self._stores: dict[int, LocalStore] = {}
         self._location: dict[int, int] = {}
         self._next_tuple_id = 0
+        self._layout_version = 0
         for node in nodes:
             self.add_node(node)
 
     @property
     def schema(self) -> Schema:
         return self._schema
+
+    @property
+    def layout_version(self) -> int:
+        """Monotone counter bumped whenever any node's tuple count may change.
+
+        ``insert``, ``delete``, ``add_node`` and ``remove_node`` (hence
+        ``handle_churn``) bump it; ``update`` rewrites values in place and
+        does not. While it is unchanged, every ``m_v`` — the content-size
+        sampling weight — is unchanged, provided writes go through the
+        database rather than straight into a fragment from :meth:`store`.
+        """
+        return self._layout_version
 
     # ------------------------------------------------------------------
     # node membership
@@ -86,6 +99,7 @@ class P2PDatabase:
         if node in self._stores:
             raise StoreError(f"node {node} already has a store")
         self._stores[node] = LocalStore(self._schema.attributes)
+        self._layout_version += 1
 
     def remove_node(self, node: int) -> list[int]:
         """Drop a node and its entire fragment; returns the lost tuple ids.
@@ -100,6 +114,7 @@ class P2PDatabase:
         for tuple_id in lost:
             del self._location[tuple_id]
         del self._stores[node]
+        self._layout_version += 1
         return lost
 
     def handle_churn(self, event: ChurnEvent) -> list[int]:
@@ -140,6 +155,7 @@ class P2PDatabase:
         self._next_tuple_id += 1
         store.insert(tuple_id, values)
         self._location[tuple_id] = node
+        self._layout_version += 1
         return tuple_id
 
     def update(self, tuple_id: int, values: Mapping[str, float]) -> None:
@@ -155,6 +171,7 @@ class P2PDatabase:
             raise StoreError(f"tuple {tuple_id} does not exist")
         self._stores[node].delete(tuple_id)
         del self._location[tuple_id]
+        self._layout_version += 1
 
     def locate(self, tuple_id: int) -> int | None:
         """Node currently hosting ``tuple_id``, or None if it was deleted."""

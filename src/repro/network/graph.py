@@ -6,7 +6,8 @@ join and leave. It is optimized for the two access patterns the system
 needs:
 
 * random-walk steps (uniform neighbor choice, degree and weight lookups),
-  served from plain adjacency lists plus an optional CSR snapshot;
+  served from plain adjacency lists plus a CSR snapshot cached per
+  version;
 * hop-distance queries (push-based baselines pay one message per hop),
   served by cached BFS.
 
@@ -18,6 +19,7 @@ across churn.
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -25,6 +27,7 @@ import numpy as np
 from repro.errors import TopologyError
 
 Edge = tuple[int, int]
+CSR = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class OverlayGraph:
@@ -47,6 +50,7 @@ class OverlayGraph:
         self._next_id = 0
         self._version = 0
         self._bfs_cache: dict[int, tuple[int, dict[int, int]]] = {}
+        self._csr_cache: tuple[int, CSR] | None = None
         if n_nodes is not None:
             for node in range(n_nodes):
                 self._ensure_node(node)
@@ -305,30 +309,49 @@ class OverlayGraph:
         self._bfs_cache = {source: (self._version, distances)}
         return distances
 
-    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def csr(self) -> CSR:
         """Compact CSR snapshot ``(node_ids, offsets, targets)``.
 
-        ``node_ids[i]`` is the id of compact row ``i``; ``targets[offsets[i]:
-        offsets[i+1]]`` are compact indices of its neighbors. Random walks
-        over a static occasion run on this snapshot for speed.
+        ``node_ids[i]`` is the id of compact row ``i`` (ascending);
+        ``targets[offsets[i]:offsets[i+1]]`` are compact indices of its
+        neighbors, in :meth:`neighbors` order. Random walks over a static
+        occasion run on this snapshot for speed.
+
+        The snapshot is cached until the graph next mutates, so every
+        caller within one version shares the same arrays; they are marked
+        read-only.
         """
-        node_ids = np.array(self.nodes(), dtype=np.int64)
-        index_of = {int(node): i for i, node in enumerate(node_ids)}
-        offsets = np.zeros(len(node_ids) + 1, dtype=np.int64)
-        for i, node in enumerate(node_ids):
-            offsets[i + 1] = offsets[i] + len(self._adjacency[int(node)])
-        targets = np.empty(int(offsets[-1]), dtype=np.int64)
-        cursor = 0
-        for node in node_ids:
-            for neighbor in self._adjacency[int(node)]:
-                targets[cursor] = index_of[neighbor]
-                cursor += 1
-        return node_ids, offsets, targets
+        cached = self._csr_cache
+        if cached is not None and cached[0] == self._version:
+            return cached[1]
+        order = sorted(self._adjacency)
+        rows = [self._adjacency[node] for node in order]
+        node_ids = np.fromiter(order, dtype=np.int64, count=len(order))
+        offsets = np.zeros(len(order) + 1, dtype=np.int64)
+        np.cumsum(
+            np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)),
+            out=offsets[1:],
+        )
+        neighbors = np.fromiter(
+            chain.from_iterable(rows), dtype=np.int64, count=int(offsets[-1])
+        )
+        targets = np.searchsorted(node_ids, neighbors).astype(np.int64)
+        for array in (node_ids, offsets, targets):
+            array.setflags(write=False)
+        snapshot = (node_ids, offsets, targets)
+        self._csr_cache = (self._version, snapshot)
+        return snapshot
 
     def copy(self) -> "OverlayGraph":
-        """Deep structural copy (node ids preserved)."""
+        """Deep structural copy (node ids and version preserved).
+
+        The clone starts with empty BFS and CSR caches of its own: the
+        two graphs mutate independently from here on, so no cached
+        snapshot may be shared between them.
+        """
         clone = OverlayGraph([], n_nodes=0)
         clone._adjacency = {u: list(vs) for u, vs in self._adjacency.items()}
         clone._neighbor_sets = {u: set(vs) for u, vs in self._neighbor_sets.items()}
         clone._next_id = self._next_id
+        clone._version = self._version
         return clone

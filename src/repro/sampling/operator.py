@@ -137,6 +137,23 @@ class SampleSource(Protocol):
 
 
 @dataclass
+class _TupleWalkCache:
+    """The tuple path's last full-overlay walk context (a single entry).
+
+    ``weight`` is the content-size weight :meth:`SamplingOperator.sample_tuples`
+    hands to ``sample_nodes`` for ``database``; recognizing it by identity
+    is what lets ``sample_nodes`` reuse ``context`` while the overlay
+    version and ``database.layout_version`` both match the ones it was
+    built at (any other weight callable is opaque and re-evaluated).
+    """
+
+    database: P2PDatabase
+    weight: WeightFunction
+    layout_version: int = -1
+    context: WalkContext | None = None
+
+
+@dataclass
 class _SpectralCache:
     """Cached eigengap-derived walk lengths keyed by overlay drift."""
 
@@ -154,8 +171,14 @@ class SamplingOperator:
     Parameters
     ----------
     graph:
-        The live overlay. A fresh :class:`WalkContext` snapshot is taken
-        whenever the graph version or the weight values changed.
+        The live overlay. Walks run on a :class:`WalkContext` built from
+        its per-version CSR snapshot (:meth:`OverlayGraph.csr`). The tuple
+        path keeps its last context and takes a fresh one only when the
+        graph version or the database's ``layout_version`` changed — that
+        is, when the topology or some ``m_v`` weight changed. A weight
+        function passed to :meth:`sample_nodes` directly is opaque and is
+        re-evaluated on every call; an open partition always gets a fresh
+        snapshot of the origin's reachable region.
     rng:
         Randomness source (all draws flow through it).
     ledger:
@@ -195,6 +218,7 @@ class SamplingOperator:
         if faults is not None:
             bridge_fault_log(faults.log, self._tracer)
         self._spectral = _SpectralCache()
+        self._tuple_walk: _TupleWalkCache | None = None
         self._pool_nodes: list[int] = []  # continued-walk positions (node ids)
         self.samples_drawn = 0
         self.walks_started = 0
@@ -313,6 +337,40 @@ class SamplingOperator:
         return self._spectral.gap if self._spectral.valid else None
 
     # ------------------------------------------------------------------
+    # walk contexts
+    # ------------------------------------------------------------------
+
+    def _full_context(self, weight: WeightFunction) -> WalkContext:
+        """Walk context over the whole overlay for ``weight``.
+
+        The tuple path's content-size weight reuses the cached context
+        while neither the overlay nor the database layout has changed;
+        every other weight is evaluated afresh.
+        """
+        cache = self._tuple_walk
+        if cache is None or weight is not cache.weight:
+            return WalkContext.from_graph(self._graph, weight)
+        layout = cache.database.layout_version
+        context = cache.context
+        if (
+            context is None
+            or context.graph_version != self._graph.version
+            or cache.layout_version != layout
+        ):
+            context = WalkContext.from_graph(self._graph, weight)
+            cache.context = context
+            cache.layout_version = layout
+        return context
+
+    def _tuple_weight(self, database: P2PDatabase) -> WeightFunction:
+        """The content-size weight of ``database``, stable across calls."""
+        cache = self._tuple_walk
+        if cache is None or cache.database is not database:
+            cache = _TupleWalkCache(database, content_size_weights(database))
+            self._tuple_walk = cache
+        return cache.weight
+
+    # ------------------------------------------------------------------
     # node sampling
     # ------------------------------------------------------------------
 
@@ -358,7 +416,7 @@ class SamplingOperator:
                 return [origin] * n
             context = WalkContext.from_subgraph(self._graph, weight, scope)
         else:
-            context = WalkContext.from_graph(self._graph, weight)
+            context = self._full_context(weight)
         mix_length, reset_length = self._walk_lengths(context, origin)
         config = self._config
 
@@ -470,7 +528,7 @@ class SamplingOperator:
         """
         if database.n_tuples == 0:
             raise SamplingError("cannot sample tuples from an empty relation")
-        weight = content_size_weights(database)
+        weight = self._tuple_weight(database)
         span = self._tracer.span(
             SPAN_TUPLE_SAMPLING, n_requested=n, origin=origin
         )

@@ -39,7 +39,9 @@ class WalkContext:
     occasion (Section II); the context freezes topology and weights so all
     walks of the occasion see one consistent graph. ``graph_version``
     records which overlay version was frozen, letting the operator detect
-    staleness.
+    staleness. A full-overlay context shares the graph's cached, read-only
+    :meth:`OverlayGraph.csr` arrays with every other context of the same
+    version.
     """
 
     node_ids: np.ndarray  # compact index -> node id
@@ -86,28 +88,35 @@ class WalkContext:
 
         Used when a partition confines sampling to the origin's reachable
         region: the walk must mix over the population it can actually
-        touch, not the full (momentarily fictional) overlay. Edges whose
-        far endpoint falls outside ``nodes`` are dropped; the remaining
-        subgraph must leave no member isolated (a reachable-set scope is
-        connected by construction, so this only trips on bad callers).
+        touch, not the full (momentarily fictional) overlay. The scope is
+        cut out of the graph's cached :meth:`OverlayGraph.csr` snapshot:
+        edges whose far endpoint falls outside ``nodes`` are dropped and
+        neighbor order is kept. The remaining subgraph must leave no
+        member isolated (a reachable-set scope is connected by
+        construction, so this only trips on bad callers).
         """
-        node_ids = np.array(sorted(int(node) for node in nodes), dtype=np.int64)
+        all_ids, all_offsets, all_targets = graph.csr()
+        node_ids = np.unique(np.fromiter(nodes, dtype=np.int64))
         if node_ids.size == 0:
             raise SamplingError("cannot build a walk context over no nodes")
-        member = set(node_ids.tolist())
+        unknown = np.setdiff1d(node_ids, all_ids)
+        if unknown.size:
+            raise TopologyError(
+                f"scope names nodes {unknown[:5].tolist()} that are not in "
+                "the overlay"
+            )
+        rows = np.searchsorted(all_ids, node_ids)
+        member = np.zeros(all_ids.size, dtype=bool)
+        member[rows] = True
+        # keep each member row's in-scope neighbors, in CSR order; the
+        # running member count renumbers full-graph rows to scope rows
+        source = np.repeat(np.arange(all_ids.size), np.diff(all_offsets))
+        kept = member[source] & member[all_targets]
+        targets = (np.cumsum(member) - 1)[all_targets[kept]]
         offsets = np.zeros(node_ids.size + 1, dtype=np.int64)
-        kept: list[int] = []
-        for i, node in enumerate(node_ids):
-            local = [
-                neighbor
-                for neighbor in graph.neighbors(int(node))
-                if neighbor in member
-            ]
-            offsets[i + 1] = offsets[i] + len(local)
-            kept.extend(local)
-        index_of = {int(node): i for i, node in enumerate(node_ids)}
-        targets = np.array(
-            [index_of[neighbor] for neighbor in kept], dtype=np.int64
+        np.cumsum(
+            np.bincount(source[kept], minlength=all_ids.size)[rows],
+            out=offsets[1:],
         )
         degrees = np.diff(offsets)
         if np.any(degrees == 0) and node_ids.size > 1:

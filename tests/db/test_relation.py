@@ -57,6 +57,44 @@ class TestNodes:
         assert db.n_tuples == 1
 
 
+class TestLayoutVersion:
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda db: db.insert(2, {"v": 9.0}),
+            lambda db: db.delete(0),
+            lambda db: db.add_node(3),
+            lambda db: db.remove_node(2),
+            lambda db: db.handle_churn(ChurnEvent(joined=[5])),
+            lambda db: db.handle_churn(ChurnEvent(left=[1])),
+        ],
+        ids=["insert", "delete", "add_node", "remove_node", "join", "leave"],
+    )
+    def test_layout_changes_bump(self, db, change):
+        before = db.layout_version
+        change(db)
+        assert db.layout_version > before
+
+    def test_update_does_not_bump(self, db):
+        before = db.layout_version
+        db.update(0, {"v": 42.0})
+        assert db.layout_version == before
+
+    def test_failed_changes_do_not_bump(self, db):
+        before = db.layout_version
+        with pytest.raises(StoreError):
+            db.add_node(0)
+        with pytest.raises(StoreError):
+            db.delete(99)
+        with pytest.raises(StoreError):
+            db.insert(99, {"v": 1.0})
+        assert db.layout_version == before
+
+    def test_read_only(self, db):
+        with pytest.raises(AttributeError):
+            db.layout_version = 0
+
+
 class TestTuples:
     def test_global_ids_unique(self, db):
         tid = db.insert(2, {"v": 9.0})

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TopologyError
 from repro.network.graph import OverlayGraph
@@ -147,6 +149,108 @@ class TestAnalysis:
         clone = triangle.copy()
         assert clone.edges() == triangle.edges()
         assert clone.nodes() == triangle.nodes()
+
+    def test_copy_carries_version(self):
+        graph = OverlayGraph(ring_topology(50), n_nodes=50)
+        assert graph.version > 0
+        assert graph.copy().version == graph.version
+
+    def test_copy_has_its_own_caches(self, triangle):
+        before = triangle.csr()
+        triangle.hop_distances(0)
+        clone = triangle.copy()
+        clone.add_edge(0, 3)
+        assert triangle.csr() is before
+        assert 3 not in triangle.hop_distances(0)
+        assert clone.hop_distances(0)[3] == 1
+        node_ids, _, _ = clone.csr()
+        assert node_ids.tolist() == [0, 1, 2, 3]
+        assert triangle.csr()[0].tolist() == [0, 1, 2]
+
+
+def _reference_csr(graph):
+    """The original element-at-a-time CSR build, kept as the oracle."""
+    node_ids = np.array(graph.nodes(), dtype=np.int64)
+    index_of = {int(node): i for i, node in enumerate(node_ids)}
+    offsets = np.zeros(len(node_ids) + 1, dtype=np.int64)
+    for i, node in enumerate(node_ids):
+        offsets[i + 1] = offsets[i] + len(graph.neighbors(int(node)))
+    targets = np.empty(int(offsets[-1]), dtype=np.int64)
+    cursor = 0
+    for node in node_ids:
+        for neighbor in graph.neighbors(int(node)):
+            targets[cursor] = index_of[neighbor]
+            cursor += 1
+    return node_ids, offsets, targets
+
+
+class TestCsrCache:
+    def test_same_object_while_version_unchanged(self, triangle):
+        first = triangle.csr()
+        triangle.hop_distances(0)  # a query, not a mutation
+        assert triangle.csr() is first
+
+    def test_rebuilt_after_mutation(self, triangle):
+        first = triangle.csr()
+        triangle.join(attach_to=[0])
+        second = triangle.csr()
+        assert second is not first
+        assert second[0].tolist() == [0, 1, 2, 3]
+
+    def test_duplicate_edge_keeps_cache(self, triangle):
+        first = triangle.csr()
+        triangle.add_edge(0, 1)  # already present: no-op, no version bump
+        assert triangle.csr() is first
+
+    def test_arrays_are_read_only(self, triangle):
+        for array in triangle.csr():
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 7
+
+    def test_empty_graph(self):
+        node_ids, offsets, targets = OverlayGraph([]).csr()
+        assert node_ids.size == 0 and targets.size == 0
+        assert offsets.tolist() == [0]
+
+
+@given(
+    operations=st.lists(
+        st.tuples(
+            st.sampled_from(["add_edge", "remove_edge", "join", "leave"]),
+            st.integers(0, 15),
+            st.integers(0, 15),
+        ),
+        max_size=40,
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_property_cached_csr_matches_reference(operations):
+    """After any mutation history the cached CSR equals a fresh build."""
+    graph = OverlayGraph(ring_topology(6), n_nodes=6)
+    for op, a, b in operations:
+        nodes = graph.nodes()
+        if op == "join":
+            graph.join(n_links=1 + a % 3, rng=b)
+        elif not nodes:
+            continue
+        elif op == "leave":
+            if len(nodes) > 1:
+                graph.leave(nodes[a % len(nodes)], rewire=bool(b % 2))
+        else:
+            u, v = nodes[a % len(nodes)], nodes[b % len(nodes)]
+            if u == v:
+                continue
+            if op == "add_edge":
+                graph.add_edge(u, v)
+            elif graph.has_edge(u, v):
+                graph.remove_edge(u, v)
+        cached = graph.csr()
+        for got, want in zip(cached, _reference_csr(graph)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert not got.flags.writeable
+        assert graph.csr() is cached
 
 
 class TestComponents:

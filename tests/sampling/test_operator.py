@@ -10,7 +10,12 @@ from repro.network.messaging import MessageLedger
 from repro.network.topology import mesh_topology, power_law_topology
 from repro.sampling.mixing import total_variation
 from repro.sampling.operator import SamplerConfig, SamplingOperator
-from repro.sampling.weights import table_weights, uniform_weights
+from repro.sampling.walker import WalkContext
+from repro.sampling.weights import (
+    content_size_weights,
+    table_weights,
+    uniform_weights,
+)
 
 
 def _world(n=36, tuples_low=1, tuples_high=6, seed=0):
@@ -200,6 +205,139 @@ class TestTupleSampling:
         node, batch = operator.cluster_sample(database, origin=0)
         assert len(batch) == len(database.store(node))
         assert all(s.node == node for s in batch)
+
+
+@pytest.fixture
+def context_builds(monkeypatch):
+    """Count full-overlay and scoped :class:`WalkContext` builds."""
+    builds = {"graph": 0, "subgraph": 0}
+
+    def counting(kind, original):
+        def build(cls, *args, **kwargs):
+            builds[kind] += 1
+            return original(cls, *args, **kwargs)
+
+        return classmethod(build)
+
+    monkeypatch.setattr(
+        WalkContext,
+        "from_graph",
+        counting("graph", WalkContext.from_graph.__func__),
+    )
+    monkeypatch.setattr(
+        WalkContext,
+        "from_subgraph",
+        counting("subgraph", WalkContext.from_subgraph.__func__),
+    )
+    return builds
+
+
+class TestContextReuse:
+    def _operator(self, graph, partitions=None):
+        return SamplingOperator(
+            graph,
+            np.random.default_rng(1),
+            config=SamplerConfig(walk_length=20),
+            partitions=partitions,
+        )
+
+    def test_unchanged_world_builds_one_context(self, context_builds):
+        graph, database = _world()
+        operator = self._operator(graph)
+        operator.sample_tuples(database, 10, origin=0)
+        operator.sample_tuples(database, 10, origin=0)
+        assert context_builds["graph"] == 1
+
+    def test_insert_forces_a_rebuild(self, context_builds):
+        graph, database = _world()
+        operator = self._operator(graph)
+        operator.sample_tuples(database, 10, origin=0)
+        database.insert(3, {"v": 1.0})
+        operator.sample_tuples(database, 10, origin=0)
+        assert context_builds["graph"] == 2
+
+    def test_update_keeps_the_context(self, context_builds):
+        graph, database = _world()
+        operator = self._operator(graph)
+        operator.sample_tuples(database, 10, origin=0)
+        database.update(0, {"v": 99.0})
+        samples = operator.sample_tuples(database, 40, origin=0)
+        assert context_builds["graph"] == 1
+        # rows are read at draw time, so updates still show up
+        assert all(s.row == database.read(s.tuple_id) for s in samples)
+
+    def test_graph_change_forces_a_rebuild(self, context_builds):
+        graph, database = _world()
+        operator = self._operator(graph)
+        operator.sample_tuples(database, 10, origin=0)
+        database.add_node(graph.join(attach_to=[0, 1]))
+        operator.sample_tuples(database, 10, origin=0)
+        graph.add_edge(0, 35)
+        operator.sample_tuples(database, 10, origin=0)
+        assert context_builds["graph"] == 3
+
+    def test_other_database_forces_a_rebuild(self, context_builds):
+        graph, database = _world(seed=3)
+        _, twin = _world(seed=3)
+        operator = self._operator(graph)
+        operator.sample_tuples(database, 10, origin=0)
+        operator.sample_tuples(twin, 10, origin=0)
+        operator.sample_tuples(database, 10, origin=0)
+        assert context_builds["graph"] == 3
+
+    def test_opaque_weights_are_evaluated_every_call(self, context_builds):
+        graph, database = _world()
+        operator = self._operator(graph)
+        weight = content_size_weights(database)
+        operator.sample_nodes(weight, 5, origin=0)
+        operator.sample_nodes(weight, 5, origin=0)
+        assert context_builds["graph"] == 2
+
+    def test_reuse_draws_identical_samples(self):
+        def draws(reuse: bool) -> list[int]:
+            graph, database = _world(seed=5)
+            operator = self._operator(graph)
+            drawn = []
+            for _ in range(4):
+                if not reuse:
+                    operator._tuple_walk = None
+                drawn += [
+                    s.tuple_id
+                    for s in operator.sample_tuples(database, 12, origin=0)
+                ]
+            return drawn
+
+        assert draws(True) == draws(False)
+
+    def test_active_partition_never_reuses_the_clean_context(
+        self, context_builds
+    ):
+        from repro.network.partitions import (
+            PartitionEpisode,
+            PartitionPlan,
+            PartitionSchedule,
+        )
+
+        graph, database = _world(n=30)
+        plan = PartitionPlan(
+            PartitionSchedule(
+                episodes=(PartitionEpisode(start=5, duration=10),)
+            ),
+            rng=1,
+        )
+        plan.step(0, graph)
+        operator = self._operator(graph, partitions=plan)
+        operator.sample_tuples(database, 10, origin=0)
+        assert context_builds == {"graph": 1, "subgraph": 0}
+        plan.step(5, graph)
+        assert plan.active
+        scope = set(plan.reachable(graph, 0))
+        assert 1 < len(scope) < len(graph)
+        for _ in range(2):
+            samples = operator.sample_tuples(database, 10, origin=0)
+            assert {s.node for s in samples} <= scope
+        assert context_builds["graph"] == 1
+        assert context_builds["subgraph"] >= 2
 
 
 class TestPartitionScoping:

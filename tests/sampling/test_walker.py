@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SamplingError, TopologyError
 from repro.network.graph import OverlayGraph
@@ -222,9 +224,58 @@ class TestFromSubgraph:
         sampled = {int(context.node_ids[index]) for index in final}
         assert sampled <= {0, 1, 2, 3, 4}
 
+    def test_rejects_nodes_outside_the_overlay(self):
+        graph = OverlayGraph(ring_topology(4), n_nodes=4)
+        with pytest.raises(TopologyError, match=r"\[9\]"):
+            WalkContext.from_subgraph(graph, uniform_weights(), nodes=[0, 1, 9])
+
     def test_single_node_scope_is_allowed(self):
         graph = OverlayGraph(ring_topology(4), n_nodes=4)
         context = WalkContext.from_subgraph(
             graph, uniform_weights(), nodes=[1]
         )
         assert context.n_nodes == 1
+
+
+def _reference_subgraph(graph, nodes):
+    """The original per-neighbor subgraph CSR loop, kept as the oracle."""
+    node_ids = np.array(sorted(int(node) for node in nodes), dtype=np.int64)
+    member = set(node_ids.tolist())
+    offsets = np.zeros(node_ids.size + 1, dtype=np.int64)
+    kept: list[int] = []
+    for i, node in enumerate(node_ids):
+        local = [n for n in graph.neighbors(int(node)) if n in member]
+        offsets[i + 1] = offsets[i] + len(local)
+        kept.extend(local)
+    index_of = {int(node): i for i, node in enumerate(node_ids)}
+    targets = np.array([index_of[n] for n in kept], dtype=np.int64)
+    return node_ids, offsets, targets
+
+
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(3, 40),
+    leaves=st.integers(0, 8),
+    keep=st.floats(0.1, 1.0),
+)
+@settings(max_examples=120, deadline=None)
+def test_property_subgraph_matches_reference(seed, n, leaves, keep):
+    """The masked cut of the cached CSR equals the per-neighbor loop."""
+    rng = np.random.default_rng(seed)
+    graph = OverlayGraph(power_law_topology(n, rng=rng), n_nodes=n)
+    for _ in range(min(leaves, n - 2)):
+        graph.leave(int(rng.choice(graph.nodes())))
+    graph.join(rng=rng)
+    nodes = [node for node in graph.nodes() if rng.random() < keep]
+    if not nodes:
+        return
+    node_ids, offsets, targets = _reference_subgraph(graph, nodes)
+    if node_ids.size > 1 and np.any(np.diff(offsets) == 0):
+        with pytest.raises(TopologyError, match="isolated"):
+            WalkContext.from_subgraph(graph, uniform_weights(), nodes)
+        return
+    context = WalkContext.from_subgraph(graph, uniform_weights(), nodes)
+    assert np.array_equal(context.node_ids, node_ids)
+    assert np.array_equal(context.offsets, offsets)
+    assert np.array_equal(context.targets, targets)
+    assert context.targets.dtype == np.int64
