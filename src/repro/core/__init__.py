@@ -29,19 +29,14 @@ from repro.core.estimators import (
 from repro.core.extrapolation import TaylorExtrapolator
 from repro.core.forward import RevisedEstimate, revise_previous
 from repro.core.independent import IndependentEvaluator
-from repro.core.node import DigestNode, SharedSampleSource
+from repro.core.node import DigestNode
 from repro.core.query import ContinuousQuery, Precision, Query, parse_query
 from repro.core.repeated import RepeatedEvaluator, optimal_partition
 from repro.core.result import NotificationFilter, RunningResult, UpdateRecord
-from repro.core.scheduler import (
-    ContinuousScheduler,
-    ExtrapolationScheduler,
-    WalkBatchPlan,
-    WalkDemand,
-    coalesce_demands,
-)
+from repro.core.scheduler import ContinuousScheduler, ExtrapolationScheduler
 from repro.core.session import DigestSession, QueryRuntime, QuerySet, QuerySpec
 from repro.core.threshold import ThresholdEvent, ThresholdMonitor, ThresholdState
+from repro.protocol.batching import WalkBatchPlan, WalkDemand, coalesce_demands
 
 __all__ = [
     "ContinuousQuery",
@@ -61,7 +56,6 @@ __all__ = [
     "RepeatedEvaluator",
     "RevisedEstimate",
     "RunningResult",
-    "SharedSampleSource",
     "TaylorExtrapolator",
     "ThresholdEvent",
     "ThresholdMonitor",

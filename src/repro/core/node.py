@@ -18,10 +18,6 @@ local user" — plural. :class:`DigestNode` is that per-peer instance:
   queries become correlated with each other, which is harmless for the
   per-query semantics and is the price of paying for each sample once
   instead of once per query.
-
-:class:`SharedSampleSource` is the historical per-occasion cache the node
-used before the pool existed; it is kept as a lightweight standalone
-adapter (the pool supersedes it for node wiring).
 """
 
 from __future__ import annotations
@@ -38,59 +34,9 @@ from repro.db.relation import P2PDatabase
 from repro.errors import QueryError
 from repro.network.graph import OverlayGraph
 from repro.network.messaging import MessageLedger
-from repro.sampling.operator import (
-    SamplerConfig,
-    SamplingOperator,
-    TupleSample,
-)
+from repro.sampling.operator import SamplerConfig, SamplingOperator
 from repro.sampling.pool import SamplePool
-from repro.sampling.weights import WeightFunction
 from repro.sim.engine import PRIORITY_QUERY, SimulationEngine
-
-
-class SharedSampleSource:
-    """Operator facade adding per-occasion tuple-sample reuse.
-
-    Duck-typed to the slice of :class:`SamplingOperator` the evaluators
-    use (``sample_tuples``). Samples drawn during one occasion are cached;
-    later requests in the same occasion are served from the cache first
-    and only the shortfall is drawn fresh. ``begin_occasion`` must be
-    called when the time step advances (the node does this).
-    """
-
-    def __init__(self, operator: SamplingOperator) -> None:
-        self._operator = operator
-        self._occasion: int | None = None
-        self._cache: list[TupleSample] = []
-        self.samples_served_from_cache = 0
-
-    def begin_occasion(self, time: int) -> None:
-        if time != self._occasion:
-            self._occasion = time
-            self._cache = []
-
-    def sample_tuples(
-        self,
-        database: P2PDatabase,
-        n: int,
-        origin: int,
-        max_retries: int = 8,
-        allow_partial: bool = False,
-    ) -> list[TupleSample]:
-        served = [s for s in self._cache[:n] if s.tuple_id in database]
-        shortfall = n - len(served)
-        self.samples_served_from_cache += len(served)
-        if shortfall > 0:
-            fresh = self._operator.sample_tuples(
-                database, shortfall, origin, max_retries, allow_partial
-            )
-            self._cache.extend(fresh)
-            served = served + fresh
-        return served
-
-    def sample_nodes(self, weight: WeightFunction, n: int, origin: int) -> list[int]:
-        """Pass-through (node sampling has no per-occasion reuse semantics)."""
-        return self._operator.sample_nodes(weight, n, origin)
 
 
 @dataclass

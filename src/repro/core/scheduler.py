@@ -9,11 +9,6 @@ Two policies from the paper's evaluation:
   results, the earliest time the aggregate will have drifted by ``delta``,
   and skip every step before it. Until enough history exists
   (the bootstrapping period) it behaves like ``ALL``.
-
-Walk batch coalescing moved to the protocol layer
-(:mod:`repro.protocol.batching`) — a batch is a property of the walk
-lifecycle, not of any single query's scheduling policy. The types are
-re-exported here for compatibility.
 """
 
 from __future__ import annotations
@@ -22,11 +17,6 @@ from typing import Protocol
 
 from repro.core.extrapolation import TaylorExtrapolator
 from repro.errors import QueryError
-from repro.protocol.batching import (  # noqa: F401 - compat re-export
-    WalkBatchPlan,
-    WalkDemand,
-    coalesce_demands,
-)
 
 
 class SnapshotScheduler(Protocol):

@@ -17,7 +17,7 @@ queries. :class:`DigestSession` is the layer that does the amortizing:
 * when two or more queries come due at the same tick, the session asks
   each evaluator to *plan* its fresh-sample demand
   (``plan_demand``), coalesces the demands
-  (:func:`~repro.core.scheduler.coalesce_demands` — the batch needs only
+  (:func:`~repro.protocol.batching.coalesce_demands` — the batch needs only
   the **maximum**, not the sum), and prefetches one shared walk batch
   into the pool before any query evaluates. The batch's trace span
   attributes it to every consuming query.
@@ -45,8 +45,6 @@ from repro.core.scheduler import (
     ContinuousScheduler,
     ExtrapolationScheduler,
     SnapshotScheduler,
-    WalkDemand,
-    coalesce_demands,
 )
 from repro.core.estimators import achieved_confidence, achieved_epsilon
 from repro.core.snapshot import SnapshotEstimate
@@ -62,6 +60,7 @@ from repro.obs.audit import META_PROMISES, AuditVerdict, GuaranteeAuditor
 from repro.obs.live import META_FINISHED_AT, LivePipeline, WindowConfig
 from repro.obs.schema import SPAN_POOL_SERVE, SPAN_SNAPSHOT_QUERY, SPAN_WALK
 from repro.obs.tracer import RunMetricsSink, SinkTracer, Span, TraceEvent
+from repro.protocol.batching import WalkDemand, coalesce_demands
 from repro.sampling.operator import SamplerConfig, SampleSource
 from repro.sampling.pool import PoolConfig, SamplePool
 from repro.sim.engine import PRIORITY_QUERY, SimulationEngine

@@ -18,7 +18,7 @@ class of bug:
   ``src/repro`` against this registry (undeclared names and undeclared
   attribute keys are findings), and DGL010 bans hard-coded trace-name
   literals in the consumers (``repro.obs.analysis``,
-  ``tools/trace_analysis``, ``benchmarks/collect_results.py``).
+  ``benchmarks/collect_results.py``).
 
 The *values* of the constants are part of the on-disk trace format and
 must never change — exported JSONL traces (CI artifacts, RESULTS.md

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core.engine import EngineConfig
-from repro.core.node import DigestNode, SharedSampleSource
+from repro.core.node import DigestNode
 from repro.core.query import ContinuousQuery, Precision, parse_query
 from repro.db.expression import Expression
 from repro.db.relation import P2PDatabase, Schema
 from repro.errors import QueryError
 from repro.network.graph import OverlayGraph
 from repro.network.topology import mesh_topology
-from repro.sampling.operator import SamplingOperator
 from repro.sim.engine import SimulationEngine
 
 
@@ -111,37 +110,6 @@ class TestSampleSharing:
             )
         node.step(0)
         assert node.samples_saved_by_sharing() > 0
-
-    def test_cache_resets_between_occasions(self):
-        graph, database = _world(seed=2)
-        operator = SamplingOperator(graph, np.random.default_rng(4))
-        source = SharedSampleSource(operator)
-        source.begin_occasion(0)
-        first = source.sample_tuples(database, 5, origin=0)
-        source.begin_occasion(1)
-        assert source._cache == []
-        second = source.sample_tuples(database, 5, origin=0)
-        assert len(second) == 5
-
-    def test_cache_serves_same_occasion(self):
-        graph, database = _world(seed=2)
-        operator = SamplingOperator(graph, np.random.default_rng(4))
-        source = SharedSampleSource(operator)
-        source.begin_occasion(0)
-        first = source.sample_tuples(database, 8, origin=0)
-        again = source.sample_tuples(database, 5, origin=0)
-        assert [s.tuple_id for s in again] == [s.tuple_id for s in first[:5]]
-
-    def test_cache_drops_deleted_tuples(self):
-        graph, database = _world(seed=2)
-        operator = SamplingOperator(graph, np.random.default_rng(4))
-        source = SharedSampleSource(operator)
-        source.begin_occasion(0)
-        first = source.sample_tuples(database, 5, origin=0)
-        database.delete(first[0].tuple_id)
-        served = source.sample_tuples(database, 5, origin=0)
-        assert all(s.tuple_id in database for s in served)
-        assert len(served) == 5
 
     def test_estimates_remain_accurate_with_sharing(self):
         graph, database = _world(seed=5)

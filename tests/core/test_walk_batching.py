@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core.scheduler import WalkBatchPlan, WalkDemand, coalesce_demands
 from repro.errors import QueryError
 from repro.network.faults import FaultConfig, FaultPlan
 from repro.network.graph import OverlayGraph
 from repro.network.messaging import MessageLedger
 from repro.network.topology import mesh_topology
 from repro.obs.tracer import RecordingTracer
+from repro.protocol.batching import WalkBatchPlan, WalkDemand, coalesce_demands
 from repro.protocol.runtime import ProtocolConfig, ProtocolSampler, RetryPolicy
 from repro.sampling.weights import uniform_weights
 from repro.sim.engine import SimulationEngine

@@ -119,7 +119,7 @@ class TestCleanAssembly:
         assert run.chain_latency + run.supervision_latency == run.walk_latency
 
     def test_batch_scopes_cover_coalesced_batches(self):
-        from repro.core.scheduler import WalkDemand, coalesce_demands
+        from repro.protocol.batching import WalkDemand, coalesce_demands
 
         n_nodes = 16
         graph = OverlayGraph(mesh_topology(n_nodes), n_nodes=n_nodes)

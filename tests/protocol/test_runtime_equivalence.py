@@ -51,7 +51,7 @@ FIXTURES = ("faulted_trace.jsonl", "partitioned_trace.jsonl")
 
 def _faulted_trace_text(tmp_dir: Path) -> str:
     """A lossy, jittery run: plain walks plus one coalesced batch."""
-    from repro.core.scheduler import WalkDemand, coalesce_demands
+    from repro.protocol.batching import WalkDemand, coalesce_demands
 
     n_nodes = 16
     graph = OverlayGraph(mesh_topology(n_nodes), n_nodes=n_nodes)

@@ -1,10 +1,13 @@
-"""Tests for the digest-lint static-analysis suite.
+"""Fixture tests for the analyzer's per-file rules (DGL001-DGL008).
 
 Organization mirrors the rule catalog: one test class per rule with
-known-bad fixtures (must flag) and known-good fixtures (must pass), then
+known-bad fixtures (must flag) and known-good fixtures (must pass), run
+through :func:`analyze_sources` restricted to the per-file codes; then
 engine-level behavior (noqa, scoping, select, CLI), and finally the
-meta-test asserting the repository's own ``src/repro`` is clean -- the
-invariant CI enforces.
+meta-test asserting ``src/repro`` and ``tools`` have no per-file finding
+even with the baseline ignored -- the analyzer's own meta-test runs
+against the baseline, so without this one a per-file finding in
+``src/`` could be grandfathered silently.
 """
 
 from __future__ import annotations
@@ -16,14 +19,28 @@ from pathlib import Path
 
 import pytest
 
-from tools.digest_lint import ALL_RULES, lint_paths, lint_source
+from tools.digest_analyzer import Finding, analyze_paths, analyze_sources
+from tools.digest_analyzer.rules_local import ALL_RULES
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC_REPRO = REPO_ROOT / "src" / "repro"
+LOCAL_CODES = frozenset(rule.code for rule in ALL_RULES)
+
+
+def lint(
+    source: str, path: str, select: frozenset[str] = LOCAL_CODES
+) -> list[Finding]:
+    """Per-file findings for ``source`` as though it lived at ``path``."""
+    return analyze_sources({path: source}, select=select).findings
+
+
+def lint_paths(paths: list[Path]) -> list[Finding]:
+    """Per-file findings on disk, cache and baseline both off."""
+    return analyze_paths(paths, repo_root=REPO_ROOT, select=LOCAL_CODES).findings
 
 
 def codes(source: str, path: str) -> list[str]:
-    return [f.code for f in lint_source(textwrap.dedent(source), path)]
+    return [f.code for f in lint(textwrap.dedent(source), path)]
 
 
 # ----------------------------------------------------------------------
@@ -212,7 +229,7 @@ class TestMissingAnnotations:
         ],
     )
     def test_flags_annotation_gaps(self, snippet: str, missing: str) -> None:
-        findings = lint_source(snippet, self.PATH)
+        findings = lint(snippet, self.PATH)
         assert [f.code for f in findings] == ["DGL005"]
         assert findings[0].message.endswith(missing)
 
@@ -449,18 +466,18 @@ class TestEngine:
             "rng = np.random.default_rng()\nt = time.time()\n"
         )
         path = "src/repro/core/snippet.py"
-        all_codes = [f.code for f in lint_source(bad_both, path)]
-        assert all_codes == ["DGL001", "DGL002"]
-        only = [f.code for f in lint_source(bad_both, path, select=["DGL002"])]
-        assert only == ["DGL002"]
+        assert codes(bad_both, path) == ["DGL001", "DGL002"]
+        only = lint(bad_both, path, select=frozenset({"DGL002"}))
+        assert [f.code for f in only] == ["DGL002"]
 
     def test_unknown_select_raises(self) -> None:
-        with pytest.raises(ValueError, match="unknown rule"):
-            lint_source("x = 1\n", self.PATH, select=["DGL999"])
+        # the CLI validates --select; an unknown code is a usage error
+        result = run_cli("--select", "DGL999", "src/repro")
+        assert result.returncode == 2
+        assert "DGL999" in result.stderr
 
     def test_syntax_error_reports_dgl000(self) -> None:
-        findings = lint_source("def broken(:\n", self.PATH)
-        assert [f.code for f in findings] == ["DGL000"]
+        assert codes("def broken(:\n", self.PATH) == ["DGL000"]
 
     def test_missing_path_raises(self, tmp_path: Path) -> None:
         with pytest.raises(FileNotFoundError):
@@ -475,7 +492,8 @@ class TestEngine:
             "def f(x: float) -> float:\n"
             "    return time.time() if x == 0.5 else 0\n"
         )
-        # tmp_path has no ``repro`` component, so DGL005 stays out of scope
+        # tmp_path has no ``repro`` component, so DGL005 stays out of scope;
+        # it lies outside the repository, so findings keep its full path
         findings = lint_paths([tmp_path])
         assert findings == sorted(findings)
         assert {f.code for f in findings} == {"DGL002", "DGL004"}
@@ -504,57 +522,67 @@ class TestEngine:
 
 def run_cli(*args: str) -> subprocess.CompletedProcess[str]:
     return subprocess.run(
-        [sys.executable, "-m", "tools.digest_lint", *args],
+        [sys.executable, "-m", "tools.digest_analyzer", *args],
         capture_output=True,
         text=True,
         cwd=REPO_ROOT,
+        env={"PYTHONPATH": str(REPO_ROOT)},
     )
+
+
+#: one known-bad file per per-file rule: (scope directory, source)
+BAD_FIXTURES = {
+    "DGL001": (
+        "sampling",
+        "import numpy as np\nrng = np.random.default_rng()\n",
+    ),
+    "DGL002": ("core", "import time\nt = time.time()\n"),
+    "DGL003": ("protocol", "def f(g):\n    return g._adjacency\n"),
+    "DGL004": ("core", "def f(x):\n    return x == 0.5\n"),
+    "DGL005": ("repro", "def f(x):\n    return x\n"),
+    "DGL006": (
+        "protocol",
+        "def _handle_x(m: object) -> None:\n    raise ValueError(m)\n",
+    ),
+    "DGL007": ("repro", 'print("hi")\n'),
+    "DGL008": (
+        "repro/core",
+        "from repro.sampling.operator import SamplingOperator\n"
+        "op = SamplingOperator(None, None)\n",
+    ),
+}
 
 
 class TestCli:
     def test_clean_tree_exits_zero(self) -> None:
-        result = run_cli("src/repro")
+        result = run_cli(
+            "--no-baseline",
+            "--no-cache",
+            "--select",
+            ",".join(sorted(LOCAL_CODES)),
+            "src/repro",
+        )
         assert result.returncode == 0, result.stdout + result.stderr
         assert result.stdout == ""
 
-    def test_each_rule_bad_fixture_exits_nonzero(self, tmp_path: Path) -> None:
-        fixtures = {
-            "DGL001": (
-                "sampling",
-                "import numpy as np\nrng = np.random.default_rng()\n",
-            ),
-            "DGL002": ("core", "import time\nt = time.time()\n"),
-            "DGL003": ("protocol", "def f(g):\n    return g._adjacency\n"),
-            "DGL004": ("core", "def f(x):\n    return x == 0.5\n"),
-            "DGL005": ("repro", "def f(x):\n    return x\n"),
-            "DGL006": (
-                "protocol",
-                "def _handle_x(m: object) -> None:\n    raise ValueError(m)\n",
-            ),
-            "DGL007": ("repro", 'print("hi")\n'),
-            "DGL008": (
-                "repro/core",
-                "from repro.sampling.operator import SamplingOperator\n"
-                "op = SamplingOperator(None, None)\n",
-            ),
-        }
-        for code, (scope, source) in fixtures.items():
-            scoped = tmp_path / code / scope
-            scoped.mkdir(parents=True)
-            bad = scoped / "bad.py"
-            bad.write_text(source)
-            result = run_cli(str(bad))
-            assert result.returncode == 1, (code, result.stdout, result.stderr)
-            assert code in result.stdout
+    @pytest.mark.parametrize("code", sorted(BAD_FIXTURES))
+    def test_each_rule_bad_fixture_exits_nonzero(
+        self, code: str, tmp_path: Path
+    ) -> None:
+        scope, source = BAD_FIXTURES[code]
+        scoped = tmp_path / scope
+        scoped.mkdir(parents=True)
+        bad = scoped / "bad.py"
+        bad.write_text(source)
+        result = run_cli("--no-baseline", "--no-cache", str(bad))
+        assert result.returncode == 1, (result.stdout, result.stderr)
+        assert code in result.stdout
 
     def test_list_rules(self) -> None:
         result = run_cli("--list-rules")
         assert result.returncode == 0
         for rule in ALL_RULES:
             assert rule.code in result.stdout
-
-    def test_no_paths_is_usage_error(self) -> None:
-        assert run_cli().returncode == 2
 
     def test_missing_path_is_usage_error(self) -> None:
         result = run_cli("definitely/not/a/path")
@@ -573,7 +601,7 @@ class TestRepositoryIsClean:
         assert findings == [], "\n".join(f.render() for f in findings)
 
     def test_tools_are_clean_too(self) -> None:
-        # the linter lints itself (DGL001/DGL002 scopes apply everywhere
+        # the analyzer lints itself (DGL001/DGL002 scopes apply everywhere
         # relevant; DGL005 does not, because tools/ is not repro/)
         findings = lint_paths([REPO_ROOT / "tools"])
         assert findings == [], "\n".join(f.render() for f in findings)

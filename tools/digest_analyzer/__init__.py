@@ -1,10 +1,9 @@
 """Cross-module static analysis for the Digest reproduction.
 
-``tools.digest_lint`` enforced the simulation invariants one file at a
-time (DGL001-DGL008). This package is its successor: the same per-file
-rules, plus a second pass that parses every file into a shared symbol
-table and approximate call graph and runs the rules no single file can
-check —
+Pass 1 enforces the simulation invariants one file at a time
+(DGL001-DGL008, :mod:`tools.digest_analyzer.rules_local`). Pass 2
+parses every file into a shared symbol table and approximate call graph
+and runs the rules no single file can check —
 
 * **DGL009** trace-schema conformance: every ``tracer.span(...)`` /
   ``.event(...)`` call site against the declared registry in

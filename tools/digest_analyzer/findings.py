@@ -1,9 +1,4 @@
-"""Finding record shared by every rule, the engine, and the reporters.
-
-Moved here from ``tools.digest_lint.findings`` when the per-file linter
-grew into the cross-module analyzer; ``tools.digest_lint`` re-exports it
-unchanged, so the historical import path keeps working.
-"""
+"""Finding record shared by every rule, the engine, and the reporters."""
 
 from __future__ import annotations
 
