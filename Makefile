@@ -31,10 +31,6 @@ typecheck:
 # everything CI runs, in CI's order
 check: lint typecheck test
 
-test-all: export REPRO_RUN_EXAMPLES=1
-test-all:
-	$(PYTHON) -m pytest tests/
-
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 

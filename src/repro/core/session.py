@@ -33,7 +33,7 @@ cold pool passes single-query requests straight through to the operator.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator
+from typing import Callable, Container, Iterator
 
 import numpy as np
 
@@ -61,7 +61,7 @@ from repro.obs.live import META_FINISHED_AT, LivePipeline, WindowConfig
 from repro.obs.schema import SPAN_POOL_SERVE, SPAN_SNAPSHOT_QUERY, SPAN_WALK
 from repro.obs.tracer import RunMetricsSink, SinkTracer, Span, TraceEvent
 from repro.protocol.batching import WalkDemand, coalesce_demands
-from repro.sampling.operator import SamplerConfig, SampleSource
+from repro.sampling.operator import SamplerConfig
 from repro.sampling.pool import PoolConfig, SamplePool
 from repro.sim.engine import PRIORITY_QUERY, SimulationEngine
 from repro.sim.metrics import RunMetrics
@@ -105,6 +105,13 @@ class EngineConfig:
             )
 
 
+def _free_id(n: int, taken: Container[str]) -> str:
+    """The first ``q<m>`` with ``m >= n`` that is not in ``taken``."""
+    while f"q{n}" in taken:
+        n += 1
+    return f"q{n}"
+
+
 @dataclass(frozen=True)
 class QuerySpec:
     """One entry of a :class:`QuerySet`: the query plus its algorithms."""
@@ -131,9 +138,16 @@ class QuerySet:
         config: EngineConfig | None = None,
         query_id: str | None = None,
     ) -> str:
-        """Append a query; returns its (possibly auto-assigned) id."""
-        assigned = query_id if query_id is not None else f"q{len(self._specs)}"
-        if any(spec.query_id == assigned for spec in self._specs):
+        """Append a query; returns its (possibly auto-assigned) id.
+
+        Auto-assigned ids are ``q<n>`` with ``n`` the set's size, skipping
+        any id already taken explicitly.
+        """
+        taken = {spec.query_id for spec in self._specs}
+        assigned = query_id if query_id is not None else _free_id(
+            len(self._specs), taken
+        )
+        if assigned in taken:
             raise QueryError(f"duplicate query id {assigned!r}")
         self._specs.append(
             QuerySpec(
@@ -193,14 +207,12 @@ class QueryRuntime:
         config: EngineConfig,
         evaluator: IndependentEvaluator | RepeatedEvaluator,
         scheduler: SnapshotScheduler,
-        source: SampleSource,
     ) -> None:
         self.query_id = query_id
         self.continuous_query = continuous_query
         self.config = config
         self.evaluator = evaluator
         self.scheduler = scheduler
-        self.source = source
         self.result = RunningResult()
         self.metrics = RunMetrics()
         self.history: list[tuple[int, float]] = []
@@ -315,31 +327,20 @@ class DigestSession:
         continuous_query: ContinuousQuery,
         config: EngineConfig | None = None,
         query_id: str | None = None,
-        operator: SampleSource | None = None,
     ) -> str:
         """Register a continuous query; returns its query id.
 
         The query's evaluator draws through a pool lease keyed by the
-        query id, unless ``operator`` injects an explicit substrate (the
-        single-query facade uses this to honor its historical ``operator=``
-        argument; such queries bypass the pool entirely).
+        query id. Auto-assigned ids are ``q<n>`` with ``n`` counting
+        registrations, skipping any id already taken explicitly.
         """
-        database = self._database
-        database.schema.validate_expression(continuous_query.query.expression)
-        if continuous_query.query.predicate is not None:
-            database.schema.validate_predicate(continuous_query.query.predicate)
         if query_id is None:
-            query_id = f"q{self._next_auto_id}"
-        if query_id in self._runtimes:
-            raise QueryError(f"duplicate query id {query_id!r}")
-        if "," in query_id:
-            raise QueryError(
-                f"query id {query_id!r} may not contain ',' (reserved for "
-                f"trace attribution lists)"
-            )
+            query_id = _free_id(self._next_auto_id, self._runtimes)
+        self._validate(continuous_query, query_id, self._runtimes)
         self._next_auto_id += 1
+        database = self._database
         resolved = config if config is not None else EngineConfig()
-        source = operator if operator is not None else self.pool.lease(query_id)
+        source = self.pool.lease(query_id)
 
         population_provider = None
         if not resolved.oracle_population:
@@ -386,7 +387,6 @@ class DigestSession:
             config=resolved,
             evaluator=evaluator,
             scheduler=scheduler,
-            source=source,
         )
         self.tracer.add_sink(_QueryScopedSink(query_id, runtime.metrics))
         self.auditor.register(
@@ -404,8 +404,36 @@ class DigestSession:
         self._runtimes[query_id] = runtime
         return query_id
 
+    def _validate(
+        self,
+        continuous_query: ContinuousQuery,
+        query_id: str,
+        taken: Container[str],
+    ) -> None:
+        """Raise unless the query fits the schema and ``query_id`` is free."""
+        schema = self._database.schema
+        schema.validate_expression(continuous_query.query.expression)
+        if continuous_query.query.predicate is not None:
+            schema.validate_predicate(continuous_query.query.predicate)
+        if query_id in taken:
+            raise QueryError(f"duplicate query id {query_id!r}")
+        if "," in query_id:
+            raise QueryError(
+                f"query id {query_id!r} may not contain ',' (reserved for "
+                f"trace attribution lists)"
+            )
+
     def add_query_set(self, query_set: QuerySet) -> list[str]:
-        """Register every query of a :class:`QuerySet`, in order."""
+        """Register every query of a :class:`QuerySet`, in order.
+
+        All-or-nothing: every entry is validated (schema, id rules,
+        duplicates within the set and against the session) before the
+        first one registers, so a bad set leaves the session unchanged.
+        """
+        taken = set(self._runtimes)
+        for spec in query_set:
+            self._validate(spec.continuous_query, spec.query_id, taken)
+            taken.add(spec.query_id)
         return [
             self.add_query(
                 spec.continuous_query,
@@ -496,11 +524,9 @@ class DigestSession:
     def _prefetch_for(self, due: list[QueryRuntime]) -> None:
         """Draw the coalesced walk batch covering the due queries' demands.
 
-        Only queries leasing from the pool participate (an injected
-        operator bypasses the pool, so prefetching for it would strand
-        samples). Demands are forecasts — a low forecast is topped up by
-        the evaluator itself, a high one leaves pooled samples other
-        queries may still consume within the epoch.
+        Demands are forecasts — a low forecast is topped up by the
+        evaluator itself, a high one leaves pooled samples other queries
+        may still consume within the epoch.
         """
         demands = [
             WalkDemand(
@@ -511,8 +537,6 @@ class DigestSession:
                 ),
             )
             for runtime in due
-            if runtime.source is not None
-            and getattr(runtime.source, "pool", None) is self.pool
         ]
         plan = coalesce_demands(demands)
         if plan.n_walks == 0 or len(plan.demands) < 2:

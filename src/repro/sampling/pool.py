@@ -95,9 +95,8 @@ class PooledSample:
 class SamplePool:
     """Shared tuple-sample cache between queries and the sampling operator.
 
-    Parameters mirror :class:`~repro.sampling.operator.SamplingOperator`
-    (the pool constructs and owns the operator); use :meth:`wrapping` to
-    build a pool around an existing operator instead.
+    Parameters mirror :class:`~repro.sampling.operator.SamplingOperator`;
+    the pool constructs and owns the operator.
     """
 
     def __init__(
@@ -109,30 +108,18 @@ class SamplePool:
         faults: FaultPlan | None = None,
         tracer: Tracer | None = None,
         config: PoolConfig | None = None,
-        _operator: SamplingOperator | None = None,
         partitions: PartitionPlan | None = None,
     ) -> None:
-        tracer = tracer if tracer is not None else NULL_TRACER
-        if _operator is None:
-            _operator = SamplingOperator(
-                graph,
-                rng,
-                ledger,
-                sampler_config,
-                faults=faults,
-                tracer=tracer,
-                partitions=partitions,
-            )
-        self._init_state(_operator, tracer, config)
-
-    def _init_state(
-        self,
-        operator: SamplingOperator,
-        tracer: Tracer,
-        config: PoolConfig | None,
-    ) -> None:
-        self._tracer = tracer
-        self._operator = operator
+        self._tracer = tracer if tracer is not None else NULL_TRACER
+        self._operator = SamplingOperator(
+            graph,
+            rng,
+            ledger,
+            sampler_config,
+            faults=faults,
+            tracer=self._tracer,
+            partitions=partitions,
+        )
         self._config = config if config is not None else PoolConfig()
         self._epoch: int = NO_TIME
         self._samples: list[PooledSample] = []
@@ -140,20 +127,6 @@ class SamplePool:
         self._next_serial = 0
         self.pool_hits = 0
         self.pool_misses = 0
-
-    @classmethod
-    def wrapping(
-        cls,
-        operator: SamplingOperator,
-        tracer: Tracer | None = None,
-        config: PoolConfig | None = None,
-    ) -> "SamplePool":
-        """A pool around an existing operator (tests, custom substrates)."""
-        self = cls.__new__(cls)
-        self._init_state(
-            operator, tracer if tracer is not None else NULL_TRACER, config
-        )
-        return self
 
     @property
     def operator(self) -> SamplingOperator:

@@ -1,11 +1,17 @@
-"""Tests for the multi-query Digest node."""
+"""Tests for one peer's Digest instance: several queries on one session.
+
+Section III gives every node one Digest instance answering "the continuous
+queries received from the local user"; :class:`DigestSession` is that
+instance. These tests drive it the way a node does — register, step,
+share samples, attach to a simulation — alongside ``test_session.py``.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core.engine import EngineConfig
-from repro.core.node import DigestNode
+from repro.core.engine import DigestEngine, EngineConfig
 from repro.core.query import ContinuousQuery, Precision, parse_query
+from repro.core.session import DigestSession
 from repro.db.expression import Expression
 from repro.db.relation import P2PDatabase, Schema
 from repro.errors import QueryError
@@ -33,127 +39,102 @@ def _query(text="SELECT AVG(mem) FROM R", delta=4.0, epsilon=2.0, duration=10):
     )
 
 
+_ALL_INDEP = EngineConfig(scheduler="all", evaluator="independent")
+
+
+def _session(seed_world=0, seed_rng=1):
+    graph, database = _world(seed_world)
+    session = DigestSession(graph, database, 0, np.random.default_rng(seed_rng))
+    return session, database
+
+
 class TestRegistration:
     def test_register_and_step(self):
-        graph, database = _world()
-        node = DigestNode(graph, database, 0, np.random.default_rng(1))
-        qid_avg = node.register(
-            _query(), EngineConfig(scheduler="all", evaluator="independent")
+        session, database = _session()
+        qid_avg = session.add_query(_query(), _ALL_INDEP)
+        qid_sum = session.add_query(
+            _query("SELECT SUM(mem) FROM R", epsilon=400.0), _ALL_INDEP
         )
-        qid_sum = node.register(
-            _query("SELECT SUM(mem) FROM R", epsilon=400.0),
-            EngineConfig(scheduler="all", evaluator="independent"),
-        )
-        assert node.query_ids() == [qid_avg, qid_sum]
-        executed = node.step(0)
+        assert session.query_ids() == [qid_avg, qid_sum]
+        executed = session.step(0)
         assert set(executed) == {qid_avg, qid_sum}
         truth = float(database.exact_values(Expression("mem")).mean())
         assert abs(executed[qid_avg].aggregate - truth) < 5.0
         assert abs(executed[qid_sum].aggregate - truth * database.n_tuples) < 2000
 
-    def test_deregister(self):
-        graph, database = _world()
-        node = DigestNode(graph, database, 0, np.random.default_rng(1))
-        qid = node.register(_query())
-        node.deregister(qid)
-        assert node.query_ids() == []
-        with pytest.raises(QueryError):
-            node.engine(qid)
-        with pytest.raises(QueryError):
-            node.deregister(qid)
-
     def test_unknown_origin_rejected(self):
         graph, database = _world()
         with pytest.raises(QueryError):
-            DigestNode(graph, database, 10**6, np.random.default_rng(0))
+            DigestSession(graph, database, 10**6, np.random.default_rng(0))
 
     def test_results_accessible(self):
-        graph, database = _world()
-        node = DigestNode(graph, database, 0, np.random.default_rng(1))
-        qid = node.register(
-            _query(), EngineConfig(scheduler="all", evaluator="independent")
-        )
-        node.step(0)
-        assert len(node.result(qid)) == 1
+        session, _ = _session()
+        qid = session.add_query(_query(), _ALL_INDEP)
+        session.step(0)
+        assert len(session.runtime(qid).result) == 1
 
 
 class TestSampleSharing:
     def test_shared_cache_reduces_fresh_samples(self):
-        """Two identical queries co-scheduled: sharing halves the draws."""
-        totals = {}
-        for share in (True, False):
+        """Three identical co-scheduled queries: sharing cuts the walks."""
+        session, _ = _session(seed_world=2, seed_rng=3)
+        for _ in range(3):
+            session.add_query(_query(duration=5), _ALL_INDEP)
+        for t in range(5):
+            session.step(t)
+
+        solo_walk_steps = 0
+        for i in range(3):
             graph, database = _world(seed=2)
-            node = DigestNode(
+            engine = DigestEngine(
                 graph,
                 database,
+                _query(duration=5),
                 0,
-                np.random.default_rng(3),
-                share_samples=share,
+                np.random.default_rng(3 + i),
+                config=_ALL_INDEP,
             )
-            for _ in range(3):
-                node.register(
-                    _query(duration=5),
-                    EngineConfig(scheduler="all", evaluator="independent"),
-                )
             for t in range(5):
-                node.step(t)
-            totals[share] = node.ledger.walk_steps
-        assert totals[True] < 0.6 * totals[False]
+                engine.step(t)
+            solo_walk_steps += engine.ledger.walk_steps
+        assert session.ledger.walk_steps < 0.6 * solo_walk_steps
 
     def test_cache_counts_reuse(self):
-        graph, database = _world(seed=2)
-        node = DigestNode(graph, database, 0, np.random.default_rng(3))
+        session, _ = _session(seed_world=2, seed_rng=3)
         for _ in range(2):
-            node.register(
-                _query(duration=2),
-                EngineConfig(scheduler="all", evaluator="independent"),
-            )
-        node.step(0)
-        assert node.samples_saved_by_sharing() > 0
+            session.add_query(_query(duration=2), _ALL_INDEP)
+        session.step(0)
+        assert session.pool.pool_hits > 0
 
     def test_estimates_remain_accurate_with_sharing(self):
-        graph, database = _world(seed=5)
-        node = DigestNode(graph, database, 0, np.random.default_rng(6))
-        qids = [
-            node.register(
-                _query(duration=6, epsilon=1.5),
-                EngineConfig(scheduler="all", evaluator="independent"),
-            )
-            for _ in range(3)
-        ]
+        session, database = _session(seed_world=5, seed_rng=6)
+        for _ in range(3):
+            session.add_query(_query(duration=6, epsilon=1.5), _ALL_INDEP)
         truth = float(database.exact_values(Expression("mem")).mean())
         for t in range(6):
-            executed = node.step(t)
+            executed = session.step(t)
             for estimate in executed.values():
                 assert abs(estimate.aggregate - truth) < 4.0
 
 
 class TestSimulationAttachment:
     def test_attach(self):
-        graph, database = _world()
-        node = DigestNode(graph, database, 0, np.random.default_rng(1))
-        qid = node.register(
-            _query(duration=5),
-            EngineConfig(scheduler="all", evaluator="independent"),
-        )
+        session, _ = _session()
+        qid = session.add_query(_query(duration=5), _ALL_INDEP)
         simulation = SimulationEngine()
-        node.attach(simulation, until=10)
+        session.attach(simulation)
         simulation.run_until(10)
-        assert node.engine(qid).metrics.snapshot_queries == 5
+        assert session.runtime(qid).metrics.snapshot_queries == 5
 
     def test_mixed_schedulers(self):
         """PRED and ALL queries coexist; each keeps its own cadence."""
-        graph, database = _world()
-        node = DigestNode(graph, database, 0, np.random.default_rng(1))
-        qid_all = node.register(
-            _query(duration=20),
-            EngineConfig(scheduler="all", evaluator="independent"),
-        )
-        qid_pred = node.register(
+        session, _ = _session()
+        qid_all = session.add_query(_query(duration=20), _ALL_INDEP)
+        qid_pred = session.add_query(
             _query(duration=20, delta=8.0),
             EngineConfig(scheduler="pred", evaluator="independent"),
         )
         for t in range(20):
-            node.step(t)
-        assert node.engine(qid_all).metrics.snapshot_queries == 20
-        assert node.engine(qid_pred).metrics.snapshot_queries < 20
+            session.step(t)
+        assert session.runtime(qid_all).metrics.snapshot_queries == 20
+        assert session.runtime(qid_pred).metrics.snapshot_queries < 20

@@ -225,19 +225,6 @@ class TestLease:
         assert lease_a.consumer == "qa"
         assert lease_a.pool is pool
 
-    def test_wrapping_reuses_operator(self):
-        graph, database = _world()
-        operator = SamplingOperator(
-            graph,
-            np.random.default_rng(0),
-            config=SamplerConfig(walk_length=20, continued_walks=False),
-        )
-        pool = SamplePool.wrapping(operator)
-        assert pool.operator is operator
-        pool.begin_epoch(0)
-        pool.acquire(database, 4, origin=0, consumer="q0")
-        assert operator.samples_drawn == 4
-
 
 class TestReset:
     def test_reset_clears_state(self):

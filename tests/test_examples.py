@@ -1,11 +1,10 @@
 """Smoke-run the example scripts.
 
 Each example must stay runnable end to end; they double as executable
-documentation. They take tens of seconds each, so the full set only runs
-when ``REPRO_RUN_EXAMPLES=1``; one fast representative always runs.
+documentation. Each takes a few seconds, so every one runs in the default
+suite.
 """
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,8 +13,6 @@ import pytest
 
 EXAMPLES_DIR = Path(__file__).parent.parent / "examples"
 ALL_EXAMPLES = sorted(p.name for p in EXAMPLES_DIR.glob("*.py"))
-
-run_all = os.environ.get("REPRO_RUN_EXAMPLES") == "1"
 
 
 def _run(name: str) -> subprocess.CompletedProcess:
@@ -38,7 +35,6 @@ def test_quickstart_runs():
     assert "snapshot queries" in result.stdout
 
 
-@pytest.mark.skipif(not run_all, reason="set REPRO_RUN_EXAMPLES=1 to run all")
 @pytest.mark.parametrize(
     "name", [n for n in ALL_EXAMPLES if n != "quickstart.py"]
 )

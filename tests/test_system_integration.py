@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro import (
-    DigestNode,
+    DigestSession,
     EngineConfig,
     Expression,
     Precision,
@@ -35,14 +35,14 @@ class TestChurningGridScenario:
         instance = MemoryDataset(config, seed=11).build()
         origin = instance.graph.nodes()[0]
         instance.churn.protect(origin)
-        node = DigestNode(
+        session = DigestSession(
             instance.graph,
             instance.database,
             origin,
             np.random.default_rng(12),
         )
         sigma = config.expected_sigma
-        qid_avg = node.register(
+        qid_avg = session.add_query(
             ContinuousQuery(
                 parse_query("SELECT AVG(available_memory) FROM R"),
                 Precision(delta=sigma, epsilon=0.4 * sigma, confidence=0.95),
@@ -50,7 +50,7 @@ class TestChurningGridScenario:
             ),
             EngineConfig(scheduler="pred", evaluator="repeated"),
         )
-        qid_count = node.register(
+        qid_count = session.add_query(
             ContinuousQuery(
                 parse_query(
                     "SELECT COUNT(available_memory) FROM R "
@@ -62,7 +62,7 @@ class TestChurningGridScenario:
             EngineConfig(scheduler="all", evaluator="independent"),
         )
         notifications = []
-        node.engine(qid_avg).subscribe(notifications.append)
+        session.subscribe(qid_avg, notifications.append)
         monitor = ThresholdMonitor(
             threshold=95.0, confidence=0.9
         )
@@ -70,14 +70,14 @@ class TestChurningGridScenario:
         count_errors = []
         for t in range(30):
             instance.step(t)
-            executed = node.step(t)
+            executed = session.step(t)
             if qid_avg in executed:
                 monitor.offer(executed[qid_avg])
                 avg_errors.append(
                     abs(executed[qid_avg].aggregate - instance.true_average())
                 )
             if qid_count in executed:
-                query = node.engine(qid_count).continuous_query.query
+                query = session.runtime(qid_count).continuous_query.query
                 truth = exact_aggregate(
                     instance.database, query.op, query.expression, query.predicate
                 )
@@ -86,7 +86,7 @@ class TestChurningGridScenario:
                 )
         return {
             "instance": instance,
-            "node": node,
+            "session": session,
             "qid_avg": qid_avg,
             "qid_count": qid_count,
             "notifications": notifications,
@@ -105,23 +105,24 @@ class TestChurningGridScenario:
         assert float(np.mean(scenario["count_errors"])) < 40.0
 
     def test_accounting_consistent(self, scenario):
-        node = scenario["node"]
-        for qid in node.query_ids():
-            metrics = node.engine(qid).metrics
+        session = scenario["session"]
+        for qid in session.query_ids():
+            runtime = session.runtime(qid)
+            metrics = runtime.metrics
             assert metrics.samples_total == (
                 metrics.samples_fresh + metrics.samples_retained
             )
-            assert metrics.snapshot_queries == len(node.result(qid))
-        assert node.ledger.total > 0
+            assert metrics.snapshot_queries == len(runtime.result)
+        assert session.ledger.total > 0
 
     def test_scheduler_divergence(self, scenario):
         """PRED skipped; ALL did not."""
-        node = scenario["node"]
-        assert node.engine(scenario["qid_count"]).metrics.snapshot_queries == 30
-        assert node.engine(scenario["qid_avg"]).metrics.snapshot_queries < 30
+        session = scenario["session"]
+        assert session.runtime(scenario["qid_count"]).metrics.snapshot_queries == 30
+        assert session.runtime(scenario["qid_avg"]).metrics.snapshot_queries < 30
 
     def test_notifications_are_sparse(self, scenario):
-        updates = len(scenario["node"].result(scenario["qid_avg"]))
+        updates = len(scenario["session"].runtime(scenario["qid_avg"]).result)
         assert 1 <= len(scenario["notifications"]) <= updates
 
     def test_threshold_monitor_settled(self, scenario):

@@ -57,7 +57,7 @@ def path_parts(path: str) -> tuple[str, ...]:
 class ProjectFunction:
     """One function with its project-global identity."""
 
-    gid: str  # "<module>.<qualname>", e.g. "repro.core.node.DigestNode.register"
+    gid: str  # "<module>.<qualname>", e.g. "repro.core.session.DigestSession.step"
     module: str
     qualname: str  # module-relative
     path: str

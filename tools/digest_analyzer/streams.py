@@ -29,13 +29,11 @@ SINK_LABELS: dict[str, str] = {
     "PartitionPlan": "partition",
     # membership churn
     "ChurnProcess": "churn",
-    # shared sample pool / engine substrate (one stream by design:
-    # DigestNode hands the same generator to its pool and engines)
+    # shared sample pool / query substrate (one stream by design:
+    # DigestSession hands the same generator to its pool and evaluators)
     "SamplePool": "pool",
     "DigestEngine": "engine",
     "DigestSession": "engine",
-    "DigestNode": "engine",
-    "RepeatedQueryEngine": "engine",
     # walk execution
     "SamplingOperator": "walk",
     "ProtocolSampler": "walk",
@@ -50,7 +48,6 @@ SINK_LABELS: dict[str, str] = {
     "MemoryInstance": "data",
     "distribute_units": "data",
     # gossip baseline
-    "PushSumProtocol": "baseline",
     "PushSumBaseline": "baseline",
 }
 
