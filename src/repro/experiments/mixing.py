@@ -104,9 +104,7 @@ def measure(
     graph, database = _build_world(topology, n_nodes, seed)
     weight = content_size_weights(database)
     context = WalkContext.from_graph(graph, weight)
-    matrix = mixing_mod.sparse_transition_matrix(
-        context.offsets, context.targets, context.weights
-    )
+    matrix = mixing_mod.sparse_transition_matrix(context)
     gap = mixing_mod.eigengap_sparse(matrix)
     target = context.target_distribution()
     # empirical mixing from a fixed origin (node 0), sparse iteration

@@ -41,6 +41,7 @@ from repro.protocol.messages import (
 )
 from repro.protocol.routing import RoutingPolicy
 from repro.protocol.transport import KIND_RETURN, KIND_WALK, Transport
+from repro.sampling.metropolis import unchecked_acceptance
 from repro.sampling.weights import WeightFunction
 
 
@@ -213,11 +214,6 @@ class WalkExecutor:
                 record.ctx,
             )
 
-    def _acceptance(self, w_i: float, d_i: int, w_j: float, d_j: int) -> float:
-        if w_i == 0.0:
-            return 1.0
-        return min(1.0, (w_j * d_i) / (w_i * d_j))
-
     def _cached_step(
         self,
         walker_id: int,
@@ -247,7 +243,7 @@ class WalkExecutor:
             )
             cached = self._weight(target)
             ads.store(node, target, cached)
-        accept = self._acceptance(
+        accept = unchecked_acceptance(
             self._weight(node),
             self._graph.degree(node),
             cached,
@@ -326,7 +322,7 @@ class WalkExecutor:
         """Bounce variant, receiver side: accept or bounce back."""
         if self._lifecycle.live_record(token.walker_id, token.attempt) is None:
             return
-        accept = self._acceptance(
+        accept = unchecked_acceptance(
             token.sender_weight,
             token.sender_degree,
             self._weight(node),

@@ -12,7 +12,8 @@ Modules
   degree, custom).
 * :mod:`repro.sampling.metropolis` — Metropolis forwarding probabilities
   (Eq. 12) and the full transition matrix for analysis.
-* :mod:`repro.sampling.walker` — the random-walk sampling agent.
+* :mod:`repro.sampling.walker` — the walk snapshot (with its Metropolis
+  edge table) and the batch random-walk kernel.
 * :mod:`repro.sampling.mixing` — total-variation distance, eigengap,
   mixing-time bound (Theorems 1-4).
 * :mod:`repro.sampling.operator` — the sampling operator ``S``: batch mode,
@@ -42,7 +43,6 @@ from repro.sampling.size_estimation import (
     estimate_network_size,
     estimate_relation_size,
 )
-from repro.sampling.walker import MetropolisWalker
 from repro.sampling.weights import (
     content_size_weights,
     degree_weights,
@@ -50,7 +50,6 @@ from repro.sampling.weights import (
 )
 
 __all__ = [
-    "MetropolisWalker",
     "PoolConfig",
     "PoolLease",
     "PooledSample",

@@ -51,6 +51,17 @@ def acceptance_probability(
         raise SamplingError(
             f"weights must be non-negative (got w_i={weight_i}, w_j={weight_j})"
         )
+    return unchecked_acceptance(weight_i, degree_i, weight_j, degree_j)
+
+
+def unchecked_acceptance(
+    weight_i: float, degree_i: int, weight_j: float, degree_j: int
+) -> float:
+    """:func:`acceptance_probability` without its argument checks.
+
+    For callers whose arguments are valid by construction and that must
+    not raise: the protocol's delivery handlers (digest-lint DGL013).
+    """
     if weight_i == 0.0:
         return 1.0
     return min(1.0, (weight_j * degree_i) / (weight_i * degree_j))

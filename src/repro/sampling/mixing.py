@@ -23,6 +23,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from repro.errors import SamplingError
+from repro.sampling.walker import WalkContext
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:
@@ -112,32 +113,24 @@ def empirical_mixing_time(
 
 
 def sparse_transition_matrix(
-    offsets: np.ndarray,
-    targets: np.ndarray,
-    weights: np.ndarray,
-    laziness: float = 0.5,
+    context: WalkContext, laziness: float = 0.5
 ) -> scipy.sparse.csr_matrix:
-    """Metropolis forwarding matrix in CSR form from a CSR overlay snapshot.
+    """Metropolis forwarding matrix in CSR form from a walk snapshot.
 
     Vectorized equivalent of :func:`repro.sampling.metropolis.metropolis_matrix`
-    for large overlays: ``offsets``/``targets`` are the CSR adjacency over
-    compact indices and ``weights`` the per-index node weights.
+    for large overlays: the off-diagonal entry of edge ``e`` leaving ``i``
+    is ``(1 - laziness) / d_i * context.accept[e]``, and the diagonal
+    absorbs the rest of each row. The context has already rejected
+    isolated nodes.
     """
     if not 0.0 <= laziness < 1.0:
         raise SamplingError(f"laziness must be in [0, 1), got {laziness}")
-    n = offsets.size - 1
-    degrees = np.diff(offsets).astype(float)
-    if np.any(degrees == 0) and n > 1:
-        raise SamplingError("isolated nodes have no transitions")
-    source = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
-    weight_i = weights[source]
-    weight_j = weights[targets]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = (weight_j * degrees[source]) / (weight_i * degrees[targets])
-    ratio[weight_i == 0.0] = 1.0
-    accept = np.minimum(1.0, ratio)
-    values = (1.0 - laziness) / degrees[source] * accept
-    matrix = scipy.sparse.csr_matrix((values, targets, offsets), shape=(n, n))
+    n = context.n_nodes
+    source = np.repeat(np.arange(n, dtype=np.int64), context.degrees)
+    values = (1.0 - laziness) / context.degrees[source] * context.accept
+    matrix = scipy.sparse.csr_matrix(
+        (values, context.targets, context.offsets), shape=(n, n)
+    )
     diagonal = 1.0 - np.asarray(matrix.sum(axis=1)).ravel()
     return matrix + scipy.sparse.diags(diagonal)
 

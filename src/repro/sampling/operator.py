@@ -265,9 +265,7 @@ class SamplingOperator:
     def _recompute_spectral(self, context: WalkContext, origin: int) -> None:
         """Refresh the spectral cache for the current overlay snapshot."""
         config = self._config
-        matrix = mixing.sparse_transition_matrix(
-            context.offsets, context.targets, context.weights, config.laziness
-        )
+        matrix = mixing.sparse_transition_matrix(context, config.laziness)
         gap = mixing.eigengap_sparse(matrix)
         if gap <= 0.0:
             raise SamplingError(
@@ -400,19 +398,23 @@ class SamplingOperator:
         partitions = self._partitions
         if partitions is not None and partitions.active:
             scope = partitions.reachable(self._graph, origin)
-            if len(scope) <= 1:
-                # the origin is alone on its side of the cut: the only
-                # reachable "sample" is itself, and no walk can leave
-                self._tracer.end(
-                    span,
-                    n_continued=0,
-                    n_fresh=n,
-                    mix_length=0,
-                    reset_length=0,
-                    n_delivered=n,
-                )
-                self.samples_drawn += n
-                return [origin] * n
+        population = len(scope) if scope is not None else len(self._graph)
+        if population <= 1:
+            # the origin is alone (in the overlay, or on its side of a
+            # cut): the only reachable "sample" is itself and no walk can
+            # leave, so no message is sent. Decided before any context is
+            # built, so a lone zero-weight origin is served, not rejected
+            self._tracer.end(
+                span,
+                n_continued=0,
+                n_fresh=n,
+                mix_length=0,
+                reset_length=0,
+                n_delivered=n,
+            )
+            self.samples_drawn += n
+            return [origin] * n
+        if scope is not None:
             context = WalkContext.from_subgraph(self._graph, weight, scope)
         else:
             context = self._full_context(weight)

@@ -1,15 +1,19 @@
-"""Random-walk sampling agents.
+"""The random-walk sampling kernel.
 
 A sampling agent starts at the originating node and is forwarded from node
 to node with the Metropolis probabilities until the walk has mixed; the
-node it then sits on is the sample (Section V). Two implementations share
-one immutable :class:`WalkContext` snapshot of the overlay:
+node it then sits on is the sample (Section V). Every walk of an occasion
+runs on one immutable :class:`WalkContext` snapshot of the overlay, which
+carries the Metropolis acceptance probability of every directed edge
+(``WalkContext.accept``, Eq. 12) next to the CSR adjacency.
 
-* :class:`MetropolisWalker` — a single agent, stepped one transition at a
-  time. Used by tests and by callers that need per-step introspection.
-* :func:`batch_walk` — many agents advanced in lock-step with vectorized
-  numpy operations. This is the paper's "batch mode" (Section VI-A): to
-  derive ``n`` samples, ``n`` walks run with overlapping convergence time.
+:func:`batch_walk` is the one kernel: many agents advanced in lock-step
+with vectorized numpy operations, each proposal a table lookup. This is
+the paper's "batch mode" (Section VI-A): to derive ``n`` samples, ``n``
+walks run with overlapping convergence time. The sparse forwarding matrix
+(:func:`repro.sampling.mixing.sparse_transition_matrix`) reads the same
+table, and :func:`repro.sampling.metropolis.acceptance_probability` is the
+scalar reference both agree with.
 
 Cost model: every *proposal* costs one message (the agent, carrying the
 weight probe, crosses one overlay link; a rejected proposal still crossed
@@ -42,25 +46,36 @@ class WalkContext:
     staleness. A full-overlay context shares the graph's cached, read-only
     :meth:`OverlayGraph.csr` arrays with every other context of the same
     version.
+
+    ``accept`` is the read-only Metropolis edge table, aligned with
+    ``targets``: for the edge ``e`` from ``i`` to ``j``,
+    ``accept[e] = min(1, (w_j * d_i) / (w_i * d_j))``, and 1 where
+    ``w_i = 0`` (the walk leaves a state the target gives no mass).
     """
 
     node_ids: np.ndarray  # compact index -> node id
     offsets: np.ndarray  # CSR row offsets
     targets: np.ndarray  # CSR neighbor compact indices
+    accept: np.ndarray  # Metropolis acceptance per CSR edge
     degrees: np.ndarray  # degree per compact index
     weights: np.ndarray  # weight per compact index
     graph_version: int
 
     @classmethod
-    def from_graph(
-        cls, graph: OverlayGraph, weight: WeightFunction
+    def _build(
+        cls,
+        graph: OverlayGraph,
+        weight: WeightFunction,
+        node_ids: np.ndarray,
+        offsets: np.ndarray,
+        targets: np.ndarray,
     ) -> "WalkContext":
-        node_ids, offsets, targets = graph.csr()
-        degrees = np.diff(offsets)
+        """Validate a CSR snapshot, weigh its nodes and tabulate acceptance."""
+        degrees = np.diff(offsets).astype(np.int64)
         if np.any(degrees == 0) and node_ids.size > 1:
             isolated = node_ids[degrees == 0]
             raise TopologyError(
-                f"overlay has isolated nodes {isolated[:5].tolist()}; "
+                f"walk context leaves nodes {isolated[:5].tolist()} isolated; "
                 "the sampling walk cannot reach or leave them"
             )
         weights = np.array([weight(int(node)) for node in node_ids], dtype=float)
@@ -68,14 +83,30 @@ class WalkContext:
             raise SamplingError("weights must be finite and non-negative")
         if weights.sum() <= 0:
             raise SamplingError("all node weights are zero")
+        source = np.repeat(np.arange(node_ids.size), degrees)
+        weight_i = weights[source]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = (weights[targets] * degrees[source]) / (
+                weight_i * degrees[targets]
+            )
+        ratio[weight_i == 0.0] = 1.0
+        accept = np.minimum(1.0, ratio)
+        accept.flags.writeable = False
         return cls(
             node_ids=node_ids,
             offsets=offsets,
             targets=targets,
-            degrees=degrees.astype(np.int64),
+            accept=accept,
+            degrees=degrees,
             weights=weights,
             graph_version=graph.version,
         )
+
+    @classmethod
+    def from_graph(
+        cls, graph: OverlayGraph, weight: WeightFunction
+    ) -> "WalkContext":
+        return cls._build(graph, weight, *graph.csr())
 
     @classmethod
     def from_subgraph(
@@ -118,26 +149,7 @@ class WalkContext:
             np.bincount(source[kept], minlength=all_ids.size)[rows],
             out=offsets[1:],
         )
-        degrees = np.diff(offsets)
-        if np.any(degrees == 0) and node_ids.size > 1:
-            isolated = node_ids[degrees == 0]
-            raise TopologyError(
-                f"scope leaves nodes {isolated[:5].tolist()} isolated; "
-                "a sampling scope must be internally connected"
-            )
-        weights = np.array([weight(int(node)) for node in node_ids], dtype=float)
-        if np.any(weights < 0) or not np.all(np.isfinite(weights)):
-            raise SamplingError("weights must be finite and non-negative")
-        if weights.sum() <= 0:
-            raise SamplingError("all node weights are zero")
-        return cls(
-            node_ids=node_ids,
-            offsets=offsets,
-            targets=targets,
-            degrees=degrees.astype(np.int64),
-            weights=weights,
-            graph_version=graph.version,
-        )
+        return cls._build(graph, weight, node_ids, offsets, targets)
 
     @property
     def n_nodes(self) -> int:
@@ -155,65 +167,6 @@ class WalkContext:
         return self.weights / self.weights.sum()
 
 
-class MetropolisWalker:
-    """A single Metropolis sampling agent over a :class:`WalkContext`."""
-
-    def __init__(
-        self,
-        context: WalkContext,
-        start_node: int,
-        rng: np.random.Generator,
-        ledger: MessageLedger | None = None,
-        laziness: float = 0.5,
-    ) -> None:
-        if not 0.0 <= laziness < 1.0:
-            raise SamplingError(f"laziness must be in [0, 1), got {laziness}")
-        self._context = context
-        self._rng = rng
-        self._ledger = ledger
-        self._laziness = laziness
-        self._position = context.compact_index(start_node)
-        self.steps_taken = 0
-        self.proposals_sent = 0
-
-    @property
-    def position(self) -> int:
-        """Current node id the agent sits on."""
-        return int(self._context.node_ids[self._position])
-
-    def step(self) -> int:
-        """One chain transition; returns the (possibly unchanged) node id."""
-        context = self._context
-        self.steps_taken += 1
-        if self._laziness > 0.0 and self._rng.random() < self._laziness:
-            return self.position
-        i = self._position
-        degree_i = int(context.degrees[i])
-        offset = int(context.offsets[i])
-        j = int(context.targets[offset + int(self._rng.integers(degree_i))])
-        self.proposals_sent += 1
-        if self._ledger is not None:
-            self._ledger.record_walk_steps(1)
-        weight_i = context.weights[i]
-        weight_j = context.weights[j]
-        degree_j = int(context.degrees[j])
-        if weight_i == 0.0:
-            accept = 1.0
-        else:
-            accept = min(1.0, (weight_j * degree_i) / (weight_i * degree_j))
-        if self._rng.random() < accept:
-            self._position = j
-        return self.position
-
-    def walk(self, steps: int) -> int:
-        """Advance ``steps`` transitions; returns the final node id."""
-        if steps < 0:
-            raise SamplingError(f"steps must be >= 0, got {steps}")
-        for _ in range(steps):
-            self.step()
-        return self.position
-
-
 def batch_walk(
     context: WalkContext,
     start_positions: np.ndarray,
@@ -227,46 +180,46 @@ def batch_walk(
     ``start_positions`` holds *compact indices* (see
     :meth:`WalkContext.compact_index`); the return value is the final
     compact indices. All agents share the frozen context, so this is
-    exactly ``k`` independent chains, vectorized per transition.
+    exactly ``k`` independent chains, vectorized per transition. Each
+    transition draws, in this order, the laziness uniforms (only when
+    ``laziness > 0``), the neighbor picks of the active agents, and their
+    acceptance uniforms, which are compared against ``context.accept``.
+    An edgeless (single-node) context leaves every agent where it is.
     """
     if steps < 0:
         raise SamplingError(f"steps must be >= 0, got {steps}")
     if not 0.0 <= laziness < 1.0:
         raise SamplingError(f"laziness must be in [0, 1), got {laziness}")
     positions = np.array(start_positions, dtype=np.int64, copy=True)
-    if positions.size == 0 or steps == 0:
+    if positions.size and (
+        positions.min() < 0 or positions.max() >= context.n_nodes
+    ):
+        raise SamplingError(
+            f"start positions must be compact indices in [0, {context.n_nodes})"
+        )
+    if positions.size == 0 or steps == 0 or context.targets.size == 0:
         return positions
     n_walkers = positions.size
+    everyone = np.arange(n_walkers)
     proposals_sent = 0
-    weights = context.weights
     degrees = context.degrees
     offsets = context.offsets
     targets = context.targets
+    accept = context.accept
     for _ in range(steps):
         if laziness > 0.0:
-            active = rng.random(n_walkers) >= laziness
-            if not np.any(active):
+            active = np.flatnonzero(rng.random(n_walkers) >= laziness)
+            if active.size == 0:
                 continue
         else:
-            active = np.ones(n_walkers, dtype=bool)
+            active = everyone
         current = positions[active]
-        degree_i = degrees[current]
-        picks = (rng.random(current.size) * degree_i).astype(np.int64)
-        proposed = targets[offsets[current] + picks]
-        proposals_sent += int(current.size)
-        weight_i = weights[current]
-        weight_j = weights[proposed]
-        ratio = np.empty(current.size, dtype=float)
-        zero_mask = weight_i == 0.0
-        ratio[zero_mask] = 1.0
-        safe = ~zero_mask
-        ratio[safe] = (weight_j[safe] * degree_i[safe]) / (
-            weight_i[safe] * degrees[proposed[safe]]
-        )
-        accepted = rng.random(current.size) < np.minimum(1.0, ratio)
-        moved = current.copy()
-        moved[accepted] = proposed[accepted]
-        positions[active] = moved
+        edge = offsets[current] + (
+            rng.random(active.size) * degrees[current]
+        ).astype(np.int64)
+        proposals_sent += active.size
+        moved = np.flatnonzero(rng.random(active.size) < accept[edge])
+        positions[active[moved]] = targets[edge[moved]]
     if ledger is not None:
         ledger.record_walk_steps(proposals_sent)
     return positions

@@ -18,7 +18,7 @@ from repro.sampling.mixing import (
     walk_length_for,
 )
 from repro.sampling.walker import WalkContext
-from repro.sampling.weights import uniform_weights
+from repro.sampling.weights import table_weights, uniform_weights
 
 
 class TestTotalVariation:
@@ -63,21 +63,24 @@ class TestEigengap:
 
     def test_sparse_matches_dense(self):
         graph = OverlayGraph(mesh_topology(36), n_nodes=36)
-        node_ids, dense = metropolis_matrix(graph, uniform_weights())
-        context = WalkContext.from_graph(graph, uniform_weights())
-        sparse = sparse_transition_matrix(
-            context.offsets, context.targets, context.weights
-        )
-        np.testing.assert_allclose(sparse.toarray(), dense, atol=1e-12)
-        assert eigengap_sparse(sparse) == pytest.approx(eigengap(dense), abs=1e-6)
+        # the table weights (0-3) give every fourth node zero weight, so
+        # the edge table's w_i = 0 rule meets the scalar reference too
+        zeros = table_weights({node: float(node % 4) for node in graph.nodes()})
+        for weight in (uniform_weights(), zeros):
+            node_ids, dense = metropolis_matrix(graph, weight)
+            context = WalkContext.from_graph(graph, weight)
+            assert node_ids.tolist() == context.node_ids.tolist()
+            sparse = sparse_transition_matrix(context)
+            np.testing.assert_allclose(sparse.toarray(), dense, atol=1e-12)
+            assert eigengap_sparse(sparse) == pytest.approx(
+                eigengap(dense), abs=1e-6
+            )
 
     def test_sparse_larger_graph(self):
         rng = np.random.default_rng(0)
         graph = OverlayGraph(power_law_topology(200, rng=rng), n_nodes=200)
         context = WalkContext.from_graph(graph, uniform_weights())
-        sparse = sparse_transition_matrix(
-            context.offsets, context.targets, context.weights
-        )
+        sparse = sparse_transition_matrix(context)
         dense_gap = eigengap(sparse.toarray())
         sparse_gap = eigengap_sparse(sparse)
         assert sparse_gap == pytest.approx(dense_gap, rel=1e-3)

@@ -66,6 +66,20 @@ class TestNodeSampling:
         target = target / target.sum()
         assert total_variation(counts / counts.sum(), target) < 0.05
 
+    @pytest.mark.parametrize("length_policy", ["empirical", "theorem3"])
+    def test_one_node_overlay_returns_origin(self, length_policy):
+        graph = OverlayGraph([], n_nodes=1)
+        ledger = MessageLedger()
+        operator = SamplingOperator(
+            graph,
+            np.random.default_rng(0),
+            ledger,
+            SamplerConfig(length_policy=length_policy),
+        )
+        assert operator.sample_nodes(uniform_weights(), 3, 0) == [0, 0, 0]
+        assert ledger.total == 0
+        assert operator.samples_drawn == 3
+
     def test_zero_samples(self):
         graph, _ = _world()
         operator = SamplingOperator(graph, np.random.default_rng(0))
@@ -399,6 +413,35 @@ class TestPartitionScoping:
             partitions=plan,
         )
         assert operator.sample_nodes(uniform_weights(), 4, 0) == [0, 0, 0, 0]
+
+    def test_lone_origin_sends_no_messages(self):
+        """A partition scope of one node serves the origin, silently.
+
+        The origin has zero weight here: the lone-origin branch is taken
+        before any walk context (which would reject all-zero weights) is
+        built.
+        """
+        from repro.network.partitions import (
+            PartitionEpisode,
+            PartitionPlan,
+            PartitionSchedule,
+        )
+
+        graph = OverlayGraph([(0, 1)], n_nodes=2)
+        plan = PartitionPlan(
+            PartitionSchedule(
+                episodes=(PartitionEpisode(start=0, duration=5),)
+            ),
+            rng=0,
+        )
+        plan.step(0, graph)
+        ledger = MessageLedger()
+        operator = SamplingOperator(
+            graph, np.random.default_rng(1), ledger, partitions=plan
+        )
+        weight = table_weights({0: 0.0, 1: 1.0})
+        assert operator.sample_nodes(weight, 2, 0) == [0, 0]
+        assert ledger.total == 0
 
     def test_inactive_plan_is_rng_transparent(self):
         """An idle partition plan must not perturb the walk draws."""

@@ -1,4 +1,4 @@
-"""Tests for the random-walk sampling agents."""
+"""Tests for the walk snapshot, its Metropolis edge table and the kernel."""
 
 import numpy as np
 import pytest
@@ -9,9 +9,13 @@ from repro.errors import SamplingError, TopologyError
 from repro.network.graph import OverlayGraph
 from repro.network.messaging import MessageLedger
 from repro.network.topology import mesh_topology, power_law_topology, ring_topology
-from repro.sampling.metropolis import stationary_distribution
+from repro.sampling.metropolis import (
+    acceptance_probability,
+    metropolis_matrix,
+    stationary_distribution,
+)
 from repro.sampling.mixing import total_variation
-from repro.sampling.walker import MetropolisWalker, WalkContext, batch_walk
+from repro.sampling.walker import WalkContext, batch_walk
 from repro.sampling.weights import table_weights, uniform_weights
 
 
@@ -46,6 +50,18 @@ class TestWalkContext:
         with pytest.raises(SamplingError):
             WalkContext.from_graph(graph, lambda node: -1.0)
 
+    def test_accept_table_matches_scalar_rule(self):
+        context = _pin_context()
+        assert not context.accept.flags.writeable
+        assert context.accept.shape == context.targets.shape
+        for i in range(context.n_nodes):
+            for e in range(context.offsets[i], context.offsets[i + 1]):
+                j = context.targets[e]
+                assert context.accept[e] == acceptance_probability(
+                    context.weights[i], int(context.degrees[i]),
+                    context.weights[j], int(context.degrees[j]),
+                )
+
     def test_graph_version_recorded(self):
         graph = OverlayGraph(ring_topology(4), n_nodes=4)
         context = WalkContext.from_graph(graph, uniform_weights())
@@ -53,50 +69,62 @@ class TestWalkContext:
 
 
 class TestSingleWalker:
+    """One agent driven through :func:`batch_walk`."""
+
     def test_stays_on_edges(self, mesh_context):
         graph = OverlayGraph(mesh_topology(25), n_nodes=25)
-        walker = MetropolisWalker(
-            mesh_context, 0, np.random.default_rng(0), laziness=0.0
-        )
-        previous = walker.position
+        rng = np.random.default_rng(0)
+        position = np.array([mesh_context.compact_index(0)])
         for _ in range(200):
-            current = walker.step()
+            step = batch_walk(mesh_context, position, 1, rng, laziness=0.0)
+            previous = int(mesh_context.node_ids[position[0]])
+            current = int(mesh_context.node_ids[step[0]])
             assert current == previous or graph.has_edge(previous, current)
-            previous = current
+            position = step
 
     def test_step_counters(self, mesh_context):
-        walker = MetropolisWalker(mesh_context, 0, np.random.default_rng(0))
-        walker.walk(100)
-        assert walker.steps_taken == 100
+        ledger = MessageLedger()
+        batch_walk(
+            mesh_context, np.zeros(1, dtype=np.int64), 100,
+            np.random.default_rng(0), ledger=ledger,
+        )
         # with laziness 1/2, roughly half the steps propose
-        assert 20 <= walker.proposals_sent <= 80
+        assert 20 <= ledger.walk_steps <= 80
 
     def test_ledger_counts_proposals(self, mesh_context):
+        # without laziness every step is one proposal, accepted or not
         ledger = MessageLedger()
-        walker = MetropolisWalker(
-            mesh_context, 0, np.random.default_rng(0), ledger=ledger
+        batch_walk(
+            mesh_context, np.zeros(1, dtype=np.int64), 100,
+            np.random.default_rng(0), ledger=ledger, laziness=0.0,
         )
-        walker.walk(100)
-        assert ledger.walk_steps == walker.proposals_sent
+        assert ledger.walk_steps == 100
 
     def test_negative_steps_rejected(self, mesh_context):
-        walker = MetropolisWalker(mesh_context, 0, np.random.default_rng(0))
         with pytest.raises(SamplingError):
-            walker.walk(-1)
+            batch_walk(
+                mesh_context, np.zeros(1, dtype=np.int64), -1,
+                np.random.default_rng(0),
+            )
 
     def test_invalid_laziness(self, mesh_context):
-        with pytest.raises(SamplingError):
-            MetropolisWalker(mesh_context, 0, np.random.default_rng(0), laziness=1.0)
+        for laziness in (1.0, -0.1):
+            with pytest.raises(SamplingError):
+                batch_walk(
+                    mesh_context, np.zeros(1, dtype=np.int64), 1,
+                    np.random.default_rng(0), laziness=laziness,
+                )
 
     def test_converges_to_uniform(self):
-        """Long single walks visit nodes ~ uniformly (ergodic average)."""
+        """One long walk visits nodes ~ uniformly (ergodic average)."""
         graph = OverlayGraph(mesh_topology(16), n_nodes=16)
         context = WalkContext.from_graph(graph, uniform_weights())
-        walker = MetropolisWalker(context, 0, np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        position = batch_walk(context, np.zeros(1, dtype=np.int64), 500, rng)
         counts = np.zeros(16)
-        walker.walk(500)  # burn-in
         for _ in range(30000):
-            counts[context.compact_index(walker.step())] += 1
+            position = batch_walk(context, position, 1, rng)
+            counts[position[0]] += 1
         empirical = counts / counts.sum()
         assert total_variation(empirical, context.target_distribution()) < 0.05
 
@@ -159,25 +187,86 @@ class TestBatchWalk:
         empirical = counts / counts.sum()
         assert total_variation(empirical, target) < 0.03
 
-    def test_matches_single_walker_distribution(self):
-        """Batch and single-step implementations sample the same chain."""
+    def test_matches_dense_chain_distribution(self):
+        """End positions follow ``e_0 P^150`` of the dense reference chain."""
         rng = np.random.default_rng(3)
         graph = OverlayGraph(power_law_topology(40, rng=rng), n_nodes=40)
         weight = uniform_weights()
         context = WalkContext.from_graph(graph, weight)
-        ends_batch = batch_walk(
-            context, np.zeros(8000, dtype=np.int64), 150, np.random.default_rng(4)
+        node_ids, dense = metropolis_matrix(graph, weight)
+        assert node_ids.tolist() == context.node_ids.tolist()
+        exact = np.linalg.matrix_power(dense, 150)[0]
+        ends = batch_walk(
+            context, np.zeros(20000, dtype=np.int64), 150,
+            np.random.default_rng(4),
         )
-        singles = np.empty(8000, dtype=np.int64)
-        rng_single = np.random.default_rng(5)
-        for i in range(8000):
-            walker = MetropolisWalker(context, 0, rng_single)
-            singles[i] = context.compact_index(walker.walk(150))
-        batch_hist = np.bincount(ends_batch, minlength=40) / 8000
-        single_hist = np.bincount(singles, minlength=40) / 8000
-        # two independent 8000-draw histograms over 40 bins have expected
-        # TV ~ 0.03-0.04 even for identical chains; 0.06 flags real skew
-        assert total_variation(batch_hist, single_hist) < 0.06
+        empirical = np.bincount(ends, minlength=40) / ends.size
+        # a 20000-draw histogram over 40 bins sits ~0.02 TV from its
+        # exact law; 0.04 flags a wrong chain
+        assert total_variation(empirical, exact) < 0.04
+
+    def test_rejects_out_of_range_starts(self):
+        graph = OverlayGraph(ring_topology(4), n_nodes=4)
+        context = WalkContext.from_graph(graph, uniform_weights())
+        for starts in ([-2, -2], [-1], [4], [0, 7]):
+            for steps in (0, 3):
+                with pytest.raises(SamplingError, match="start positions"):
+                    batch_walk(
+                        context, np.array(starts), steps,
+                        np.random.default_rng(0),
+                    )
+
+    def test_edgeless_context_keeps_starts(self):
+        graph = OverlayGraph([], n_nodes=1)
+        context = WalkContext.from_graph(graph, uniform_weights())
+        ledger = MessageLedger()
+        ends = batch_walk(
+            context, np.zeros(5, dtype=np.int64), 20,
+            np.random.default_rng(0), ledger=ledger,
+        )
+        assert ends.tolist() == [0] * 5
+        assert ledger.walk_steps == 0
+
+
+def _pin_context():
+    """300-node power-law overlay, integer weights 0-4 (61 zero nodes)."""
+    rng = np.random.default_rng(11)
+    graph = OverlayGraph(power_law_topology(300, rng=rng), n_nodes=300)
+    draws = np.random.default_rng(12).integers(0, 5, size=300)
+    weight = table_weights(
+        {node: float(draws[i]) for i, node in enumerate(graph.nodes())}
+    )
+    return WalkContext.from_graph(graph, weight)
+
+
+@pytest.mark.parametrize(
+    ("laziness", "seed", "expected_ends", "expected_steps"),
+    [
+        (
+            0.0, 5,
+            [65, 44, 192, 250, 75, 53, 32, 24, 93, 71, 36, 143,
+             233, 129, 117, 250, 132, 76, 124, 205, 287, 19, 102, 280],
+            1920,
+        ),
+        (
+            0.5, 6,
+            [76, 297, 198, 289, 229, 23, 58, 24, 272, 218, 129, 198,
+             136, 93, 201, 98, 208, 75, 240, 177, 206, 201, 2, 166],
+            941,
+        ),
+    ],
+)
+def test_kernel_pin(laziness, seed, expected_ends, expected_steps):
+    """Seed-for-seed pin of :func:`batch_walk`: end positions and ledger."""
+    context = _pin_context()
+    assert int((context.weights == 0).sum()) == 61
+    ledger = MessageLedger()
+    ends = batch_walk(
+        context, np.arange(0, 300, 13, dtype=np.int64), 80,
+        np.random.default_rng(seed), ledger, laziness,
+    )
+    assert ends.tolist() == expected_ends
+    assert ledger.walk_steps == expected_steps
 
 
 class TestFromSubgraph:
