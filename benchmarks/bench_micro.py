@@ -1,8 +1,9 @@
 """Micro-benchmarks of the hot paths (pytest-benchmark, multi-round).
 
 These track implementation performance rather than paper artifacts: the
-vectorized walk kernel, the walk snapshot (cold and cached), local-store
-operations, expression evaluation and a full engine snapshot step.
+vectorized walk kernel, the walk snapshot (cold and cached), tuple
+sampling under an open partition, local-store operations, expression
+evaluation and a full engine snapshot step.
 """
 
 import numpy as np
@@ -14,7 +15,13 @@ from repro.db.expression import Expression
 from repro.db.relation import P2PDatabase, Schema
 from repro.db.store import LocalStore
 from repro.network.graph import OverlayGraph
+from repro.network.partitions import (
+    PartitionEpisode,
+    PartitionPlan,
+    PartitionSchedule,
+)
 from repro.network.topology import power_law_topology
+from repro.sampling.operator import SamplerConfig, SamplingOperator
 from repro.sampling.walker import WalkContext, batch_walk
 from repro.sampling.weights import uniform_weights
 
@@ -71,6 +78,42 @@ def test_walk_context_snapshot_warm(benchmark):
     rng = np.random.default_rng(0)
     graph = OverlayGraph(power_law_topology(1000, rng=rng), n_nodes=1000)
     benchmark(WalkContext.from_graph, graph, uniform_weights())
+
+
+def test_partitioned_sample_tuples(benchmark):
+    """Tuple sampling on a 1000-node overlay under an open 70/30 cut.
+
+    The origin's reachable set and its scoped walk context are cached
+    for the cut's epoch, so each round after the first pays only the
+    walks, not a BFS and a subgraph snapshot.
+    """
+    rng = np.random.default_rng(0)
+    graph = OverlayGraph(power_law_topology(1000, rng=rng), n_nodes=1000)
+    database = P2PDatabase(Schema(("v",)), graph.nodes())
+    for node in graph.nodes():
+        database.insert(node, {"v": float(rng.normal(50, 8))})
+    plan = PartitionPlan(
+        PartitionSchedule(
+            episodes=(
+                PartitionEpisode(start=0, duration=10, fractions=(0.7, 0.3)),
+            )
+        ),
+        rng=1,
+    )
+    plan.step(0, graph)
+    operator = SamplingOperator(
+        graph,
+        np.random.default_rng(1),
+        config=SamplerConfig(walk_length=50),
+        partitions=plan,
+    )
+    reachable = plan.reachable(graph, 0)
+
+    def run():
+        return operator.sample_tuples(database, 50, origin=0)
+
+    samples = benchmark(run)
+    assert {sample.node for sample in samples} <= set(reachable)
 
 
 def test_store_insert_delete(benchmark):

@@ -22,6 +22,7 @@ its sample-set (its estimator variance is not ``sigma^2/n``).
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from scipy.stats import norm
@@ -37,6 +38,13 @@ def confidence_quantile(confidence: float) -> float:
     """
     if not 0.0 < confidence < 1.0:
         raise QueryError(f"confidence must be in (0, 1), got {confidence}")
+    return _two_sided_quantile(confidence)
+
+
+@lru_cache(maxsize=128)
+def _two_sided_quantile(confidence: float) -> float:
+    # a query keeps its confidence for life, so the few distinct values
+    # repeat on every occasion; one norm.ppf costs tens of microseconds
     return float(norm.ppf((confidence + 1.0) / 2.0))
 
 

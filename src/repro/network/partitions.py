@@ -179,6 +179,14 @@ class PartitionPlan:
         #: property: the protocol runtime reads it per *message*, and an
         #: inactive plan must cost one attribute load on that hot path.
         self.active = False
+        #: bumped whenever the set of open episodes or flapped links
+        #: changes; together with the graph version it keys
+        #: :meth:`reachable`'s cache
+        self._epoch = 0
+        #: (graph, graph version, epoch, origin) of the last BFS result;
+        #: the graph compares by identity (OverlayGraph has no __eq__)
+        self._reachable_key: tuple[OverlayGraph, int, int, int] | None = None
+        self._reachable_cache: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # state queries
@@ -226,9 +234,19 @@ class PartitionPlan:
         This is the population a querying node can actually sample while
         the partition is open — the scope its estimates must be honest
         about.
+
+        The result is cached per (graph, ``graph.version``, partition
+        epoch, origin): while none of them changes, every call returns the
+        *same* dict, so callers must treat it as read-only. A hit draws no
+        plan randomness, and neither would a recompute: the first BFS
+        already assigned a region to every node it touched, and a late
+        joiner bumps ``graph.version``.
         """
         if not self.active:
             return graph.hop_distances(origin)
+        key = (graph, graph.version, self._epoch, origin)
+        if key == self._reachable_key:
+            return self._reachable_cache
         distances = {origin: 0}
         frontier = deque([origin])
         while frontier:
@@ -240,6 +258,8 @@ class PartitionPlan:
                 ):
                     distances[neighbor] = next_hop
                     frontier.append(neighbor)
+        self._reachable_key = key
+        self._reachable_cache = distances
         return distances
 
     def reachable_fraction(self, graph: OverlayGraph, origin: int) -> float:
@@ -253,35 +273,48 @@ class PartitionPlan:
     # ------------------------------------------------------------------
 
     def step(self, time: int, graph: OverlayGraph) -> None:
-        """Advance the plan to ``time``: open/heal due episodes, flap links."""
+        """Advance the plan to ``time``: open/heal due episodes, flap links.
+
+        Bumps the partition epoch when the set of open episodes or
+        flapped links changes (an open, a heal, a flap starting or one
+        expiring).
+        """
+        changed = False
         if self._flapped:
-            self._flapped = {
+            still_down = {
                 edge: up_at
                 for edge, up_at in self._flapped.items()
                 if up_at > time
             }
+            changed = len(still_down) != len(self._flapped)
+            self._flapped = still_down
         for index, episode in enumerate(self.schedule.episodes):
             if (
                 index not in self._opened
                 and episode.start <= time < episode.end
             ):
                 self._open_episode(index, episode, time, graph)
+                changed = True
             if (
                 index in self._opened
                 and index not in self._healed
                 and time >= episode.end
             ):
                 self._heal_episode(index, episode, time, graph)
+                changed = True
         flap_p = self.schedule.flap_probability
         if flap_p > 0.0:
             for u, v in graph.edges():
                 if float(self._rng.random()) < flap_p:
+                    changed = changed or (u, v) not in self._flapped
                     self._flapped[(u, v)] = (
                         time + self.schedule.flap_duration
                     )
                     self.log.record(
                         time, "link_flap", detail=f"({u}, {v})"
                     )
+        if changed:
+            self._epoch += 1
         self.active = bool(self._regions) or bool(self._flapped)
 
     def _open_episode(

@@ -322,11 +322,23 @@ class WalkExecutor:
         """Bounce variant, receiver side: accept or bounce back."""
         if self._lifecycle.live_record(token.walker_id, token.attempt) is None:
             return
+        degree = self._graph.degree(node)
+        if degree == 0:
+            # the receiver lost its last link while the token was in
+            # flight; it can neither weigh the move nor bounce the token,
+            # so the walk dies here and the origin-side timeout recovers it
+            self._fault_log.record(
+                self._transport.now,
+                "isolated_node",
+                walker_id=token.walker_id,
+                node=node,
+            )
+            return
         accept = unchecked_acceptance(
             token.sender_weight,
             token.sender_degree,
             self._weight(node),
-            self._graph.degree(node),
+            degree,
         )
         if self._rng.random() < accept:
             self._handle_step(

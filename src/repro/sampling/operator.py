@@ -137,18 +137,21 @@ class SampleSource(Protocol):
 
 @dataclass
 class _TupleWalkCache:
-    """The tuple path's last full-overlay walk context (a single entry).
+    """The tuple path's last walk context (a single entry).
 
     ``weight`` is the content-size weight :meth:`SamplingOperator.sample_tuples`
     hands to ``sample_nodes`` for ``database``; recognizing it by identity
     is what lets ``sample_nodes`` reuse ``context`` while the overlay
-    version and ``database.layout_version`` both match the ones it was
-    built at (any other weight callable is opaque and re-evaluated).
+    version, ``database.layout_version`` and the ``scope`` object (the
+    partition plan's cached reachable set, ``None`` for the full overlay)
+    all match the ones it was built for (any other weight callable is
+    opaque and re-evaluated).
     """
 
     database: P2PDatabase
     weight: WeightFunction
     layout_version: int = -1
+    scope: dict[int, int] | None = None
     context: WalkContext | None = None
 
 
@@ -171,13 +174,15 @@ class SamplingOperator:
     ----------
     graph:
         The live overlay. Walks run on a :class:`WalkContext` built from
-        its per-version CSR snapshot (:meth:`OverlayGraph.csr`). The tuple
-        path keeps its last context and takes a fresh one only when the
-        graph version or the database's ``layout_version`` changed — that
-        is, when the topology or some ``m_v`` weight changed. A weight
+        its per-version CSR snapshot (:meth:`OverlayGraph.csr`). While a
+        partition is open the context covers only the origin's reachable
+        region. The tuple path keeps its last context and takes a fresh
+        one only when the graph version, the database's ``layout_version``
+        or the scope changed — that is, when the topology, some ``m_v``
+        weight, or the partition plan's reachable set changed (the plan
+        hands back the same set object while its epoch holds). A weight
         function passed to :meth:`sample_nodes` directly is opaque and is
-        re-evaluated on every call; an open partition always gets a fresh
-        snapshot of the origin's reachable region.
+        re-evaluated on every call.
     rng:
         Randomness source (all draws flow through it).
     ledger:
@@ -337,26 +342,34 @@ class SamplingOperator:
     # walk contexts
     # ------------------------------------------------------------------
 
-    def _full_context(self, weight: WeightFunction) -> WalkContext:
-        """Walk context over the whole overlay for ``weight``.
+    def _context(
+        self, weight: WeightFunction, scope: dict[int, int] | None
+    ) -> WalkContext:
+        """Walk context for ``weight`` over ``scope`` (``None``: the overlay).
 
         The tuple path's content-size weight reuses the cached context
-        while neither the overlay nor the database layout has changed;
-        every other weight is evaluated afresh.
+        while the overlay version, the database layout and the scope
+        object are all unchanged; every other weight is evaluated afresh.
         """
         cache = self._tuple_walk
-        if cache is None or weight is not cache.weight:
-            return WalkContext.from_graph(self._graph, weight)
-        layout = cache.database.layout_version
-        context = cache.context
+        if cache is not None and weight is not cache.weight:
+            cache = None
         if (
-            context is None
-            or context.graph_version != self._graph.version
-            or cache.layout_version != layout
+            cache is not None
+            and cache.context is not None
+            and cache.context.graph_version == self._graph.version
+            and cache.layout_version == cache.database.layout_version
+            and cache.scope is scope
         ):
+            return cache.context
+        if scope is None:
             context = WalkContext.from_graph(self._graph, weight)
+        else:
+            context = WalkContext.from_subgraph(self._graph, weight, scope)
+        if cache is not None:
             cache.context = context
-            cache.layout_version = layout
+            cache.layout_version = cache.database.layout_version
+            cache.scope = scope
         return context
 
     def _tuple_weight(self, database: P2PDatabase) -> WeightFunction:
@@ -414,10 +427,7 @@ class SamplingOperator:
             )
             self.samples_drawn += n
             return [origin] * n
-        if scope is not None:
-            context = WalkContext.from_subgraph(self._graph, weight, scope)
-        else:
-            context = self._full_context(weight)
+        context = self._context(weight, scope)
         mix_length, reset_length = self._walk_lengths(context, origin)
         config = self._config
 

@@ -28,6 +28,18 @@ class TestQuantile:
         with pytest.raises(QueryError):
             confidence_quantile(1.0)
 
+    def test_memoized_value_is_bit_identical(self):
+        for confidence in (0.9, 0.95, np.float64(0.95), 0.99):
+            expected = float(norm.ppf((confidence + 1.0) / 2.0))
+            assert confidence_quantile(confidence) == expected
+            assert confidence_quantile(confidence) == expected
+
+    def test_rejection_survives_memoization(self):
+        confidence_quantile(0.95)
+        for bad in (0.0, 1.0, -0.5, 1.5):
+            with pytest.raises(QueryError):
+                confidence_quantile(bad)
+
 
 class TestRequiredSampleSize:
     def test_eq6_value(self):

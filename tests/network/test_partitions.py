@@ -173,6 +173,127 @@ class TestEpisodeLifecycle:
         assert regions[0] == regions[1]
 
 
+def _reference_reachable(
+    plan: PartitionPlan, graph: OverlayGraph, origin: int
+) -> dict[int, int]:
+    """Uncached BFS over unblocked edges, the contract ``reachable`` keeps."""
+    distances = {origin: 0}
+    frontier = [origin]
+    while frontier:
+        node = frontier.pop(0)
+        for neighbor in graph.neighbors(node):
+            if neighbor not in distances and not plan.blocked(node, neighbor):
+                distances[neighbor] = distances[node] + 1
+                frontier.append(neighbor)
+    return distances
+
+
+class TestReachableCache:
+    def test_hit_returns_same_dict_and_draws_nothing(self):
+        graph = _graph(n=30)
+        plan = _plan(_one_cut(start=0, duration=5))
+        plan.step(0, graph)
+        first = plan.reachable(graph, 0)
+        state = plan._rng.bit_generator.state
+        assert plan.reachable(graph, 0) is first
+        assert plan.reachable_fraction(graph, 0) == len(first) / len(graph)
+        assert plan._rng.bit_generator.state == state
+
+    def test_graph_version_bump_recomputes(self):
+        graph = _graph(n=30)
+        plan = _plan(_one_cut(start=0, duration=5))
+        plan.step(0, graph)
+        first = plan.reachable(graph, 0)
+        joined = graph.join(attach_to=[0, 1], rng=np.random.default_rng(9))
+        second = plan.reachable(graph, 0)
+        assert second is not first
+        assert second == _reference_reachable(plan, graph, 0)
+        assert (joined in second) == (
+            plan.region_of(0, joined) == plan.region_of(0, 0)
+        )
+
+    def test_other_origin_recomputes(self):
+        graph = _graph(n=30)
+        plan = _plan(_one_cut(start=0, duration=5))
+        plan.step(0, graph)
+        first = plan.reachable(graph, 0)
+        other = next(node for node in graph.nodes() if node not in first)
+        assert plan.reachable(graph, other) == _reference_reachable(
+            plan, graph, other
+        )
+        again = plan.reachable(graph, 0)
+        assert again is not first
+        assert again == first
+
+    def test_episode_open_and_heal_recompute(self):
+        graph = _graph(n=40)
+        plan = _plan(
+            PartitionSchedule(
+                episodes=(
+                    PartitionEpisode(start=0, duration=10),
+                    PartitionEpisode(start=2, duration=4),
+                )
+            )
+        )
+        plan.step(0, graph)
+        one_cut = plan.reachable(graph, 0)
+        plan.step(1, graph)
+        assert plan.reachable(graph, 0) is one_cut  # nothing changed
+        plan.step(2, graph)  # the second episode opens
+        two_cuts = plan.reachable(graph, 0)
+        assert two_cuts is not one_cut
+        assert two_cuts == _reference_reachable(plan, graph, 0)
+        plan.step(6, graph)  # the second episode heals, the first holds
+        assert plan.active
+        healed = plan.reachable(graph, 0)
+        assert healed is not two_cuts
+        assert healed == one_cut
+
+    def test_epoch_follows_the_flapped_set(self):
+        graph = _graph(n=30)
+        plan = _plan(PartitionSchedule(flap_probability=0.02, flap_duration=3))
+        previous: dict[int, int] | None = None
+        seen = {"start": 0, "expiry": 0, "steady": 0}
+        for time in range(40):
+            before = set(plan._flapped)
+            plan.step(time, graph)
+            after = set(plan._flapped)
+            if not plan.active:
+                previous = None
+                continue
+            current = plan.reachable(graph, 0)
+            if previous is not None:
+                if before == after:
+                    seen["steady"] += 1
+                    assert current is previous
+                else:
+                    seen["start" if after - before else "expiry"] += 1
+                    assert current is not previous
+                    assert current == _reference_reachable(plan, graph, 0)
+            previous = current
+        assert all(seen.values()), seen
+
+    def test_cached_calls_match_recomputing_ones(self):
+        """Results and the plan's RNG stream match a cache-free run."""
+
+        def run(cached: bool):
+            graph = _graph(n=30, seed=2)
+            plan = _plan(_one_cut(start=0, duration=20), seed=5)
+            rng = np.random.default_rng(3)
+            results = []
+            for time in range(12):
+                plan.step(time, graph)
+                if time % 4 == 1:
+                    graph.join(attach_to=[0, int(time)], rng=rng)
+                for origin in (0, 0, 7, 7):
+                    if not cached:
+                        plan._reachable_key = None
+                    results.append(dict(plan.reachable(graph, origin)))
+            return results, plan._rng.bit_generator.state
+
+        assert run(cached=True) == run(cached=False)
+
+
 class TestFlaps:
     def test_flapped_links_block_then_recover(self):
         graph = _graph()

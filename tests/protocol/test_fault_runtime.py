@@ -14,6 +14,7 @@ from repro.network.faults import CrashProcess, FaultConfig, FaultPlan
 from repro.network.graph import OverlayGraph
 from repro.network.messaging import MessageLedger
 from repro.network.topology import mesh_topology, ring_topology
+from repro.protocol.messages import WalkToken
 from repro.protocol.runtime import ProtocolConfig, ProtocolSampler, RetryPolicy
 from repro.sampling.weights import table_weights, uniform_weights
 from repro.sim.engine import PRIORITY_CHURN, SimulationEngine
@@ -253,6 +254,36 @@ class TestCrashSurvival:
         simulation.schedule_in(30, crash_some, priority=PRIORITY_CHURN)
         sampled = sampler.run_walks(origin=0, n=20, walk_length=30)
         assert len(sampled) == 20
+
+    def test_bounce_token_to_isolated_receiver_is_a_fault_not_a_raise(self):
+        """A receiver that lost its last link while a bounce-variant token
+        was in flight (a crash without rewiring) has degree 0: delivery
+        records an ``isolated_node`` fault and drops the token."""
+        graph = OverlayGraph(ring_topology(8), n_nodes=8)
+        sampler, plan, simulation, _ = _faulty_sampler(
+            graph, uniform_weights(), FaultConfig()
+        )
+        walker_id = sampler.start_walk(origin=0, walk_length=6)
+        token = WalkToken(
+            walker_id=walker_id,
+            origin=0,
+            steps_remaining=6,
+            sender=3,
+            sender_weight=1.0,
+            sender_degree=2,
+        )
+        sampler._executor._send_token(token, 4, evaluate_at_receiver=True)
+        # node 4's neighbors crash without rewiring before the token lands
+        graph.remove_edge(3, 4)
+        graph.remove_edge(4, 5)
+        assert graph.degree(4) == 0
+        simulation.run_until(1)
+        assert plan.log.count("isolated_node") == 1
+        assert sampler.bounces == 0
+        sampler._lifecycle.drive([walker_id], None)
+        outcome = sampler.outcome(walker_id)
+        assert outcome is not None
+        assert outcome.sampled_node != 4
 
 
 class TestCachedVariantRepair:

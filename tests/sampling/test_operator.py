@@ -351,7 +351,70 @@ class TestContextReuse:
             samples = operator.sample_tuples(database, 10, origin=0)
             assert {s.node for s in samples} <= scope
         assert context_builds["graph"] == 1
-        assert context_builds["subgraph"] >= 2
+        assert context_builds["subgraph"] == 1
+
+    def _cut(self, start, duration):
+        from repro.network.partitions import (
+            PartitionEpisode,
+            PartitionPlan,
+            PartitionSchedule,
+        )
+
+        return PartitionPlan(
+            PartitionSchedule(
+                episodes=(PartitionEpisode(start=start, duration=duration),)
+            ),
+            rng=1,
+        )
+
+    def test_scoped_context_reused_within_one_cut(self, context_builds):
+        graph, database = _world(n=30)
+        plan = self._cut(start=0, duration=10)
+        operator = self._operator(graph, partitions=plan)
+        for time in range(4):
+            plan.step(time, graph)
+            operator.sample_tuples(database, 10, origin=0)
+        assert context_builds == {"graph": 0, "subgraph": 1}
+
+    def test_insert_rebuilds_the_scoped_context(self, context_builds):
+        graph, database = _world(n=30)
+        plan = self._cut(start=0, duration=10)
+        plan.step(0, graph)
+        operator = self._operator(graph, partitions=plan)
+        operator.sample_tuples(database, 10, origin=0)
+        database.insert(0, {"v": 1.0})
+        operator.sample_tuples(database, 10, origin=0)
+        operator.sample_tuples(database, 10, origin=0)
+        assert context_builds == {"graph": 0, "subgraph": 2}
+
+    def test_heal_rebuilds_the_full_context(self, context_builds):
+        graph, database = _world(n=30)
+        plan = self._cut(start=0, duration=3)
+        operator = self._operator(graph, partitions=plan)
+        for time in range(6):
+            plan.step(time, graph)
+            samples = operator.sample_tuples(database, 10, origin=0)
+        assert not plan.active
+        assert context_builds == {"graph": 1, "subgraph": 1}
+        assert len({s.node for s in samples}) > 1
+
+    def test_scoped_reuse_draws_identical_samples(self):
+        def draws(reuse: bool) -> list[int]:
+            graph, database = _world(n=30, seed=5)
+            plan = self._cut(start=1, duration=4)
+            operator = self._operator(graph, partitions=plan)
+            drawn = []
+            for time in range(7):
+                plan.step(time, graph)
+                if not reuse:
+                    operator._tuple_walk = None
+                drawn += [
+                    s.tuple_id
+                    for s in operator.sample_tuples(database, 12, origin=0)
+                ]
+            return drawn
+
+        assert draws(True) == draws(False)
 
 
 class TestPartitionScoping:
