@@ -2,7 +2,8 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench results examples full-scale clean lint typecheck check
+.PHONY: install test bench results examples full-scale clean lint typecheck check \
+	perfbench-selftest bench-smoke
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -29,7 +30,15 @@ typecheck:
 	fi
 
 # everything CI runs, in CI's order
-check: lint typecheck test
+check: lint typecheck test perfbench-selftest bench-smoke
+
+# the benchmark harness's self-tests: a tiny run of every perfbench workload
+perfbench-selftest:
+	PYTHONPATH=src $(PYTHON) -m pytest perfbench/tests -q
+
+# each micro-benchmark once, untimed, so they stay runnable
+bench-smoke:
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_micro.py --benchmark-disable -q
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -6,7 +6,9 @@ mean, and size the sample by the CLT (Eq. 6). Because the population
 standard deviation is unknown, the evaluator samples *sequentially*: a
 pilot round estimates ``sigma``, the required ``n`` is recomputed, and
 extra samples are drawn until the drawn count covers the requirement
-(bounded by ``max_rounds`` top-up rounds).
+(bounded by ``max_rounds`` top-up rounds). That loop,
+:func:`sequential_sample`, is the one Eq. 6 sizing rule: the repeated
+evaluator's first occasion runs it too.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from typing import Callable
 import numpy as np
 
 from repro.core.estimators import (
-    achieved_confidence,
-    achieved_epsilon,
     ratio_estimate,
     required_sample_size,
     sample_mean_and_variance,
@@ -26,12 +26,8 @@ from repro.core.estimators import (
 )
 from repro.core.query import Query
 from repro.core.snapshot import SnapshotEstimate
-from repro.db.aggregates import (
-    AggregateOp,
-    mean_error_budget,
-    sample_contribution,
-    scale_factor,
-)
+from repro.db.aggregates import AggregateOp, mean_error_budget, sample_contribution
+from repro.db.expression import Row
 from repro.db.relation import P2PDatabase
 from repro.errors import QueryError
 from repro.sampling.operator import SampleSource
@@ -59,8 +55,49 @@ class EvaluatorConfig:
             raise QueryError(f"max_rounds must be >= 1, got {self.max_rounds}")
 
 
-class IndependentEvaluator:
-    """Evaluates snapshot queries by classical independent sampling.
+def sequential_sample(
+    draw: Callable[[int], tuple[list[int], np.ndarray]],
+    epsilon_mean: float,
+    confidence: float,
+    config: EvaluatorConfig,
+) -> tuple[list[int], np.ndarray, bool]:
+    """Eq. 6 sequential sizing: pilot, re-size from sigma-hat, top up.
+
+    ``draw(n)`` returns up to ``n`` fresh ``(tuple_ids, values)``. A pilot
+    of ``pilot_size`` estimates sigma, Eq. 6 sizes ``n`` from it, and at
+    most ``max_rounds`` top-ups draw the shortfall, stopping early when the
+    overlay delivers nothing. Returns ``(tuple_ids, values, degraded)``:
+    ``degraded`` means fewer values came back than Eq. 6 required, so the
+    promised precision does not hold (the estimate itself is still
+    unbiased; only its interval widens).
+    """
+    ids, values = draw(config.pilot_size)
+    if values.size == 0:
+        raise QueryError("the overlay returned no samples at all; cannot estimate")
+    needed = values.size
+    if epsilon_mean == float("inf"):
+        return ids, values, False
+    for _ in range(config.max_rounds):
+        _, variance = sample_mean_and_variance(values)
+        needed = required_sample_size(
+            max(float(np.sqrt(variance)), config.sigma_floor),
+            epsilon_mean,
+            confidence,
+            minimum=config.pilot_size,
+            maximum=config.max_sample_size,
+        )
+        if needed <= values.size:
+            break
+        extra_ids, extra = draw(needed - values.size)
+        if extra.size == 0:
+            break  # the overlay is delivering nothing; degrade
+        ids = ids + extra_ids
+        values = np.concatenate([values, extra])
+    return ids, values, values.size < needed
+
+
+class SnapshotEvaluator:
+    """What both snapshot evaluators share: samples, budget and transform.
 
     Parameters
     ----------
@@ -93,11 +130,54 @@ class IndependentEvaluator:
             else lambda: database.n_tuples
         )
         self._config = config if config is not None else EvaluatorConfig()
-        self._last_sigma: float | None = None
 
     @property
     def config(self) -> EvaluatorConfig:
         return self._config
+
+    def _budget(self, epsilon: float) -> tuple[int, float]:
+        """``(N, epsilon_mean)``: the population and its mean-level budget."""
+        population = int(round(self._population_size_provider()))
+        return population, mean_error_budget(self._query.op, epsilon, population)
+
+    def _values(self, rows: list[Row]) -> tuple[np.ndarray, np.ndarray]:
+        """Per-row ``(y, indicator)`` arrays under the query's transform."""
+        query = self._query
+        pairs = [
+            sample_contribution(query.op, query.expression, query.predicate, row)
+            for row in rows
+        ]
+        values = np.array([pair[0] for pair in pairs], dtype=float)
+        indicators = np.array([pair[1] for pair in pairs], dtype=float)
+        return values, indicators
+
+    def _draw(self, n: int) -> tuple[list[int], np.ndarray, np.ndarray]:
+        """Draw up to ``n`` fresh samples: ``(tuple_ids, y, indicator)``.
+
+        Partial mode: under the failure model the overlay may lose walks,
+        so fewer than ``n`` values can come back. The evaluator degrades
+        (flagging the estimate) rather than aborting the query.
+        """
+        if n <= 0:
+            return [], np.empty(0), np.empty(0)
+        samples = self._operator.sample_tuples(
+            self._database, n, self._origin, allow_partial=True
+        )
+        values, indicators = self._values([s.row for s in samples])
+        return [s.tuple_id for s in samples], values, indicators
+
+    def _draw_values(self, n: int) -> tuple[list[int], np.ndarray]:
+        ids, values, _ = self._draw(n)
+        return ids, values
+
+
+class IndependentEvaluator(SnapshotEvaluator):
+    """Evaluates snapshot queries by classical independent sampling.
+
+    Constructed like :class:`SnapshotEvaluator`.
+    """
+
+    _last_sigma: float | None = None
 
     def plan_demand(self, epsilon: float, confidence: float) -> int:
         """Forecast how many fresh samples the next evaluate() will draw.
@@ -112,8 +192,7 @@ class IndependentEvaluator:
         config = self._config
         if self._last_sigma is None:
             return config.pilot_size
-        population = int(round(self._population_size_provider()))
-        epsilon_mean = mean_error_budget(self._query.op, epsilon, population)
+        _, epsilon_mean = self._budget(epsilon)
         if epsilon_mean == float("inf"):
             return config.pilot_size
         return required_sample_size(
@@ -123,25 +202,6 @@ class IndependentEvaluator:
             minimum=config.pilot_size,
             maximum=config.max_sample_size,
         )
-
-    def _sample_values(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Draw up to ``n`` samples; returns ``(y, indicator)`` arrays.
-
-        Partial mode: under the failure model the overlay may lose walks,
-        so fewer than ``n`` values can come back. The evaluator degrades
-        (flagging the estimate) rather than aborting the query.
-        """
-        samples = self._operator.sample_tuples(
-            self._database, n, self._origin, allow_partial=True
-        )
-        query = self._query
-        pairs = [
-            sample_contribution(query.op, query.expression, query.predicate, s.row)
-            for s in samples
-        ]
-        values = np.array([pair[0] for pair in pairs], dtype=float)
-        indicators = np.array([pair[1] for pair in pairs], dtype=float)
-        return values, indicators
 
     def evaluate(
         self, time: int, epsilon: float, confidence: float
@@ -153,8 +213,7 @@ class IndependentEvaluator:
         ratio estimator, which reduces to the plain sample mean when the
         query has no predicate.
         """
-        population = int(round(self._population_size_provider()))
-        epsilon_mean = mean_error_budget(self._query.op, epsilon, population)
+        population, epsilon_mean = self._budget(epsilon)
         if self._query.op is AggregateOp.AVG:
             mean, variance, n, degraded = self._evaluate_ratio(
                 epsilon_mean, confidence
@@ -163,69 +222,32 @@ class IndependentEvaluator:
             mean, variance, n, degraded = self._evaluate_mean(
                 epsilon_mean, confidence
             )
-        scale = scale_factor(self._query.op, population)
-        return SnapshotEstimate(
+        return SnapshotEstimate.from_mean(
+            self._query.op,
+            epsilon,
+            confidence,
             time=time,
             mean=mean,
-            aggregate=mean * scale,
             variance=variance,
-            n_total=n,
             n_fresh=n,
             n_retained=0,
             population_size=population,
             degraded=degraded,
-            achieved_epsilon=(
-                achieved_epsilon(variance, confidence) * scale
-                if degraded
-                else None
-            ),
-            achieved_confidence=(
-                achieved_confidence(epsilon_mean, variance)
-                if degraded and epsilon_mean != float("inf")
-                else None
-            ),
         )
 
     def _evaluate_mean(
         self, epsilon_mean: float, confidence: float
     ) -> tuple[float, float, int, bool]:
-        """Sequential CLT sizing on the (masked) per-tuple values.
+        """Eq. 6 sequential sizing on the (masked) per-tuple values.
 
-        Returns ``(mean, variance-of-mean, n, degraded)``. ``degraded``
-        means the overlay returned fewer samples than Eq. 6 required, so
-        the promised precision does not hold (the estimate itself is still
-        unbiased; only its interval widens).
+        Returns ``(mean, variance-of-mean, n, degraded)``.
         """
-        config = self._config
-        values = self._sample_values(config.pilot_size)[0]
-        if values.size == 0:
-            raise QueryError(
-                "the overlay returned no samples at all; cannot estimate"
-            )
-        needed = int(values.size)
-        for _ in range(config.max_rounds):
-            _, variance = sample_mean_and_variance(values)
-            sigma = max(float(np.sqrt(variance)), config.sigma_floor)
-            if epsilon_mean == float("inf"):
-                needed = int(values.size)
-                break
-            needed = required_sample_size(
-                sigma,
-                epsilon_mean,
-                confidence,
-                minimum=config.pilot_size,
-                maximum=config.max_sample_size,
-            )
-            if needed <= values.size:
-                break
-            extra = self._sample_values(needed - values.size)[0]
-            if extra.size == 0:
-                break  # the overlay is delivering nothing; degrade
-            values = np.concatenate([values, extra])
+        _, values, degraded = sequential_sample(
+            self._draw_values, epsilon_mean, confidence, self._config
+        )
         mean, variance = sample_mean_and_variance(values)
-        degraded = values.size < needed
         self._last_sigma = max(
-            float(np.sqrt(variance)), config.sigma_floor
+            float(np.sqrt(variance)), self._config.sigma_floor
         )
         return mean, variance / values.size, int(values.size), degraded
 
@@ -239,7 +261,7 @@ class IndependentEvaluator:
         variance target after all top-up rounds.
         """
         config = self._config
-        values, indicators = self._sample_values(config.pilot_size)
+        _, values, indicators = self._draw(config.pilot_size)
         if values.size == 0:
             raise QueryError(
                 "the overlay returned no samples at all; cannot estimate"
@@ -252,9 +274,7 @@ class IndependentEvaluator:
                 if round_index >= config.max_rounds:
                     raise
                 # nothing qualified yet: widen the sample and retry
-                extra_values, extra_indicators = self._sample_values(
-                    len(values)
-                )
+                _, extra_values, extra_indicators = self._draw(len(values))
                 if extra_values.size == 0:
                     raise
                 values = np.concatenate([values, extra_values])
@@ -274,7 +294,7 @@ class IndependentEvaluator:
                     f"maximum {config.max_sample_size}; the precision "
                     f"request is infeasible for this population"
                 )
-            extra_values, extra_indicators = self._sample_values(
+            _, extra_values, extra_indicators = self._draw(
                 needed - values.size
             )
             if extra_values.size == 0:

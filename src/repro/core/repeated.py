@@ -44,22 +44,16 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.estimators import (
-    achieved_confidence,
-    achieved_epsilon,
-    sample_mean_and_variance,
-    variance_target,
-)
+from repro.core.estimators import sample_mean_and_variance, variance_target
 from repro.core.forward import RevisedEstimate, revise_previous
-from repro.core.independent import EvaluatorConfig
+from repro.core.independent import (
+    EvaluatorConfig,
+    SnapshotEvaluator,
+    sequential_sample,
+)
 from repro.core.query import Query
 from repro.core.snapshot import SnapshotEstimate
-from repro.db.aggregates import (
-    AggregateOp,
-    mean_error_budget,
-    sample_contribution,
-    scale_factor,
-)
+from repro.db.aggregates import AggregateOp
 from repro.db.relation import P2PDatabase
 from repro.errors import QueryError
 from repro.sampling.operator import SampleSource
@@ -214,7 +208,7 @@ class _OccasionState:
         return bool(self.tuple_ids)
 
 
-class RepeatedEvaluator:
+class RepeatedEvaluator(SnapshotEvaluator):
     """Snapshot evaluation by repeated sampling with partial replacement.
 
     The first occasion bootstraps with independent sampling; every later
@@ -225,6 +219,9 @@ class RepeatedEvaluator:
     estimates by inverse-variance weighting. Deleted tuples and departed
     nodes shrink the retainable pool automatically (the paper's "a sample
     tuple that is deleted ... is always replaced").
+
+    Constructed like :class:`~repro.core.independent.SnapshotEvaluator`
+    plus ``rng``, which picks the retained subset.
     """
 
     def __init__(
@@ -236,21 +233,7 @@ class RepeatedEvaluator:
         rng: np.random.Generator,
         population_size_provider: Callable[[], float] | None = None,
         config: EvaluatorConfig | None = None,
-        initial_rho: float = 0.0,
     ) -> None:
-        self._database = database
-        self._operator = operator
-        self._origin = origin
-        self._query = query
-        self._rng = rng
-        self._population_size_provider = (
-            population_size_provider
-            if population_size_provider is not None
-            else lambda: database.n_tuples
-        )
-        self._config = config if config is not None else EvaluatorConfig()
-        if not -1.0 <= initial_rho <= 1.0:
-            raise QueryError(f"initial_rho must be in [-1, 1], got {initial_rho}")
         if query.op is AggregateOp.AVG and query.predicate is not None:
             raise QueryError(
                 "repeated sampling does not support AVG with a predicate "
@@ -258,16 +241,15 @@ class RepeatedEvaluator:
                 "regression machinery of Section IV-B2 targets a single "
                 "mean); use the independent evaluator for filtered AVG"
             )
-        self._initial_rho = initial_rho
+        super().__init__(
+            database, operator, origin, query, population_size_provider, config
+        )
+        self._rng = rng
         self._state = _OccasionState()
         #: forward-regression revision of the *previous* occasion's mean,
         #: refreshed by every non-bootstrap evaluate() (None at bootstrap
         #: or when no regression was possible). See repro.core.forward.
         self.last_revision: RevisedEstimate | None = None
-
-    @property
-    def config(self) -> EvaluatorConfig:
-        return self._config
 
     @property
     def current_rho(self) -> float | None:
@@ -293,10 +275,9 @@ class RepeatedEvaluator:
         if not self._state.initialized:
             return config.pilot_size
         state = self._state
-        population = int(round(self._population_size_provider()))
-        epsilon_mean = mean_error_budget(self._query.op, epsilon, population)
+        _, epsilon_mean = self._budget(epsilon)
         sigma2 = max(state.sigma2, config.sigma_floor**2)
-        rho_plan = state.rho if state.rho is not None else self._initial_rho
+        rho_plan = state.rho if state.rho is not None else 0.0
         alive = sum(1 for tid in state.tuple_ids if tid in self._database)
         if epsilon_mean == float("inf"):
             return max(
@@ -320,112 +301,53 @@ class RepeatedEvaluator:
         return max(0, n_needed - g_target)
 
     # ------------------------------------------------------------------
-    # sampling helpers
-    # ------------------------------------------------------------------
-
-    def _value_of(self, row: dict[str, float]) -> float:
-        query = self._query
-        value, _ = sample_contribution(
-            query.op, query.expression, query.predicate, row
-        )
-        return value
-
-    def _draw_fresh(self, n: int) -> tuple[list[int], list[float]]:
-        """Draw up to ``n`` fresh tuples (partial under the failure model)."""
-        if n <= 0:
-            return [], []
-        samples = self._operator.sample_tuples(
-            self._database, n, self._origin, allow_partial=True
-        )
-        ids = [s.tuple_id for s in samples]
-        values = [self._value_of(s.row) for s in samples]
-        return ids, values
-
-    # ------------------------------------------------------------------
     # occasions
     # ------------------------------------------------------------------
 
     def _bootstrap(
-        self, time: int, epsilon_mean: float, confidence: float, population: int
+        self, time: int, epsilon: float, confidence: float
     ) -> SnapshotEstimate:
         """First occasion: independent sequential sampling, state recorded."""
-        from repro.core.estimators import required_sample_size
-
-        config = self._config
-        ids, values = self._draw_fresh(config.pilot_size)
-        if not values:
-            raise QueryError(
-                "the overlay returned no samples at all; cannot estimate"
-            )
-        needed = len(values)
-        for _ in range(config.max_rounds):
-            _, variance = sample_mean_and_variance(np.array(values))
-            sigma = max(math.sqrt(variance), config.sigma_floor)
-            if epsilon_mean == float("inf"):
-                needed = len(values)
-                break
-            needed = required_sample_size(
-                sigma,
-                epsilon_mean,
-                confidence,
-                minimum=config.pilot_size,
-                maximum=config.max_sample_size,
-            )
-            if needed <= len(values):
-                break
-            extra_ids, extra_values = self._draw_fresh(needed - len(values))
-            if not extra_values:
-                break  # the overlay is delivering nothing; degrade
-            ids.extend(extra_ids)
-            values.extend(extra_values)
-        mean, variance = sample_mean_and_variance(np.array(values))
-        n = len(values)
-        degraded = n < needed
+        population, epsilon_mean = self._budget(epsilon)
+        ids, values, degraded = sequential_sample(
+            self._draw_values, epsilon_mean, confidence, self._config
+        )
+        mean, variance = sample_mean_and_variance(values)
+        n = int(values.size)
         self.last_revision = None
         self._state = _OccasionState(
             tuple_ids=ids,
-            values=values,
+            values=values.tolist(),
             estimate=mean,
             variance=variance / n,
             sigma2=variance,
             rho=None,
         )
-        scale = scale_factor(self._query.op, population)
-        return SnapshotEstimate(
+        return SnapshotEstimate.from_mean(
+            self._query.op,
+            epsilon,
+            confidence,
             time=time,
             mean=mean,
-            aggregate=mean * scale,
             variance=variance / n,
-            n_total=n,
             n_fresh=n,
             n_retained=0,
             population_size=population,
             degraded=degraded,
-            achieved_epsilon=(
-                achieved_epsilon(variance / n, confidence) * scale
-                if degraded
-                else None
-            ),
-            achieved_confidence=(
-                achieved_confidence(epsilon_mean, variance / n)
-                if degraded and epsilon_mean != float("inf")
-                else None
-            ),
         )
 
     def evaluate(
         self, time: int, epsilon: float, confidence: float
     ) -> SnapshotEstimate:
         """Evaluate the snapshot query at ``time`` to ``(epsilon, p)``."""
-        population = int(round(self._population_size_provider()))
-        epsilon_mean = mean_error_budget(self._query.op, epsilon, population)
         if not self._state.initialized:
-            return self._bootstrap(time, epsilon_mean, confidence, population)
+            return self._bootstrap(time, epsilon, confidence)
+        population, epsilon_mean = self._budget(epsilon)
 
         state = self._state
         config = self._config
         sigma2 = max(state.sigma2, config.sigma_floor**2)
-        rho_plan = state.rho if state.rho is not None else self._initial_rho
+        rho_plan = state.rho if state.rho is not None else 0.0
 
         # which previous samples are still retainable?
         alive = [
@@ -463,13 +385,11 @@ class RepeatedEvaluator:
         matched_prev = np.array([value for _, value in matched], dtype=float)
         matched_ids = [tid for tid, _ in matched]
         # re-evaluation: already located, negligible communication cost
-        matched_curr = np.array(
-            [self._value_of(self._database.read(tid)) for tid in matched_ids],
-            dtype=float,
-        )
+        matched_curr = self._values(
+            [self._database.read(tid) for tid in matched_ids]
+        )[0]
 
-        fresh_ids, fresh_values_list = self._draw_fresh(n_needed - len(matched_ids))
-        fresh_values = np.array(fresh_values_list, dtype=float)
+        fresh_ids, fresh_values = self._draw_values(n_needed - len(matched_ids))
 
         estimate, variance, rho_measured, sigma2_new = self._combine(
             matched_prev,
@@ -488,15 +408,14 @@ class RepeatedEvaluator:
         ):
             shortfall_weight = 1.0 / v_target - 1.0 / max(variance, 1e-300)
             extra = max(1, int(math.ceil(shortfall_weight * sigma2_new)))
-            extra = min(extra, config.max_sample_size - len(fresh_values_list))
+            extra = min(extra, config.max_sample_size - fresh_values.size)
             if extra <= 0:
                 break
-            extra_ids, extra_values = self._draw_fresh(extra)
-            if not extra_values:
+            extra_ids, extra_values = self._draw_values(extra)
+            if extra_values.size == 0:
                 break  # the overlay is delivering nothing; degrade
             fresh_ids.extend(extra_ids)
-            fresh_values_list.extend(extra_values)
-            fresh_values = np.array(fresh_values_list, dtype=float)
+            fresh_values = np.concatenate([fresh_values, extra_values])
             estimate, variance, rho_measured, sigma2_new = self._combine(
                 matched_prev,
                 matched_curr,
@@ -525,7 +444,7 @@ class RepeatedEvaluator:
         f = len(fresh_ids)
         self._state = _OccasionState(
             tuple_ids=matched_ids + fresh_ids,
-            values=matched_curr.tolist() + fresh_values_list,
+            values=matched_curr.tolist() + fresh_values.tolist(),
             estimate=estimate,
             variance=variance,
             sigma2=sigma2_new,
@@ -534,27 +453,17 @@ class RepeatedEvaluator:
         degraded = v_target != float("inf") and variance > v_target * (
             1.0 + 1e-9
         )
-        scale = scale_factor(self._query.op, population)
-        return SnapshotEstimate(
+        return SnapshotEstimate.from_mean(
+            self._query.op,
+            epsilon,
+            confidence,
             time=time,
             mean=estimate,
-            aggregate=estimate * scale,
             variance=variance,
-            n_total=g + f,
             n_fresh=f,
             n_retained=g,
             population_size=population,
             degraded=degraded,
-            achieved_epsilon=(
-                achieved_epsilon(variance, confidence) * scale
-                if degraded
-                else None
-            ),
-            achieved_confidence=(
-                achieved_confidence(epsilon_mean, variance)
-                if degraded and epsilon_mean != float("inf")
-                else None
-            ),
         )
 
     # ------------------------------------------------------------------

@@ -32,7 +32,7 @@ cold pool passes single-query requests straight through to the operator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Container, Iterator
 
 import numpy as np
@@ -46,9 +46,7 @@ from repro.core.scheduler import (
     ExtrapolationScheduler,
     SnapshotScheduler,
 )
-from repro.core.estimators import achieved_confidence, achieved_epsilon
 from repro.core.snapshot import SnapshotEstimate
-from repro.db.aggregates import mean_error_budget, scale_factor
 from repro.db.relation import P2PDatabase
 from repro.errors import QueryError
 from repro.network.faults import FaultPlan
@@ -575,12 +573,7 @@ class DigestSession:
         ):
             revision = runtime.evaluator.last_revision
             previous_time = runtime.history[-1][0]
-            scale = (
-                estimate.aggregate / estimate.mean
-                if estimate.mean not in (0.0,)
-                else 1.0
-            )
-            runtime.result.amend(previous_time, revision.revised * scale)
+            runtime.result.amend(previous_time, revision.revised * estimate.scale)
         record = UpdateRecord(
             time=time,
             estimate=estimate.aggregate,
@@ -646,26 +639,17 @@ class DigestSession:
             sizes.get(node, 0) for node in scope if node in sizes
         )
         precision = runtime.continuous_query.precision
-        op = runtime.continuous_query.query.op
-        new_scale = scale_factor(op, reachable_population)
-        aggregate = estimate.mean * new_scale
-        ach_eps = achieved_epsilon(estimate.variance, precision.confidence)
-        ach_eps *= new_scale
-        epsilon_mean = mean_error_budget(
-            op, precision.epsilon, reachable_population
-        )
-        ach_conf = (
-            achieved_confidence(epsilon_mean, estimate.variance)
-            if epsilon_mean != float("inf")
-            else None
-        )
-        return replace(
-            estimate,
-            aggregate=aggregate,
+        return SnapshotEstimate.from_mean(
+            runtime.continuous_query.query.op,
+            precision.epsilon,
+            precision.confidence,
+            time=estimate.time,
+            mean=estimate.mean,
+            variance=estimate.variance,
+            n_fresh=estimate.n_fresh,
+            n_retained=estimate.n_retained,
             population_size=reachable_population,
             degraded=True,
-            achieved_epsilon=ach_eps,
-            achieved_confidence=ach_conf,
             reachable_fraction=fraction,
         )
 

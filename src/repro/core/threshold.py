@@ -20,11 +20,9 @@ callback on every *declared* state change.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.core.estimators import confidence_quantile
 from repro.core.snapshot import SnapshotEstimate
 from repro.errors import QueryError
 
@@ -76,8 +74,8 @@ class ThresholdMonitor:
         if margin < 0:
             raise QueryError(f"margin must be >= 0, got {margin}")
         self.threshold = threshold
+        self.confidence = confidence
         self.margin = margin
-        self._z = confidence_quantile(confidence)
         self._callback = callback
         self.state = ThresholdState.UNKNOWN
         self.events: list[ThresholdEvent] = []
@@ -87,17 +85,11 @@ class ThresholdMonitor:
     def offer(self, estimate: SnapshotEstimate) -> ThresholdState:
         """Feed a snapshot estimate; returns the (possibly new) state.
 
-        The estimate's variance is the *mean* estimator's; it is scaled to
-        aggregate units through the estimate's own mean/aggregate ratio
-        (exact for AVG; the SUM/COUNT scale factor for the others).
+        The interval is the estimate's own aggregate-unit half width: the
+        mean estimator's variance scaled by ``estimate.scale``.
         """
         self.estimates_seen += 1
-        scale = (
-            abs(estimate.aggregate / estimate.mean)
-            if estimate.mean != 0.0
-            else float(estimate.population_size) or 1.0
-        )
-        half_width = self._z * math.sqrt(max(0.0, estimate.variance)) * scale
+        half_width = estimate.half_width(self.confidence)
         low = estimate.aggregate - half_width
         high = estimate.aggregate + half_width
         if low > self.threshold + self.margin:

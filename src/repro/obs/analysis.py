@@ -47,7 +47,7 @@ from repro.obs.schema import (
     SPAN_SNAPSHOT_QUERY,
     SPAN_WALK,
 )
-from repro.obs.tracer import RunMetricsSink, Span, Trace, TraceEvent
+from repro.obs.tracer import RunMetricsSink, Span, Trace, TraceEvent, _as_int
 from repro.sim.metrics import RunMetrics
 
 #: The scalar counters RunMetricsSink derives; the consistency check
@@ -66,14 +66,6 @@ COUNTER_FIELDS = (
     "alerts_fired",
     "alerts_resolved",
 )
-
-
-def _as_int(value: object, default: int = 0) -> int:
-    if isinstance(value, bool):
-        return int(value)
-    if isinstance(value, (int, float)):
-        return int(value)
-    return default
 
 
 def run_metrics_from_trace(trace: Trace) -> RunMetrics:

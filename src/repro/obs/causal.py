@@ -35,15 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.obs.schema import SPAN_HOP_SEGMENT, SPAN_SHARED_WALK_BATCH, SPAN_WALK
-from repro.obs.tracer import Span, Trace
-
-
-def _as_int(value: object, default: int = 0) -> int:
-    if isinstance(value, bool):
-        return int(value)
-    if isinstance(value, (int, float)):
-        return int(value)
-    return default
+from repro.obs.tracer import Span, Trace, _as_int
 
 
 @dataclass(frozen=True)

@@ -58,19 +58,11 @@ from repro.obs.schema import (
     SPAN_SNAPSHOT_QUERY,
     SPAN_WALK,
 )
-from repro.obs.tracer import Span, Trace, TraceEvent
+from repro.obs.tracer import Span, Trace, TraceEvent, _as_int
 
 #: meta key a run writes so a replay closes its final (partial) window at
 #: the same simulated time the live pipeline did
 META_FINISHED_AT = "finished_at"
-
-
-def _as_int(value: object, default: int = 0) -> int:
-    if isinstance(value, bool):
-        return int(value)
-    if isinstance(value, (int, float)):
-        return int(value)
-    return default
 
 
 def _percentile(counts: dict[int, int], q: float) -> float:

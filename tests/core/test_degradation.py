@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.estimators import achieved_confidence, achieved_epsilon
 from repro.core.independent import IndependentEvaluator
-from repro.core.query import Query
+from repro.core.query import Query, parse_query
 from repro.core.repeated import RepeatedEvaluator
 from repro.db.aggregates import AggregateOp
 from repro.db.expression import Expression
@@ -158,6 +158,49 @@ class TestIndependentDegradation:
         if estimate.degraded:
             # achieved epsilon is reported in aggregate units
             assert estimate.achieved_epsilon > 0.3 * database.n_tuples
+
+
+class TestEvaluatorsAgreeOnFirstOccasion:
+    """A fresh repeated evaluator bootstraps with the independent one's
+    Eq. 6 loop, so on the same seeds the two first answers are identical,
+    degraded re-statement included."""
+
+    @pytest.mark.parametrize(
+        "text,epsilon_per_tuple",
+        [
+            ("SELECT SUM(v) FROM R", 1.0),
+            ("SELECT COUNT(v) FROM R WHERE v > 50", 0.05),
+        ],
+    )
+    @pytest.mark.parametrize("loss", [0.0, 0.3])
+    def test_same_estimate(self, text, epsilon_per_tuple, loss):
+        graph, database = _world()
+        query = parse_query(text)
+        estimates = []
+        for make in (
+            lambda op: IndependentEvaluator(database, op, 0, query),
+            lambda op: RepeatedEvaluator(
+                database, op, 0, query, np.random.default_rng(9)
+            ),
+        ):
+            operator, _ = _lossy_operator(graph, loss=loss)
+            estimates.append(
+                make(operator).evaluate(
+                    0, epsilon=epsilon_per_tuple * database.n_tuples, confidence=0.95
+                )
+            )
+        independent, repeated = estimates
+        assert independent.degraded is (loss > 0.0)
+        for field in (
+            "aggregate",
+            "n_total",
+            "n_fresh",
+            "n_retained",
+            "degraded",
+            "achieved_epsilon",
+            "achieved_confidence",
+        ):
+            assert getattr(repeated, field) == getattr(independent, field), field
 
 
 class TestRepeatedDegradation:

@@ -138,3 +138,45 @@ class TestEngineIntegration:
             engine.step(t)
         revised = [r for r in engine.result.updates if r.was_revised]
         assert revised  # at least one retrospective amendment happened
+
+    def test_zero_mean_sum_amends_in_aggregate_units(self):
+        """A SUM answer of exactly 0 still scales the revised mean by N."""
+        from repro.core.engine import DigestEngine, EngineConfig
+        from repro.core.query import ContinuousQuery, Precision, parse_query
+        from repro.db.relation import P2PDatabase, Schema
+        from repro.network.graph import OverlayGraph
+        from repro.network.topology import mesh_topology
+
+        rng = np.random.default_rng(0)
+        graph = OverlayGraph(mesh_topology(36), n_nodes=36)
+        database = P2PDatabase(Schema(("v",)), graph.nodes())
+        tids = []
+        for node in graph.nodes():
+            for _ in range(6):
+                tids.append(database.insert(node, {"v": float(rng.normal(50, 10))}))
+        continuous = ContinuousQuery(
+            parse_query("SELECT SUM(v) FROM R"),
+            Precision(delta=1000.0, epsilon=300.0, confidence=0.95),
+            duration=2,
+        )
+        engine = DigestEngine(
+            graph,
+            database,
+            continuous,
+            origin=0,
+            rng=np.random.default_rng(1),
+            config=EngineConfig(
+                scheduler="all", evaluator="repeated", forward_revision=True
+            ),
+        )
+        first = engine.step(0)
+        for tid in tids:
+            database.update(tid, {"v": 0.0})
+        second = engine.step(1)
+        assert first.mean != 0.0
+        assert second.mean == 0.0 and second.aggregate == 0.0
+        amended = engine.result.updates[0]
+        assert amended.original_estimate == first.aggregate  # amend() ran
+        # zero matched variance leaves the revision at the original mean,
+        # so the amendment restates the original aggregate, not its mean
+        assert amended.estimate == pytest.approx(first.aggregate)

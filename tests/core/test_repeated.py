@@ -281,15 +281,6 @@ class TestRepeatedEvaluator:
         estimate = repeated.evaluate(1, epsilon=2.0, confidence=0.95)
         assert estimate.n_retained == 0
 
-    def test_invalid_initial_rho(self):
-        graph, database, tids, rng = _correlated_world()
-        query = Query(AggregateOp.AVG, Expression("v"))
-        operator = SamplingOperator(graph, np.random.default_rng(0))
-        with pytest.raises(QueryError):
-            RepeatedEvaluator(
-                database, operator, 0, query, np.random.default_rng(0), initial_rho=2.0
-            )
-
 
 class TestDegenerateOccasions:
     def test_all_fresh_when_no_sample_survives(self):

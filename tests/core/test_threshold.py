@@ -5,23 +5,22 @@ import pytest
 
 from repro.core.snapshot import SnapshotEstimate
 from repro.core.threshold import ThresholdMonitor, ThresholdState
+from repro.db.aggregates import AggregateOp
 from repro.errors import QueryError
 
 
 def _estimate(time, aggregate, stderr, population=1):
     """A snapshot whose aggregate CI half-width ~ 1.96 * stderr."""
-    mean = aggregate / max(population, 1)
     return SnapshotEstimate(
         time=time,
-        mean=mean if mean != 0 else aggregate,
+        mean=aggregate / population,
         aggregate=aggregate,
-        variance=(stderr * (mean / aggregate if aggregate else 1.0)) ** 2
-        if aggregate
-        else stderr**2,
+        variance=(stderr / population) ** 2,
         n_total=10,
         n_fresh=10,
         n_retained=0,
         population_size=population,
+        scale=float(population),
     )
 
 
@@ -88,6 +87,46 @@ class TestDeclarations:
         assert monitor.offer(_estimate(0, 10.2, stderr=1.0)) is (
             ThresholdState.UNKNOWN
         )
+
+
+class TestScale:
+    def _avg(self, mean):
+        return SnapshotEstimate.from_mean(
+            AggregateOp.AVG,
+            1.0,
+            0.95,
+            time=0,
+            mean=mean,
+            variance=0.25,
+            n_fresh=50,
+            n_retained=0,
+            population_size=1000,
+            degraded=False,
+        )
+
+    def test_zero_mean_avg_keeps_unit_scale(self):
+        """An AVG answer of exactly 0 is as certain as one of 1e-9: the
+        half-width is the mean's, never N times it."""
+        for mean in (0.0, 1e-9):
+            monitor = ThresholdMonitor(10.0)
+            assert monitor.offer(self._avg(mean)) is ThresholdState.BELOW
+
+    def test_sum_half_width_is_in_aggregate_units(self):
+        estimate = SnapshotEstimate.from_mean(
+            AggregateOp.SUM,
+            100.0,
+            0.95,
+            time=0,
+            mean=0.0,
+            variance=0.25,
+            n_fresh=50,
+            n_retained=0,
+            population_size=1000,
+            degraded=False,
+        )
+        assert estimate.scale == pytest.approx(1000.0)
+        assert estimate.half_width(0.95) == pytest.approx(1.96 * 0.5 * 1000, rel=1e-3)
+        assert self._avg(0.0).half_width(0.95) == pytest.approx(1.96 * 0.5, rel=1e-3)
 
 
 class TestEngineIntegration:
