@@ -2,7 +2,8 @@
 
 These track implementation performance rather than paper artifacts: the
 vectorized walk kernel, the walk snapshot (cold and cached), tuple
-sampling under an open partition, local-store operations, expression
+sampling under an open partition, local-store operations, one tick of
+ingest (a bulk column scatter against per-row updates), expression
 evaluation and a full engine snapshot step.
 """
 
@@ -126,6 +127,34 @@ def test_store_insert_delete(benchmark):
         return len(store)
 
     assert benchmark(run) == 500
+
+
+@pytest.fixture(scope="module")
+def ingest_setup():
+    """12k tuples over 1000 nodes, the size of one 10^4-node world's tick."""
+    rng = np.random.default_rng(0)
+    database = P2PDatabase(Schema(("v",)), range(1000))
+    nodes = rng.integers(0, 1000, size=12_000)
+    ids = np.array([database.insert(int(node), {"v": 0.0}) for node in nodes])
+    return database, ids, rng.normal(50, 8, size=ids.size)
+
+
+def test_ingest_update_many(benchmark, ingest_setup):
+    """One tick's writes as a single checked column scatter."""
+    database, ids, values = ingest_setup
+    benchmark(database.update_many, "v", ids, values)
+
+
+def test_ingest_per_row_update(benchmark, ingest_setup):
+    """The same 12k writes as validated per-row ``update`` calls."""
+    database, ids, values = ingest_setup
+    rows = list(zip(ids.tolist(), values.tolist()))
+
+    def run():
+        for tuple_id, value in rows:
+            database.update(tuple_id, {"v": value})
+
+    benchmark(run)
 
 
 def test_expression_scalar_eval(benchmark):

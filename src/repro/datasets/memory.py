@@ -103,13 +103,13 @@ class MemoryConfig:
         )
 
 
-@dataclass
-class _UnitState:
-    """Per-unit generator state (dict-keyed because units churn)."""
+def clamp_at_zero(values: np.ndarray) -> np.ndarray:
+    """Element-wise ``max(0.0, x)``, matching Python's ``max`` bit for bit.
 
-    tuple_id: int
-    offset: float
-    noise: float
+    ``max(0.0, x)`` keeps ``0.0`` unless ``x > 0.0``, so it maps ``-0.0``
+    and NaN to ``0.0``; ``np.maximum`` would keep ``-0.0`` and propagate NaN.
+    """
+    return np.where(values > 0.0, values, 0.0)
 
 
 class MemoryInstance(DatasetInstance):
@@ -124,8 +124,11 @@ class MemoryInstance(DatasetInstance):
         super().__init__(graph, database, ATTRIBUTE, config.n_steps)
         self.config = config
         self._rng = rng
-        self._units: dict[int, _UnitState] = {}
-        self._next_unit = 0
+        # per-unit state as parallel arrays, in spawn order (churn filters
+        # them with an order-preserving mask)
+        self._tuple_ids = np.empty(0, dtype=np.int64)
+        self._offsets = np.empty(0)
+        self._noise = np.empty(0)
         self._common_noise = float(rng.normal(0.0, config.common_noise_sigma))
         # the querying node(s) must survive churn; experiments protect theirs
         self._churn = ChurnProcess(
@@ -142,9 +145,9 @@ class MemoryInstance(DatasetInstance):
         self.nodes_joined = 0
         self.nodes_left = 0
         assignment = distribute_units(config.n_units, graph.nodes(), rng)
-        for unit, node in assignment.items():
-            self._spawn_unit(node, time=0)
-            del unit  # ids come from _next_unit; assignment order is enough
+        self._append_units(
+            [self._spawn_unit(node, time=0) for node in assignment.values()]
+        )
 
     @property
     def churn(self) -> ChurnProcess:
@@ -152,7 +155,7 @@ class MemoryInstance(DatasetInstance):
         return self._churn
 
     def n_units_live(self) -> int:
-        return len(self._units)
+        return len(self._tuple_ids)
 
     # ------------------------------------------------------------------
     # generator internals
@@ -183,16 +186,24 @@ class MemoryInstance(DatasetInstance):
         draws[jumps] *= k
         return draws
 
-    def _spawn_unit(self, node: int, time: int) -> int:
+    def _spawn_unit(self, node: int, time: int) -> tuple[int, float, float]:
+        """Insert a new unit at ``node``; returns its ``(tuple id, offset, noise)``."""
         config = self.config
-        unit = self._next_unit
-        self._next_unit += 1
         offset = float(self._rng.normal(0.0, config.sigma_between))
         noise = float(self._rng.normal(0.0, config.sigma_noise))
         value = max(0.0, self._load(time) + offset + noise)
-        tuple_id = self.database.insert(node, {ATTRIBUTE: value})
-        self._units[unit] = _UnitState(tuple_id, offset, noise)
-        return unit
+        return self.database.insert(node, {ATTRIBUTE: value}), offset, noise
+
+    def _append_units(self, units: list[tuple[int, float, float]]) -> None:
+        """Append spawned units' state, in spawn order."""
+        if not units:
+            return
+        tuple_ids, offsets, noise = zip(*units)
+        self._tuple_ids = np.concatenate(
+            [self._tuple_ids, np.array(tuple_ids, dtype=np.int64)]
+        )
+        self._offsets = np.concatenate([self._offsets, np.array(offsets)])
+        self._noise = np.concatenate([self._noise, np.array(noise)])
 
     # ------------------------------------------------------------------
     # world advancement
@@ -212,27 +223,25 @@ class MemoryInstance(DatasetInstance):
         )
         event = self._churn.step()
         if not event.is_empty:
-            lost = set(self.database.handle_churn(event))
+            lost = self.database.handle_churn(event)
             self.tuples_lost_to_churn += len(lost)
             self.nodes_joined += len(event.joined)
             self.nodes_left += len(event.left)
             if lost:
-                self._units = {
-                    unit: state
-                    for unit, state in self._units.items()
-                    if state.tuple_id not in lost
-                }
+                keep = ~np.isin(self._tuple_ids, lost)
+                self._tuple_ids = self._tuple_ids[keep]
+                self._offsets = self._offsets[keep]
+                self._noise = self._noise[keep]
+            spawned: list[tuple[int, float, float]] = []
             for node in event.joined:
                 arrivals = 1 + int(self._rng.poisson(0.2))
-                for _ in range(arrivals):
-                    self._spawn_unit(node, time)
-        units = list(self._units.items())
-        innovations = self._innovation(len(units))
+                spawned.extend(self._spawn_unit(node, time) for _ in range(arrivals))
+            self._append_units(spawned)
+        innovations = self._innovation(len(self._tuple_ids))
         load = self._load(time)
-        for (unit, state), innovation in zip(units, innovations):
-            state.noise = config.ar_coefficient * state.noise + float(innovation)
-            value = max(0.0, load + state.offset + state.noise)
-            self.database.update(state.tuple_id, {ATTRIBUTE: value})
+        self._noise = config.ar_coefficient * self._noise + innovations
+        values = clamp_at_zero(load + self._offsets + self._noise)
+        self.database.update_many(ATTRIBUTE, self._tuple_ids, values)
 
 
 class MemoryDataset:

@@ -189,11 +189,7 @@ class TemperatureInstance(DatasetInstance):
             self._rng.normal(0.0, common_innovation)
         )
         values = self._signal(time) + self._common_noise + self._offsets + self._noise
-        database = self.database
-        for unit in range(config.n_units):
-            database.update(
-                int(self._tuple_ids[unit]), {ATTRIBUTE: float(values[unit])}
-            )
+        self.database.update_many(ATTRIBUTE, self._tuple_ids, values)
 
 
 class TemperatureDataset:

@@ -6,8 +6,9 @@ change autonomously (Section II). This package provides:
 
 * :mod:`repro.db.expression` — the arithmetic ``expression`` language that
   appears inside ``op(expression)`` aggregate queries;
-* :mod:`repro.db.store` — a per-node tuple store with O(1) insert, update,
-  delete and uniform local sampling;
+* :mod:`repro.db.store` — the relation's float64 value columns and a
+  per-node tuple store over them with O(1) insert, update, delete and
+  uniform local sampling;
 * :mod:`repro.db.relation` — the distributed relation: placement of tuples
   on nodes, churn integration, and exact (oracle) evaluation;
 * :mod:`repro.db.aggregates` — AVG/SUM/COUNT semantics shared by the exact
@@ -23,10 +24,11 @@ from repro.db.aggregates import (
 from repro.db.expression import Expression
 from repro.db.predicate import Predicate
 from repro.db.relation import P2PDatabase, Schema
-from repro.db.store import LocalStore
+from repro.db.store import Columns, LocalStore
 
 __all__ = [
     "AggregateOp",
+    "Columns",
     "Expression",
     "LocalStore",
     "P2PDatabase",

@@ -1,24 +1,26 @@
 """The distributed relation: placement, churn, and oracle evaluation.
 
 ``R`` is a single relation horizontally partitioned across overlay nodes
-(Section II). :class:`P2PDatabase` owns one :class:`~repro.db.store.LocalStore`
-per live node, a global tuple-location index, and global id allocation. It
-is the ground truth the simulator maintains; query engines never read it
-wholesale — they interact only through the sampling operator (plus the
-per-tuple ``read`` used to re-evaluate retained samples) — but experiments
-use :meth:`exact_values` as the oracle for error measurement.
+(Section II). :class:`P2PDatabase` owns the relation's value columns
+(:class:`~repro.db.store.Columns`), one :class:`~repro.db.store.LocalStore`
+per live node over them, a global tuple-location index, and global id
+allocation. It is the ground truth the simulator maintains; query engines
+never read it wholesale — they interact only through the sampling operator
+(plus the per-tuple ``read`` used to re-evaluate retained samples) — but
+experiments use :meth:`exact_values` as the oracle for error measurement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from itertools import chain
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro.db.expression import Expression
 from repro.db.predicate import Predicate
-from repro.db.store import LocalStore
+from repro.db.store import Columns, LocalStore, grown
 from repro.errors import StoreError
 from repro.network.churn import ChurnEvent
 
@@ -67,10 +69,15 @@ class P2PDatabase:
 
     def __init__(self, schema: Schema, nodes: Iterable[int] = ()) -> None:
         self._schema = schema
+        self._columns = Columns(schema.attributes)
         self._stores: dict[int, LocalStore] = {}
+        # tuple id -> hosting node, for row-at-a-time lookups at dict
+        # speed; _live mirrors its key set as a mask for update_many's check
         self._location: dict[int, int] = {}
+        self._live = np.zeros(0, dtype=bool)
         self._next_tuple_id = 0
         self._layout_version = 0
+        self._order: tuple[int, np.ndarray] | None = None
         for node in nodes:
             self.add_node(node)
 
@@ -83,10 +90,11 @@ class P2PDatabase:
         """Monotone counter bumped whenever any node's tuple count may change.
 
         ``insert``, ``delete``, ``add_node`` and ``remove_node`` (hence
-        ``handle_churn``) bump it; ``update`` rewrites values in place and
-        does not. While it is unchanged, every ``m_v`` — the content-size
-        sampling weight — is unchanged, provided writes go through the
-        database rather than straight into a fragment from :meth:`store`.
+        ``handle_churn``) bump it; ``update`` and ``update_many`` rewrite
+        values in place and do not. While it is unchanged, every ``m_v`` —
+        the content-size sampling weight — is unchanged, provided writes go
+        through the database rather than straight into a fragment from
+        :meth:`store`.
         """
         return self._layout_version
 
@@ -98,7 +106,7 @@ class P2PDatabase:
         """Register a (new) node with an empty fragment."""
         if node in self._stores:
             raise StoreError(f"node {node} already has a store")
-        self._stores[node] = LocalStore(self._schema.attributes)
+        self._stores[node] = LocalStore(self._columns)
         self._layout_version += 1
 
     def remove_node(self, node: int) -> list[int]:
@@ -113,6 +121,7 @@ class P2PDatabase:
         lost = store.tuple_ids()
         for tuple_id in lost:
             del self._location[tuple_id]
+        self._live[lost] = False
         del self._stores[node]
         self._layout_version += 1
         return lost
@@ -152,9 +161,12 @@ class P2PDatabase:
         """Insert a row at ``node``; returns the new global tuple id."""
         store = self.store(node)
         tuple_id = self._next_tuple_id
-        self._next_tuple_id += 1
         store.insert(tuple_id, values)
+        self._next_tuple_id += 1
         self._location[tuple_id] = node
+        if tuple_id >= len(self._live):
+            self._live = grown(self._live, tuple_id + 1, False)
+        self._live[tuple_id] = True
         self._layout_version += 1
         return tuple_id
 
@@ -165,12 +177,48 @@ class P2PDatabase:
             raise StoreError(f"tuple {tuple_id} does not exist")
         self._stores[node].update(tuple_id, values)
 
+    def update_many(
+        self,
+        attribute: str,
+        tuple_ids: Sequence[int] | np.ndarray,
+        values: Sequence[float] | np.ndarray,
+    ) -> None:
+        """Overwrite ``attribute`` of many live tuples in one checked scatter.
+
+        ``values[i]`` becomes the value of ``tuple_ids[i]``. The call is
+        all or nothing: an unknown attribute, an unknown or deleted id, a
+        repeated id or a length mismatch raises :class:`StoreError` before
+        anything is written. Like :meth:`update`, it leaves
+        :attr:`layout_version` alone.
+        """
+        column = self._columns.array(attribute)
+        ids = np.asarray(tuple_ids)
+        new = np.asarray(values, dtype=np.float64)
+        if ids.ndim != 1 or new.shape != ids.shape:
+            raise StoreError(
+                f"{ids.shape} tuple ids against {new.shape} values; "
+                "need two equal-length 1-d sequences"
+            )
+        if ids.size == 0:
+            return
+        if ids.dtype.kind not in "iu":
+            raise StoreError(f"tuple ids must be integers, got {ids.dtype}")
+        ordered = np.sort(ids)
+        if ordered[0] < 0 or ordered[-1] >= self._next_tuple_id:
+            raise StoreError("tuple ids outside the allocated range")
+        if not self._live[ids].all():
+            raise StoreError("tuple ids of deleted tuples")
+        if (ordered[1:] == ordered[:-1]).any():
+            raise StoreError("repeated tuple ids")
+        column[ids] = new
+
     def delete(self, tuple_id: int) -> None:
         node = self._location.get(tuple_id)
         if node is None:
             raise StoreError(f"tuple {tuple_id} does not exist")
         self._stores[node].delete(tuple_id)
         del self._location[tuple_id]
+        self._live[tuple_id] = False
         self._layout_version += 1
 
     def locate(self, tuple_id: int) -> int | None:
@@ -188,7 +236,12 @@ class P2PDatabase:
         return tuple_id in self._location
 
     def iter_tuples(self) -> Iterator[tuple[int, int, dict[str, float]]]:
-        """Iterate ``(tuple_id, node, row)`` across the whole relation."""
+        """Iterate ``(tuple_id, node, row)`` across the whole relation.
+
+        Nodes come in sorted order, the tuples of a node in its local
+        order — the row order of :meth:`exact_values`. Each row is a fresh
+        dict; writing to it does not touch the relation.
+        """
         for node in sorted(self._stores):
             for tuple_id, row in self._stores[node].iter_rows():
                 yield tuple_id, node, row
@@ -197,23 +250,37 @@ class P2PDatabase:
     # oracle evaluation (for experiments / error measurement)
     # ------------------------------------------------------------------
 
+    def _tuple_order(self) -> np.ndarray:
+        """Every live tuple id in :meth:`iter_tuples` order.
+
+        Rebuilt only when :attr:`layout_version` moves; value writes keep
+        it valid.
+        """
+        if self._order is None or self._order[0] != self._layout_version:
+            order = np.fromiter(
+                chain.from_iterable(
+                    self._stores[node].tuple_ids() for node in sorted(self._stores)
+                ),
+                dtype=np.int64,
+                count=len(self._location),
+            )
+            self._order = (self._layout_version, order)
+        return self._order[1]
+
     def exact_values(self, expression: Expression) -> np.ndarray:
         """``expression`` evaluated over every tuple (oracle access)."""
         self._schema.validate_expression(expression)
-        parts = []
-        for node in sorted(self._stores):
-            store = self._stores[node]
-            if len(store):
-                parts.append(expression.evaluate_columns(store.columns()))
-        if not parts:
-            return np.empty(0, dtype=float)
-        return np.concatenate(parts)
+        # every attribute, so a constant expression still gets one value
+        # per tuple
+        columns = self.exact_columns(self._schema.attributes)
+        return expression.evaluate_columns(columns)
 
     def exact_columns(self, attributes: Iterable[str]) -> dict[str, np.ndarray]:
         """Whole-relation column arrays, row-aligned with :meth:`exact_values`.
 
-        Both iterate fragments in sorted-node order, so row ``i`` of the
-        returned columns is the tuple behind ``exact_values(...)[i]``.
+        Both gather through one tuple order — fragments in sorted-node
+        order, each in its local order — so row ``i`` of the returned
+        columns is the tuple behind ``exact_values(...)[i]``.
         """
         names = list(attributes)
         unknown = set(names) - set(self._schema.attributes)
@@ -222,15 +289,5 @@ class P2PDatabase:
                 f"unknown attributes {sorted(unknown)}; "
                 f"schema is {self._schema.attributes}"
             )
-        parts: dict[str, list[np.ndarray]] = {name: [] for name in names}
-        for node in sorted(self._stores):
-            store = self._stores[node]
-            if len(store):
-                for name in names:
-                    parts[name].append(store.column(name))
-        return {
-            name: (
-                np.concatenate(chunks) if chunks else np.empty(0, dtype=float)
-            )
-            for name, chunks in parts.items()
-        }
+        order = self._tuple_order()
+        return {name: self._columns.array(name)[order] for name in names}

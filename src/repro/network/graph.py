@@ -158,7 +158,8 @@ class OverlayGraph:
         node = self._next_id
         self._ensure_node(node)
         if attach_to is None:
-            candidates = [other for other in self._adjacency if other != node]
+            # the new node is the last key of the insertion-ordered dict
+            candidates = list(self._adjacency)[:-1]
             if candidates:
                 if not isinstance(rng, np.random.Generator):
                     seed = (node, self._version) if rng is None else rng

@@ -62,8 +62,8 @@ class TestInstance:
         for t in range(30):
             instance.step(t)
             assert instance.n_units_live() == instance.database.n_tuples
-            for state in instance._units.values():
-                assert state.tuple_id in instance.database
+            for tuple_id in instance._tuple_ids:
+                assert int(tuple_id) in instance.database
 
     def test_protected_origin_survives(self):
         instance = self._build(leave_probability=0.1)

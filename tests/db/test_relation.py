@@ -135,3 +135,119 @@ class TestTuples:
         db.delete(2)
         new = db.insert(1, {"v": 7.0})
         assert new == 3
+
+
+class TestUpdateMany:
+    def test_writes_every_value(self, db):
+        db.update_many("v", [2, 0], np.array([30.0, 10.0]))
+        assert db.read(0)["v"] == 10.0
+        assert db.read(1)["v"] == 2.0
+        assert db.read(2)["v"] == 30.0
+
+    def test_values_read_back_as_float64(self):
+        database = P2PDatabase(Schema(("v", "w")), nodes=[0, 1])
+        ids = [database.insert(i % 2, {"v": 0.0, "w": float(i)}) for i in range(4)]
+        database.update_many("v", ids, [1, 2, 3, 4])  # ints are stored as floats
+        row = database.read(ids[2])
+        assert row == {"v": 3.0, "w": 2.0}
+        assert type(row["v"]) is float
+        for node in (0, 1):
+            store = database.store(node)
+            column = store.column("v")
+            assert column.dtype == np.float64
+            assert column.tolist() == [
+                database.read(tid)["v"] for tid in store.tuple_ids()
+            ]
+            assert store.get(store.tuple_ids()[0])["v"] == column[0]
+        assert database.exact_columns(["v"])["v"].dtype == np.float64
+
+    def test_empty_is_a_no_op(self, db):
+        db.update_many("v", [], [])
+        assert sorted(db.exact_values(Expression("v")).tolist()) == [1.0, 2.0, 3.0]
+
+    def test_does_not_bump_layout_version(self, db):
+        before = db.layout_version
+        db.update_many("v", [0, 1, 2], [7.0, 8.0, 9.0])
+        assert db.layout_version == before
+
+    @pytest.mark.parametrize(
+        ("attribute", "tuple_ids", "values", "match"),
+        [
+            ("w", [0, 1], [5.0, 5.0], "unknown attribute"),
+            ("v", [0, 3], [5.0, 5.0], "outside the allocated range"),
+            ("v", [-1, 0], [5.0, 5.0], "outside the allocated range"),
+            ("v", [0, 1], [5.0, 5.0], "deleted"),
+            ("v", [2, 0, 2], [5.0, 5.0, 5.0], "repeated"),
+            ("v", [0, 2], [5.0], "equal-length"),
+            ("v", [0.0, 2.0], [5.0, 5.0], "integers"),
+        ],
+        ids=[
+            "unknown-attribute",
+            "unknown-id",
+            "negative-id",
+            "deleted-id",
+            "duplicate-ids",
+            "length-mismatch",
+            "float-ids",
+        ],
+    )
+    def test_rejection_writes_nothing(self, db, attribute, tuple_ids, values, match):
+        db.delete(1)
+        before = db.exact_values(Expression("v")).tolist()
+        version = db.layout_version
+        with pytest.raises(StoreError, match=match):
+            db.update_many(attribute, tuple_ids, values)
+        assert db.exact_values(Expression("v")).tolist() == before
+        assert db.layout_version == version
+
+
+class TestOracleOrder:
+    def _churned(self):
+        rng = np.random.default_rng(4)
+        database = P2PDatabase(Schema(("v", "w")), nodes=range(6))
+        next_node = 6
+        for step in range(30):
+            for _ in range(4):
+                node = database.nodes()[int(rng.integers(len(database.nodes())))]
+                database.insert(node, {"v": float(rng.normal()), "w": float(step)})
+            live = [tid for tid, _, _ in database.iter_tuples()]
+            database.delete(live[int(rng.integers(len(live)))])
+            if step % 7 == 6:
+                database.handle_churn(
+                    ChurnEvent(joined=[next_node], left=[database.nodes()[0]])
+                )
+                next_node += 1
+        return database
+
+    def test_matches_iter_tuples_after_churn(self):
+        database = self._churned()
+        triples = list(database.iter_tuples())
+        assert [node for _, node, _ in triples] == sorted(
+            node for _, node, _ in triples
+        )
+        values = database.exact_values(Expression("v + w"))
+        columns = database.exact_columns(["w", "v"])
+        assert values.tolist() == [row["v"] + row["w"] for _, _, row in triples]
+        assert columns["v"].tolist() == [row["v"] for _, _, row in triples]
+        assert columns["w"].tolist() == [row["w"] for _, _, row in triples]
+
+    def test_cached_order_follows_value_writes_and_layout_changes(self):
+        database = self._churned()
+        ids = [tid for tid, _, _ in database.iter_tuples()]
+        database.exact_values(Expression("v"))
+        database.update_many("v", ids, np.arange(len(ids), dtype=float))
+        assert database.exact_values(Expression("v")).tolist() == list(
+            range(len(ids))
+        )
+        database.delete(ids[0])
+        database.insert(database.nodes()[-1], {"v": -1.0, "w": 0.0})
+        expected = [row["v"] for _, _, row in database.iter_tuples()]
+        assert database.exact_values(Expression("v")).tolist() == expected
+
+    def test_constant_expression_has_one_value_per_tuple(self, db):
+        assert db.exact_values(Expression("2")).tolist() == [2.0, 2.0, 2.0]
+
+    def test_rows_are_fresh_dicts(self, db):
+        for _, _, row in db.iter_tuples():
+            row["v"] = -5.0
+        assert sorted(db.exact_values(Expression("v")).tolist()) == [1.0, 2.0, 3.0]

@@ -7,7 +7,11 @@ from hypothesis import strategies as st
 
 from repro.errors import TopologyError
 from repro.network.graph import OverlayGraph
-from repro.network.topology import mesh_topology, ring_topology
+from repro.network.topology import (
+    mesh_topology,
+    power_law_topology,
+    ring_topology,
+)
 
 
 @pytest.fixture
@@ -70,6 +74,32 @@ class TestMutation:
     def test_join_random_attachment(self, triangle):
         node = triangle.join(n_links=2, rng=np.random.default_rng(0))
         assert triangle.degree(node) == 2
+
+    def test_seeded_join_history_bootstrap_picks(self):
+        """Bootstrap links of a seeded 50-join history (with leaves) are pinned.
+
+        The candidate list's order feeds ``rng.choice``, so any reordering
+        of it moves every pick below.
+        """
+        rng = np.random.default_rng(3)
+        graph = OverlayGraph(power_law_topology(40, alpha=2.5, rng=rng), n_nodes=40)
+        picks = []
+        for i in range(50):
+            if i % 5 == 4:
+                nodes = graph.nodes()
+                graph.leave(nodes[int(rng.integers(len(nodes)))])
+            node = graph.join(n_links=2, rng=rng)
+            picks.append(list(graph.neighbors(node)))
+        assert picks == [
+            [32, 33], [27, 0], [38, 33], [32, 40], [16, 4], [28, 36], [21, 40],
+            [6, 9], [36, 13], [6, 12], [19, 26], [6, 30], [40, 9], [39, 2],
+            [16, 28], [24, 49], [13, 48], [8, 50], [55, 34], [27, 57],
+            [47, 18], [58, 3], [3, 21], [15, 11], [55, 39], [3, 7], [31, 25],
+            [56, 37], [49, 62], [52, 37], [58, 50], [20, 50], [25, 10],
+            [5, 50], [39, 4], [53, 43], [2, 37], [71, 8], [74, 44], [37, 29],
+            [1, 50], [16, 10], [57, 61], [30, 78], [31, 6], [63, 28], [85, 43],
+            [7, 25], [5, 81], [67, 66],
+        ]
 
     def test_ids_never_reused(self, triangle):
         node = triangle.join(attach_to=[0])
