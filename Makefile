@@ -3,7 +3,7 @@
 PYTHON ?= python
 
 .PHONY: install test bench results examples full-scale clean lint typecheck check \
-	perfbench-selftest bench-smoke
+	perfbench-selftest bench-smoke gates
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -29,8 +29,9 @@ typecheck:
 		echo "mypy not installed -- skipping (pip install mypy)"; \
 	fi
 
-# everything CI runs, in CI's order
-check: lint typecheck test perfbench-selftest bench-smoke
+# everything CI runs, in CI's order, except the fault- and obs-overhead
+# benches: they rewrite the committed BENCH_faults.json / BENCH_obs.json
+check: lint typecheck test perfbench-selftest bench-smoke gates
 
 # the benchmark harness's self-tests: a tiny run of every perfbench workload
 perfbench-selftest:
@@ -39,6 +40,18 @@ perfbench-selftest:
 # each micro-benchmark once, untimed, so they stay runnable
 bench-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_micro.py --benchmark-disable -q
+
+# CI's honesty gates: the traced fault, partition and SLO-audit smoke runs,
+# each replaying its trace against the live counters (traces go to a temp
+# dir, not the repo), and the protocol golden-trace equivalence
+gates:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	for experiment in fault_tolerance partition_tolerance slo_audit; do \
+		echo "=== $$experiment --smoke --verify-trace"; \
+		PYTHONPATH=src $(PYTHON) -m repro.experiments.$$experiment --smoke \
+			--trace-out "$$tmp/$$experiment.jsonl" --verify-trace || exit 1; \
+	done
+	PYTHONPATH=src $(PYTHON) -m pytest tests/protocol/test_runtime_equivalence.py -q
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -72,13 +72,15 @@ def main() -> None:
 
     # --- 3. two-stage vs cluster sampling --------------------------------
     truth = database.exact_values(Expression("v")).mean()
-    two_stage = [
-        s.row["v"] for s in operator.sample_tuples(database, 200, origin=0)
-    ]
+    # a sample is a tuple id; one gather reads a batch's values
+    def values(samples):
+        return database.gather(["v"], [s.tuple_id for s in samples])["v"]
+
+    two_stage = values(operator.sample_tuples(database, 200, origin=0))
     cluster_values = []
     while len(cluster_values) < 200:
         _, batch = operator.cluster_sample(database, origin=0)
-        cluster_values.extend(s.row["v"] for s in batch)
+        cluster_values.extend(values(batch).tolist())
     cluster_values = cluster_values[:200]
     print(
         f"AVG estimation with 200 tuples: truth={truth:+.3f}, "

@@ -26,8 +26,12 @@ from repro.core.estimators import (
 )
 from repro.core.query import Query
 from repro.core.snapshot import SnapshotEstimate
-from repro.db.aggregates import AggregateOp, mean_error_budget, sample_contribution
-from repro.db.expression import Row
+from repro.db.aggregates import (
+    AggregateOp,
+    mean_error_budget,
+    query_attributes,
+    tuple_values,
+)
 from repro.db.relation import P2PDatabase
 from repro.errors import QueryError
 from repro.sampling.operator import SampleSource
@@ -130,6 +134,7 @@ class SnapshotEvaluator:
             else lambda: database.n_tuples
         )
         self._config = config if config is not None else EvaluatorConfig()
+        self._attributes = query_attributes(query.expression, query.predicate)
 
     @property
     def config(self) -> EvaluatorConfig:
@@ -140,16 +145,13 @@ class SnapshotEvaluator:
         population = int(round(self._population_size_provider()))
         return population, mean_error_budget(self._query.op, epsilon, population)
 
-    def _values(self, rows: list[Row]) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row ``(y, indicator)`` arrays under the query's transform."""
+    def _values(self, tuple_ids: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """``(y, indicator)`` arrays of live tuples under the query's transform."""
         query = self._query
-        pairs = [
-            sample_contribution(query.op, query.expression, query.predicate, row)
-            for row in rows
-        ]
-        values = np.array([pair[0] for pair in pairs], dtype=float)
-        indicators = np.array([pair[1] for pair in pairs], dtype=float)
-        return values, indicators
+        columns = self._database.gather(self._attributes, tuple_ids)
+        return tuple_values(
+            query.op, query.expression, query.predicate, columns, len(tuple_ids)
+        )
 
     def _draw(self, n: int) -> tuple[list[int], np.ndarray, np.ndarray]:
         """Draw up to ``n`` fresh samples: ``(tuple_ids, y, indicator)``.
@@ -163,8 +165,9 @@ class SnapshotEvaluator:
         samples = self._operator.sample_tuples(
             self._database, n, self._origin, allow_partial=True
         )
-        values, indicators = self._values([s.row for s in samples])
-        return [s.tuple_id for s in samples], values, indicators
+        tuple_ids = [s.tuple_id for s in samples]
+        values, indicators = self._values(tuple_ids)
+        return tuple_ids, values, indicators
 
     def _draw_values(self, n: int) -> tuple[list[int], np.ndarray]:
         ids, values, _ = self._draw(n)

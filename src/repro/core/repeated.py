@@ -385,9 +385,7 @@ class RepeatedEvaluator(SnapshotEvaluator):
         matched_prev = np.array([value for _, value in matched], dtype=float)
         matched_ids = [tid for tid, _ in matched]
         # re-evaluation: already located, negligible communication cost
-        matched_curr = self._values(
-            [self._database.read(tid) for tid in matched_ids]
-        )[0]
+        matched_curr = self._values(matched_ids)[0]
 
         fresh_ids, fresh_values = self._draw_values(n_needed - len(matched_ids))
 

@@ -60,7 +60,7 @@ from repro.obs.schema import SPAN_POOL_SERVE, SPAN_SNAPSHOT_QUERY, SPAN_WALK
 from repro.obs.tracer import RunMetricsSink, SinkTracer, Span, TraceEvent
 from repro.protocol.batching import WalkDemand, coalesce_demands
 from repro.sampling.operator import SamplerConfig
-from repro.sampling.pool import PoolConfig, SamplePool
+from repro.sampling.pool import SamplePool
 from repro.sim.engine import PRIORITY_QUERY, SimulationEngine
 from repro.sim.metrics import RunMetrics
 
@@ -235,9 +235,8 @@ class DigestSession:
     """Many continuous queries answered at one querying node.
 
     Parameters mirror the historical single-query engine where they
-    overlap; ``pool_config`` tunes sample-reuse freshness
-    (:class:`~repro.sampling.pool.PoolConfig`) and ``faults`` injects the
-    PR 2 failure model into the shared operator.
+    overlap; ``faults`` injects the failure model into the shared
+    operator.
     """
 
     def __init__(
@@ -248,7 +247,6 @@ class DigestSession:
         rng: np.random.Generator,
         ledger: MessageLedger | None = None,
         sampler_config: SamplerConfig | None = None,
-        pool_config: PoolConfig | None = None,
         faults: FaultPlan | None = None,
         tracer: SinkTracer | None = None,
         partitions: PartitionPlan | None = None,
@@ -284,7 +282,6 @@ class DigestSession:
             sampler_config,
             faults=faults,
             tracer=self.tracer,
-            config=pool_config,
             partitions=partitions,
         )
         self._runtimes: dict[str, QueryRuntime] = {}

@@ -19,7 +19,7 @@ from repro.db.aggregates import (
     AggregateOp,
     estimate_from_mean,
     exact_aggregate,
-    sample_contribution,
+    tuple_values,
 )
 from repro.db.expression import Expression
 from repro.db.predicate import Predicate
@@ -36,5 +36,5 @@ __all__ = [
     "Schema",
     "estimate_from_mean",
     "exact_aggregate",
-    "sample_contribution",
+    "tuple_values",
 ]

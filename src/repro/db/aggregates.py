@@ -20,10 +20,11 @@ achieve (``epsilon / N`` for SUM/COUNT).
 from __future__ import annotations
 
 import enum
+from typing import Mapping
 
 import numpy as np
 
-from repro.db.expression import Expression, Row
+from repro.db.expression import Expression
 from repro.db.predicate import Predicate
 from repro.db.relation import P2PDatabase
 from repro.errors import QueryError
@@ -43,18 +44,6 @@ class AggregateOp(enum.Enum):
         except KeyError:
             valid = ", ".join(op.value for op in cls)
             raise QueryError(f"unknown aggregate {text!r}; expected one of {valid}")
-
-
-def tuple_values(op: AggregateOp, expression: Expression, rows: np.ndarray) -> np.ndarray:
-    """Per-tuple values ``y_i`` whose mean the estimator targets.
-
-    ``rows`` holds expression values; COUNT replaces them with the non-zero
-    indicator so the mean becomes the counted fraction.
-    """
-    values = np.asarray(rows, dtype=float)
-    if op is AggregateOp.COUNT:
-        return (values != 0.0).astype(float)
-    return values
 
 
 def scale_factor(op: AggregateOp, population_size: int) -> float:
@@ -84,15 +73,28 @@ def mean_error_budget(op: AggregateOp, epsilon: float, population_size: int) -> 
     return epsilon / scale
 
 
-def sample_contribution(
+def query_attributes(
+    expression: Expression, predicate: Predicate | None
+) -> list[str]:
+    """The attributes ``op(expression) WHERE predicate`` reads, sorted."""
+    names = set(expression.attributes)
+    if predicate is not None:
+        names |= predicate.attributes
+    return sorted(names)
+
+
+def tuple_values(
     op: AggregateOp,
     expression: Expression,
     predicate: Predicate | None,
-    row: Row,
-) -> tuple[float, float]:
-    """Per-sample ``(y, indicator)`` pair for one tuple.
+    columns: Mapping[str, np.ndarray],
+    size: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-tuple ``(y, indicator)`` arrays over ``size`` rows of ``columns``.
 
-    ``indicator`` is 1.0 when the tuple qualifies under ``predicate``
+    ``columns`` holds at least :func:`query_attributes`; a constant
+    expression needs none, so ``size`` fixes the row count.
+    ``indicator`` is 1.0 where the tuple qualifies under ``predicate``
     (always 1.0 without one). ``y`` is the masked contribution:
 
     * AVG — ``expr * indicator``; the subpopulation mean is the *ratio*
@@ -102,11 +104,16 @@ def sample_contribution(
     * SUM — ``expr * indicator`` (``SUM = N * E[y]``);
     * COUNT — ``indicator * (expr != 0)`` (``COUNT = N * E[y]``).
     """
-    satisfied = 1.0 if predicate is None or predicate.evaluate(row) else 0.0
+    expressed = np.broadcast_to(expression.evaluate_columns(columns), size)
+    if predicate is None:
+        indicators = np.ones(size)
+    else:
+        indicators = np.broadcast_to(
+            predicate.evaluate_columns(columns), size
+        ).astype(float)
     if op is AggregateOp.COUNT:
-        value = 1.0 if expression.evaluate(row) != 0.0 else 0.0
-        return value * satisfied, satisfied
-    return expression.evaluate(row) * satisfied, satisfied
+        expressed = (expressed != 0.0).astype(float)
+    return expressed * indicators, indicators
 
 
 def exact_aggregate(
@@ -116,24 +123,23 @@ def exact_aggregate(
     predicate: Predicate | None = None,
 ) -> float:
     """Oracle aggregate over the full relation (used for error measurement)."""
-    raw = database.exact_values(expression)
-    if predicate is not None:
-        columns = database.exact_columns(
-            sorted(set(expression.attributes) | set(predicate.attributes))
-        )
-        mask = predicate.evaluate_columns(columns)
-    else:
-        mask = np.ones(raw.size, dtype=bool)
-    values = tuple_values(op, expression, raw)
+    size = database.n_tuples
+    values, indicators = tuple_values(
+        op,
+        expression,
+        predicate,
+        database.exact_columns(query_attributes(expression, predicate)),
+        size,
+    )
     if op is AggregateOp.AVG:
-        if not mask.any():
+        qualifying = indicators != 0.0
+        if not qualifying.any():
             raise QueryError(
                 "AVG is undefined: no tuple satisfies the predicate"
                 if predicate is not None
                 else "AVG over an empty relation is undefined"
             )
-        return float(values[mask].mean())
-    if values.size == 0:
+        return float(values[qualifying].mean())
+    if size == 0:
         return 0.0
-    masked = np.where(mask, values, 0.0)
-    return estimate_from_mean(op, float(masked.mean()), database.n_tuples)
+    return estimate_from_mean(op, float(values.mean()), size)

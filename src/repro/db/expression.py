@@ -325,9 +325,16 @@ class Expression:
             raise ExpressionError(
                 f"columns missing attributes {sorted(missing)} for {self._text!r}"
             )
-        result = np.asarray(
-            self._evaluate_node_vectorized(self._root, columns), dtype=float
-        )
+        # an overflow or inf - inf surfaces as a non-finite value and is
+        # rejected below, as evaluate() rejects it row by row
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = np.asarray(
+                self._evaluate_node_vectorized(self._root, columns), dtype=float
+            )
+        if not np.isfinite(result).all():
+            raise ExpressionError(
+                f"expression {self._text!r} produced non-finite values"
+            )
         if result.ndim == 0:
             # constant expression: broadcast to the column length
             length = len(next(iter(columns.values()))) if columns else 1

@@ -109,9 +109,18 @@ class _Logical(_PredicateNode):
         return self.left.evaluate(row) or self.right.evaluate(row)
 
     def evaluate_columns(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
-        left = self.left.evaluate_columns(columns)
-        right = self.right.evaluate_columns(columns)
-        return left & right if self.op == "AND" else left | right
+        left = np.asarray(self.left.evaluate_columns(columns))
+        # as in evaluate(), the right operand runs only where the left one
+        # leaves the answer open, so it may rely on the left holding
+        open_rows = left if self.op == "AND" else ~left
+        if not columns:
+            # constants only: a single row, with no columns to subset
+            return self.right.evaluate_columns(columns) if open_rows.all() else left
+        result = left.copy()
+        result[open_rows] = self.right.evaluate_columns(
+            {name: column[open_rows] for name, column in columns.items()}
+        )
+        return result
 
     def attributes(self) -> set[str]:
         return self.left.attributes() | self.right.attributes()

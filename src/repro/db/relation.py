@@ -5,9 +5,9 @@
 (:class:`~repro.db.store.Columns`), one :class:`~repro.db.store.LocalStore`
 per live node over them, a global tuple-location index, and global id
 allocation. It is the ground truth the simulator maintains; query engines
-never read it wholesale — they interact only through the sampling operator
-(plus the per-tuple ``read`` used to re-evaluate retained samples) — but
-experiments use :meth:`exact_values` as the oracle for error measurement.
+never read it wholesale — they draw tuple ids through the sampling operator
+and read those tuples' values with one :meth:`gather` — but experiments use
+:meth:`exact_values` as the oracle for error measurement.
 """
 
 from __future__ import annotations
@@ -235,6 +235,32 @@ class P2PDatabase:
     def __contains__(self, tuple_id: int) -> bool:
         return tuple_id in self._location
 
+    def live_mask(self, tuple_ids: Sequence[int] | np.ndarray) -> np.ndarray:
+        """Which of ``tuple_ids`` name live tuples, as one boolean array."""
+        ids = np.asarray(tuple_ids, dtype=np.int64)
+        mask = np.zeros(ids.shape, dtype=bool)
+        allocated = (ids >= 0) & (ids < self._next_tuple_id)
+        mask[allocated] = self._live[ids[allocated]]
+        return mask
+
+    def gather(
+        self, attributes: Iterable[str], tuple_ids: Sequence[int] | np.ndarray
+    ) -> dict[str, np.ndarray]:
+        """The values of ``attributes`` at ``tuple_ids``, one column each.
+
+        Column ``a`` holds attribute ``a`` of ``tuple_ids[i]`` at row ``i``;
+        ids may repeat, as samples drawn with replacement do. An unknown
+        attribute, or an id that is not an integer or names no live
+        tuple, raises :class:`StoreError`.
+        """
+        ids = np.asarray(tuple_ids)
+        if ids.size and ids.dtype.kind not in "iu":
+            raise StoreError(f"tuple ids must be integers, got {ids.dtype}")
+        ids = ids.astype(np.int64, copy=False)
+        if not self.live_mask(ids).all():
+            raise StoreError("tuple ids of unknown or deleted tuples")
+        return {name: self._columns.array(name)[ids] for name in attributes}
+
     def iter_tuples(self) -> Iterator[tuple[int, int, dict[str, float]]]:
         """Iterate ``(tuple_id, node, row)`` across the whole relation.
 
@@ -276,18 +302,10 @@ class P2PDatabase:
         return expression.evaluate_columns(columns)
 
     def exact_columns(self, attributes: Iterable[str]) -> dict[str, np.ndarray]:
-        """Whole-relation column arrays, row-aligned with :meth:`exact_values`.
+        """:meth:`gather` over every live tuple, in :meth:`exact_values` order.
 
-        Both gather through one tuple order — fragments in sorted-node
+        Both read through one tuple order — fragments in sorted-node
         order, each in its local order — so row ``i`` of the returned
         columns is the tuple behind ``exact_values(...)[i]``.
         """
-        names = list(attributes)
-        unknown = set(names) - set(self._schema.attributes)
-        if unknown:
-            raise StoreError(
-                f"unknown attributes {sorted(unknown)}; "
-                f"schema is {self._schema.attributes}"
-            )
-        order = self._tuple_order()
-        return {name: self._columns.array(name)[order] for name in names}
+        return self.gather(attributes, self._tuple_order())

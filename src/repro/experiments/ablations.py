@@ -27,7 +27,7 @@ from repro.network.topology import mesh_topology, power_law_topology, ring_topol
 from repro.obs.console import emit
 from repro.sampling.metropolis import metropolis_matrix
 from repro.sampling.mixing import total_variation
-from repro.sampling.operator import SamplerConfig
+from repro.sampling.operator import SamplerConfig, TupleSample
 from repro.sampling.pool import SamplePool
 from repro.sampling.weights import uniform_weights
 from repro.core.repeated import combined_variance, optimal_partition
@@ -169,6 +169,11 @@ class ClusterResult:
         )
 
 
+def _values(database: P2PDatabase, samples: list[TupleSample]) -> np.ndarray:
+    """Attribute ``v`` of the sampled tuples, in sample order."""
+    return database.gather(["v"], [s.tuple_id for s in samples])["v"]
+
+
 def cluster_sampling_ablation(
     n_nodes: int = 144,
     tuples_per_node: int = 8,
@@ -193,7 +198,7 @@ def cluster_sampling_ablation(
             graph, np.random.default_rng(seed + 10 + trial)
         ).operator
         samples = operator.sample_tuples(database, budget, origin=0)
-        estimate = float(np.mean([s.row["v"] for s in samples]))
+        estimate = float(np.mean(_values(database, samples)))
         errors["two_stage"].append((estimate - truth) ** 2)
 
         operator_c = SamplePool(
@@ -202,7 +207,7 @@ def cluster_sampling_ablation(
         values: list[float] = []
         while len(values) < budget:
             _, batch = operator_c.cluster_sample(database, origin=0)
-            values.extend(s.row["v"] for s in batch)
+            values.extend(_values(database, batch).tolist())
         estimate_c = float(np.mean(values[:budget]))
         errors["cluster"].append((estimate_c - truth) ** 2)
     return ClusterResult(
@@ -327,7 +332,7 @@ def importance_sampling_ablation(
             sampler_config=SamplerConfig(continued_walks=False),
         ).operator
         samples = operator.sample_tuples(database, budget, origin=0)
-        estimate = float(np.mean([s.row["v"] for s in samples]))
+        estimate = float(np.mean(_values(database, samples)))
         errors["metropolis"].append((estimate - truth) ** 2)
 
         sampler = ImportanceSampler(

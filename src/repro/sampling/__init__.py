@@ -38,7 +38,7 @@ from repro.sampling.operator import (
     SamplingOperator,
     TupleSample,
 )
-from repro.sampling.pool import PoolConfig, PooledSample, PoolLease, SamplePool
+from repro.sampling.pool import PoolLease, SamplePool
 from repro.sampling.size_estimation import (
     estimate_network_size,
     estimate_relation_size,
@@ -50,9 +50,7 @@ from repro.sampling.weights import (
 )
 
 __all__ = [
-    "PoolConfig",
     "PoolLease",
-    "PooledSample",
     "SamplePool",
     "SamplerConfig",
     "SampleSource",

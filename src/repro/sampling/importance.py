@@ -101,12 +101,11 @@ class ImportanceSampler:
                 if len(store) == 0:
                     continue  # plain walks do land on empty nodes
                 tuple_id = store.sample_uniform(self._rng)
-                row = store.get(tuple_id)
                 samples.append(
                     WeightedSample(
                         tuple_id=tuple_id,
                         node=node,
-                        value=expression.evaluate(row),
+                        value=expression.evaluate(database.read(tuple_id)),
                         weight=len(store) / self._graph.degree(node),
                     )
                 )

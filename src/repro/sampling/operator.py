@@ -101,11 +101,14 @@ class SamplerConfig:
 
 @dataclass(frozen=True)
 class TupleSample:
-    """One sampled tuple: where it lives and its state when sampled."""
+    """One sampled tuple: its id and the node it was drawn at.
+
+    A sample carries no values; estimators read them for a whole batch
+    of ids with :meth:`~repro.db.relation.P2PDatabase.gather`.
+    """
 
     tuple_id: int
     node: int
-    row: dict[str, float]
 
 
 class SampleSource(Protocol):
@@ -554,10 +557,7 @@ class SamplingOperator:
                 store = database.store(node)
                 if len(store) == 0:
                     continue  # zero-weight node reached; re-draw below
-                tuple_id = store.sample_uniform(self._rng)
-                samples.append(
-                    TupleSample(tuple_id=tuple_id, node=node, row=store.get(tuple_id))
-                )
+                samples.append(TupleSample(store.sample_uniform(self._rng), node))
             need = n - len(samples)
         if need > 0:
             if allow_partial:
@@ -589,12 +589,8 @@ class SamplingOperator:
         from repro.sampling.weights import uniform_weights
 
         node = self.sample_nodes(uniform_weights(), 1, origin)[0]
-        store = database.store(node)
-        batch = [
-            TupleSample(tuple_id=tuple_id, node=node, row=dict(row))
-            for tuple_id, row in store.iter_rows()
-        ]
-        return node, batch
+        tuple_ids = database.store(node).tuple_ids()
+        return node, [TupleSample(tuple_id, node) for tuple_id in tuple_ids]
 
     def reset_pool(self) -> None:
         """Drop continued-walk state (e.g. between independent experiments)."""

@@ -19,15 +19,16 @@ each query's marginal ``(epsilon, p)`` contract is untouched.
 * it **owns** the :class:`~repro.sampling.operator.SamplingOperator`
   (digest-lint DGL008 forbids constructing one anywhere else outside
   :mod:`repro.sampling`) and is the only way queries reach it;
-* every pooled sample carries a **freshness epoch** (the simulated time it
-  was drawn at) and a monotonically increasing **serial**;
-  :meth:`begin_epoch` evicts samples older than ``max_age`` epochs — the
-  default ``max_age=0`` keeps only same-tick samples, the paper's
-  static-during-occasion assumption;
-* each consumer (query) holds a **cursor**: the highest serial it has
-  consumed. :meth:`acquire` serves only samples *beyond* the cursor, so a
-  query topping up sequentially never double-counts a draw, while two
-  different queries overlap fully on the same pooled samples;
+* the pool holds only the current **freshness epoch**'s draws (the
+  simulated tick they were drawn at), in draw order, with their tuple
+  ids as one array; :meth:`begin_epoch` drops the previous tick's — the
+  paper's static-during-occasion assumption. Draws whose tuple was
+  deleted since are skipped through one liveness mask over that array;
+* each consumer (query) holds a **cursor**: the position of the first
+  draw it has not been served. :meth:`acquire` serves only draws at or
+  beyond the cursor, so a query topping up sequentially never
+  double-counts a draw, while two different queries overlap fully on the
+  same pooled samples;
 * only the marginal shortfall ``n_required - n_pooled`` is drawn fresh
   through the operator — the pool hit/miss split is counted
   (:attr:`pool_hits` / :attr:`pool_misses`), traced (``pool_serve``
@@ -40,8 +41,6 @@ each query's marginal ``(epsilon, p)`` contract is untouched.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,32 +63,8 @@ from repro.sampling.operator import (
 )
 from repro.sampling.weights import WeightFunction
 
-
-@dataclass(frozen=True)
-class PoolConfig:
-    """Freshness policy of the shared pool.
-
-    ``max_age`` is the number of epochs a pooled sample stays servable
-    after the epoch it was drawn in: ``0`` (default) restricts reuse to
-    the same simulated tick — the paper's static-during-occasion model —
-    while larger values let slowly-changing relations amortize walks
-    across nearby occasions at the cost of serving slightly stale rows.
-    """
-
-    max_age: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_age < 0:
-            raise SamplingError(f"max_age must be >= 0, got {self.max_age}")
-
-
-@dataclass(frozen=True)
-class PooledSample:
-    """One pooled tuple sample with its freshness/ordering tags."""
-
-    sample: TupleSample
-    epoch: int
-    serial: int
+_NO_IDS = np.empty(0, dtype=np.int64)
+_NO_IDS.setflags(write=False)
 
 
 class SamplePool:
@@ -107,7 +82,6 @@ class SamplePool:
         sampler_config: SamplerConfig | None = None,
         faults: FaultPlan | None = None,
         tracer: Tracer | None = None,
-        config: PoolConfig | None = None,
         partitions: PartitionPlan | None = None,
     ) -> None:
         self._tracer = tracer if tracer is not None else NULL_TRACER
@@ -120,11 +94,13 @@ class SamplePool:
             tracer=self._tracer,
             partitions=partitions,
         )
-        self._config = config if config is not None else PoolConfig()
         self._epoch: int = NO_TIME
-        self._samples: list[PooledSample] = []
+        #: the epoch's draws in draw order, their tuple ids as an array,
+        #: and each consumer's cursor: the position of its first unserved
+        #: draw. A hit hands out the drawn object itself, allocating nothing
+        self._draws: list[TupleSample] = []
+        self._ids = _NO_IDS
         self._cursors: dict[str, int] = {}
-        self._next_serial = 0
         self.pool_hits = 0
         self.pool_misses = 0
 
@@ -134,18 +110,9 @@ class SamplePool:
         return self._operator
 
     @property
-    def config(self) -> PoolConfig:
-        return self._config
-
-    @property
-    def epoch(self) -> int:
-        """Current freshness epoch (``NO_TIME`` before the first one)."""
-        return self._epoch
-
-    @property
     def n_pooled(self) -> int:
-        """Samples currently held (all epochs still within ``max_age``)."""
-        return len(self._samples)
+        """Draws held for the current epoch (deleted tuples included)."""
+        return len(self._draws)
 
     @property
     def hit_rate(self) -> float:
@@ -162,21 +129,23 @@ class SamplePool:
     # ------------------------------------------------------------------
 
     def begin_epoch(self, time: int) -> None:
-        """Advance the freshness epoch to ``time`` and evict stale samples.
+        """Advance the freshness epoch to ``time``, dropping older draws.
 
-        Idempotent per tick. Serials keep increasing across epochs, so
-        consumer cursors stay valid through evictions.
+        Idempotent per tick. Every cursor restarts with the empty pool.
         """
         if time == self._epoch:
             return
         self._epoch = time
-        horizon = time - self._config.max_age
-        self._samples = [s for s in self._samples if s.epoch >= horizon]
+        self._clear()
+
+    def _clear(self) -> None:
+        self._draws = []
+        self._ids = _NO_IDS
+        self._cursors = {}
 
     def reset(self) -> None:
         """Drop all pooled samples, cursors, and hit/miss counters."""
-        self._samples = []
-        self._cursors = {}
+        self._clear()
         self.pool_hits = 0
         self.pool_misses = 0
 
@@ -189,11 +158,12 @@ class SamplePool:
         directions (a heal makes pre-heal samples under-cover the
         returned region; a cut makes pre-cut samples leak the
         unreachable side), so the pool drops them all rather than trying
-        to filter. Serials keep increasing, so consumer cursors stay
-        valid. Returns the number of samples evicted.
+        to filter. Every cursor restarts with the empty pool, so no
+        consumer is served a draw twice. Returns the number of samples
+        evicted.
         """
-        n_evicted = len(self._samples)
-        self._samples = []
+        n_evicted = len(self._draws)
+        self._clear()
         self._tracer.event(
             EVENT_POOL_INVALIDATE,
             time=time,
@@ -206,25 +176,15 @@ class SamplePool:
     # serving
     # ------------------------------------------------------------------
 
-    def _admit(self, fresh: list[TupleSample]) -> list[PooledSample]:
-        admitted = []
-        for sample in fresh:
-            admitted.append(
-                PooledSample(
-                    sample=sample, epoch=self._epoch, serial=self._next_serial
-                )
-            )
-            self._next_serial += 1
-        self._samples.extend(admitted)
-        return admitted
+    def _admit(self, fresh: list[TupleSample]) -> None:
+        self._draws.extend(fresh)
+        self._ids = np.append(
+            self._ids, np.array([s.tuple_id for s in fresh], dtype=np.int64)
+        )
 
-    def _servable(self, database: P2PDatabase, cursor: int) -> list[PooledSample]:
-        """Live pooled samples beyond ``cursor`` (dead tuples evicted)."""
-        if any(s.sample.tuple_id not in database for s in self._samples):
-            self._samples = [
-                s for s in self._samples if s.sample.tuple_id in database
-            ]
-        return [s for s in self._samples if s.serial > cursor]
+    def _servable(self, database: P2PDatabase, cursor: int) -> np.ndarray:
+        """Positions from ``cursor`` on whose tuple is still live."""
+        return cursor + np.flatnonzero(database.live_mask(self._ids[cursor:]))
 
     def acquire(
         self,
@@ -248,7 +208,7 @@ class SamplePool:
             raise SamplingError(f"cannot serve {n} samples")
         if n == 0:
             return []
-        cursor = self._cursors.get(consumer, -1)
+        cursor = self._cursors.get(consumer, 0)
         span = self._tracer.span(
             SPAN_POOL_SERVE,
             n_requested=n,
@@ -257,25 +217,26 @@ class SamplePool:
         )
         hits = self._servable(database, cursor)[:n]
         shortfall = n - len(hits)
-        served = [pooled.sample for pooled in hits]
-        drawn: list[PooledSample] = []
+        served = [self._draws[position] for position in hits.tolist()]
+        fresh: list[TupleSample] = []
         if shortfall > 0:
+            # every live draw past the cursor is among the hits, so the
+            # cursor moves past the whole pool, fresh draws included
             fresh = self._operator.sample_tuples(
                 database, shortfall, origin, max_retries, allow_partial
             )
-            drawn = self._admit(fresh)
+            self._admit(fresh)
             served.extend(fresh)
+            self._cursors[consumer] = len(self._ids)
+        else:
+            self._cursors[consumer] = int(hits[-1]) + 1
         self.pool_hits += len(hits)
         self.pool_misses += shortfall
-        last_serial = max(
-            (pooled.serial for pooled in (*hits, *drawn)), default=cursor
-        )
-        self._cursors[consumer] = max(cursor, last_serial)
         self._tracer.end(
             span,
             n_hit=len(hits),
             n_miss=shortfall,
-            n_drawn=len(drawn),
+            n_drawn=len(fresh),
         )
         return served
 
@@ -298,7 +259,7 @@ class SamplePool:
         """
         if n < 0:
             raise SamplingError(f"cannot prefetch {n} samples")
-        available = len(self._servable(database, -1))
+        available = len(self._servable(database, 0))
         need = n - available
         if need <= 0:
             return 0

@@ -8,7 +8,7 @@ from repro.core.estimators import ratio_estimate
 from repro.core.independent import IndependentEvaluator
 from repro.core.query import ContinuousQuery, Precision, parse_query
 from repro.core.repeated import RepeatedEvaluator
-from repro.db.aggregates import exact_aggregate, sample_contribution
+from repro.db.aggregates import AggregateOp, exact_aggregate, tuple_values
 from repro.db.expression import Expression
 from repro.db.predicate import Predicate
 from repro.db.relation import P2PDatabase, Schema
@@ -53,42 +53,70 @@ class TestQueryParsing:
             parse_query("SELECT AVG(mem) FROM R WHERE cpu +")
 
 
+def _contribution(op, expression, predicate, row):
+    """``tuple_values`` over a one-row relation, as a ``(y, indicator)`` pair."""
+    columns = {name: np.array([value]) for name, value in row.items()}
+    y, indicator = tuple_values(op, expression, predicate, columns, 1)
+    return float(y[0]), float(indicator[0])
+
+
 class TestSampleContribution:
     def test_avg_masking(self):
-        from repro.db.aggregates import AggregateOp
-
         expression = Expression("mem")
         predicate = Predicate("cpu > 2")
-        y, i = sample_contribution(
+        y, i = _contribution(
             AggregateOp.AVG, expression, predicate, {"mem": 5.0, "cpu": 3.0}
         )
         assert (y, i) == (5.0, 1.0)
-        y, i = sample_contribution(
+        y, i = _contribution(
             AggregateOp.AVG, expression, predicate, {"mem": 5.0, "cpu": 1.0}
         )
         assert (y, i) == (0.0, 0.0)
 
     def test_count_requires_nonzero_and_predicate(self):
-        from repro.db.aggregates import AggregateOp
-
         expression = Expression("mem")
         predicate = Predicate("cpu > 2")
-        y, _ = sample_contribution(
+        y, _ = _contribution(
             AggregateOp.COUNT, expression, predicate, {"mem": 0.0, "cpu": 3.0}
         )
         assert y == 0.0
-        y, _ = sample_contribution(
+        y, _ = _contribution(
             AggregateOp.COUNT, expression, predicate, {"mem": 2.0, "cpu": 3.0}
         )
         assert y == 1.0
 
     def test_no_predicate_indicator_one(self):
-        from repro.db.aggregates import AggregateOp
-
-        y, i = sample_contribution(
-            AggregateOp.SUM, Expression("mem"), None, {"mem": 4.0}
-        )
+        y, i = _contribution(AggregateOp.SUM, Expression("mem"), None, {"mem": 4.0})
         assert (y, i) == (4.0, 1.0)
+
+    @pytest.mark.parametrize("op", list(AggregateOp))
+    @pytest.mark.parametrize("where", [None, "cpu > 2 AND mem < 8"])
+    def test_every_tuple_matches_oracle_and_rows(self, world, op, where):
+        """Over the whole relation: the oracle's numbers, row by row."""
+        _, database = world
+        expression = Expression("mem * 2 - cpu")
+        predicate = Predicate(where) if where is not None else None
+        triples = list(database.iter_tuples())
+        ids = [tuple_id for tuple_id, _, _ in triples]
+        y, indicator = tuple_values(
+            op,
+            expression,
+            predicate,
+            database.gather(["cpu", "mem"], ids),
+            len(ids),
+        )
+        # the reference: the scalar interpreters, one row at a time
+        for k, (_, _, row) in enumerate(triples):
+            satisfied = 1.0 if predicate is None or predicate.evaluate(row) else 0.0
+            value = expression.evaluate(row)
+            if op is AggregateOp.COUNT:
+                value = 1.0 if value != 0.0 else 0.0
+            assert (y[k], indicator[k]) == (value * satisfied, satisfied)
+        truth = exact_aggregate(database, op, expression, predicate)
+        if op is AggregateOp.AVG:
+            assert truth == y[indicator.astype(bool)].mean()
+        else:
+            assert truth == y.mean() * len(ids)
 
 
 class TestRatioEstimator:

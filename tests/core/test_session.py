@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.engine import DigestEngine, EngineConfig
+from repro.core.independent import EvaluatorConfig
 from repro.core.query import ContinuousQuery, Precision, parse_query
 from repro.core.session import DigestSession, QuerySet
+from repro.db.aggregates import exact_aggregate
 from repro.db.expression import Expression
 from repro.db.relation import P2PDatabase, Schema
 from repro.errors import QueryError
@@ -137,6 +139,28 @@ class TestSharedSampling:
         for t in range(3):
             session.step(t)
         assert session.pool.pool_hits > 0
+
+    @pytest.mark.parametrize("evaluator", ["independent", "repeated"])
+    def test_constant_expressions_get_one_value_per_sample(self, evaluator):
+        """COUNT(1) and SUM(2) read no attribute, yet every sample counts."""
+        graph, database = _world(seed=4)
+        session = DigestSession(graph, database, 0, np.random.default_rng(5))
+        config = EngineConfig(scheduler="all", evaluator=evaluator)
+        queries = {}
+        for text in ("SELECT COUNT(1) FROM R", "SELECT SUM(2) FROM R"):
+            qid = session.add_query(_query(text, epsilon=5.0, duration=3), config)
+            queries[qid] = parse_query(text)
+        fresh = dict.fromkeys(queries, 0)
+        for t in range(3):
+            for qid, estimate in session.step(t).items():
+                query = queries[qid]
+                truth = exact_aggregate(database, query.op, query.expression)
+                assert abs(estimate.aggregate - truth) <= 5.0
+                assert estimate.n_total >= EvaluatorConfig().pilot_size
+                fresh[qid] += estimate.n_fresh
+        for qid, n_fresh in fresh.items():
+            metrics = session.runtime(qid).metrics
+            assert n_fresh == metrics.pool_hits + metrics.pool_misses
 
     def test_single_query_session_never_coalesces(self):
         graph, database = _world(seed=2)

@@ -29,19 +29,15 @@ class TestOpParsing:
 class TestTransforms:
     def test_avg_sum_pass_through(self):
         values = np.array([1.0, 2.0, 0.0])
-        np.testing.assert_allclose(
-            tuple_values(AggregateOp.AVG, Expression("v"), values), values
-        )
-        np.testing.assert_allclose(
-            tuple_values(AggregateOp.SUM, Expression("v"), values), values
-        )
+        for op in (AggregateOp.AVG, AggregateOp.SUM):
+            y, indicator = tuple_values(op, Expression("v"), None, {"v": values}, 3)
+            np.testing.assert_allclose(y, values)
+            np.testing.assert_allclose(indicator, 1.0)
 
     def test_count_indicator(self):
         values = np.array([1.0, 0.0, -2.0, 0.0])
-        np.testing.assert_allclose(
-            tuple_values(AggregateOp.COUNT, Expression("v"), values),
-            [1.0, 0.0, 1.0, 0.0],
-        )
+        y, _ = tuple_values(AggregateOp.COUNT, Expression("v"), None, {"v": values}, 4)
+        np.testing.assert_allclose(y, [1.0, 0.0, 1.0, 0.0])
 
     def test_scale_factors(self):
         assert scale_factor(AggregateOp.AVG, 100) == 1.0

@@ -1,6 +1,7 @@
 """Tests for the arithmetic expression language."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +81,16 @@ class TestEvaluationErrors:
     def test_nonfinite_result_rejected(self):
         with pytest.raises(ExpressionError):
             Expression("a ** b").evaluate({"a": 10.0, "b": 400.0})
+
+    def test_vectorized_nonfinite_result_rejected(self):
+        """An overflow raises over columns as it does row by row."""
+        expression = Expression("a * a")
+        with pytest.raises(ExpressionError, match="non-finite"):
+            expression.evaluate({"a": 1e200})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ExpressionError, match="non-finite"):
+                expression.evaluate_columns({"a": np.array([1.0, 1e200])})
 
 
 class TestVectorized:

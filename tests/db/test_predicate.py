@@ -97,6 +97,25 @@ class TestVectorized:
         ]
         assert vectorized.tolist() == scalar
 
+    @pytest.mark.parametrize(
+        "text",
+        ["x > 0 AND 1 / x > 2", "x = 0 OR 1 / x > 2", "NOT (x = 0 OR 1 / x < 2)"],
+    )
+    def test_right_operand_only_on_undecided_rows(self, text):
+        """AND/OR short-circuit per row: no division by zero at x = 0."""
+        predicate = Predicate(text)
+        x = np.array([0.0, 0.25, 1.0, 0.0])
+        scalar = [predicate.evaluate({"x": value}) for value in x.tolist()]
+        assert predicate.evaluate_columns({"x": x}).tolist() == scalar
+
+    @pytest.mark.parametrize(
+        ("text", "expected"),
+        [("1 > 2 AND 1 / 0 > 1", False), ("1 < 2 OR 1 / 0 > 1", True)],
+    )
+    def test_constant_operands_short_circuit(self, text, expected):
+        assert Predicate(text).evaluate_columns({}).tolist() == [expected]
+        assert Predicate(text).evaluate({}) is expected
+
     def test_constant_predicate_broadcasts(self):
         result = Predicate("1 > 0").evaluate_columns({"a": np.zeros(3)})
         assert result.tolist() == [True, True, True]

@@ -191,9 +191,11 @@ class TestTupleSampling:
     def test_sample_row_matches_database(self):
         graph, database = _world()
         operator = SamplingOperator(graph, np.random.default_rng(0))
-        for sample in operator.sample_tuples(database, 10, origin=0):
+        samples = operator.sample_tuples(database, 10, origin=0)
+        values = database.gather(["v"], [s.tuple_id for s in samples])["v"]
+        for sample, value in zip(samples, values.tolist()):
             assert database.locate(sample.tuple_id) == sample.node
-            assert database.read(sample.tuple_id) == sample.row
+            assert database.read(sample.tuple_id) == {"v": value}
 
     def test_empty_relation_rejected(self):
         graph = OverlayGraph(mesh_topology(9), n_nodes=9)
@@ -277,8 +279,10 @@ class TestContextReuse:
         database.update(0, {"v": 99.0})
         samples = operator.sample_tuples(database, 40, origin=0)
         assert context_builds["graph"] == 1
-        # rows are read at draw time, so updates still show up
-        assert all(s.row == database.read(s.tuple_id) for s in samples)
+        # samples are ids; their values are read afterwards, updates included
+        ids = [s.tuple_id for s in samples]
+        values = database.gather(["v"], ids)["v"]
+        assert values.tolist() == [database.read(t)["v"] for t in ids]
 
     def test_graph_change_forces_a_rebuild(self, context_builds):
         graph, database = _world()

@@ -10,7 +10,7 @@ from repro.network.messaging import MessageLedger
 from repro.network.topology import mesh_topology
 from repro.obs.tracer import RecordingTracer
 from repro.sampling.operator import SamplerConfig, SamplingOperator
-from repro.sampling.pool import PoolConfig, SamplePool
+from repro.sampling.pool import SamplePool
 
 
 def _world(n=36, tuples_low=1, tuples_high=6, seed=0):
@@ -23,24 +23,14 @@ def _world(n=36, tuples_low=1, tuples_high=6, seed=0):
     return graph, database
 
 
-def _pool(graph, seed=0, ledger=None, tracer=None, config=None):
+def _pool(graph, seed=0, ledger=None, tracer=None):
     return SamplePool(
         graph,
         np.random.default_rng(seed),
         ledger,
         SamplerConfig(walk_length=20, continued_walks=False),
         tracer=tracer,
-        config=config,
     )
-
-
-class TestConfig:
-    def test_defaults_valid(self):
-        assert PoolConfig().max_age == 0
-
-    def test_rejects_negative_age(self):
-        with pytest.raises(SamplingError):
-            PoolConfig(max_age=-1)
 
 
 class TestAcquire:
@@ -139,16 +129,6 @@ class TestEpochs:
         pool.acquire(database, 6, origin=0, consumer="q0")
         pool.begin_epoch(0)
         assert pool.n_pooled == 6
-
-    def test_max_age_keeps_recent_epochs(self):
-        graph, database = _world()
-        pool = _pool(graph, config=PoolConfig(max_age=2))
-        pool.begin_epoch(0)
-        pool.acquire(database, 5, origin=0, consumer="q0")
-        pool.begin_epoch(2)
-        assert pool.n_pooled == 5  # age 2 still within max_age
-        pool.begin_epoch(3)
-        assert pool.n_pooled == 0
 
     def test_cursors_survive_eviction(self):
         graph, database = _world()
