@@ -12,7 +12,7 @@ test:
 	$(PYTHON) -m pytest tests/
 
 # digest-analyzer (stdlib-only, always available) + ruff when installed.
-# See docs/DEVELOPMENT.md for the DGL rule catalog (per-file DGL001-008,
+# See docs/DEVELOPMENT.md for the DGL rule catalog (per-file DGL001/003/004/005/007/008,
 # cross-module DGL009-015) and the baseline/pragma policy.
 lint:
 	$(PYTHON) -m tools.digest_analyzer

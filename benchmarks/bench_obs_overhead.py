@@ -8,7 +8,7 @@ the :class:`~repro.obs.tracer.RunMetricsSink` counters, the streaming
 close, and the :class:`~repro.obs.audit.GuaranteeAuditor` — must be
 cheap enough to leave on. The gated measurement runs the same
 multi-query :class:`~repro.core.session.DigestSession` twice: once with
-the no-op :class:`~repro.obs.tracer.NullTracer` (the zero-cost baseline
+the no-op :data:`~repro.obs.tracer.NULL_TRACER` (the zero-cost baseline
 every uninstrumented run gets) and once with the full stack attached,
 and asserts the stack costs < 20% wall-clock while producing
 bit-identical snapshot estimates (tracing must never touch an RNG

@@ -255,7 +255,7 @@ def emit_obs_json() -> bool:
     """Promote the observability bench payload to ``BENCH_obs.json``.
 
     ``benchmarks/bench_obs_overhead.py`` writes
-    ``benchmarks/results/obs_overhead.json`` with the NullTracer vs
+    ``benchmarks/results/obs_overhead.json`` with the no-op tracer vs
     full-telemetry-stack wall-clock comparison (gated end-to-end session
     plus the informational bare-walk hot path) and the RNG-transparency
     verdicts; this copies it to the repo root under the name CI uploads
@@ -281,7 +281,7 @@ def render_obs_overhead() -> str:
         "## Observability overhead",
         "",
         "Full telemetry stack (tracer + counters + live windows + alert",
-        "engine + guarantee auditor) vs `NullTracer`, bit-identical",
+        "engine + guarantee auditor) vs the no-op `Tracer`, bit-identical",
         "outputs required; machine-readable copy in `BENCH_obs.json`.",
         "",
         "```",

@@ -13,7 +13,7 @@ arrives. This module is the single source of injected unreliability:
 * :class:`FaultLog` records every injected or observed fault as a
   :class:`FaultEvent`, the audit trail behind the "honest degradation"
   contract: a handler that hits a failure records an event instead of
-  raising (digest-lint DGL006);
+  raising (digest-lint DGL013);
 * :class:`CrashProcess` applies the per-step crash process to an
   :class:`~repro.network.graph.OverlayGraph`. It composes with
   :class:`~repro.network.churn.ChurnProcess` — both mutate the same graph
@@ -95,7 +95,7 @@ class FaultLog:
     """Append-only audit trail of fault events.
 
     Handlers convert failures into entries here instead of raising
-    (digest-lint DGL006); experiments read the per-kind counts to report
+    (digest-lint DGL013); experiments read the per-kind counts to report
     what actually happened alongside the estimates.
     """
 

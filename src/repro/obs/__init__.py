@@ -7,7 +7,7 @@ retry or extrapolation decision produced it. This package is that layer:
 
 * :mod:`repro.obs.tracer` — a zero-dependency, simulated-time-aware
   tracer (:class:`Tracer`, :class:`Span`, :class:`TraceEvent`). The
-  default :class:`NullTracer` is a no-op, so instrumentation costs
+  default, a plain :class:`Tracer`, is a no-op, so instrumentation costs
   nothing when disabled; :class:`SinkTracer` builds real spans and
   dispatches them to sinks (:class:`RunMetricsSink` derives the
   :class:`~repro.sim.metrics.RunMetrics` counters — the single source
@@ -17,7 +17,7 @@ retry or extrapolation decision produced it. This package is that layer:
 * :mod:`repro.obs.export` — portable JSONL trace export/import.
 * :mod:`repro.obs.profile` — wall-clock section timers keyed to
   sim-time span names (the one sanctioned wall-clock reader; simulation
-  code itself stays wall-clock-free per digest-lint DGL002).
+  code itself stays wall-clock-free per digest-lint DGL012).
 * :mod:`repro.obs.analysis` — post-hoc trace analysis: message-cost
   attribution, walk-latency histograms, fault/degradation timelines,
   counter reconstruction and the trace-vs-live consistency check.
@@ -53,7 +53,6 @@ from repro.obs.profile import WallClockProfiler
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.tracer import (
     NULL_TRACER,
-    NullTracer,
     RecordingTracer,
     RegistrySink,
     RunMetricsSink,
@@ -79,7 +78,6 @@ __all__ = [
     "Histogram",
     "LivePipeline",
     "MetricsRegistry",
-    "NullTracer",
     "RecordingTracer",
     "RegistrySink",
     "RunMetricsSink",

@@ -2,7 +2,7 @@
 
 This is the one module in the instrumented stack allowed to read the
 wall clock: simulation logic itself must stay wall-clock-free (digest-lint
-DGL002), but *how long the host spends computing* a sim-time span is
+DGL012), but *how long the host spends computing* a sim-time span is
 exactly what a profiler has to measure. Sections are keyed by name so a
 section opened inside a sim-time span (e.g. ``spectral_recompute`` inside
 a ``sample_acquisition`` span) attributes host cost to that phase.

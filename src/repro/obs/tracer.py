@@ -8,9 +8,9 @@ exactly the quantities the paper's cost model is denominated in.
 
 Three tracers share one interface:
 
-* :class:`NullTracer` (the default everywhere) — every call is a no-op
-  returning a shared immutable span, so instrumented hot paths pay one
-  dynamic dispatch and nothing else;
+* :class:`Tracer` itself, as the shared :data:`NULL_TRACER` (the default
+  everywhere) — every call is a no-op returning a shared immutable span,
+  so instrumented hot paths pay one dynamic dispatch and nothing else;
 * :class:`SinkTracer` — builds real spans and hands each *finished* span
   (and each span-less event) to its :class:`TraceSink` instances. The
   canonical sink is :class:`RunMetricsSink`, which derives the
@@ -97,7 +97,7 @@ class Span:
 
 
 class _NullSpan(Span):
-    """The shared do-nothing span handed out by :class:`NullTracer`."""
+    """The shared do-nothing span handed out by the no-op :class:`Tracer`."""
 
     def set(self, **attrs: object) -> None:
         return None
@@ -138,7 +138,7 @@ def _sink_needs_span_events(sink: TraceSink) -> bool:
 
 
 class Tracer:
-    """Tracer interface; the base class itself behaves as a no-op."""
+    """Tracer interface; the base class itself is the no-op tracer."""
 
     #: True when some attached sink retains per-span event lists, i.e.
     #: producers must construct every span event. False lets hot paths
@@ -151,6 +151,11 @@ class Tracer:
     def enabled(self) -> bool:
         """False when every call is a no-op (hot paths may early-out)."""
         return False
+
+    @property
+    def meta(self) -> dict[str, object]:
+        """Run metadata; a fresh throwaway dict, so writes are dropped."""
+        return {}
 
     def span(
         self,
@@ -203,18 +208,9 @@ class Tracer:
         return NO_TIME
 
 
-class NullTracer(Tracer):
-    """The explicit no-op tracer (equivalent to the base class)."""
-
-    @property
-    def meta(self) -> dict[str, object]:
-        """Run metadata; a fresh throwaway dict, so writes are dropped."""
-        return {}
-
-
 #: Shared default tracer instance; instrumented constructors fall back to
 #: it so disabling tracing allocates nothing.
-NULL_TRACER = NullTracer()
+NULL_TRACER = Tracer()
 
 
 class SinkTracer(Tracer):
@@ -244,7 +240,7 @@ class SinkTracer(Tracer):
         else:
             self._clock = clock
         self._profiler = profiler
-        self.meta: dict[str, object] = dict(meta) if meta else {}
+        self._meta: dict[str, object] = dict(meta) if meta else {}
         self._next_id = 1
         self.spans_started = 0
         self.spans_ended = 0
@@ -256,6 +252,11 @@ class SinkTracer(Tracer):
     @property
     def profiler(self) -> WallClockProfiler | None:
         return self._profiler
+
+    @property
+    def meta(self) -> dict[str, object]:
+        """Run metadata, exported with the trace."""
+        return self._meta
 
     def add_sink(self, sink: TraceSink) -> None:
         """Attach another sink (receives only spans finished afterwards)."""

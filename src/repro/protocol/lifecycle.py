@@ -15,7 +15,7 @@ legal interleavings are enumerable by tests instead of being implicit in
 callback wiring. An illegal transition raises :class:`AssertionError`:
 it can only mean a protocol-internal invariant broke (a stale timer
 firing past the guards, a completion after a failure), never bad user
-input, and scheduled handlers are statically checked (DGL006) to raise
+input, and scheduled handlers are statically checked (DGL013) to raise
 nothing else.
 
 :class:`WalkLifecycle` owns the per-walk supervision state

@@ -18,7 +18,7 @@ piggyback on the walk.
 Handlers never let an exception escape a scheduled delivery — every
 failure (lost message, crashed receiver, broken return path, isolated
 node) becomes a recorded :class:`~repro.network.faults.FaultEvent` on
-the fault log (digest-lint DGL006 enforces this statically).
+the fault log (digest-lint DGL013 enforces this statically).
 """
 
 from __future__ import annotations

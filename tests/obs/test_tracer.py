@@ -7,13 +7,13 @@ from repro.obs.tracer import (
     NO_TIME,
     NULL_SPAN,
     NULL_TRACER,
-    NullTracer,
     RecordingTracer,
     RegistrySink,
     RunMetricsSink,
     SinkTracer,
     Span,
     TraceEvent,
+    Tracer,
 )
 from repro.obs.registry import MetricsRegistry
 from repro.sim.clock import SimulationClock
@@ -21,7 +21,10 @@ from repro.sim.metrics import RunMetrics
 
 
 class TestNullTracer:
+    """The base :class:`Tracer` is the no-op tracer (``NULL_TRACER``)."""
+
     def test_disabled_and_identity_span(self):
+        assert type(NULL_TRACER) is Tracer
         assert NULL_TRACER.enabled is False
         span = NULL_TRACER.span("walk", time=3, walker_id=7)
         assert span is NULL_SPAN
@@ -34,7 +37,7 @@ class TestNullTracer:
         assert NULL_SPAN.duration == 0
 
     def test_end_and_event_are_noops(self):
-        tracer = NullTracer()
+        tracer = Tracer()
         tracer.end(NULL_SPAN, time=9, outcome="completed")
         tracer.event("fault", time=2, kind="message_loss")
         assert NULL_SPAN.end is None
@@ -44,9 +47,9 @@ class TestNullTracer:
             pass
 
     def test_session_protocol_is_all_noops(self):
-        # a NullTracer must be a drop-in for a session's tracer: sinks
+        # a no-op Tracer must be a drop-in for a session's tracer: sinks
         # and clocks are dropped, and meta writes land in a throwaway
-        tracer = NullTracer()
+        tracer = Tracer()
         tracer.add_sink(object())
         assert tracer.has_clock is True  # nothing to stamp, vacuously
         tracer.set_clock(lambda: 5)

@@ -2,15 +2,15 @@
 
 Organization mirrors the architecture: fixture-driven tests per
 cross-module rule (DGL009-DGL015) — each seeded violation must be
-caught, and for the reachability rules the same fixture is shown to be
-*invisible* to the old per-file rule it upgrades — then the pragma
-layer, the baseline, the cache, SARIF, the CLI, and the repository
-meta-test (the invariant CI enforces: zero non-baselined findings).
+caught — then the pragma layer, the baseline, the cache, SARIF, the
+CLI, the rule catalog against its docs, and the repository meta-test
+(the invariant CI enforces: zero non-baselined findings).
 """
 
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 import textwrap
@@ -19,6 +19,9 @@ from pathlib import Path
 import pytest
 
 from tools.digest_analyzer import (
+    ALL_PROJECT_RULES,
+    ALL_RULES,
+    ANALYZER_VERSION,
     RULE_CATALOG,
     AnalysisResult,
     Finding,
@@ -575,16 +578,6 @@ class TestWallClockReachability:
         assert "time.time" in finding.message
         assert "repro.util.timing.now_ms" in finding.message
 
-    def test_old_per_file_rule_misses_the_same_fixture(self) -> None:
-        """DGL002 is blind to the indirection DGL012 exists to catch:
-        the wall-clock read lives outside the simulation scopes, the
-        simulation file never names a clock."""
-        sources = {
-            "src/repro/util/timing.py": _TIMING_HELPER,
-            "src/repro/core/runner.py": _SIM_CALLER,
-        }
-        assert codes(sources, select={"DGL002"}) == []
-
     def test_two_level_indirection(self) -> None:
         sources = {
             "src/repro/util/timing.py": _TIMING_HELPER,
@@ -641,6 +634,30 @@ class TestWallClockReachability:
         result = analyze(sources, select={"DGL012"})
         assert [f.path for f in result.findings] == ["src/repro/core/inner.py"]
 
+    def test_direct_read_and_reached_read_are_both_reported(self) -> None:
+        sources = {
+            "src/repro/util/timing.py": _TIMING_HELPER,
+            "src/repro/core/runner.py": """\
+            import time
+            from repro.util.timing import now_ms
+
+            class Runner:
+                started = time.time()
+
+                def tick(self) -> float:
+                    return time.perf_counter() + now_ms()
+            """,
+        }
+        result = analyze(sources, select={"DGL012"})
+        assert [(f.line, f.col) for f in result.findings] == [
+            (5, 15),
+            (8, 16),
+            (8, 38),
+        ]
+        direct, _, reached = result.findings
+        assert "time.time" in direct.message
+        assert "repro.util.timing.now_ms" in reached.message
+
 
 # ----------------------------------------------------------------------
 # DGL013 -- handler-raise reachability
@@ -668,11 +685,6 @@ class TestHandlerRaiseReachability:
         message = result.findings[0].message
         assert "_handle_packet" in message
         assert "ValueError" in message
-
-    def test_old_per_file_rule_misses_the_same_fixture(self) -> None:
-        """DGL006 only sees a raise written inside the handler body; the
-        helper method hides it completely."""
-        assert codes({self.PATH: _RAISING_HANDLER_INDIRECT}, select={"DGL006"}) == []
 
     def test_cross_module_helper(self) -> None:
         sources = {
@@ -711,6 +723,53 @@ class TestHandlerRaiseReachability:
             )
             == []
         )
+
+    def test_helper_exemption_does_not_cover_direct_raises(self) -> None:
+        findings = analyze(
+            {
+                self.PATH: """\
+                class Router:
+                    def _handle_packet(self, message):
+                        self._dispatch(message)
+                        raise NotImplementedError
+
+                    def _dispatch(self, message):
+                        raise AssertionError
+                """
+            },
+            select={"DGL013"},
+        ).findings
+        assert [f.line for f in findings] == [4]
+        assert "NotImplementedError" in findings[0].message
+
+    def test_nested_closure_under_protocol_is_a_handler(self) -> None:
+        findings = analyze(
+            {
+                self.PATH: """\
+                class Router:
+                    def start(self, message):
+                        def deliver(time):
+                            self._validate(message)
+                        self.simulation.schedule_in(1, deliver)
+
+                    def _validate(self, message):
+                        raise ValueError(message)
+                """
+            },
+            select={"DGL013"},
+        ).findings
+        assert [f.line for f in findings] == [4]
+        assert "Router.start.deliver" in findings[0].message
+
+    def test_only_protocol_is_in_scope(self) -> None:
+        for scope in ("sampling", "obs", "core"):
+            assert (
+                codes(
+                    {f"src/repro/{scope}/snippet.py": _RAISING_HANDLER_INDIRECT},
+                    select={"DGL013"},
+                )
+                == []
+            )
 
     def test_recording_instead_of_raising_is_clean(self) -> None:
         assert (
@@ -1202,6 +1261,32 @@ class TestEngine:
             f.code for f in first.findings
         ]
 
+    def test_cache_from_another_version_is_ignored_and_rewritten(
+        self, tmp_path: Path
+    ) -> None:
+        (tmp_path / "proj").mkdir()
+        (tmp_path / "proj" / "mod.py").write_text("x = 1\n")
+        cache_file = tmp_path / "cache.json"
+        analyze_paths(
+            [tmp_path / "proj"], repo_root=tmp_path, cache_path=cache_file
+        )
+        # forge the same cache as an older analyzer would have saved it
+        document = json.loads(cache_file.read_text())
+        document["version"] = "stale"
+        for entry in document["files"].values():
+            entry["key"] = entry["key"].rsplit(":", 1)[0] + ":stale"
+        cache_file.write_text(json.dumps(document))
+        result = analyze_paths(
+            [tmp_path / "proj"], repo_root=tmp_path, cache_path=cache_file
+        )
+        assert (result.cache_hits, result.cache_misses) == (0, 1)
+        rewritten = json.loads(cache_file.read_text())
+        assert rewritten["version"] == ANALYZER_VERSION
+        assert all(
+            entry["key"].endswith(f":{ANALYZER_VERSION}")
+            for entry in rewritten["files"].values()
+        )
+
     def test_cache_invalidated_by_content_change(self, tmp_path: Path) -> None:
         (tmp_path / "proj").mkdir()
         target = tmp_path / "proj" / "mod.py"
@@ -1256,6 +1341,9 @@ class TestCli:
         ):
             assert code in process.stdout
         assert set(RULE_CATALOG) >= {"DGL009", "DGL013", "DGL099"}
+        # folded into DGL012/DGL013
+        assert "DGL002" not in process.stdout
+        assert "DGL006" not in process.stdout
 
     def test_findings_exit_one_and_render_locations(
         self, tmp_path: Path
@@ -1301,6 +1389,44 @@ class TestCli:
         assert write.returncode == 0
         check = run_cli("--root", str(tmp_path), "--no-cache")
         assert check.returncode == 0, check.stdout + check.stderr
+
+
+# ----------------------------------------------------------------------
+# the rule catalog against its docs
+# ----------------------------------------------------------------------
+
+
+class TestRuleCatalogDocs:
+    """docs/API.md's code table and docs/DEVELOPMENT.md's per-rule
+    headings list exactly the implemented rules; the two pseudo-codes
+    (DGL000 unparseable file, DGL099 unused suppression) are documented
+    in prose instead."""
+
+    PSEUDO_CODES = frozenset({"DGL000", "DGL099"})
+
+    @staticmethod
+    def _rule_codes() -> set[str]:
+        return {rule.code for rule in (*ALL_RULES, *ALL_PROJECT_RULES)}
+
+    def _doc(self, name: str) -> str:
+        return (REPO_ROOT / "docs" / name).read_text(encoding="utf-8")
+
+    def test_catalog_is_the_rules_plus_pseudo_codes(self) -> None:
+        assert set(RULE_CATALOG) == self._rule_codes() | self.PSEUDO_CODES
+
+    def test_api_table_lists_every_rule(self) -> None:
+        text = self._doc("API.md")
+        tabled = set(re.findall(r"^\| `(DGL\d{3})` \|", text, re.MULTILINE))
+        assert tabled == self._rule_codes()
+        for code in self.PSEUDO_CODES:
+            assert f"`{code}`" in text
+
+    def test_development_headings_list_every_rule(self) -> None:
+        text = self._doc("DEVELOPMENT.md")
+        headed = set(re.findall(r"^### (DGL\d{3}) ", text, re.MULTILINE))
+        assert headed == self._rule_codes()
+        for code in self.PSEUDO_CODES:
+            assert f"`{code}`" in text
 
 
 # ----------------------------------------------------------------------

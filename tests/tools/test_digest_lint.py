@@ -1,8 +1,10 @@
-"""Fixture tests for the analyzer's per-file rules (DGL001-DGL008).
+"""Fixture tests for the analyzer's per-file rules, and for the direct
+cases of the wall-clock (DGL012) and handler-raise (DGL013) rules.
 
 Organization mirrors the rule catalog: one test class per rule with
 known-bad fixtures (must flag) and known-good fixtures (must pass), run
-through :func:`analyze_sources` restricted to the per-file codes; then
+through :func:`analyze_sources` restricted to the per-file codes plus
+DGL012/DGL013 (which absorbed the per-file DGL002/DGL006); then
 engine-level behavior (noqa, scoping, select, CLI), and finally the
 meta-test asserting ``src/repro`` and ``tools`` have no per-file finding
 even with the baseline ignored -- the analyzer's own meta-test runs
@@ -24,18 +26,19 @@ from tools.digest_analyzer.rules_local import ALL_RULES
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC_REPRO = REPO_ROOT / "src" / "repro"
-LOCAL_CODES = frozenset(rule.code for rule in ALL_RULES)
+#: the per-file rules plus the two project rules that own a direct case
+LOCAL_CODES = frozenset(rule.code for rule in ALL_RULES) | {"DGL012", "DGL013"}
 
 
 def lint(
     source: str, path: str, select: frozenset[str] = LOCAL_CODES
 ) -> list[Finding]:
-    """Per-file findings for ``source`` as though it lived at ``path``."""
+    """Findings for ``source`` as though it lived at ``path``."""
     return analyze_sources({path: source}, select=select).findings
 
 
 def lint_paths(paths: list[Path]) -> list[Finding]:
-    """Per-file findings on disk, cache and baseline both off."""
+    """Findings on disk, cache and baseline both off."""
     return analyze_paths(paths, repo_root=REPO_ROOT, select=LOCAL_CODES).findings
 
 
@@ -89,7 +92,7 @@ class TestUnseededRandomness:
 
 
 # ----------------------------------------------------------------------
-# DGL002 -- wall-clock reads in simulation code
+# DGL012 -- wall-clock reads in simulation code (the direct case)
 # ----------------------------------------------------------------------
 
 
@@ -112,7 +115,7 @@ class TestWallClockInSimulation:
     def test_flags_wall_clock_in_simulation_scopes(
         self, snippet: str, scope: str
     ) -> None:
-        assert codes(snippet, f"src/repro/{scope}/snippet.py") == ["DGL002"]
+        assert codes(snippet, f"src/repro/{scope}/snippet.py") == ["DGL012"]
 
     def test_out_of_scope_paths_are_exempt(self) -> None:
         # experiments/ may time themselves; they are reporting, not protocol
@@ -121,6 +124,43 @@ class TestWallClockInSimulation:
 
     def test_sleep_is_not_a_clock_read(self) -> None:
         assert codes("import time\ntime.sleep(0.1)\n", self.PATH) == []
+
+    def test_each_read_is_reported_at_its_line(self) -> None:
+        # module level, class body, a default argument, both same-named
+        # defs of an if/else, an except branch: every read is its own
+        # finding at its own line
+        snippet = """\
+        import time
+        t = time.time()
+
+        class Clock:
+            started = time.monotonic()
+
+        def stamp(at: float = time.perf_counter()) -> float:
+            return at
+
+        if hasattr(time, "time_ns"):
+            def now() -> float:
+                return time.time_ns() / 1e9
+        else:
+            def now() -> float:
+                return time.time() + time.process_time()
+
+        try:
+            import fastclock
+        except ImportError:
+            fallback = time.monotonic_ns()
+        """
+        findings = lint(textwrap.dedent(snippet), self.PATH)
+        assert [(f.code, f.line) for f in findings] == [
+            ("DGL012", 2),
+            ("DGL012", 5),
+            ("DGL012", 7),
+            ("DGL012", 12),
+            ("DGL012", 15),
+            ("DGL012", 15),
+            ("DGL012", 20),
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -252,7 +292,7 @@ class TestMissingAnnotations:
 
 
 # ----------------------------------------------------------------------
-# DGL006 -- protocol handlers must not let exceptions escape a delivery
+# DGL013 -- protocol handlers must not raise (the direct case)
 # ----------------------------------------------------------------------
 
 
@@ -290,7 +330,7 @@ class TestHandlerRaises:
         ],
     )
     def test_flags_raises_in_delivery_paths(self, snippet: str) -> None:
-        assert codes(snippet, self.PATH) == ["DGL006"]
+        assert codes(snippet, self.PATH) == ["DGL013"]
 
     def test_each_raise_is_reported_once(self) -> None:
         # a raise belongs to its innermost function only -- a handler
@@ -302,7 +342,7 @@ class TestHandlerRaises:
                     raise RuntimeError("next hop gone")
                 self.simulation.schedule_in(1, forward)
         """
-        assert codes(snippet, self.PATH) == ["DGL006"]
+        assert codes(snippet, self.PATH) == ["DGL013"]
 
     @pytest.mark.parametrize(
         "snippet",
@@ -341,7 +381,31 @@ class TestHandlerRaises:
                 raise ValueError("bad message")
         """
         assert codes(snippet, "src/repro/sampling/snippet.py") == []
-        assert codes(snippet, self.PATH) == ["DGL006"]
+        assert codes(snippet, self.PATH) == ["DGL013"]
+
+    def test_every_direct_raise_is_reported_whatever_its_type(self) -> None:
+        # the NotImplementedError/AssertionError exemption covers raises
+        # reached through helpers, never one written in the handler; a
+        # raise under except/finally/match branches counts too
+        snippet = """\
+        class Sampler:
+            def _handle_step(self, message: object) -> None:
+                try:
+                    message.check()
+                except KeyError:
+                    raise NotImplementedError
+                finally:
+                    raise AssertionError
+                match message:
+                    case None:
+                        raise
+        """
+        findings = lint(textwrap.dedent(snippet), self.PATH)
+        assert [(f.code, f.line) for f in findings] == [
+            ("DGL013", 6),
+            ("DGL013", 8),
+            ("DGL013", 11),
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -455,7 +519,7 @@ class TestEngine:
         assert codes(f"{self.BAD}  # noqa\n", self.PATH) == []
 
     def test_noqa_with_other_code_does_not_suppress(self) -> None:
-        assert codes(f"{self.BAD}  # noqa: DGL002\n", self.PATH) == ["DGL001"]
+        assert codes(f"{self.BAD}  # noqa: DGL012\n", self.PATH) == ["DGL001"]
 
     def test_noqa_code_list(self) -> None:
         assert codes(f"{self.BAD}  # noqa: DGL004, DGL001\n", self.PATH) == []
@@ -466,9 +530,9 @@ class TestEngine:
             "rng = np.random.default_rng()\nt = time.time()\n"
         )
         path = "src/repro/core/snippet.py"
-        assert codes(bad_both, path) == ["DGL001", "DGL002"]
-        only = lint(bad_both, path, select=frozenset({"DGL002"}))
-        assert [f.code for f in only] == ["DGL002"]
+        assert codes(bad_both, path) == ["DGL001", "DGL012"]
+        only = lint(bad_both, path, select=frozenset({"DGL012"}))
+        assert [f.code for f in only] == ["DGL012"]
 
     def test_unknown_select_raises(self) -> None:
         # the CLI validates --select; an unknown code is a usage error
@@ -484,30 +548,29 @@ class TestEngine:
             lint_paths([tmp_path / "nope"])
 
     def test_findings_are_sorted_and_renderable(self, tmp_path: Path) -> None:
-        scoped = tmp_path / "core"
-        scoped.mkdir()
+        scoped = tmp_path / "repro" / "core"
+        scoped.mkdir(parents=True)
         bad = scoped / "bad.py"
         bad.write_text(
             "import time\n\n"
             "def f(x: float) -> float:\n"
             "    return time.time() if x == 0.5 else 0\n"
         )
-        # tmp_path has no ``repro`` component, so DGL005 stays out of scope;
-        # it lies outside the repository, so findings keep its full path
+        # DGL012 needs a ``repro`` component; the def is annotated, so
+        # DGL005 stays quiet. The file lies outside the repository, so
+        # findings keep its full path
         findings = lint_paths([tmp_path])
         assert findings == sorted(findings)
-        assert {f.code for f in findings} == {"DGL002", "DGL004"}
+        assert {f.code for f in findings} == {"DGL012", "DGL004"}
         rendered = findings[0].render()
         assert str(bad) in rendered and ":DGL" not in rendered
 
     def test_rule_catalog_is_complete(self) -> None:
         assert [r.code for r in ALL_RULES] == [
             "DGL001",
-            "DGL002",
             "DGL003",
             "DGL004",
             "DGL005",
-            "DGL006",
             "DGL007",
             "DGL008",
         ]
@@ -530,25 +593,30 @@ def run_cli(*args: str) -> subprocess.CompletedProcess[str]:
     )
 
 
-#: one known-bad file per per-file rule: (scope directory, source)
+#: one known-bad file per per-file rule: (scope directory, source, code
+#: reported). The DGL002/DGL006 fixtures are the direct cases of the
+#: per-file rules folded into DGL012/DGL013, which now report them.
 BAD_FIXTURES = {
     "DGL001": (
         "sampling",
         "import numpy as np\nrng = np.random.default_rng()\n",
+        "DGL001",
     ),
-    "DGL002": ("core", "import time\nt = time.time()\n"),
-    "DGL003": ("protocol", "def f(g):\n    return g._adjacency\n"),
-    "DGL004": ("core", "def f(x):\n    return x == 0.5\n"),
-    "DGL005": ("repro", "def f(x):\n    return x\n"),
+    "DGL002": ("repro/core", "import time\nt = time.time()\n", "DGL012"),
+    "DGL003": ("protocol", "def f(g):\n    return g._adjacency\n", "DGL003"),
+    "DGL004": ("core", "def f(x):\n    return x == 0.5\n", "DGL004"),
+    "DGL005": ("repro", "def f(x):\n    return x\n", "DGL005"),
     "DGL006": (
-        "protocol",
+        "repro/protocol",
         "def _handle_x(m: object) -> None:\n    raise ValueError(m)\n",
+        "DGL013",
     ),
-    "DGL007": ("repro", 'print("hi")\n'),
+    "DGL007": ("repro", 'print("hi")\n', "DGL007"),
     "DGL008": (
         "repro/core",
         "from repro.sampling.operator import SamplingOperator\n"
         "op = SamplingOperator(None, None)\n",
+        "DGL008",
     ),
 }
 
@@ -565,11 +633,11 @@ class TestCli:
         assert result.returncode == 0, result.stdout + result.stderr
         assert result.stdout == ""
 
-    @pytest.mark.parametrize("code", sorted(BAD_FIXTURES))
+    @pytest.mark.parametrize("fixture", sorted(BAD_FIXTURES))
     def test_each_rule_bad_fixture_exits_nonzero(
-        self, code: str, tmp_path: Path
+        self, fixture: str, tmp_path: Path
     ) -> None:
-        scope, source = BAD_FIXTURES[code]
+        scope, source, code = BAD_FIXTURES[fixture]
         scoped = tmp_path / scope
         scoped.mkdir(parents=True)
         bad = scoped / "bad.py"
@@ -601,7 +669,7 @@ class TestRepositoryIsClean:
         assert findings == [], "\n".join(f.render() for f in findings)
 
     def test_tools_are_clean_too(self) -> None:
-        # the analyzer lints itself (DGL001/DGL002 scopes apply everywhere
-        # relevant; DGL005 does not, because tools/ is not repro/)
+        # the analyzer lints itself (DGL001's scope applies everywhere;
+        # DGL005 and DGL012 do not, because tools/ is not repro/)
         findings = lint_paths([REPO_ROOT / "tools"])
         assert findings == [], "\n".join(f.render() for f in findings)

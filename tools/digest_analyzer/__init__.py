@@ -1,7 +1,8 @@
 """Cross-module static analysis for the Digest reproduction.
 
 Pass 1 enforces the simulation invariants one file at a time
-(DGL001-DGL008, :mod:`tools.digest_analyzer.rules_local`). Pass 2
+(DGL001, DGL003-DGL005, DGL007, DGL008,
+:mod:`tools.digest_analyzer.rules_local`). Pass 2
 parses every file into a shared symbol table and approximate call graph
 and runs the rules no single file can check —
 
@@ -10,9 +11,10 @@ and runs the rules no single file can check —
   :mod:`repro.obs.schema`;
 * **DGL010** no hard-coded trace-name literals in consuming code;
 * **DGL011** RNG-stream provenance: one generator, one named stream;
-* **DGL012** wall-clock reachability from simulation code (DGL002
-  through any depth of helper indirection);
-* **DGL013** handler-raise reachability (DGL006, likewise);
+* **DGL012** wall-clock reads in simulation code, written there or
+  reached through any depth of helper indirection;
+* **DGL013** raises in protocol delivery handlers and their closures,
+  likewise direct or reached through helpers;
 * **DGL014** layering conformance: ``repro.protocol`` must not import
   ``repro.core``, and ``repro.network`` must not import
   ``repro.protocol`` — the protocol stack direction is one-way;

@@ -8,7 +8,8 @@ JSON-serializable (so the on-disk cache can store them keyed by content
 hash), and everything pass 2 (:mod:`tools.digest_analyzer.project`)
 needs to run the cross-module rules.
 
-The per-file rules (DGL001-DGL008) run here too, during the same parse;
+The per-file rules (:mod:`tools.digest_analyzer.rules_local`) run here
+too, during the same parse;
 their *raw* findings (pre-suppression, pre-baseline) are cached alongside
 the facts. Suppression and baselining are run-time policy, applied by the
 engine after pass 2, so cached entries stay valid when only a pragma or
@@ -27,11 +28,11 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from pathlib import PurePosixPath
+from typing import Any, Iterable, Iterator
 
 from tools.digest_analyzer.findings import Finding
 from tools.digest_analyzer.rules_local import (
-    _WALL_CLOCK_CALLS,
     ALL_RULES,
     Rule,
     _dotted_parts,
@@ -40,7 +41,7 @@ from tools.digest_analyzer.rules_local import (
 )
 
 #: Bump to invalidate every cached entry (facts layout or rule change).
-ANALYZER_VERSION = "3"
+ANALYZER_VERSION = "4"
 
 #: Local markers the resolver uses for names pass 2 must finish resolving.
 LOCAL_PREFIX = "@local."  # module-level def in the same file
@@ -73,11 +74,15 @@ class FunctionFact:
     lineno: int
     params: list[str]
     rng_params: list[str]
+    #: a scheduled-delivery entry point: named by ``_HANDLER_PREFIXES``,
+    #: or a def nested in another def under ``protocol/`` (a closure
+    #: handed to the event loop)
     is_handler: bool
     calls: list[CallFact] = field(default_factory=list)
-    #: direct ``raise`` statements: ``(lineno, exception name or "")``
-    raises: list[tuple[int, str]] = field(default_factory=list)
-    wall_clock: list[tuple[int, str]] = field(default_factory=list)
+    #: direct ``raise`` statements: ``(lineno, col, exception name or "")``
+    raises: list[tuple[int, int, str]] = field(default_factory=list)
+    #: direct wall-clock calls: ``(lineno, col, dotted clock)``
+    wall_clock: list[tuple[int, int, str]] = field(default_factory=list)
 
 
 @dataclass
@@ -213,8 +218,8 @@ class FileFacts:
                 params=list(f["params"]),
                 rng_params=list(f["rng_params"]),
                 is_handler=f["is_handler"],
-                raises=[(r[0], r[1]) for r in f["raises"]],
-                wall_clock=[(w[0], w[1]) for w in f["wall_clock"]],
+                raises=[(r[0], r[1], r[2]) for r in f["raises"]],
+                wall_clock=[(w[0], w[1], w[2]) for w in f["wall_clock"]],
             )
             fact.calls = [
                 CallFact(
@@ -235,8 +240,28 @@ class FileFacts:
         return facts
 
 
-#: naming convention for scheduled-delivery entry points (mirrors DGL006)
+#: naming convention for scheduled-delivery entry points (DGL013)
 _HANDLER_PREFIXES = ("_handle", "_deliver", "_receive", "_on_")
+
+#: wall-clock readers (DGL012); ``time.sleep`` reads nothing
+_WALL_CLOCK_CALLS = frozenset(
+    {
+        "time.time",
+        "time.time_ns",
+        "time.monotonic",
+        "time.monotonic_ns",
+        "time.perf_counter",
+        "time.perf_counter_ns",
+        "time.process_time",
+        "time.process_time_ns",
+        "time.clock_gettime",
+        "time.clock_gettime_ns",
+        "datetime.datetime.now",
+        "datetime.datetime.utcnow",
+        "datetime.datetime.today",
+        "datetime.date.today",
+    }
+)
 
 #: tracer receivers: last component of the receiver chain must hit this
 _TRACER_HINT = "tracer"
@@ -323,9 +348,20 @@ class _FunctionExtractor:
         for stmt in body:
             self._visit_stmt(stmt)
 
-    def _visit_stmt(self, stmt: ast.stmt) -> None:
+    def _visit_stmt(
+        self, stmt: ast.stmt | ast.excepthandler | ast.match_case
+    ) -> None:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return  # nested defs are extracted as their own functions
+            # decorators and defaults run here, at def time; the body is
+            # extracted as its own function
+            for expr in [
+                *stmt.decorator_list,
+                *stmt.args.defaults,
+                *stmt.args.kw_defaults,
+            ]:
+                if expr is not None:
+                    self._visit_expr_tree(expr)
+            return
         if isinstance(stmt, ast.Raise):
             exc = stmt.exc
             if isinstance(exc, ast.Call):
@@ -335,11 +371,11 @@ class _FunctionExtractor:
                 name = exc.id
             elif isinstance(exc, ast.Attribute):
                 name = exc.attr
-            self.fact.raises.append((stmt.lineno, name))
+            self.fact.raises.append((stmt.lineno, stmt.col_offset + 1, name))
         if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
             self._visit_assignment(stmt)
         for node in ast.iter_child_nodes(stmt):
-            if isinstance(node, ast.stmt):
+            if isinstance(node, (ast.stmt, ast.excepthandler, ast.match_case)):
                 self._visit_stmt(node)
             else:
                 self._visit_expr_tree(node)
@@ -383,7 +419,9 @@ class _FunctionExtractor:
         target = self._resolve_call_target(call.func)
         if target is not None:
             if target in _WALL_CLOCK_CALLS:
-                self.fact.wall_clock.append((call.lineno, target))
+                self.fact.wall_clock.append(
+                    (call.lineno, call.col_offset + 1, target)
+                )
             fact = CallFact(lineno=call.lineno, col=call.col_offset + 1, target=target)
             for index, arg in enumerate(call.args):
                 taint = self._taint_of(arg)
@@ -580,26 +618,25 @@ class _FunctionExtractor:
 
 def _iter_functions(
     tree: ast.Module,
-) -> Iterator[tuple[str, ast.FunctionDef | ast.AsyncFunctionDef]]:
-    """Every def in the module with its module-relative qualname."""
+) -> Iterator[tuple[str, ast.FunctionDef | ast.AsyncFunctionDef, bool]]:
+    """Every def in the module: module-relative qualname, node, and
+    whether it is nested inside another def."""
 
     def walk(
-        body: list[ast.stmt], prefix: str
-    ) -> Iterator[tuple[str, ast.FunctionDef | ast.AsyncFunctionDef]]:
-        for node in body:
+        nodes: Iterable[ast.AST], prefix: str, nested: bool
+    ) -> Iterator[tuple[str, ast.FunctionDef | ast.AsyncFunctionDef, bool]]:
+        for node in nodes:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qual = f"{prefix}{node.name}" if prefix else node.name
-                yield qual, node
-                yield from walk(node.body, f"{qual}.")
+                qual = f"{prefix}{node.name}"
+                yield qual, node, nested
+                yield from walk(node.body, f"{qual}.", True)
             elif isinstance(node, ast.ClassDef):
-                yield from walk(
-                    node.body, f"{prefix}{node.name}." if prefix else f"{node.name}."
-                )
-            elif isinstance(node, (ast.If, ast.Try, ast.With)):
-                # defs guarded by TYPE_CHECKING / try-import still count
-                yield from walk(node.body, prefix)
+                yield from walk(node.body, f"{prefix}{node.name}.", nested)
+            elif isinstance(node, (ast.stmt, ast.excepthandler, ast.match_case)):
+                # defs under if/try/with/for/match branches still count
+                yield from walk(ast.iter_child_nodes(node), prefix, nested)
 
-    yield from walk(tree.body, "")
+    yield from walk(tree.body, "", False)
 
 
 def _file_package(path: str) -> str:
@@ -731,7 +768,8 @@ def extract_file_facts(
     extractor.walk(tree.body)
     facts.functions.append(module_fact)
 
-    for qualname, node in _iter_functions(tree):
+    in_protocol = "protocol" in path_parts(path)
+    for qualname, node, nested in _iter_functions(tree):
         ordered = [
             *node.args.posonlyargs,
             *node.args.args,
@@ -742,7 +780,8 @@ def extract_file_facts(
             lineno=node.lineno,
             params=[a.arg for a in ordered],
             rng_params=[a.arg for a in ordered if _is_rngish_param(a)],
-            is_handler=node.name.startswith(_HANDLER_PREFIXES),
+            is_handler=node.name.startswith(_HANDLER_PREFIXES)
+            or (nested and in_protocol),
         )
         extractor = _FunctionExtractor(fact, imports, module_defs, facts)
         extractor._trace_seen = {}
@@ -753,13 +792,15 @@ def extract_file_facts(
     return facts, findings
 
 
+def path_parts(path: str) -> tuple[str, ...]:
+    return tuple(PurePosixPath(path.replace("\\", "/")).parts)
+
+
 def _run_local_rules(
     tree: ast.Module, path: str, rules: tuple[Rule, ...] = ALL_RULES
 ) -> list[Finding]:
-    """The migrated per-file rules (DGL001-DGL008), unfiltered."""
-    from pathlib import PurePosixPath
-
-    parts = tuple(PurePosixPath(path.replace("\\", "/")).parts)
+    """The per-file rules, unfiltered."""
+    parts = path_parts(path)
     findings: list[Finding] = []
     for rule in rules:
         if rule.applies_to(parts):

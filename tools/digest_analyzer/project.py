@@ -26,6 +26,7 @@ from tools.digest_analyzer.extract import (
     CallFact,
     FileFacts,
     FunctionFact,
+    path_parts,
 )
 from tools.digest_analyzer.streams import _PROJECT_ROOTS, sink_label
 
@@ -47,10 +48,6 @@ def module_name(path: str) -> str:
     else:
         parts[-1] = last
     return ".".join(parts)
-
-
-def path_parts(path: str) -> tuple[str, ...]:
-    return tuple(PurePosixPath(path.replace("\\", "/")).parts)
 
 
 @dataclass

@@ -1,18 +1,21 @@
-"""The per-file rules (DGL001-DGL008), run in the analyzer's first pass.
+"""The per-file rules (DGL001, DGL003-DGL005, DGL007, DGL008), run in
+the analyzer's first pass.
 
 Each rule is a small AST pass over one module. Rules are scoped by path
 (``applies_to``) so the same engine lints ``src/`` in CI and known-bad
 fixtures in the test suite; paths are matched on their components, so
 ``src/repro/core/x.py`` and a fixture named ``fixtures/core/bad.py`` both
 fall under a rule scoped to ``core``. Since the tools/- and tests/-wide
-coverage extension, the simulation-structure rules (DGL002/DGL003/DGL006)
-explicitly exempt ``tests/`` and ``benchmarks/`` trees -- a test may time
-itself or reach into private state to assert on it; only the hygiene
-rules (seeded RNGs, float comparison) follow the code everywhere.
+coverage extension, the simulation-structure rule (DGL003) explicitly
+exempts ``tests/`` and ``benchmarks/`` trees -- a test may reach into
+private state to assert on it; the hygiene rules (seeded RNGs, float
+comparison) follow the code everywhere.
 
 The cross-module rules (DGL009-DGL015) live in
 ``tools.digest_analyzer.rules_project``; they need the whole-program
-facts the extractor builds and cannot run per file.
+facts the extractor builds and cannot run per file. The wall-clock and
+handler-raise invariants are enforced there only (DGL012, DGL013): each
+reports the direct case as well as the reachable one.
 
 Name resolution is import-aware but deliberately shallow: a call is only
 attributed to, say, ``numpy.random`` when the receiver is a plain
@@ -196,76 +199,14 @@ class UnseededRandomness(Rule):
 
 
 # ----------------------------------------------------------------------
-# DGL002 -- no wall-clock reads in simulation code
-# ----------------------------------------------------------------------
-
-_WALL_CLOCK_CALLS = frozenset(
-    {
-        "time.time",
-        "time.time_ns",
-        "time.monotonic",
-        "time.monotonic_ns",
-        "time.perf_counter",
-        "time.perf_counter_ns",
-        "time.process_time",
-        "time.process_time_ns",
-        "time.clock_gettime",
-        "time.clock_gettime_ns",
-        "datetime.datetime.now",
-        "datetime.datetime.utcnow",
-        "datetime.datetime.today",
-        "datetime.date.today",
-    }
-)
-
-_SIM_SCOPES = frozenset({"core", "sim", "sampling", "protocol"})
-
-#: Trees where the simulation-structure rules (DGL002/003/006) do not
-#: apply even when a scope component matches: a test may legitimately
-#: time itself or reach into private state to assert on it.
-_STRUCTURE_EXEMPT = frozenset({"tests", "benchmarks"})
-
-
-class WallClockInSimulation(Rule):
-    code = "DGL002"
-    name = "wall-clock-in-simulation"
-    summary = (
-        "no time.time/perf_counter/datetime.now inside core/, sim/, "
-        "sampling/, protocol/; simulated time comes from sim/clock.py"
-    )
-    rationale = (
-        "The paper's cost model is denominated in messages and discrete "
-        "occasions, never seconds. A wall-clock read inside the simulated "
-        "protocol couples results to host load, which both breaks rerun "
-        "determinism (DGL001's goal) and smuggles a second notion of time "
-        "past SimulationClock, the single source of truth."
-    )
-
-    def applies_to(self, path_parts: tuple[str, ...]) -> bool:
-        if _STRUCTURE_EXEMPT.intersection(path_parts):
-            return False
-        return bool(_SIM_SCOPES.intersection(path_parts))
-
-    def check(self, tree: ast.Module, path: str) -> Iterator[Finding]:
-        imports = _import_map(tree)
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            full = _resolve(node.func, imports)
-            if full in _WALL_CLOCK_CALLS:
-                yield self._finding(
-                    path,
-                    node,
-                    f"wall-clock read {full}() in simulation code; use "
-                    "repro.sim.clock.SimulationClock (simulated time)",
-                )
-
-
-# ----------------------------------------------------------------------
 # DGL003 -- locality: no private-state reach-through
 # ----------------------------------------------------------------------
 
 _LOCALITY_SCOPES = frozenset({"sampling", "protocol"})
+
+#: Trees exempt even when a scope component matches: a test may
+#: legitimately reach into private state to assert on it.
+_STRUCTURE_EXEMPT = frozenset({"tests", "benchmarks"})
 
 
 class LocalityReachThrough(Rule):
@@ -431,81 +372,6 @@ class MissingAnnotations(Rule):
 
 
 # ----------------------------------------------------------------------
-# DGL006 -- protocol handlers must not let exceptions escape a delivery
-# ----------------------------------------------------------------------
-
-#: naming convention for scheduled-delivery entry points in protocol/
-_HANDLER_PREFIXES = ("_handle", "_deliver", "_receive", "_on_")
-
-
-class HandlerRaises(Rule):
-    code = "DGL006"
-    name = "handler-raises"
-    summary = (
-        "protocol/ delivery handlers (_handle*/_deliver*/_receive*/_on_*) "
-        "and nested closures must not raise; convert failures to recorded "
-        "FaultEvents"
-    )
-    rationale = (
-        "A handler runs as a scheduled delivery inside the event loop; an "
-        "exception escaping it aborts the whole simulation on the first "
-        "lost message or crashed receiver, which is exactly the behavior "
-        "the failure model forbids. The degradation contract is: record a "
-        "FaultEvent on the fault log, drop the message, and let the "
-        "origin-side supervisor recover the walk. Validation raises belong "
-        "at the caller-facing API (start_walk, run_walks, __init__), never "
-        "inside a delivery. Nested defs are treated as delivery closures "
-        "(that is what they are handed to SimulationEngine for)."
-    )
-
-    def applies_to(self, path_parts: tuple[str, ...]) -> bool:
-        if _STRUCTURE_EXEMPT.intersection(path_parts):
-            return False
-        return "protocol" in path_parts
-
-    def check(self, tree: ast.Module, path: str) -> Iterator[Finding]:
-        yield from self._scan(tree, path, nested=False)
-
-    def _scan(self, node: ast.AST, path: str, nested: bool) -> Iterator[Finding]:
-        """Visit every def, tracking whether we are inside a function."""
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                is_handler = child.name.startswith(_HANDLER_PREFIXES)
-                if nested or is_handler:
-                    kind = (
-                        f"handler {child.name!r}"
-                        if is_handler
-                        else f"delivery closure {child.name!r}"
-                    )
-                    for raise_node in self._direct_raises(child):
-                        yield self._finding(
-                            path,
-                            raise_node,
-                            f"raise inside {kind}; an exception escaping a "
-                            "scheduled delivery aborts the simulation -- "
-                            "record a FaultEvent on the fault log and drop "
-                            "the message instead",
-                        )
-                yield from self._scan(child, path, nested=True)
-            else:
-                yield from self._scan(child, path, nested=nested)
-
-    def _direct_raises(
-        self, fn: ast.FunctionDef | ast.AsyncFunctionDef
-    ) -> Iterator[ast.Raise]:
-        """Raise statements in ``fn``'s own body (nested defs excluded --
-        each raise is attributed to its innermost enclosing function)."""
-        stack: list[ast.AST] = list(fn.body)
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if isinstance(node, ast.Raise):
-                yield node
-            stack.extend(ast.iter_child_nodes(node))
-
-
-# ----------------------------------------------------------------------
 # DGL007 -- no print() in src/repro/
 # ----------------------------------------------------------------------
 
@@ -601,11 +467,9 @@ class DirectOperatorConstruction(Rule):
 #: Registry in code order; the runner and ``--list-rules`` both use it.
 ALL_RULES: tuple[Rule, ...] = (
     UnseededRandomness(),
-    WallClockInSimulation(),
     LocalityReachThrough(),
     FloatEquality(),
     MissingAnnotations(),
-    HandlerRaises(),
     NoPrint(),
     DirectOperatorConstruction(),
 )

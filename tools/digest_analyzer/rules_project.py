@@ -16,7 +16,6 @@ from tools.digest_analyzer.project import (
     module_name,
     path_parts,
 )
-from tools.digest_analyzer.rules_local import _SIM_SCOPES
 from tools.digest_analyzer.schema_facts import SCHEMA_MODULE, SchemaFacts
 
 
@@ -340,27 +339,36 @@ class RngStreamCrossing(ProjectRule):
         return repr(taint)
 
 
+#: the simulation packages; simulated time is their only clock
+_SIM_SCOPES = frozenset({"core", "sim", "sampling", "protocol"})
+
+
 class WallClockReachability(ProjectRule):
-    """DGL012: simulation code must not reach a wall-clock reader."""
+    """DGL012: simulation code must not read or reach the wall clock."""
 
     code = "DGL012"
     name = "wall-clock-reachability"
     summary = (
-        "simulation-scoped code must not reach wall-clock time, "
-        "even through helpers outside the simulation packages"
+        "no time.time/perf_counter/datetime.now in core/, sim/, sampling/, "
+        "protocol/, written there or reached through helpers; simulated "
+        "time comes from sim/clock.py"
     )
     rationale = (
-        "DGL002 catches time.time() written directly in simulation "
-        "modules; a helper one package over reintroduces the bug "
-        "invisibly. The call graph closes the loophole: any chain from "
-        "simulated time into a wall-clock reader is nondeterminism."
+        "The paper's cost model is denominated in messages and discrete "
+        "occasions, never seconds. A wall-clock read inside the simulated "
+        "protocol couples results to host load, which both breaks rerun "
+        "determinism (DGL001's goal) and smuggles a second notion of time "
+        "past SimulationClock, the single source of truth. A helper one "
+        "package over reintroduces the bug invisibly; the call graph "
+        "closes that loophole, so any chain from simulated time into a "
+        "wall-clock reader is nondeterminism."
     )
 
     #: profiling is explicitly allowed to read the wall clock
     _EXEMPT_MODULE_PREFIXES = ("repro.obs.profile",)
 
-    def _sim_scoped(self, fn: ProjectFunction) -> bool:
-        parts = fn.parts
+    @staticmethod
+    def _sim_scoped(parts: tuple[str, ...]) -> bool:
         return _in_src_repro(parts) and bool(_SIM_SCOPES.intersection(parts))
 
     def _exempt(self, fn: ProjectFunction) -> bool:
@@ -371,8 +379,25 @@ class WallClockReachability(ProjectRule):
 
     def check(self, project: Project, schema: SchemaFacts) -> list[Finding]:
         findings: list[Finding] = []
+        for path, facts in project.facts_by_path.items():
+            if not self._sim_scoped(path_parts(path)):
+                continue
+            # every def's own reads, ``<module>`` (module level and class
+            # bodies) and same-named shadowed defs included
+            for fact in facts.functions:
+                for line, col, clock in fact.wall_clock:
+                    findings.append(
+                        self._finding(
+                            path,
+                            line,
+                            col,
+                            f"wall-clock read {clock}() in simulation code; "
+                            "use repro.sim.clock.SimulationClock (simulated "
+                            "time)",
+                        )
+                    )
         for fn in project.functions.values():
-            if not self._sim_scoped(fn):
+            if not self._sim_scoped(fn.parts):
                 continue
             chain = project.reach(
                 fn.gid,
@@ -380,13 +405,13 @@ class WallClockReachability(ProjectRule):
                 and not self._exempt(callee),
                 # sim-scoped intermediates get their own finding; exempt
                 # modules absorb the chain
-                skip=lambda callee: self._sim_scoped(callee)
+                skip=lambda callee: self._sim_scoped(callee.parts)
                 or self._exempt(callee),
             )
             if chain is None:
                 continue
             target = project.functions[chain[-1]]
-            _line, clock = target.fact.wall_clock[0]
+            clock = target.fact.wall_clock[0][2]
             hops = " -> ".join(chain[1:])
             line, col = self._call_site(project, fn, chain[1])
             findings.append(
@@ -411,35 +436,67 @@ class WallClockReachability(ProjectRule):
 
 
 class HandlerRaiseReachability(ProjectRule):
-    """DGL013: protocol handlers must not reach a raising helper."""
+    """DGL013: protocol handlers must not raise or reach a raising helper."""
 
     code = "DGL013"
     name = "handler-raise-reachability"
     summary = (
-        "scheduled protocol handlers must not reach helpers that "
-        "raise — failures must be recorded, not thrown into the scheduler"
+        "protocol/ delivery handlers (_handle*/_deliver*/_receive*/_on_*) "
+        "and nested closures must not raise, nor reach helpers that "
+        "raise; convert failures to recorded FaultEvents"
     )
     rationale = (
-        "DGL006 catches a raise written directly in a handler body; "
-        "moving the raise one helper down hides it while the scheduler "
-        "still unwinds mid-tick and corrupts in-flight protocol state. "
-        "Reachability over the call graph closes the indirection."
+        "A handler runs as a scheduled delivery inside the event loop; an "
+        "exception escaping it aborts the whole simulation on the first "
+        "lost message or crashed receiver, which is exactly the behavior "
+        "the failure model forbids. The degradation contract is: record a "
+        "FaultEvent on the fault log, drop the message, and let the "
+        "origin-side supervisor recover the walk. Validation raises belong "
+        "at the caller-facing API (start_walk, run_walks, __init__), never "
+        "inside a delivery. Nested defs are treated as delivery closures "
+        "(that is what they are handed to SimulationEngine for). Moving "
+        "the raise one helper down hides it from a per-file check while "
+        "the scheduler still unwinds mid-tick; reachability over the call "
+        "graph closes the indirection."
     )
 
-    #: raises that are contracts, not runtime failures
+    #: raises in helpers that are contracts, not runtime failures
     _EXEMPT_EXCEPTIONS = frozenset({"NotImplementedError", "AssertionError"})
 
     def _raises(self, fn: ProjectFunction) -> bool:
         if fn.qualname.rsplit(".", 1)[-1].startswith("__"):
-            return False  # constructor/dunder validation is DGL003 land
+            return False  # constructor/dunder validation is caller-facing API
         return any(
-            name not in self._EXEMPT_EXCEPTIONS for _line, name in fn.fact.raises
+            name not in self._EXEMPT_EXCEPTIONS for *_, name in fn.fact.raises
         )
+
+    @staticmethod
+    def _in_scope(parts: tuple[str, ...]) -> bool:
+        return _in_src_repro(parts) and "protocol" in parts
 
     def check(self, project: Project, schema: SchemaFacts) -> list[Finding]:
         findings: list[Finding] = []
+        for path, facts in project.facts_by_path.items():
+            if not self._in_scope(path_parts(path)):
+                continue
+            for fact in facts.functions:
+                if not fact.is_handler:
+                    continue
+                for line, col, exc in fact.raises:
+                    findings.append(
+                        self._finding(
+                            path,
+                            line,
+                            col,
+                            f"raise {exc or '?'} inside delivery handler "
+                            f"{fact.qualname}; an exception escaping a "
+                            "scheduled delivery aborts the simulation -- "
+                            "record a FaultEvent on the fault log and drop "
+                            "the message instead",
+                        )
+                    )
         for fn in project.functions.values():
-            if not fn.fact.is_handler or not _in_src_repro(fn.parts):
+            if not fn.fact.is_handler or not self._in_scope(fn.parts):
                 continue
             chain = project.reach(
                 fn.gid,
@@ -451,10 +508,10 @@ class HandlerRaiseReachability(ProjectRule):
             if chain is None:
                 continue
             target = project.functions[chain[-1]]
-            line, exc = next(
-                (l, n)
-                for l, n in target.fact.raises
-                if n not in self._EXEMPT_EXCEPTIONS
+            line, _col, exc = next(
+                raise_
+                for raise_ in target.fact.raises
+                if raise_[2] not in self._EXEMPT_EXCEPTIONS
             )
             hops = " -> ".join(chain[1:])
             site_line, site_col = WallClockReachability._call_site(

@@ -4,8 +4,8 @@ Pipeline per run:
 
 1. discover ``*.py`` files (or take an explicit list);
 2. pass 1 per file — content-hash cache lookup, else parse once into
-   :class:`FileFacts` + raw per-file findings (DGL001-DGL008, DGL000 on
-   unparseable files);
+   :class:`FileFacts` + raw per-file findings (the ``rules_local``
+   rules, DGL000 on unparseable files);
 3. pass 2 — build the :class:`Project` view, statically parse the trace
    schema, run the cross-module rules (DGL009-DGL015);
 4. policy — ``# noqa`` / ``# dgl: disable`` pragmas (with unused-
