@@ -1,8 +1,9 @@
 """Micro-benchmarks of the hot paths (pytest-benchmark, multi-round).
 
 These track implementation performance rather than paper artifacts: the
-vectorized walk kernel, the walk snapshot (cold and cached), tuple
-sampling under an open partition, local-store operations, one tick of
+vectorized walk kernel, the walk snapshot (cold and cached), one churn
+tick's snapshot of a 10^4-node overlay, tuple sampling under an open
+partition, local-store operations, one tick of
 ingest (a bulk column scatter against per-row updates), expression
 evaluation and a full engine snapshot step.
 """
@@ -24,7 +25,7 @@ from repro.network.partitions import (
 from repro.network.topology import power_law_topology
 from repro.sampling.operator import SamplerConfig, SamplingOperator
 from repro.sampling.walker import WalkContext, batch_walk
-from repro.sampling.weights import uniform_weights
+from repro.sampling.weights import content_size_weights, uniform_weights
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +80,43 @@ def test_walk_context_snapshot_warm(benchmark):
     rng = np.random.default_rng(0)
     graph = OverlayGraph(power_law_topology(1000, rng=rng), n_nodes=1000)
     benchmark(WalkContext.from_graph, graph, uniform_weights())
+
+
+def test_churn_tick_snapshot(benchmark):
+    """One churn tick's snapshot of a 10^4-node power-law overlay.
+
+    Each round first applies 20 leaves and 20 joins (about what a
+    churn-10k tick sees) to the overlay and its database, then takes the
+    CSR snapshot, a content-size walk context and the origin's hop
+    counts: the per-occasion cost that should track the change, not the
+    overlay.
+    """
+    rng = np.random.default_rng(0)
+    graph = OverlayGraph(power_law_topology(10_000, rng=rng), n_nodes=10_000)
+    database = P2PDatabase(Schema(("v",)), graph.nodes())
+    for node in rng.integers(0, 10_000, size=12_000):
+        database.insert(int(node), {"v": 1.0})
+    origin = max(graph.nodes(), key=graph.degree)
+    weight = content_size_weights(database)
+    WalkContext.from_graph(graph, weight)
+
+    def churn_round():
+        nodes = [node for node in graph.nodes() if node != origin]
+        for node in rng.choice(nodes, size=20, replace=False):
+            graph.leave(int(node))
+            database.remove_node(int(node))
+        for _ in range(20):
+            node = graph.join(n_links=2, rng=rng)
+            database.add_node(node)
+            database.insert(node, {"v": 1.0})
+
+    def snapshot():
+        graph.csr()
+        context = WalkContext.from_graph(graph, weight)
+        graph.hop_counts(origin)
+        return context
+
+    benchmark.pedantic(snapshot, setup=churn_round, rounds=20, iterations=1)
 
 
 def test_partitioned_sample_tuples(benchmark):

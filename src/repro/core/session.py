@@ -631,10 +631,7 @@ class DigestSession:
         degraded with ``reachable_fraction`` recorded.
         """
         scope = self._scope if self._scope is not None else frozenset()
-        sizes = self._database.content_sizes()
-        reachable_population = sum(
-            sizes.get(node, 0) for node in scope if node in sizes
-        )
+        reachable_population = self._database.tuples_held(scope)
         precision = runtime.continuous_query.precision
         return SnapshotEstimate.from_mean(
             runtime.continuous_query.query.op,

@@ -3,7 +3,8 @@
 ``R`` is a single relation horizontally partitioned across overlay nodes
 (Section II). :class:`P2PDatabase` owns the relation's value columns
 (:class:`~repro.db.store.Columns`), one :class:`~repro.db.store.LocalStore`
-per live node over them, a global tuple-location index, and global id
+per live node over them, a global tuple-location index, the per-node
+tuple counts ``m_v`` as one array indexed by node id, and global id
 allocation. It is the ground truth the simulator maintains; query engines
 never read it wholesale — they draw tuple ids through the sampling operator
 and read those tuples' values with one :meth:`gather` — but experiments use
@@ -75,6 +76,10 @@ class P2PDatabase:
         # speed; _live mirrors its key set as a mask for update_many's check
         self._location: dict[int, int] = {}
         self._live = np.zeros(0, dtype=bool)
+        # m_v by node id, and which node ids have a store; 0 / False for
+        # ids without one
+        self._sizes = np.zeros(0, dtype=np.int64)
+        self._has_store = np.zeros(0, dtype=bool)
         self._next_tuple_id = 0
         self._layout_version = 0
         self._order: tuple[int, np.ndarray] | None = None
@@ -92,9 +97,10 @@ class P2PDatabase:
         ``insert``, ``delete``, ``add_node`` and ``remove_node`` (hence
         ``handle_churn``) bump it; ``update`` and ``update_many`` rewrite
         values in place and do not. While it is unchanged, every ``m_v`` —
-        the content-size sampling weight — is unchanged, provided writes go
-        through the database rather than straight into a fragment from
-        :meth:`store`.
+        the content-size sampling weight — is unchanged. The database is
+        the only writer of its fragments: a fragment from :meth:`store` is
+        for reading, and a write straight into it would leave ``m_v`` and
+        this counter behind.
         """
         return self._layout_version
 
@@ -106,7 +112,13 @@ class P2PDatabase:
         """Register a (new) node with an empty fragment."""
         if node in self._stores:
             raise StoreError(f"node {node} already has a store")
+        if node < 0:
+            raise StoreError(f"node ids must be non-negative, got {node}")
         self._stores[node] = LocalStore(self._columns)
+        if node >= len(self._has_store):
+            self._sizes = grown(self._sizes, node + 1, 0)
+            self._has_store = grown(self._has_store, node + 1, False)
+        self._has_store[node] = True
         self._layout_version += 1
 
     def remove_node(self, node: int) -> list[int]:
@@ -123,6 +135,8 @@ class P2PDatabase:
             del self._location[tuple_id]
         self._live[lost] = False
         del self._stores[node]
+        self._sizes[node] = 0
+        self._has_store[node] = False
         self._layout_version += 1
         return lost
 
@@ -145,8 +159,29 @@ class P2PDatabase:
         return store
 
     def content_sizes(self) -> dict[int, int]:
-        """``m_v`` per node — the weight function for uniform tuple sampling."""
-        return {node: len(store) for node, store in self._stores.items()}
+        """``m_v`` per node, in node order: a dict view of the size array."""
+        nodes = np.flatnonzero(self._has_store)
+        return dict(zip(nodes.tolist(), self._sizes[nodes].tolist()))
+
+    def content_size_array(self, nodes: Sequence[int] | np.ndarray) -> np.ndarray:
+        """``m_v`` of each of ``nodes`` as one int64 array (one gather).
+
+        The first stage of uniform tuple sampling weighs a walk snapshot's
+        nodes with it. A node without a store raises :class:`StoreError`,
+        as :meth:`store` does.
+        """
+        ids = np.asarray(nodes, dtype=np.int64)
+        known = (ids >= 0) & (ids < len(self._has_store))
+        known[known] = self._has_store[ids[known]]
+        if not known.all():
+            raise StoreError(f"node {int(ids[~known][0])} has no store")
+        return self._sizes[ids]
+
+    def tuples_held(self, nodes: Iterable[int]) -> int:
+        """Tuples ``nodes`` hold together (a node without a store holds none)."""
+        ids = np.fromiter(nodes, dtype=np.int64)
+        ids = ids[(ids >= 0) & (ids < len(self._sizes))]
+        return int(self._sizes[ids].sum())
 
     # ------------------------------------------------------------------
     # tuple operations
@@ -164,6 +199,7 @@ class P2PDatabase:
         store.insert(tuple_id, values)
         self._next_tuple_id += 1
         self._location[tuple_id] = node
+        self._sizes[node] = len(store)
         if tuple_id >= len(self._live):
             self._live = grown(self._live, tuple_id + 1, False)
         self._live[tuple_id] = True
@@ -216,8 +252,10 @@ class P2PDatabase:
         node = self._location.get(tuple_id)
         if node is None:
             raise StoreError(f"tuple {tuple_id} does not exist")
-        self._stores[node].delete(tuple_id)
+        store = self._stores[node]
+        store.delete(tuple_id)
         del self._location[tuple_id]
+        self._sizes[node] = len(store)
         self._live[tuple_id] = False
         self._layout_version += 1
 

@@ -94,16 +94,17 @@ class ChurnProcess:
         event = ChurnEvent()
         config = self._config
         if config.leave_probability > 0.0:
-            candidates = [
-                node for node in self._graph.nodes() if node not in self._protected
+            candidates = np.fromiter(
+                self._graph.nodes(), dtype=np.int64, count=len(self._graph)
+            )
+            candidates = candidates[
+                ~np.isin(candidates, np.fromiter(self._protected, np.int64))
             ]
-            if candidates:
-                draws = self._rng.random(len(candidates))
-                leavers = [
-                    node
-                    for node, draw in zip(candidates, draws)
-                    if draw < config.leave_probability
-                ]
+            if candidates.size:
+                draws = self._rng.random(candidates.size)
+                leavers: list[int] = candidates[
+                    draws < config.leave_probability
+                ].tolist()
                 headroom = len(self._graph) - config.min_nodes
                 if 0 <= headroom < len(leavers):
                     # the min_nodes cap truncates the leaver list; shuffle

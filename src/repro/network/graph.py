@@ -7,9 +7,14 @@ needs:
 
 * random-walk steps (uniform neighbor choice, degree and weight lookups),
   served from plain adjacency lists plus a CSR snapshot cached per
-  version;
-* hop-distance queries (push-based baselines pay one message per hop),
-  served by cached BFS.
+  version. The graph logs which nodes each mutation touched, and the
+  next snapshot is spliced from the previous one: untouched rows are
+  copied and renumbered, only touched rows are read from the adjacency
+  lists, so a churn round pays for what it changed, not for the overlay;
+* hop-distance queries (push-based baselines pay one message per hop,
+  sampled agents walk home), served by a level-synchronous BFS over the
+  CSR snapshot, cached per (version, source) as an array aligned with
+  the snapshot's rows and, on demand, as a ``{node: hops}`` dict.
 
 Node ids are stable non-negative integers and are never reused, so a tuple
 sampled at occasion ``k`` can name its host node at occasion ``k+1`` even
@@ -28,6 +33,14 @@ from repro.errors import TopologyError
 
 Edge = tuple[int, int]
 CSR = tuple[np.ndarray, np.ndarray, np.ndarray]
+_Search = tuple[int, int, np.ndarray, dict[int, int] | None]
+
+#: the "previous snapshot" of a graph that has none: every row is touched
+_NO_CSR: CSR = (
+    np.zeros(0, dtype=np.int64),
+    np.zeros(1, dtype=np.int64),
+    np.zeros(0, dtype=np.int64),
+)
 
 
 class OverlayGraph:
@@ -49,8 +62,14 @@ class OverlayGraph:
         self._neighbor_sets: dict[int, set[int]] = {}
         self._next_id = 0
         self._version = 0
-        self._bfs_cache: dict[int, tuple[int, dict[int, int]]] = {}
+        #: (version, source, hops per CSR row, the same as a dict or None)
+        self._bfs_cache: _Search = (-1, -1, np.zeros(0, dtype=np.int64), None)
         self._csr_cache: tuple[int, CSR] | None = None
+        #: ids whose row may differ from the cached snapshot's
+        self._touched: set[int] = set()
+        #: ``list(self._adjacency)`` while no node has left since it was
+        #: taken; join draws bootstrap peers from it
+        self._arrival_order: list[int] | None = None
         if n_nodes is not None:
             for node in range(n_nodes):
                 self._ensure_node(node)
@@ -113,6 +132,9 @@ class OverlayGraph:
         if node not in self._adjacency:
             self._adjacency[node] = []
             self._neighbor_sets[node] = set()
+            self._touched.add(node)
+            if self._arrival_order is not None:
+                self._arrival_order.append(node)
             self._version += 1
         self._next_id = max(self._next_id, node + 1)
 
@@ -128,6 +150,8 @@ class OverlayGraph:
         self._adjacency[v].append(u)
         self._neighbor_sets[u].add(v)
         self._neighbor_sets[v].add(u)
+        self._touched.add(u)
+        self._touched.add(v)
         self._version += 1
 
     def remove_edge(self, u: int, v: int) -> None:
@@ -137,6 +161,8 @@ class OverlayGraph:
         self._adjacency[v].remove(u)
         self._neighbor_sets[u].discard(v)
         self._neighbor_sets[v].discard(u)
+        self._touched.add(u)
+        self._touched.add(v)
         self._version += 1
 
     def join(
@@ -158,14 +184,18 @@ class OverlayGraph:
         node = self._next_id
         self._ensure_node(node)
         if attach_to is None:
-            # the new node is the last key of the insertion-ordered dict
-            candidates = list(self._adjacency)[:-1]
-            if candidates:
+            # candidates are the live nodes in insertion order; the new
+            # node is the last entry
+            if self._arrival_order is None:
+                self._arrival_order = list(self._adjacency)
+            candidates = self._arrival_order
+            n_candidates = len(candidates) - 1
+            if n_candidates:
                 if not isinstance(rng, np.random.Generator):
                     seed = (node, self._version) if rng is None else rng
                     rng = np.random.default_rng(seed)
-                count = min(n_links, len(candidates))
-                picks = rng.choice(len(candidates), size=count, replace=False)
+                count = min(n_links, n_candidates)
+                picks = rng.choice(n_candidates, size=count, replace=False)
                 attach_to = [candidates[int(i)] for i in picks]
             else:
                 attach_to = []
@@ -191,6 +221,9 @@ class OverlayGraph:
             self._neighbor_sets[neighbor].discard(node)
         del self._adjacency[node]
         del self._neighbor_sets[node]
+        self._touched.add(node)
+        self._touched.update(neighbors)
+        self._arrival_order = None
         self._version += 1
         if rewire and len(neighbors) > 1:
             for left, right in zip(neighbors, neighbors[1:]):
@@ -206,7 +239,7 @@ class OverlayGraph:
         if not self._adjacency:
             return True
         start = next(iter(self._adjacency))
-        return len(self.hop_distances(start)) == len(self._adjacency)
+        return bool((self.hop_counts(start) >= 0).all())
 
     def components(self) -> list[list[int]]:
         """Connected components as sorted id lists, ordered by smallest member.
@@ -286,29 +319,61 @@ class OverlayGraph:
             added.append((min(u, v), max(u, v)))
         return added
 
+    def hop_counts(self, source: int) -> np.ndarray:
+        """BFS hop counts from ``source``, aligned with :meth:`csr`'s rows.
+
+        Entry ``i`` is the hop distance to node ``csr()[0][i]``, ``-1``
+        where it is unreachable. The search is level-synchronous over the
+        cached CSR snapshot (one gather of the frontier's edges per
+        level), and its read-only result is cached until the graph next
+        mutates or another source is asked for.
+        """
+        return self._bfs(source)[2]
+
     def hop_distances(self, source: int) -> dict[int, int]:
         """BFS hop counts from ``source`` to every reachable node.
 
-        Results are cached until the graph next mutates; push-based
-        baselines call this once per topology version rather than once per
-        pushed tuple.
+        The dict form of :meth:`hop_counts`, built from the same cached
+        search: push-based baselines and the protocol's return routing
+        call this once per topology version rather than once per pushed
+        tuple or hop. Callers must treat it as read-only.
         """
-        cached = self._bfs_cache.get(source)
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
+        version, _, hops, distances = self._bfs(source)
+        if distances is None:
+            reached = np.flatnonzero(hops >= 0)
+            distances = dict(
+                zip(self.csr()[0][reached].tolist(), hops[reached].tolist())
+            )
+            self._bfs_cache = (version, source, hops, distances)
+        return distances
+
+    def _bfs(self, source: int) -> _Search:
+        """The cached ``(version, source, hops, dict)`` search from ``source``."""
+        cached = self._bfs_cache
+        if cached[0] == self._version and cached[1] == source:
+            return cached
         if source not in self._adjacency:
             raise TopologyError(f"node {source} does not exist")
-        distances = {source: 0}
-        frontier = deque([source])
-        while frontier:
-            node = frontier.popleft()
-            next_hop = distances[node] + 1
-            for neighbor in self._adjacency[node]:
-                if neighbor not in distances:
-                    distances[neighbor] = next_hop
-                    frontier.append(neighbor)
-        self._bfs_cache = {source: (self._version, distances)}
-        return distances
+        node_ids, offsets, targets = self.csr()
+        hops = np.full(node_ids.size, -1, dtype=np.int64)
+        frontier = np.searchsorted(node_ids, [source])
+        level = 0
+        while frontier.size:
+            hops[frontier] = level
+            level += 1
+            starts = offsets[frontier]
+            counts = offsets[frontier + 1] - starts
+            # the frontier rows' edge positions, concatenated
+            edges = np.arange(int(counts.sum())) + np.repeat(
+                starts - (np.cumsum(counts) - counts), counts
+            )
+            seen = np.zeros(node_ids.size, dtype=bool)
+            seen[targets[edges]] = True
+            seen &= hops < 0
+            frontier = np.flatnonzero(seen)
+        hops.setflags(write=False)
+        self._bfs_cache = (self._version, source, hops, None)
+        return self._bfs_cache
 
     def csr(self) -> CSR:
         """Compact CSR snapshot ``(node_ids, offsets, targets)``.
@@ -320,23 +385,53 @@ class OverlayGraph:
 
         The snapshot is cached until the graph next mutates, so every
         caller within one version shares the same arrays; they are marked
-        read-only.
+        read-only. A new snapshot is spliced from the previous one: rows
+        of nodes no mutation touched since are copied, their compact
+        targets renumbered with one gather, and only touched rows (both
+        endpoints of an added or removed edge, a new node, a leaver's
+        neighbors) are read from the adjacency lists. Without a previous
+        snapshot every row counts as touched.
         """
         cached = self._csr_cache
         if cached is not None and cached[0] == self._version:
             return cached[1]
-        order = sorted(self._adjacency)
-        rows = [self._adjacency[node] for node in order]
-        node_ids = np.fromiter(order, dtype=np.int64, count=len(order))
-        offsets = np.zeros(len(order) + 1, dtype=np.int64)
-        np.cumsum(
-            np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)),
-            out=offsets[1:],
+        old_ids, old_offsets, old_targets = (
+            cached[1] if cached is not None else _NO_CSR
         )
+        touched = sorted(self._touched if cached is not None else self._adjacency)
+        self._touched = set()
+        # untouched rows of the previous snapshot (a leaver is touched)
+        touched_ids = np.fromiter(touched, dtype=np.int64, count=len(touched))
+        at = np.searchsorted(old_ids, touched_ids)
+        found = at < old_ids.size
+        found[found] = old_ids[at[found]] == touched_ids[found]
+        kept = np.ones(old_ids.size, dtype=bool)
+        kept[at[found]] = False
+        live = [node for node in touched if node in self._adjacency]
+        rows = [self._adjacency[node] for node in live]
+        fresh = np.fromiter(live, dtype=np.int64, count=len(live))
+        node_ids = np.sort(np.concatenate([old_ids[kept], fresh]))
+        is_fresh = np.zeros(node_ids.size, dtype=bool)
+        is_fresh[np.searchsorted(node_ids, fresh)] = True
+        old_degrees = np.diff(old_offsets)
+        degrees = np.empty(node_ids.size, dtype=np.int64)
+        degrees[~is_fresh] = old_degrees[kept]
+        degrees[is_fresh] = np.fromiter(
+            map(len, rows), dtype=np.int64, count=len(rows)
+        )
+        offsets = np.zeros(node_ids.size + 1, dtype=np.int64)
+        np.cumsum(degrees, out=offsets[1:])
+        fresh_edges = np.repeat(is_fresh, degrees)
         neighbors = np.fromiter(
-            chain.from_iterable(rows), dtype=np.int64, count=int(offsets[-1])
+            chain.from_iterable(rows),
+            dtype=np.int64,
+            count=int(degrees[is_fresh].sum()),
         )
-        targets = np.searchsorted(node_ids, neighbors).astype(np.int64)
+        targets = np.empty(int(offsets[-1]), dtype=np.int64)
+        targets[fresh_edges] = np.searchsorted(node_ids, neighbors)
+        targets[~fresh_edges] = np.searchsorted(node_ids, old_ids)[
+            old_targets[np.repeat(kept, old_degrees)]
+        ]
         for array in (node_ids, offsets, targets):
             array.setflags(write=False)
         snapshot = (node_ids, offsets, targets)
@@ -346,9 +441,10 @@ class OverlayGraph:
     def copy(self) -> "OverlayGraph":
         """Deep structural copy (node ids and version preserved).
 
-        The clone starts with empty BFS and CSR caches of its own: the
-        two graphs mutate independently from here on, so no cached
-        snapshot may be shared between them.
+        The clone starts with empty BFS and CSR caches and an empty
+        mutation log of its own: the two graphs mutate independently from
+        here on, so no cached snapshot may be shared between them, and
+        the clone's first snapshot is a full build.
         """
         clone = OverlayGraph([], n_nodes=0)
         clone._adjacency = {u: list(vs) for u, vs in self._adjacency.items()}

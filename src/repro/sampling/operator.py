@@ -27,6 +27,18 @@ first convergence the operator keeps the walker positions; later requests
 *continue* those walks, which only need the reset time (the relaxation
 time ``ceil(1/theta)``) instead of the full mixing time — the optimization
 the paper uses to expedite its experiments.
+
+Per-occasion host cost
+----------------------
+Under churn every occasion sees a new overlay version, so what an
+occasion pays for its snapshot must scale with what changed. The walk
+context comes from the graph's spliced CSR snapshot
+(:meth:`OverlayGraph.csr`); the tuple path's content-size weights are one
+gather from the database's size array
+(:meth:`P2PDatabase.content_size_array`); and on the full overlay the
+agents' return hops are read from the origin's BFS array
+(:meth:`OverlayGraph.hop_counts`, aligned with the context's rows) at the
+kernel's compact end positions, with no per-call dict.
 """
 
 from __future__ import annotations
@@ -446,7 +458,7 @@ class SamplingOperator:
             continued = alive[:n]
         n_fresh = n - len(continued)
 
-        final_positions: list[int] = []
+        end_parts: list[np.ndarray] = []
         walk_steps: list[int] = []
         if continued:
             starts = np.array(
@@ -460,7 +472,7 @@ class SamplingOperator:
                 self._ledger,
                 config.laziness,
             )
-            final_positions.extend(int(context.node_ids[e]) for e in ends)
+            end_parts.append(ends)
             walk_steps.extend([reset_length] * len(continued))
         if n_fresh > 0:
             starts = np.full(
@@ -474,26 +486,31 @@ class SamplingOperator:
                 self._ledger,
                 config.laziness,
             )
-            final_positions.extend(int(context.node_ids[e]) for e in ends)
+            end_parts.append(ends)
             walk_steps.extend([mix_length] * n_fresh)
             self.walks_started += n_fresh
+        end_rows = np.concatenate(end_parts)
+        final_positions: list[int] = context.node_ids[end_rows].tolist()
 
         if config.continued_walks:
             # pool positions survive even if the *return* message is lost:
             # the agent itself still sits at its final node
             self._pool_nodes = list(final_positions)
-        distances: dict[int, int] | None = None
+        hops: list[int] = [0] * len(final_positions)
         if self._ledger is not None or self._faults is not None:
-            # under a partition the return route is confined to the
-            # reachable region, so return-hop accounting uses its BFS
-            distances = (
-                scope
-                if scope is not None
-                else self._graph.hop_distances(origin)
-            )
+            if scope is None:
+                # the origin's BFS over this version's CSR rows, which
+                # are the context's rows; an agent in another component
+                # (-1) walks no hops home
+                hops = np.maximum(
+                    self._graph.hop_counts(origin)[end_rows], 0
+                ).tolist()
+            else:
+                # under a partition the return route is confined to the
+                # reachable region, so return-hop accounting uses its BFS
+                hops = [scope.get(node, 0) for node in final_positions]
         delivered: list[int] = []
-        for node, steps in zip(final_positions, walk_steps):
-            hops_home = distances.get(node, 0) if distances is not None else 0
+        for node, steps, hops_home in zip(final_positions, walk_steps, hops):
             if self._ledger is not None:
                 # the messages were sent whether or not any was lost
                 self._ledger.record_sample_return(hops_home)

@@ -32,7 +32,7 @@ import numpy as np
 from repro.errors import SamplingError, TopologyError
 from repro.network.graph import OverlayGraph
 from repro.network.messaging import MessageLedger
-from repro.sampling.weights import WeightFunction
+from repro.sampling.weights import ContentSizeWeights, WeightFunction
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,11 @@ class WalkContext:
         offsets: np.ndarray,
         targets: np.ndarray,
     ) -> "WalkContext":
-        """Validate a CSR snapshot, weigh its nodes and tabulate acceptance."""
+        """Validate a CSR snapshot, weigh its nodes and tabulate acceptance.
+
+        Content-size weights are read with one gather from the database's
+        size array; any other weight function is called once per node.
+        """
         degrees = np.diff(offsets).astype(np.int64)
         if np.any(degrees == 0) and node_ids.size > 1:
             isolated = node_ids[degrees == 0]
@@ -78,7 +82,12 @@ class WalkContext:
                 f"walk context leaves nodes {isolated[:5].tolist()} isolated; "
                 "the sampling walk cannot reach or leave them"
             )
-        weights = np.array([weight(int(node)) for node in node_ids], dtype=float)
+        if isinstance(weight, ContentSizeWeights):
+            weights = weight.gather(node_ids)
+        else:
+            weights = np.array(
+                [weight(int(node)) for node in node_ids], dtype=float
+            )
         if np.any(weights < 0) or not np.all(np.isfinite(weights)):
             raise SamplingError("weights must be finite and non-negative")
         if weights.sum() <= 0:

@@ -11,12 +11,16 @@ the paper names explicitly:
 
 * ``uniform_weights()`` — ``w_v = 1`` (uniform node sampling);
 * ``content_size_weights(db)`` — ``w_v = m_v`` (first stage of uniform
-  tuple sampling).
+  tuple sampling). It is also a :class:`ContentSizeWeights`, which a walk
+  snapshot weighs with one gather from the database's size array instead
+  of one call per node.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable
+
+import numpy as np
 
 from repro.db.relation import P2PDatabase
 from repro.errors import SamplingError
@@ -34,9 +38,30 @@ def uniform_weights() -> WeightFunction:
     return weight
 
 
+class ContentSizeWeights:
+    """``w_v = max(m_v, floor)``, per node or for many nodes at once.
+
+    Calling it weighs one node, like any :data:`WeightFunction`;
+    :meth:`gather` weighs an array of nodes with one read of
+    :meth:`P2PDatabase.content_size_array`, with the same values. Either
+    way a node without a store raises :class:`~repro.errors.StoreError`.
+    """
+
+    def __init__(self, database: P2PDatabase, floor: float) -> None:
+        self.database = database
+        self.floor = floor
+
+    def __call__(self, node: int) -> float:
+        return max(float(len(self.database.store(node))), self.floor)
+
+    def gather(self, nodes: np.ndarray) -> np.ndarray:
+        sizes = self.database.content_size_array(nodes).astype(np.float64)
+        return np.maximum(sizes, self.floor)
+
+
 def content_size_weights(
     database: P2PDatabase, floor: float = 0.0
-) -> WeightFunction:
+) -> ContentSizeWeights:
     """``w_v = m_v``: node weight equals its current tuple count.
 
     Combined with a uniform local tuple draw this makes every tuple of the
@@ -47,11 +72,7 @@ def content_size_weights(
     """
     if floor < 0:
         raise SamplingError(f"weight floor must be >= 0, got {floor}")
-
-    def weight(node: int) -> float:
-        return max(float(len(database.store(node))), floor)
-
-    return weight
+    return ContentSizeWeights(database, floor)
 
 
 def degree_weights(graph: OverlayGraph) -> WeightFunction:

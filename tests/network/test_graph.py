@@ -1,5 +1,7 @@
 """Tests for the mutable overlay graph."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -244,6 +246,47 @@ class TestCsrCache:
         assert offsets.tolist() == [0]
 
 
+def _mutate(graph, op, a, b):
+    """Apply one random mutation (skipped when it does not apply)."""
+    nodes = graph.nodes()
+    if op == "join":
+        graph.join(n_links=1 + a % 3, rng=b)
+    elif not nodes:
+        return
+    elif op == "leave":
+        if len(nodes) > 1:
+            graph.leave(nodes[a % len(nodes)], rewire=bool(b % 2))
+    else:
+        u, v = nodes[a % len(nodes)], nodes[b % len(nodes)]
+        if u == v:
+            return
+        if op == "add_edge":
+            graph.add_edge(u, v)
+        elif graph.has_edge(u, v):
+            graph.remove_edge(u, v)
+
+
+_HISTORY = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["add_edge", "remove_edge", "join", "leave", "csr", "copy"]
+        ),
+        st.integers(0, 15),
+        st.integers(0, 15),
+    ),
+    max_size=60,
+)
+
+
+def _assert_csr_matches_reference(graph):
+    cached = graph.csr()
+    for got, want in zip(cached, _reference_csr(graph)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert not got.flags.writeable
+    assert graph.csr() is cached
+
+
 @given(
     operations=st.lists(
         st.tuples(
@@ -259,28 +302,111 @@ def test_property_cached_csr_matches_reference(operations):
     """After any mutation history the cached CSR equals a fresh build."""
     graph = OverlayGraph(ring_topology(6), n_nodes=6)
     for op, a, b in operations:
-        nodes = graph.nodes()
-        if op == "join":
-            graph.join(n_links=1 + a % 3, rng=b)
-        elif not nodes:
-            continue
-        elif op == "leave":
-            if len(nodes) > 1:
-                graph.leave(nodes[a % len(nodes)], rewire=bool(b % 2))
+        _mutate(graph, op, a, b)
+        _assert_csr_matches_reference(graph)
+
+
+@given(operations=_HISTORY)
+@settings(max_examples=200, deadline=None)
+def test_property_spliced_csr_matches_reference(operations):
+    """Snapshots spliced over several mutations equal a fresh build.
+
+    Snapshots are taken only at ``csr`` steps, so each splice covers a
+    run of mutations; a ``copy`` step forks the history, and from then on
+    mutations alternate between the graphs, each splicing from its own
+    previous snapshot (the clone's first one is a full build).
+    """
+    graphs = [OverlayGraph(ring_topology(6), n_nodes=6)]
+    graphs[0].csr()
+    for op, a, b in operations:
+        graph = graphs[(a + b) % len(graphs)]
+        if op == "csr":
+            _assert_csr_matches_reference(graph)
+        elif op == "copy":
+            graphs.append(graph.copy())
         else:
-            u, v = nodes[a % len(nodes)], nodes[b % len(nodes)]
-            if u == v:
-                continue
-            if op == "add_edge":
-                graph.add_edge(u, v)
-            elif graph.has_edge(u, v):
-                graph.remove_edge(u, v)
-        cached = graph.csr()
-        for got, want in zip(cached, _reference_csr(graph)):
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want)
-            assert not got.flags.writeable
-        assert graph.csr() is cached
+            _mutate(graph, op, a, b)
+    for graph in graphs:
+        _assert_csr_matches_reference(graph)
+
+
+def _reference_hops(graph, source):
+    """Deque BFS over the adjacency lists: ``{node: hops}`` of reachable nodes."""
+    distances = {source: 0}
+    frontier = deque([source])
+    while frontier:
+        node = frontier.popleft()
+        for neighbor in graph.neighbors(node):
+            if neighbor not in distances:
+                distances[neighbor] = distances[node] + 1
+                frontier.append(neighbor)
+    return distances
+
+
+@given(operations=_HISTORY, source=st.integers(0, 40))
+@settings(max_examples=200, deadline=None)
+def test_property_array_bfs_matches_deque_reference(operations, source):
+    """After any history the CSR BFS equals a deque BFS, as dict and array.
+
+    Histories include ``leave(rewire=False)``, so the graph may be
+    disconnected; a source that is not (or no longer) in the graph is
+    rejected.
+    """
+    graph = OverlayGraph(ring_topology(6), n_nodes=6)
+    for op, a, b in operations:
+        if op == "csr":
+            graph.hop_distances(graph.nodes()[a % len(graph)])
+        elif op != "copy":
+            _mutate(graph, op, a, b)
+    if source not in graph:
+        with pytest.raises(TopologyError):
+            graph.hop_distances(source)
+        with pytest.raises(TopologyError):
+            graph.hop_counts(source)
+        return
+    want = _reference_hops(graph, source)
+    assert graph.hop_distances(source) == want
+    node_ids = graph.csr()[0]
+    hops = graph.hop_counts(source)
+    assert hops.dtype == np.int64 and not hops.flags.writeable
+    assert hops.tolist() == [want.get(int(node), -1) for node in node_ids]
+    assert graph.is_connected() == (len(want) == len(graph))
+
+
+class TestSplicedSnapshot:
+    def test_leaver_and_its_neighbors_are_respliced(self):
+        graph = OverlayGraph(ring_topology(8), n_nodes=8)
+        graph.csr()
+        graph.leave(3, rewire=False)
+        graph.leave(5, rewire=True)
+        graph.join(attach_to=[0, 7])
+        _assert_csr_matches_reference(graph)
+
+    def test_copy_starts_with_no_log_or_cache(self, triangle):
+        triangle.csr()
+        triangle.add_edge(0, 3)
+        clone = triangle.copy()
+        assert clone._csr_cache is None and not clone._touched
+        _assert_csr_matches_reference(clone)
+        _assert_csr_matches_reference(triangle)
+
+
+class TestHopCounts:
+    def test_one_search_serves_array_and_dict(self):
+        graph = OverlayGraph([(0, 1), (1, 2), (2, 3)], n_nodes=5)
+        hops = graph.hop_counts(1)
+        assert hops.tolist() == [1, 0, 1, 2, -1]
+        distances = graph.hop_distances(1)
+        assert distances == {0: 1, 1: 0, 2: 1, 3: 2}
+        assert graph.hop_counts(1) is hops
+        assert graph.hop_distances(1) is distances
+
+    def test_mutation_or_new_source_invalidates(self):
+        graph = OverlayGraph([(0, 1), (1, 2), (2, 3)])
+        hops = graph.hop_counts(0)
+        assert graph.hop_counts(3) is not hops
+        graph.add_edge(0, 3)
+        assert graph.hop_counts(0).tolist() == [0, 1, 2, 1]
 
 
 class TestComponents:

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SamplingError, TopologyError
+from repro.db.relation import P2PDatabase, Schema
+from repro.errors import SamplingError, StoreError, TopologyError
+from repro.network.churn import ChurnConfig, ChurnProcess
 from repro.network.graph import OverlayGraph
 from repro.network.messaging import MessageLedger
 from repro.network.topology import mesh_topology, power_law_topology, ring_topology
@@ -16,7 +18,11 @@ from repro.sampling.metropolis import (
 )
 from repro.sampling.mixing import total_variation
 from repro.sampling.walker import WalkContext, batch_walk
-from repro.sampling.weights import table_weights, uniform_weights
+from repro.sampling.weights import (
+    content_size_weights,
+    table_weights,
+    uniform_weights,
+)
 
 
 @pytest.fixture
@@ -368,3 +374,71 @@ def test_property_subgraph_matches_reference(seed, n, leaves, keep):
     assert np.array_equal(context.offsets, offsets)
     assert np.array_equal(context.targets, targets)
     assert context.targets.dtype == np.int64
+
+
+def _outcome(build):
+    """A context's ``(weights, accept)`` bytes, or the error it raised."""
+    try:
+        context = build()
+    except (SamplingError, StoreError, TopologyError) as error:
+        return type(error), str(error)
+    return context.weights.tobytes(), context.accept.tobytes()
+
+
+@given(seed=st.integers(0, 2**16), rounds=st.integers(0, 6))
+@settings(max_examples=60, deadline=None)
+def test_property_size_array_context_is_bit_identical(seed, rounds):
+    """Weighing through the size array equals calling the weight per node.
+
+    After random inserts, deletes and churn rounds (joins, leaves, and the
+    database's ``handle_churn``), a content-size context built with one
+    gather and one built by per-node calls agree bit for bit on
+    ``weights`` and ``accept``, or raise the same error, for the full
+    overlay and for a scope.
+    """
+    rng = np.random.default_rng(seed)
+    graph = OverlayGraph(power_law_topology(40, rng=rng), n_nodes=40)
+    database = P2PDatabase(Schema(("v",)), graph.nodes())
+    churn = ChurnProcess(
+        graph, ChurnConfig(leave_probability=0.1, join_rate=3.0), rng
+    )
+    for _ in range(rounds):
+        nodes = database.nodes()
+        for _ in range(int(rng.integers(0, 15))):
+            database.insert(nodes[int(rng.integers(len(nodes)))], {"v": 1.0})
+        for node in rng.choice(nodes, size=3):
+            ids = database.store(int(node)).tuple_ids()
+            if ids:
+                database.delete(ids[0])
+        database.handle_churn(churn.step())
+    weight = content_size_weights(database)
+
+    def per_node(node):
+        return weight(node)
+
+    origin = graph.nodes()[0]
+    scope = [n for n, h in graph.hop_distances(origin).items() if h <= 2]
+    for make in (
+        lambda w: WalkContext.from_graph(graph, w),
+        lambda w: WalkContext.from_subgraph(graph, w, scope),
+    ):
+        assert _outcome(lambda: make(weight)) == _outcome(lambda: make(per_node))
+
+
+class TestSizeArrayWeights:
+    def test_all_zero_weights_rejected(self):
+        graph = OverlayGraph(ring_topology(4), n_nodes=4)
+        database = P2PDatabase(Schema(("v",)), graph.nodes())
+        with pytest.raises(SamplingError, match="all node weights are zero"):
+            WalkContext.from_graph(graph, content_size_weights(database))
+
+    def test_missing_store_rejected(self):
+        graph = OverlayGraph(ring_topology(4), n_nodes=4)
+        database = P2PDatabase(Schema(("v",)), [0, 1, 3])
+        database.insert(0, {"v": 1.0})
+        with pytest.raises(StoreError, match="node 2 has no store"):
+            WalkContext.from_graph(graph, content_size_weights(database))
+        with pytest.raises(StoreError, match="node 2 has no store"):
+            WalkContext.from_subgraph(
+                graph, content_size_weights(database), [1, 2, 3]
+            )
