@@ -152,7 +152,7 @@ def test_partitioned_sample_tuples(benchmark):
         return operator.sample_tuples(database, 50, origin=0)
 
     samples = benchmark(run)
-    assert {sample.node for sample in samples} <= set(reachable)
+    assert {database.locate(t) for t in samples.tolist()} <= set(reachable)
 
 
 def test_store_insert_delete(benchmark):

@@ -72,9 +72,9 @@ def main() -> None:
 
     # --- 3. two-stage vs cluster sampling --------------------------------
     truth = database.exact_values(Expression("v")).mean()
-    # a sample is a tuple id; one gather reads a batch's values
-    def values(samples):
-        return database.gather(["v"], [s.tuple_id for s in samples])["v"]
+    # a batch of samples is an array of tuple ids; one gather reads its values
+    def values(tuple_ids):
+        return database.gather(["v"], tuple_ids)["v"]
 
     two_stage = values(operator.sample_tuples(database, 200, origin=0))
     cluster_values = []

@@ -60,11 +60,11 @@ class EvaluatorConfig:
 
 
 def sequential_sample(
-    draw: Callable[[int], tuple[list[int], np.ndarray]],
+    draw: Callable[[int], tuple[np.ndarray, np.ndarray]],
     epsilon_mean: float,
     confidence: float,
     config: EvaluatorConfig,
-) -> tuple[list[int], np.ndarray, bool]:
+) -> tuple[np.ndarray, np.ndarray, bool]:
     """Eq. 6 sequential sizing: pilot, re-size from sigma-hat, top up.
 
     ``draw(n)`` returns up to ``n`` fresh ``(tuple_ids, values)``. A pilot
@@ -95,7 +95,7 @@ def sequential_sample(
         extra_ids, extra = draw(needed - values.size)
         if extra.size == 0:
             break  # the overlay is delivering nothing; degrade
-        ids = ids + extra_ids
+        ids = np.concatenate([ids, extra_ids])
         values = np.concatenate([values, extra])
     return ids, values, values.size < needed
 
@@ -145,7 +145,7 @@ class SnapshotEvaluator:
         population = int(round(self._population_size_provider()))
         return population, mean_error_budget(self._query.op, epsilon, population)
 
-    def _values(self, tuple_ids: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    def _values(self, tuple_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(y, indicator)`` arrays of live tuples under the query's transform."""
         query = self._query
         columns = self._database.gather(self._attributes, tuple_ids)
@@ -153,7 +153,7 @@ class SnapshotEvaluator:
             query.op, query.expression, query.predicate, columns, len(tuple_ids)
         )
 
-    def _draw(self, n: int) -> tuple[list[int], np.ndarray, np.ndarray]:
+    def _draw(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Draw up to ``n`` fresh samples: ``(tuple_ids, y, indicator)``.
 
         Partial mode: under the failure model the overlay may lose walks,
@@ -161,15 +161,14 @@ class SnapshotEvaluator:
         (flagging the estimate) rather than aborting the query.
         """
         if n <= 0:
-            return [], np.empty(0), np.empty(0)
-        samples = self._operator.sample_tuples(
+            return np.empty(0, dtype=np.int64), np.empty(0), np.empty(0)
+        tuple_ids = self._operator.sample_tuples(
             self._database, n, self._origin, allow_partial=True
         )
-        tuple_ids = [s.tuple_id for s in samples]
         values, indicators = self._values(tuple_ids)
         return tuple_ids, values, indicators
 
-    def _draw_values(self, n: int) -> tuple[list[int], np.ndarray]:
+    def _draw_values(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         ids, values, _ = self._draw(n)
         return ids, values
 

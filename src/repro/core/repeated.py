@@ -194,10 +194,14 @@ def solve_allocation(
 
 @dataclass
 class _OccasionState:
-    """Sample-set and estimator state carried between occasions."""
+    """Sample-set and estimator state carried between occasions.
 
-    tuple_ids: list[int] = field(default_factory=list)
-    values: list[float] = field(default_factory=list)
+    ``tuple_ids`` (int64) and ``values`` (float64) are parallel arrays:
+    the occasion's sample-set and each sample's value at that occasion.
+    """
+
+    tuple_ids: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    values: np.ndarray = field(default_factory=lambda: np.empty(0))
     estimate: float = 0.0
     variance: float = 0.0
     sigma2: float = 0.0
@@ -205,7 +209,12 @@ class _OccasionState:
 
     @property
     def initialized(self) -> bool:
-        return bool(self.tuple_ids)
+        return bool(self.tuple_ids.size)
+
+    def retainable(self, database: P2PDatabase) -> tuple[np.ndarray, np.ndarray]:
+        """``(tuple_ids, values)`` of the samples whose tuple is still live."""
+        live = database.live_mask(self.tuple_ids)
+        return self.tuple_ids[live], self.values[live]
 
 
 class RepeatedEvaluator(SnapshotEvaluator):
@@ -278,7 +287,7 @@ class RepeatedEvaluator(SnapshotEvaluator):
         _, epsilon_mean = self._budget(epsilon)
         sigma2 = max(state.sigma2, config.sigma_floor**2)
         rho_plan = state.rho if state.rho is not None else 0.0
-        alive = sum(1 for tid in state.tuple_ids if tid in self._database)
+        alive = state.retainable(self._database)[0].size
         if epsilon_mean == float("inf"):
             return max(
                 0, config.pilot_size - min(alive, config.pilot_size // 2)
@@ -317,7 +326,7 @@ class RepeatedEvaluator(SnapshotEvaluator):
         self.last_revision = None
         self._state = _OccasionState(
             tuple_ids=ids,
-            values=values.tolist(),
+            values=values,
             estimate=mean,
             variance=variance / n,
             sigma2=variance,
@@ -349,16 +358,11 @@ class RepeatedEvaluator(SnapshotEvaluator):
         sigma2 = max(state.sigma2, config.sigma_floor**2)
         rho_plan = state.rho if state.rho is not None else 0.0
 
-        # which previous samples are still retainable?
-        alive = [
-            (tid, value)
-            for tid, value in zip(state.tuple_ids, state.values)
-            if tid in self._database
-        ]
+        alive_ids, alive_values = state.retainable(self._database)
         if epsilon_mean == float("inf"):
             v_target = float("inf")
             n_needed, g_target = config.pilot_size, min(
-                len(alive), config.pilot_size // 2
+                alive_ids.size, config.pilot_size // 2
             )
         else:
             v_target = variance_target(epsilon_mean, confidence)
@@ -367,27 +371,27 @@ class RepeatedEvaluator(SnapshotEvaluator):
                 rho_plan,
                 state.variance,
                 v_target,
-                retained_available=len(alive),
+                retained_available=alive_ids.size,
                 min_n=config.pilot_size,
                 max_n=config.max_sample_size,
             )
         if state.rho is None:
             # correlation not yet measurable: retain half the set (variance-
             # neutral when rho is actually 0, and it seeds the rho estimate)
-            g_target = min(len(alive), n_needed // 2)
+            g_target = min(alive_ids.size, n_needed // 2)
 
         # retain a random subset of the alive previous samples
-        if g_target > 0:
-            picks = self._rng.choice(len(alive), size=g_target, replace=False)
-            matched = [alive[int(i)] for i in picks]
-        else:
-            matched = []
-        matched_prev = np.array([value for _, value in matched], dtype=float)
-        matched_ids = [tid for tid, _ in matched]
+        picks = (
+            self._rng.choice(alive_ids.size, size=g_target, replace=False)
+            if g_target > 0
+            else np.empty(0, dtype=np.int64)
+        )
+        matched_ids = alive_ids[picks]
+        matched_prev = alive_values[picks]
         # re-evaluation: already located, negligible communication cost
         matched_curr = self._values(matched_ids)[0]
 
-        fresh_ids, fresh_values = self._draw_values(n_needed - len(matched_ids))
+        fresh_ids, fresh_values = self._draw_values(n_needed - matched_ids.size)
 
         estimate, variance, rho_measured, sigma2_new = self._combine(
             matched_prev,
@@ -412,7 +416,7 @@ class RepeatedEvaluator(SnapshotEvaluator):
             extra_ids, extra_values = self._draw_values(extra)
             if extra_values.size == 0:
                 break  # the overlay is delivering nothing; degrade
-            fresh_ids.extend(extra_ids)
+            fresh_ids = np.concatenate([fresh_ids, extra_ids])
             fresh_values = np.concatenate([fresh_values, extra_values])
             estimate, variance, rho_measured, sigma2_new = self._combine(
                 matched_prev,
@@ -438,11 +442,11 @@ class RepeatedEvaluator(SnapshotEvaluator):
         else:
             self.last_revision = None
 
-        g = len(matched_ids)
-        f = len(fresh_ids)
+        g = matched_ids.size
+        f = fresh_ids.size
         self._state = _OccasionState(
-            tuple_ids=matched_ids + fresh_ids,
-            values=matched_curr.tolist() + fresh_values.tolist(),
+            tuple_ids=np.concatenate([matched_ids, fresh_ids]),
+            values=np.concatenate([matched_curr, fresh_values]),
             estimate=estimate,
             variance=variance,
             sigma2=sigma2_new,

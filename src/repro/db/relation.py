@@ -3,12 +3,13 @@
 ``R`` is a single relation horizontally partitioned across overlay nodes
 (Section II). :class:`P2PDatabase` owns the relation's value columns
 (:class:`~repro.db.store.Columns`), one :class:`~repro.db.store.LocalStore`
-per live node over them, a global tuple-location index, the per-node
-tuple counts ``m_v`` as one array indexed by node id, and global id
-allocation. It is the ground truth the simulator maintains; query engines
-never read it wholesale — they draw tuple ids through the sampling operator
-and read those tuples' values with one :meth:`gather` — but experiments use
-:meth:`exact_values` as the oracle for error measurement.
+per live node over them, the hosting node of every tuple and the per-node
+tuple counts ``m_v`` as two arrays (indexed by tuple id and by node id),
+and global id allocation. It is the ground truth the simulator maintains;
+query engines never read it wholesale — they draw tuple ids through the
+sampling operator and read those tuples' values with one :meth:`gather` —
+but experiments use :meth:`exact_values` as the oracle for error
+measurement.
 """
 
 from __future__ import annotations
@@ -72,10 +73,10 @@ class P2PDatabase:
         self._schema = schema
         self._columns = Columns(schema.attributes)
         self._stores: dict[int, LocalStore] = {}
-        # tuple id -> hosting node, for row-at-a-time lookups at dict
-        # speed; _live mirrors its key set as a mask for update_many's check
-        self._location: dict[int, int] = {}
-        self._live = np.zeros(0, dtype=bool)
+        # hosting node by tuple id, -1 for a deleted (or unallocated) id:
+        # the one record of which tuples are live, and how many
+        self._node_of = np.zeros(0, dtype=np.int64)
+        self._n_live = 0
         # m_v by node id, and which node ids have a store; 0 / False for
         # ids without one
         self._sizes = np.zeros(0, dtype=np.int64)
@@ -131,9 +132,8 @@ class P2PDatabase:
         if store is None:
             raise StoreError(f"node {node} has no store")
         lost = store.tuple_ids()
-        for tuple_id in lost:
-            del self._location[tuple_id]
-        self._live[lost] = False
+        self._node_of[lost] = -1
+        self._n_live -= len(lost)
         del self._stores[node]
         self._sizes[node] = 0
         self._has_store[node] = False
@@ -190,7 +190,7 @@ class P2PDatabase:
     @property
     def n_tuples(self) -> int:
         """Total relation size ``N`` across all fragments."""
-        return len(self._location)
+        return self._n_live
 
     def insert(self, node: int, values: Mapping[str, float]) -> int:
         """Insert a row at ``node``; returns the new global tuple id."""
@@ -198,17 +198,17 @@ class P2PDatabase:
         tuple_id = self._next_tuple_id
         store.insert(tuple_id, values)
         self._next_tuple_id += 1
-        self._location[tuple_id] = node
+        if tuple_id >= len(self._node_of):
+            self._node_of = grown(self._node_of, tuple_id + 1, -1)
+        self._node_of[tuple_id] = node
+        self._n_live += 1
         self._sizes[node] = len(store)
-        if tuple_id >= len(self._live):
-            self._live = grown(self._live, tuple_id + 1, False)
-        self._live[tuple_id] = True
         self._layout_version += 1
         return tuple_id
 
     def update(self, tuple_id: int, values: Mapping[str, float]) -> None:
         """Update attributes of an existing tuple wherever it lives."""
-        node = self._location.get(tuple_id)
+        node = self.locate(tuple_id)
         if node is None:
             raise StoreError(f"tuple {tuple_id} does not exist")
         self._stores[node].update(tuple_id, values)
@@ -242,43 +242,47 @@ class P2PDatabase:
         ordered = np.sort(ids)
         if ordered[0] < 0 or ordered[-1] >= self._next_tuple_id:
             raise StoreError("tuple ids outside the allocated range")
-        if not self._live[ids].all():
+        if self._node_of[ordered].min() < 0:
             raise StoreError("tuple ids of deleted tuples")
         if (ordered[1:] == ordered[:-1]).any():
             raise StoreError("repeated tuple ids")
         column[ids] = new
 
     def delete(self, tuple_id: int) -> None:
-        node = self._location.get(tuple_id)
+        node = self.locate(tuple_id)
         if node is None:
             raise StoreError(f"tuple {tuple_id} does not exist")
         store = self._stores[node]
         store.delete(tuple_id)
-        del self._location[tuple_id]
+        self._node_of[tuple_id] = -1
+        self._n_live -= 1
         self._sizes[node] = len(store)
-        self._live[tuple_id] = False
         self._layout_version += 1
 
     def locate(self, tuple_id: int) -> int | None:
-        """Node currently hosting ``tuple_id``, or None if it was deleted."""
-        return self._location.get(tuple_id)
+        """Node currently hosting ``tuple_id``; None for a deleted or unknown id."""
+        if 0 <= tuple_id < self._next_tuple_id:
+            node = self._node_of.item(tuple_id)
+            if node >= 0:
+                return node
+        return None
 
     def read(self, tuple_id: int) -> dict[str, float]:
         """Current attribute values of a tuple (copy)."""
-        node = self._location.get(tuple_id)
+        node = self.locate(tuple_id)
         if node is None:
             raise StoreError(f"tuple {tuple_id} does not exist")
         return self._stores[node].get(tuple_id)
 
     def __contains__(self, tuple_id: int) -> bool:
-        return tuple_id in self._location
+        return self.locate(tuple_id) is not None
 
     def live_mask(self, tuple_ids: Sequence[int] | np.ndarray) -> np.ndarray:
         """Which of ``tuple_ids`` name live tuples, as one boolean array."""
         ids = np.asarray(tuple_ids, dtype=np.int64)
         mask = np.zeros(ids.shape, dtype=bool)
         allocated = (ids >= 0) & (ids < self._next_tuple_id)
-        mask[allocated] = self._live[ids[allocated]]
+        mask[allocated] = self._node_of[ids[allocated]] >= 0
         return mask
 
     def gather(
@@ -326,7 +330,7 @@ class P2PDatabase:
                     self._stores[node].tuple_ids() for node in sorted(self._stores)
                 ),
                 dtype=np.int64,
-                count=len(self._location),
+                count=self._n_live,
             )
             self._order = (self._layout_version, order)
         return self._order[1]

@@ -27,7 +27,7 @@ from repro.network.topology import mesh_topology, power_law_topology, ring_topol
 from repro.obs.console import emit
 from repro.sampling.metropolis import metropolis_matrix
 from repro.sampling.mixing import total_variation
-from repro.sampling.operator import SamplerConfig, TupleSample
+from repro.sampling.operator import SamplerConfig
 from repro.sampling.pool import SamplePool
 from repro.sampling.weights import uniform_weights
 from repro.core.repeated import combined_variance, optimal_partition
@@ -169,9 +169,9 @@ class ClusterResult:
         )
 
 
-def _values(database: P2PDatabase, samples: list[TupleSample]) -> np.ndarray:
+def _values(database: P2PDatabase, tuple_ids: np.ndarray) -> np.ndarray:
     """Attribute ``v`` of the sampled tuples, in sample order."""
-    return database.gather(["v"], [s.tuple_id for s in samples])["v"]
+    return database.gather(["v"], tuple_ids)["v"]
 
 
 def cluster_sampling_ablation(

@@ -153,7 +153,7 @@ def run(
                     )
                 samples = operator.sample_tuples(database, per_step, origin=0)
                 sample_times.extend([offset] * len(samples))
-                columns = database.gather(["v"], [s.tuple_id for s in samples])
+                columns = database.gather(["v"], samples)
                 sample_values.extend(expression.evaluate_columns(columns).tolist())
             truth_end = float(database.exact_values(expression).mean())
             times_array = np.array(sample_times, dtype=float)

@@ -12,8 +12,8 @@ retry or extrapolation decision produced it. This package is that layer:
   dispatches them to sinks (:class:`RunMetricsSink` derives the
   :class:`~repro.sim.metrics.RunMetrics` counters — the single source
   of truth replacing hand-booked counters at call sites).
-* :mod:`repro.obs.registry` — counters, gauges and histograms with
-  *fixed* bucket boundaries so results stay deterministic across runs.
+* :mod:`repro.obs.registry` — fixed-boundary histograms, so results
+  stay deterministic across runs.
 * :mod:`repro.obs.export` — portable JSONL trace export/import.
 * :mod:`repro.obs.profile` — wall-clock section timers keyed to
   sim-time span names (the one sanctioned wall-clock reader; simulation
@@ -50,11 +50,10 @@ from repro.obs.console import emit
 from repro.obs.export import export_trace, import_trace
 from repro.obs.live import LivePipeline, WindowConfig, WindowStats, feed_trace
 from repro.obs.profile import WallClockProfiler
-from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.registry import Histogram
 from repro.obs.tracer import (
     NULL_TRACER,
     RecordingTracer,
-    RegistrySink,
     RunMetricsSink,
     SinkTracer,
     Span,
@@ -71,15 +70,11 @@ __all__ = [
     "AlertRule",
     "AlertTransition",
     "AuditVerdict",
-    "Counter",
-    "Gauge",
     "GuaranteeAuditor",
     "GuaranteePromise",
     "Histogram",
     "LivePipeline",
-    "MetricsRegistry",
     "RecordingTracer",
-    "RegistrySink",
     "RunMetricsSink",
     "SinkTracer",
     "Span",

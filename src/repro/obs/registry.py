@@ -1,11 +1,9 @@
-"""Deterministic metric instruments: counters, gauges, histograms.
+"""Deterministic histograms for trace analysis.
 
-Unlike the per-run :class:`~repro.sim.metrics.RunMetrics` (fixed counter
-fields + time series), the registry is an open namespace keyed by metric
-name, meant for instrumentation sinks and analysis code. Histograms use
-*fixed, explicit bucket boundaries* — never quantile sketches or adaptive
-buckets — so two runs observing the same values produce byte-identical
-snapshots, which the trace round-trip and determinism tests rely on.
+A :class:`Histogram` uses *fixed, explicit bucket boundaries* — never
+quantile sketches or adaptive buckets — so two runs observing the same
+values produce identical bucket counts, which the trace round-trip and
+determinism tests rely on.
 """
 
 from __future__ import annotations
@@ -27,30 +25,6 @@ DEFAULT_DURATION_BUCKETS: tuple[float, ...] = (
     500.0,
     1000.0,
 )
-
-
-@dataclass
-class Counter:
-    """Monotone event count."""
-
-    name: str
-    value: int = 0
-
-    def inc(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError(f"counter increments must be >= 0, got {amount}")
-        self.value += amount
-
-
-@dataclass
-class Gauge:
-    """Last-write-wins instantaneous value."""
-
-    name: str
-    value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
 
 
 @dataclass
@@ -100,70 +74,3 @@ class Histogram:
             labels.append(f"({low:g}, {high:g}]")
         labels.append(f"> {self.boundaries[-1]:g}")
         return labels
-
-
-class MetricsRegistry:
-    """Name-keyed instrument store with idempotent registration."""
-
-    def __init__(self) -> None:
-        self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, Histogram] = {}
-
-    def counter(self, name: str) -> Counter:
-        found = self._counters.get(name)
-        if found is None:
-            found = Counter(name)
-            self._counters[name] = found
-        return found
-
-    def gauge(self, name: str) -> Gauge:
-        found = self._gauges.get(name)
-        if found is None:
-            found = Gauge(name)
-            self._gauges[name] = found
-        return found
-
-    def histogram(
-        self,
-        name: str,
-        boundaries: tuple[float, ...] = DEFAULT_DURATION_BUCKETS,
-    ) -> Histogram:
-        """Get (or create) the named histogram.
-
-        Re-registering an existing histogram with *different* boundaries
-        raises — silently switching bucketing mid-run would make the
-        snapshot non-deterministic in exactly the way this module exists
-        to prevent.
-        """
-        found = self._histograms.get(name)
-        if found is None:
-            found = Histogram(name, tuple(boundaries))
-            self._histograms[name] = found
-        elif found.boundaries != tuple(boundaries):
-            raise ValueError(
-                f"histogram {name!r} already registered with boundaries "
-                f"{found.boundaries}, got {tuple(boundaries)}"
-            )
-        return found
-
-    def snapshot(self) -> dict[str, object]:
-        """Deterministic, JSON-ready dump of every instrument (sorted)."""
-        return {
-            "counters": {
-                name: counter.value
-                for name, counter in sorted(self._counters.items())
-            },
-            "gauges": {
-                name: gauge.value for name, gauge in sorted(self._gauges.items())
-            },
-            "histograms": {
-                name: {
-                    "boundaries": list(histogram.boundaries),
-                    "counts": list(histogram.counts),
-                    "count": histogram.count,
-                    "total": histogram.total,
-                }
-                for name, histogram in sorted(self._histograms.items())
-            },
-        }

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Protocol
 
 from repro.obs.profile import WallClockProfiler
-from repro.obs.registry import DEFAULT_DURATION_BUCKETS, MetricsRegistry
 from repro.obs.schema import (
     EVENT_ALERT_FIRING,
     EVENT_ALERT_RESOLVED,
@@ -486,31 +485,6 @@ class RunMetricsSink:
             self.metrics.alerts_fired += 1
         elif event.name == EVENT_ALERT_RESOLVED:
             self.metrics.alerts_resolved += 1
-
-
-class RegistrySink:
-    """Maintains live span/event counters and sim-duration histograms."""
-
-    needs_span_events = True  # counts every span-attached event by name
-
-    def __init__(
-        self,
-        registry: MetricsRegistry,
-        duration_buckets: tuple[float, ...] = DEFAULT_DURATION_BUCKETS,
-    ) -> None:
-        self.registry = registry
-        self._buckets = duration_buckets
-
-    def on_span_end(self, span: Span) -> None:
-        self.registry.counter(f"spans.{span.name}").inc()
-        for event in span.events:
-            self.registry.counter(f"events.{event.name}").inc()
-        self.registry.histogram(
-            f"span_duration.{span.name}", self._buckets
-        ).observe(float(span.duration))
-
-    def on_event(self, event: TraceEvent) -> None:
-        self.registry.counter(f"events.{event.name}").inc()
 
 
 def bridge_fault_log(log: "FaultLog", tracer: Tracer) -> None:

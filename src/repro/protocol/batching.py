@@ -13,8 +13,8 @@ accounting survives the sharing.
 These types live at the protocol layer because a batch is a property of
 the *walk lifecycle* (how many supervised walks to launch and who reads
 their samples), not of any single query's scheduling policy; the session
-layer builds plans from its schedulers and hands them down.
-:mod:`repro.core.scheduler` re-exports them for compatibility.
+layer builds plans from its schedulers and hands them down. The
+packages :mod:`repro.protocol` and :mod:`repro.core` both export them.
 """
 
 from __future__ import annotations

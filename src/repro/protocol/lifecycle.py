@@ -31,7 +31,7 @@ Hot-path observability
 ----------------------
 ``note_hop`` / ``note_message`` / ``note_probe`` run once per hop /
 message — the innermost loops of the whole system. When the tracer is
-recording (a sink retains span events: export, registry), they append
+recording (a sink retains span events, as export does), they append
 full :class:`~repro.obs.tracer.TraceEvent` records exactly as before.
 When tracing is enabled but *nothing consumes per-event records* (live
 metrics and windowed analytics read only span attributes), they skip
@@ -465,21 +465,20 @@ class WalkLifecycle:
                 )
             )
 
-    def note_message(
-        self, walker_id: int, attempt: int, kind: str, to_node: int
-    ) -> None:
-        """One protocol message, bucketed exactly like the ledger.
+    def note_message(self, walker_id: int, category: str, to_node: int) -> None:
+        """One protocol message in ``category``, the ledger's own bucket.
 
-        Mirrors the executor's ledger bucketing (retry traffic under
-        ``retry``), so trace attribution and the ledger cannot disagree.
-        On the non-recording path only the per-category count survives.
+        The executor decides the category once per message (``walk``,
+        ``return``, or ``retry`` for any retry-attempt traffic) and books
+        the ledger with the same value, so trace attribution and the
+        ledger cannot disagree. On the non-recording path only the
+        per-category count survives.
         """
         if not self._traced:
             return
         record = self._records.get(walker_id)
         if record is None:
             return
-        category = "retry" if attempt > 1 else kind
         if self._tracer.is_recording:
             # appended directly: this runs once per message
             record.span.events.append(
@@ -527,7 +526,7 @@ class WalkLifecycle:
         """Open one message-transit span, joined to its walk by ``ctx``.
 
         Returns ``None`` on the non-recording path — transit spans exist
-        only for sinks that retain them (export, registry), so the hot
+        only for sinks that retain them (export), so the hot
         path pays one boolean check and nothing else. The span is ended
         at *delivery* (:meth:`end_hop_segment`); a message the transport
         drops leaves its segment forever open, and open spans are never

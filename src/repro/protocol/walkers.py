@@ -98,14 +98,14 @@ class WalkExecutor:
     # unreliable delivery
     # ------------------------------------------------------------------
 
-    def _record_traffic(self, attempt: int, kind: str) -> None:
-        """Tally one message; retry-attempt traffic goes to ``retries``."""
-        if attempt > 1:
-            self._ledger.record_retry(1)
-        elif kind == KIND_WALK:
+    def _record_traffic(self, category: str) -> None:
+        """Tally one message in the ledger bucket of its ``category``."""
+        if category == KIND_WALK:
             self._ledger.record_walk_steps(1)
-        else:
+        elif category == KIND_RETURN:
             self._ledger.record_sample_return(1)
+        else:
+            self._ledger.record_retry(1)
 
     def _transmit(
         self,
@@ -130,8 +130,11 @@ class WalkExecutor:
         thunk — so any backend (including a future asyncio one) inherits
         causal tracing without knowing it exists.
         """
-        self._record_traffic(attempt, kind)
-        self._lifecycle.note_message(walker_id, attempt, kind, to_node)
+        # decided once for the ledger and the trace, so they cannot
+        # disagree: retry-attempt traffic of either kind is ``retry``
+        category = "retry" if attempt > 1 else kind
+        self._record_traffic(category)
+        self._lifecycle.note_message(walker_id, category, to_node)
         segment = self._lifecycle.begin_hop_segment(
             walker_id, kind, from_node, to_node, ctx
         )

@@ -32,12 +32,7 @@ from repro.sampling.mixing import (
     mixing_time_bound,
     total_variation,
 )
-from repro.sampling.operator import (
-    SamplerConfig,
-    SampleSource,
-    SamplingOperator,
-    TupleSample,
-)
+from repro.sampling.operator import SamplerConfig, SampleSource, SamplingOperator
 from repro.sampling.pool import PoolLease, SamplePool
 from repro.sampling.size_estimation import (
     estimate_network_size,
@@ -55,7 +50,6 @@ __all__ = [
     "SamplerConfig",
     "SampleSource",
     "SamplingOperator",
-    "TupleSample",
     "content_size_weights",
     "degree_weights",
     "eigengap",

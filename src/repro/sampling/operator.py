@@ -60,6 +60,8 @@ from repro.sampling import mixing
 from repro.sampling.walker import WalkContext, batch_walk
 from repro.sampling.weights import WeightFunction, content_size_weights
 
+_NO_NODES = np.empty(0, dtype=np.int64)
+_NO_NODES.setflags(write=False)
 
 @dataclass(frozen=True)
 class SamplerConfig:
@@ -111,25 +113,16 @@ class SamplerConfig:
             )
 
 
-@dataclass(frozen=True)
-class TupleSample:
-    """One sampled tuple: its id and the node it was drawn at.
-
-    A sample carries no values; estimators read them for a whole batch
-    of ids with :meth:`~repro.db.relation.P2PDatabase.gather`.
-    """
-
-    tuple_id: int
-    node: int
-
-
 class SampleSource(Protocol):
     """The slice of the sampling substrate evaluators consume.
 
     Implemented by :class:`SamplingOperator` itself and by
     :class:`~repro.sampling.pool.PoolLease` (a query's handle on the
     shared :class:`~repro.sampling.pool.SamplePool`) — anything that can
-    deliver uniform tuple samples and weighted node samples.
+    deliver uniform tuple samples and weighted node samples. A batch of
+    tuple samples is an int64 array of tuple ids, in draw order; it
+    carries no values (read them with one
+    :meth:`~repro.db.relation.P2PDatabase.gather`).
     """
 
     def sample_tuples(
@@ -139,8 +132,8 @@ class SampleSource(Protocol):
         origin: int,
         max_retries: int = 8,
         allow_partial: bool = False,
-    ) -> list[TupleSample]:
-        """Draw ``n`` uniformly random tuples (partial under faults)."""
+    ) -> np.ndarray:
+        """Draw ``n`` uniformly random tuple ids (partial under faults)."""
         ...
 
     def sample_nodes(
@@ -238,7 +231,8 @@ class SamplingOperator:
             bridge_fault_log(faults.log, self._tracer)
         self._spectral = _SpectralCache()
         self._tuple_walk: _TupleWalkCache | None = None
-        self._pool_nodes: list[int] = []  # continued-walk positions (node ids)
+        #: continued-walk agent positions (node ids)
+        self._pool_nodes = _NO_NODES
         self.samples_drawn = 0
         self.walks_started = 0
 
@@ -249,7 +243,7 @@ class SamplingOperator:
     @property
     def pool_nodes(self) -> list[int]:
         """Current continued-walk agent positions (copy, node ids)."""
-        return list(self._pool_nodes)
+        return self._pool_nodes.tolist()
 
     # ------------------------------------------------------------------
     # walk-length policy
@@ -446,88 +440,87 @@ class SamplingOperator:
         mix_length, reset_length = self._walk_lengths(context, origin)
         config = self._config
 
-        continued: list[int] = []
-        if config.continued_walks and self._pool_nodes:
+        continued = _NO_NODES
+        if config.continued_walks and self._pool_nodes.size:
             # agents survive only if their node is still in the overlay
-            # (and, under a partition, on the origin's side of the cut)
-            alive = [
-                node
-                for node in self._pool_nodes
-                if node in self._graph and (scope is None or node in scope)
-            ]
+            # (and, under a partition, on the origin's side of the cut):
+            # exactly the context's nodes
+            alive = self._pool_nodes[np.isin(self._pool_nodes, context.node_ids)]
             continued = alive[:n]
-        n_fresh = n - len(continued)
+        n_fresh = n - continued.size
 
         end_parts: list[np.ndarray] = []
-        walk_steps: list[int] = []
-        if continued:
-            starts = np.array(
-                [context.compact_index(node) for node in continued], dtype=np.int64
+        if continued.size:
+            starts = np.searchsorted(context.node_ids, continued)
+            end_parts.append(
+                batch_walk(
+                    context,
+                    starts,
+                    reset_length,
+                    self._rng,
+                    self._ledger,
+                    config.laziness,
+                )
             )
-            ends = batch_walk(
-                context,
-                starts,
-                reset_length,
-                self._rng,
-                self._ledger,
-                config.laziness,
-            )
-            end_parts.append(ends)
-            walk_steps.extend([reset_length] * len(continued))
         if n_fresh > 0:
             starts = np.full(
                 n_fresh, context.compact_index(origin), dtype=np.int64
             )
-            ends = batch_walk(
-                context,
-                starts,
-                mix_length,
-                self._rng,
-                self._ledger,
-                config.laziness,
+            end_parts.append(
+                batch_walk(
+                    context,
+                    starts,
+                    mix_length,
+                    self._rng,
+                    self._ledger,
+                    config.laziness,
+                )
             )
-            end_parts.append(ends)
-            walk_steps.extend([mix_length] * n_fresh)
             self.walks_started += n_fresh
         end_rows = np.concatenate(end_parts)
-        final_positions: list[int] = context.node_ids[end_rows].tolist()
+        final_positions = context.node_ids[end_rows]
 
         if config.continued_walks:
             # pool positions survive even if the *return* message is lost:
             # the agent itself still sits at its final node
-            self._pool_nodes = list(final_positions)
-        hops: list[int] = [0] * len(final_positions)
+            self._pool_nodes = final_positions
+        delivered: list[int] = final_positions.tolist()
         if self._ledger is not None or self._faults is not None:
             if scope is None:
                 # the origin's BFS over this version's CSR rows, which
                 # are the context's rows; an agent in another component
                 # (-1) walks no hops home
-                hops = np.maximum(
-                    self._graph.hop_counts(origin)[end_rows], 0
-                ).tolist()
+                hops = np.maximum(self._graph.hop_counts(origin)[end_rows], 0)
             else:
                 # under a partition the return route is confined to the
                 # reachable region, so return-hop accounting uses its BFS
-                hops = [scope.get(node, 0) for node in final_positions]
-        delivered: list[int] = []
-        for node, steps, hops_home in zip(final_positions, walk_steps, hops):
+                hops = np.array(
+                    [scope.get(node, 0) for node in delivered], dtype=np.int64
+                )
             if self._ledger is not None:
                 # the messages were sent whether or not any was lost
-                self._ledger.record_sample_return(hops_home)
-            if self._faults is not None and self._faults.walk_lost(
-                steps + hops_home
-            ):
-                self._faults.record(
-                    self._tracer.now(), "walk_lost", node=node
+                self._ledger.record_sample_return(int(hops.sum()))
+            if self._faults is not None:
+                # continued agents walked the reset length, fresh ones the
+                # full mixing length; one loss draw per agent, in order
+                steps = np.repeat(
+                    (reset_length, mix_length), (continued.size, n_fresh)
                 )
-                continue
-            delivered.append(node)
+                survivors: list[int] = []
+                for node, n_hops in zip(delivered, (steps + hops).tolist()):
+                    if self._faults.walk_lost(n_hops):
+                        self._faults.record(
+                            self._tracer.now(), "walk_lost", node=node
+                        )
+                        continue
+                    survivors.append(node)
+                delivered = survivors
         self.samples_drawn += len(delivered)
         # retained-vs-fresh tagging: continued agents only paid the reset
         # length; fresh agents paid the full mixing length from the origin
         self._tracer.end(
             span,
-            n_continued=len(continued),
+            n_continued=int(continued.size),
             n_fresh=n_fresh,
             mix_length=mix_length,
             reset_length=reset_length,
@@ -546,8 +539,8 @@ class SamplingOperator:
         origin: int,
         max_retries: int = 8,
         allow_partial: bool = False,
-    ) -> list[TupleSample]:
-        """Two-stage sampling: ``n`` uniformly random tuples from ``R``.
+    ) -> np.ndarray:
+        """Two-stage sampling: the ids of ``n`` uniformly random tuples of ``R``.
 
         Stage one samples nodes with ``w_v = m_v``; stage two draws a
         uniform local tuple at each sampled node. Empty nodes have zero
@@ -555,7 +548,8 @@ class SamplingOperator:
         any such miss (and any walk lost to the fault plan) is retried, up
         to ``max_retries`` rounds. With ``allow_partial=True`` a remaining
         shortfall returns the tuples actually drawn — the evaluator
-        degrades its precision — instead of raising.
+        degrades its precision — instead of raising. The ids come back as
+        one int64 array in draw order.
         """
         if database.n_tuples == 0:
             raise SamplingError("cannot sample tuples from an empty relation")
@@ -563,7 +557,7 @@ class SamplingOperator:
         span = self._tracer.span(
             SPAN_TUPLE_SAMPLING, n_requested=n, origin=origin
         )
-        samples: list[TupleSample] = []
+        drawn: list[int] = []
         rounds = 0
         need = n
         for _ in range(max_retries):
@@ -574,41 +568,40 @@ class SamplingOperator:
                 store = database.store(node)
                 if len(store) == 0:
                     continue  # zero-weight node reached; re-draw below
-                samples.append(TupleSample(store.sample_uniform(self._rng), node))
-            need = n - len(samples)
+                drawn.append(store.sample_uniform(self._rng))
+            need = n - len(drawn)
         if need > 0:
-            if allow_partial:
-                if self._faults is not None:
-                    self._faults.record(
-                        self._tracer.now(),
-                        "sample_shortfall",
-                        detail=f"{len(samples)} of {n} after {max_retries} rounds",
-                    )
-                self._tracer.end(
-                    span, n_drawn=len(samples), rounds=rounds, partial=True
+            if not allow_partial:
+                raise SamplingError(
+                    f"failed to draw {n} tuples after {max_retries} rounds "
+                    f"({len(drawn)} drawn); is the relation mostly empty?"
                 )
-                return samples
-            raise SamplingError(
-                f"failed to draw {n} tuples after {max_retries} rounds "
-                f"({len(samples)} drawn); is the relation mostly empty?"
-            )
-        self._tracer.end(span, n_drawn=len(samples), rounds=rounds, partial=False)
-        return samples
+            if self._faults is not None:
+                self._faults.record(
+                    self._tracer.now(),
+                    "sample_shortfall",
+                    detail=f"{len(drawn)} of {n} after {max_retries} rounds",
+                )
+        self._tracer.end(
+            span, n_drawn=len(drawn), rounds=rounds, partial=need > 0
+        )
+        return np.array(drawn, dtype=np.int64)
 
     def cluster_sample(
         self, database: P2PDatabase, origin: int
-    ) -> tuple[int, list[TupleSample]]:
+    ) -> tuple[int, np.ndarray]:
         """Cluster sampling: one node (uniform) and its entire fragment.
 
-        Provided for the two-stage-vs-cluster ablation (Section III argues
-        intra-node correlation makes this imprecise for P2P content).
+        Returns the node and its tuple ids (an int64 array, in local
+        order). Provided for the two-stage-vs-cluster ablation (Section
+        III argues intra-node correlation makes this imprecise for P2P
+        content).
         """
         from repro.sampling.weights import uniform_weights
 
         node = self.sample_nodes(uniform_weights(), 1, origin)[0]
-        tuple_ids = database.store(node).tuple_ids()
-        return node, [TupleSample(tuple_id, node) for tuple_id in tuple_ids]
+        return node, np.array(database.store(node).tuple_ids(), dtype=np.int64)
 
     def reset_pool(self) -> None:
         """Drop continued-walk state (e.g. between independent experiments)."""
-        self._pool_nodes = []
+        self._pool_nodes = _NO_NODES

@@ -20,8 +20,8 @@ each query's marginal ``(epsilon, p)`` contract is untouched.
   (digest-lint DGL008 forbids constructing one anywhere else outside
   :mod:`repro.sampling`) and is the only way queries reach it;
 * the pool holds only the current **freshness epoch**'s draws (the
-  simulated tick they were drawn at), in draw order, with their tuple
-  ids as one array; :meth:`begin_epoch` drops the previous tick's — the
+  simulated tick they were drawn at): their tuple ids, in draw order, as
+  one int64 array; :meth:`begin_epoch` drops the previous tick's — the
   paper's static-during-occasion assumption. Draws whose tuple was
   deleted since are skipped through one liveness mask over that array;
 * each consumer (query) holds a **cursor**: the position of the first
@@ -56,11 +56,7 @@ from repro.obs.schema import (
     SPAN_SHARED_WALK_BATCH,
 )
 from repro.obs.tracer import NO_TIME, NULL_TRACER, Tracer
-from repro.sampling.operator import (
-    SamplerConfig,
-    SamplingOperator,
-    TupleSample,
-)
+from repro.sampling.operator import SamplerConfig, SamplingOperator
 from repro.sampling.weights import WeightFunction
 
 _NO_IDS = np.empty(0, dtype=np.int64)
@@ -95,10 +91,8 @@ class SamplePool:
             partitions=partitions,
         )
         self._epoch: int = NO_TIME
-        #: the epoch's draws in draw order, their tuple ids as an array,
-        #: and each consumer's cursor: the position of its first unserved
-        #: draw. A hit hands out the drawn object itself, allocating nothing
-        self._draws: list[TupleSample] = []
+        #: the epoch's draws as tuple ids in draw order, and each
+        #: consumer's cursor: the position of its first unserved draw
         self._ids = _NO_IDS
         self._cursors: dict[str, int] = {}
         self.pool_hits = 0
@@ -112,7 +106,7 @@ class SamplePool:
     @property
     def n_pooled(self) -> int:
         """Draws held for the current epoch (deleted tuples included)."""
-        return len(self._draws)
+        return len(self._ids)
 
     @property
     def hit_rate(self) -> float:
@@ -139,7 +133,6 @@ class SamplePool:
         self._clear()
 
     def _clear(self) -> None:
-        self._draws = []
         self._ids = _NO_IDS
         self._cursors = {}
 
@@ -162,7 +155,7 @@ class SamplePool:
         consumer is served a draw twice. Returns the number of samples
         evicted.
         """
-        n_evicted = len(self._draws)
+        n_evicted = len(self._ids)
         self._clear()
         self._tracer.event(
             EVENT_POOL_INVALIDATE,
@@ -176,11 +169,8 @@ class SamplePool:
     # serving
     # ------------------------------------------------------------------
 
-    def _admit(self, fresh: list[TupleSample]) -> None:
-        self._draws.extend(fresh)
-        self._ids = np.append(
-            self._ids, np.array([s.tuple_id for s in fresh], dtype=np.int64)
-        )
+    def _admit(self, fresh: np.ndarray) -> None:
+        self._ids = np.concatenate([self._ids, fresh])
 
     def _servable(self, database: P2PDatabase, cursor: int) -> np.ndarray:
         """Positions from ``cursor`` on whose tuple is still live."""
@@ -194,20 +184,21 @@ class SamplePool:
         consumer: str = "default",
         max_retries: int = 8,
         allow_partial: bool = False,
-    ) -> list[TupleSample]:
-        """Serve ``n`` uniform tuple samples to ``consumer``.
+    ) -> np.ndarray:
+        """Serve ``n`` uniform tuple samples (their ids) to ``consumer``.
 
         Pooled samples the consumer has not seen are served first (hits);
         only the marginal shortfall is drawn fresh through the operator
         (misses), and the fresh draws are pooled for later consumers. The
         consumer's cursor advances past everything it was handed, so
         repeated calls within one epoch never serve it the same draw
-        twice.
+        twice. The ids come back as a new int64 array, hits first: writing
+        into it touches neither the pool nor another consumer's batch.
         """
         if n < 0:
             raise SamplingError(f"cannot serve {n} samples")
         if n == 0:
-            return []
+            return np.empty(0, dtype=np.int64)
         cursor = self._cursors.get(consumer, 0)
         span = self._tracer.span(
             SPAN_POOL_SERVE,
@@ -217,8 +208,7 @@ class SamplePool:
         )
         hits = self._servable(database, cursor)[:n]
         shortfall = n - len(hits)
-        served = [self._draws[position] for position in hits.tolist()]
-        fresh: list[TupleSample] = []
+        served = self._ids[hits]
         if shortfall > 0:
             # every live draw past the cursor is among the hits, so the
             # cursor moves past the whole pool, fresh draws included
@@ -226,7 +216,7 @@ class SamplePool:
                 database, shortfall, origin, max_retries, allow_partial
             )
             self._admit(fresh)
-            served.extend(fresh)
+            served = np.concatenate([served, fresh])
             self._cursors[consumer] = len(self._ids)
         else:
             self._cursors[consumer] = int(hits[-1]) + 1
@@ -236,7 +226,7 @@ class SamplePool:
             span,
             n_hit=len(hits),
             n_miss=shortfall,
-            n_drawn=len(fresh),
+            n_drawn=len(served) - len(hits),
         )
         return served
 
@@ -315,7 +305,7 @@ class PoolLease:
         origin: int,
         max_retries: int = 8,
         allow_partial: bool = False,
-    ) -> list[TupleSample]:
+    ) -> np.ndarray:
         return self._pool.acquire(
             database,
             n,

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.db.expression import Expression
 from repro.db.relation import P2PDatabase, Schema
@@ -251,3 +253,53 @@ class TestOracleOrder:
         for _, _, row in db.iter_tuples():
             row["v"] = -5.0
         assert sorted(db.exact_values(Expression("v")).tolist()) == [1.0, 2.0, 3.0]
+
+
+@given(
+    operations=st.lists(
+        st.tuples(
+            st.sampled_from(["insert", "delete", "remove_node", "churn"]),
+            st.integers(0, 7),
+            st.integers(-2, 40),
+        ),
+        max_size=60,
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_property_liveness_views_agree(operations):
+    """``live_mask``, ``in`` and ``locate`` tell one story through churn.
+
+    A dict model tracks the live tuples and their nodes across
+    ``insert``, ``delete``, ``remove_node`` and ``handle_churn``; after
+    every step all three views agree with it on every id, including
+    negative, deleted and never-allocated ones.
+    """
+    database = P2PDatabase(Schema(("v",)), nodes=range(4))
+    model: dict[int, int] = {}  # live tuple id -> hosting node
+    next_node = 4
+    for op, node, tuple_id in operations:
+        hosted = node in database.nodes()
+        if op == "insert" and hosted:
+            model[database.insert(node, {"v": float(tuple_id)})] = node
+        elif op == "delete":
+            if tuple_id in model:
+                database.delete(tuple_id)
+                del model[tuple_id]
+            else:
+                with pytest.raises(StoreError):
+                    database.delete(tuple_id)
+        elif op == "remove_node" and hosted:
+            expected = sorted(t for t, n in model.items() if n == node)
+            assert sorted(database.remove_node(node)) == expected
+            model = {t: n for t, n in model.items() if n != node}
+        elif op == "churn":
+            left = [node] if hosted else []
+            lost = database.handle_churn(ChurnEvent(joined=[next_node], left=left))
+            assert sorted(lost) == sorted(t for t, n in model.items() if n in left)
+            model = {t: n for t, n in model.items() if n not in left}
+            next_node += 1
+        ids = list(range(-2, 45))
+        assert database.live_mask(ids).tolist() == [i in model for i in ids]
+        assert [i in database for i in ids] == [i in model for i in ids]
+        assert [database.locate(i) for i in ids] == [model.get(i) for i in ids]
+        assert database.n_tuples == len(model)

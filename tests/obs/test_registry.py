@@ -1,34 +1,8 @@
-"""Tests for the deterministic metric instruments (repro.obs.registry)."""
+"""Tests for the deterministic histogram (repro.obs.registry)."""
 
 import pytest
 
-from repro.obs.registry import (
-    DEFAULT_DURATION_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-
-
-class TestCounter:
-    def test_increments(self):
-        counter = Counter("x")
-        counter.inc()
-        counter.inc(4)
-        assert counter.value == 5
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Counter("x").inc(-1)
-
-
-class TestGauge:
-    def test_last_write_wins(self):
-        gauge = Gauge("x")
-        gauge.set(3)
-        gauge.set(1.5)
-        assert gauge.value == 1.5
+from repro.obs.registry import DEFAULT_DURATION_BUCKETS, Histogram
 
 
 class TestHistogram:
@@ -73,30 +47,3 @@ class TestHistogram:
             a.observe(value)
             b.observe(value)
         assert (a.counts, a.count, a.total) == (b.counts, b.count, b.total)
-
-
-class TestMetricsRegistry:
-    def test_registration_is_idempotent(self):
-        registry = MetricsRegistry()
-        assert registry.counter("c") is registry.counter("c")
-        assert registry.gauge("g") is registry.gauge("g")
-        assert registry.histogram("h") is registry.histogram("h")
-
-    def test_histogram_boundary_mismatch_raises(self):
-        registry = MetricsRegistry()
-        registry.histogram("h", (1.0, 2.0))
-        with pytest.raises(ValueError):
-            registry.histogram("h", (1.0, 3.0))
-
-    def test_snapshot_is_sorted_and_json_ready(self):
-        import json
-
-        registry = MetricsRegistry()
-        registry.counter("b").inc()
-        registry.counter("a").inc(2)
-        registry.gauge("g").set(0.5)
-        registry.histogram("h", (1.0,)).observe(3.0)
-        snapshot = registry.snapshot()
-        assert list(snapshot["counters"]) == ["a", "b"]
-        assert snapshot["histograms"]["h"]["counts"] == [0, 1]
-        json.dumps(snapshot)  # must not raise

@@ -8,14 +8,12 @@ from repro.obs.tracer import (
     NULL_SPAN,
     NULL_TRACER,
     RecordingTracer,
-    RegistrySink,
     RunMetricsSink,
     SinkTracer,
     Span,
     TraceEvent,
     Tracer,
 )
-from repro.obs.registry import MetricsRegistry
 from repro.sim.clock import SimulationClock
 from repro.sim.metrics import RunMetrics
 
@@ -261,21 +259,6 @@ class TestRunMetricsSink:
             Span(span_id=1, name="fault_cell", start=0, end=1)
         )
         assert metrics.snapshot_queries == 0
-
-
-class TestRegistrySink:
-    def test_counts_and_duration_histogram(self):
-        registry = MetricsRegistry()
-        sink = RegistrySink(registry)
-        span = Span(span_id=1, name="walk", start=0, end=7)
-        span.events.append(TraceEvent(time=1, name="hop", attrs={}))
-        sink.on_span_end(span)
-        sink.on_event(TraceEvent(time=2, name="fault", attrs={}))
-        assert registry.counter("spans.walk").value == 1
-        assert registry.counter("events.hop").value == 1
-        assert registry.counter("events.fault").value == 1
-        histogram = registry.histogram("span_duration.walk")
-        assert histogram.count == 1 and histogram.total == 7.0
 
 
 class TestBridgeFaultLog:

@@ -133,9 +133,9 @@ class TestNodeSampling:
             graph, np.random.default_rng(0), config=SamplerConfig()
         )
         operator.sample_nodes(uniform_weights(), 10, origin=0)
-        assert operator._pool_nodes  # continued pool populated
+        assert operator.pool_nodes  # continued pool populated
         # remove a sampled node; the pool entry must not be reused
-        victim = operator._pool_nodes[0]
+        victim = operator.pool_nodes[0]
         graph.leave(victim)
         samples = operator.sample_nodes(uniform_weights(), 10, origin=0)
         assert victim not in samples
@@ -180,11 +180,9 @@ class TestTupleSampling:
             np.random.default_rng(3),
             config=SamplerConfig(gamma=0.02, continued_walks=False),
         )
-        counts: dict[int, int] = {}
-        for sample in operator.sample_tuples(database, 8000, origin=0):
-            counts[sample.tuple_id] = counts.get(sample.tuple_id, 0) + 1
+        samples = operator.sample_tuples(database, 8000, origin=0)
         n = database.n_tuples
-        empirical = np.array([counts.get(t, 0) for t in range(n)], dtype=float)
+        empirical = np.bincount(samples, minlength=n).astype(float)
         empirical /= empirical.sum()
         assert total_variation(empirical, np.full(n, 1.0 / n)) < 0.08
 
@@ -192,10 +190,10 @@ class TestTupleSampling:
         graph, database = _world()
         operator = SamplingOperator(graph, np.random.default_rng(0))
         samples = operator.sample_tuples(database, 10, origin=0)
-        values = database.gather(["v"], [s.tuple_id for s in samples])["v"]
-        for sample, value in zip(samples, values.tolist()):
-            assert database.locate(sample.tuple_id) == sample.node
-            assert database.read(sample.tuple_id) == {"v": value}
+        assert samples.dtype == np.int64 and samples.shape == (10,)
+        values = database.gather(["v"], samples)["v"]
+        for tuple_id, value in zip(samples.tolist(), values.tolist()):
+            assert database.read(tuple_id) == {"v": value}
 
     def test_empty_relation_rejected(self):
         graph = OverlayGraph(mesh_topology(9), n_nodes=9)
@@ -213,14 +211,14 @@ class TestTupleSampling:
         operator = SamplingOperator(graph, np.random.default_rng(0))
         samples = operator.sample_tuples(database, 50, origin=0)
         assert len(samples) == 50
-        assert all(s.node < 8 for s in samples)
+        assert all(database.locate(t) < 8 for t in samples.tolist())
 
     def test_cluster_sample_returns_whole_fragment(self):
         graph, database = _world()
         operator = SamplingOperator(graph, np.random.default_rng(0))
         node, batch = operator.cluster_sample(database, origin=0)
-        assert len(batch) == len(database.store(node))
-        assert all(s.node == node for s in batch)
+        assert batch.dtype == np.int64
+        assert batch.tolist() == database.store(node).tuple_ids()
 
 
 @pytest.fixture
@@ -280,9 +278,8 @@ class TestContextReuse:
         samples = operator.sample_tuples(database, 40, origin=0)
         assert context_builds["graph"] == 1
         # samples are ids; their values are read afterwards, updates included
-        ids = [s.tuple_id for s in samples]
-        values = database.gather(["v"], ids)["v"]
-        assert values.tolist() == [database.read(t)["v"] for t in ids]
+        values = database.gather(["v"], samples)["v"]
+        assert values.tolist() == [database.read(t)["v"] for t in samples.tolist()]
 
     def test_graph_change_forces_a_rebuild(self, context_builds):
         graph, database = _world()
@@ -319,10 +316,7 @@ class TestContextReuse:
             for _ in range(4):
                 if not reuse:
                     operator._tuple_walk = None
-                drawn += [
-                    s.tuple_id
-                    for s in operator.sample_tuples(database, 12, origin=0)
-                ]
+                drawn += operator.sample_tuples(database, 12, origin=0).tolist()
             return drawn
 
         assert draws(True) == draws(False)
@@ -353,7 +347,7 @@ class TestContextReuse:
         assert 1 < len(scope) < len(graph)
         for _ in range(2):
             samples = operator.sample_tuples(database, 10, origin=0)
-            assert {s.node for s in samples} <= scope
+            assert {database.locate(t) for t in samples.tolist()} <= scope
         assert context_builds["graph"] == 1
         assert context_builds["subgraph"] == 1
 
@@ -400,7 +394,7 @@ class TestContextReuse:
             samples = operator.sample_tuples(database, 10, origin=0)
         assert not plan.active
         assert context_builds == {"graph": 1, "subgraph": 1}
-        assert len({s.node for s in samples}) > 1
+        assert len({database.locate(t) for t in samples.tolist()}) > 1
 
     def test_scoped_reuse_draws_identical_samples(self):
         def draws(reuse: bool) -> list[int]:
@@ -412,10 +406,7 @@ class TestContextReuse:
                 plan.step(time, graph)
                 if not reuse:
                     operator._tuple_walk = None
-                drawn += [
-                    s.tuple_id
-                    for s in operator.sample_tuples(database, 12, origin=0)
-                ]
+                drawn += operator.sample_tuples(database, 12, origin=0).tolist()
             return drawn
 
         assert draws(True) == draws(False)

@@ -46,7 +46,7 @@ class TestAcquire:
         pool = _pool(graph, seed=3)
         pool.begin_epoch(0)
         served = pool.acquire(database, 12, origin=0, consumer="q0")
-        assert [s.tuple_id for s in served] == [s.tuple_id for s in direct]
+        assert served.tolist() == direct.tolist()
 
     def test_second_consumer_served_from_pool(self):
         graph, database = _world()
@@ -57,7 +57,7 @@ class TestAcquire:
         cost_after_first = ledger.total
         second = pool.acquire(database, 10, origin=0, consumer="q1")
         assert ledger.total == cost_after_first  # zero walks for q1
-        assert [s.tuple_id for s in second] == [s.tuple_id for s in first]
+        assert second.tolist() == first.tolist()
         assert pool.pool_hits == 10
         assert pool.pool_misses == 10
         assert pool.hit_rate == pytest.approx(0.5)
@@ -71,8 +71,8 @@ class TestAcquire:
         # q1 over-draws, leaving 4 pooled samples q0 has not seen
         pool.acquire(database, 12, origin=0, consumer="q1")
         topup = pool.acquire(database, 6, origin=0, consumer="q0")
-        seen = {s.tuple_id for s in first}
-        pooled_beyond = [s.tuple_id for s in topup[:4]]
+        seen = set(first.tolist())
+        pooled_beyond = topup[:4].tolist()
         assert pool.pool_hits == 8 + 4  # q1's 8 + q0's 4
         assert len(topup) == 6
         # the 4 pool hits are exactly q1's surplus, not q0's own draws
@@ -92,7 +92,8 @@ class TestAcquire:
         graph, database = _world()
         pool = _pool(graph)
         pool.begin_epoch(0)
-        assert pool.acquire(database, 0, origin=0) == []
+        empty = pool.acquire(database, 0, origin=0)
+        assert empty.dtype == np.int64 and empty.size == 0
         with pytest.raises(SamplingError):
             pool.acquire(database, -1, origin=0)
 
@@ -101,13 +102,32 @@ class TestAcquire:
         pool = _pool(graph)
         pool.begin_epoch(0)
         first = pool.acquire(database, 10, origin=0, consumer="q0")
-        dead = {s.tuple_id for s in first[:5]}
+        dead = set(first[:5].tolist())
         for tuple_id in dead:
             database.delete(tuple_id)
-        live = sum(1 for s in first if s.tuple_id not in dead)
+        live = sum(1 for t in first.tolist() if t not in dead)
         second = pool.acquire(database, 10, origin=0, consumer="q1")
-        assert all(s.tuple_id in database for s in second)
+        assert all(t in database for t in second.tolist())
         assert pool.pool_hits == live  # only the live entries reused
+
+    def test_writing_a_served_batch_changes_nothing_pooled(self):
+        """A served id array is the consumer's own: scribbling dead or
+        unallocated ids into it reaches neither the pool's liveness check
+        nor what another consumer is served."""
+        graph, database = _world()
+        pool = _pool(graph)
+        pool.begin_epoch(0)
+        first = pool.acquire(database, 10, origin=0, consumer="q0")
+        drawn = first.tolist()
+        first[:] = -1
+        second = pool.acquire(database, 10, origin=0, consumer="q1")
+        assert second.tolist() == drawn
+        assert pool.pool_hits == 10  # every pooled draw still counts as live
+        second[:] = 10**9
+        third = pool.acquire(database, 12, origin=0, consumer="q2")
+        assert third[:10].tolist() == drawn
+        assert pool.pool_hits == 20
+        assert pool.n_pooled == 12
 
 
 class TestEpochs:
@@ -200,10 +220,22 @@ class TestLease:
         lease_b = pool.lease("qb")
         first = lease_a.sample_tuples(database, 9, origin=0)
         second = lease_b.sample_tuples(database, 9, origin=0)
-        assert [s.tuple_id for s in second] == [s.tuple_id for s in first]
+        assert second.tolist() == first.tolist()
         assert pool.pool_hits == 9
         assert lease_a.consumer == "qa"
         assert lease_a.pool is pool
+
+    def test_writing_a_lease_batch_changes_nothing_pooled(self):
+        """The all-miss batch a lease hands out is not the pooled array."""
+        graph, database = _world()
+        pool = _pool(graph)
+        pool.begin_epoch(0)
+        first = pool.lease("qa").sample_tuples(database, 9, origin=0)
+        drawn = first.tolist()
+        first[:] = -1
+        second = pool.lease("qb").sample_tuples(database, 9, origin=0)
+        assert second.tolist() == drawn
+        assert pool.pool_hits == 9
 
 
 class TestReset:

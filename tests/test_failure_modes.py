@@ -153,8 +153,7 @@ class TestNumericalEdgeCases:
         database.insert(0, {"v": 3.0})
         operator = SamplingOperator(graph, np.random.default_rng(0))
         samples = operator.sample_tuples(database, 10, origin=0)
-        ids = [s.tuple_id for s in samples]
-        assert database.gather(["v"], ids)["v"].tolist() == [3.0] * 10
+        assert database.gather(["v"], samples)["v"].tolist() == [3.0] * 10
 
     def test_repeated_evaluator_survives_total_turnover(self):
         """Every retained tuple deleted between occasions: full refresh."""
