@@ -31,7 +31,7 @@ typecheck:
 
 # everything CI runs, in CI's order, except the fault- and obs-overhead
 # benches: they rewrite the committed BENCH_faults.json / BENCH_obs.json
-check: lint typecheck test perfbench-selftest bench-smoke gates
+check: lint typecheck test perfbench-selftest bench-smoke examples gates
 
 # the benchmark harness's self-tests: a tiny run of every perfbench workload
 perfbench-selftest:
@@ -59,10 +59,11 @@ bench:
 results: bench
 	$(PYTHON) benchmarks/collect_results.py
 
+# every example script runs to completion
 examples:
 	@for example in examples/*.py; do \
 		echo "=== $$example"; \
-		$(PYTHON) $$example || exit 1; \
+		PYTHONPATH=src $(PYTHON) $$example || exit 1; \
 	done
 
 # the paper's published sizes; takes tens of minutes

@@ -5,14 +5,14 @@ vectorized walk kernel, the walk snapshot (cold and cached), one churn
 tick's snapshot of a 10^4-node overlay, tuple sampling under an open
 partition, local-store operations, one tick of
 ingest (a bulk column scatter against per-row updates), expression
-evaluation and a full engine snapshot step.
+evaluation and one full snapshot step of a one-query session.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.engine import DigestEngine, EngineConfig
 from repro.core.query import ContinuousQuery, Precision, parse_query
+from repro.core.session import DigestSession, EngineConfig
 from repro.db.expression import Expression
 from repro.db.relation import P2PDatabase, Schema
 from repro.db.store import LocalStore
@@ -223,18 +223,15 @@ def test_engine_snapshot_step(benchmark):
         parse_query("SELECT AVG(v) FROM R"),
         Precision(delta=4.0, epsilon=2.0, confidence=0.95),
     )
-    engine = DigestEngine(
-        graph,
-        database,
+    session = DigestSession(graph, database, 0, np.random.default_rng(1))
+    session.add_query(
         continuous,
-        origin=0,
-        rng=np.random.default_rng(1),
         config=EngineConfig(scheduler="all", evaluator="repeated"),
     )
     clock = {"t": 0}
 
     def run():
-        engine.step(clock["t"])
+        session.step(clock["t"])
         clock["t"] += 1
 
     benchmark.pedantic(run, rounds=30, iterations=1)

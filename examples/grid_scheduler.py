@@ -4,7 +4,7 @@
      than 4GB."
 
 Runs a SUM query over the churning MEMORY workload (SETI@HOME surrogate):
-nodes join and leave, tuples appear and vanish, and the engine keeps a
+nodes join and leave, tuples appear and vanish, and the session keeps a
 fixed-precision running total that a task scheduler can threshold. SUM
 scales a mean estimate by the relation size N, so this example also shows
 the oracle-free mode where N itself is estimated by capture-recapture
@@ -17,7 +17,7 @@ import dataclasses
 
 import numpy as np
 
-from repro import DigestEngine, EngineConfig, Precision
+from repro import DigestSession, EngineConfig, Precision
 from repro.core.query import ContinuousQuery, parse_query
 from repro.core.threshold import ThresholdMonitor
 from repro.datasets.memory import MemoryConfig, MemoryDataset
@@ -46,12 +46,14 @@ def main() -> None:
     )
     origin = instance.graph.nodes()[0]
     instance.churn.protect(origin)  # the scheduler node stays up
-    engine = DigestEngine(
+    session = DigestSession(
         instance.graph,
         instance.database,
-        continuous,
         origin=origin,
         rng=np.random.default_rng(17),
+    )
+    query_id = session.add_query(
+        continuous,
         config=EngineConfig(scheduler="pred", evaluator="repeated"),
     )
 
@@ -70,18 +72,19 @@ def main() -> None:
     )
     for t in range(instance.n_steps):
         instance.step(t)
-        estimate = engine.step(t)
+        estimate = session.step(t).get(query_id)
         if estimate is not None:
             monitor.offer(estimate)
 
     truth = instance.true_average() * instance.database.n_tuples
+    result = session.runtime(query_id).result
     print(
-        f"\nfinal: estimated total {engine.result.last().estimate:,.0f} "
+        f"\nfinal: estimated total {result.last().estimate:,.0f} "
         f"vs exact {truth:,.0f}; churn: {instance.nodes_joined} joins, "
         f"{instance.nodes_left} leaves, "
         f"{instance.tuples_lost_to_churn} tuples lost; "
-        f"{engine.metrics.snapshot_queries} snapshot queries, "
-        f"{engine.ledger.total} messages; "
+        f"{session.metrics.snapshot_queries} snapshot queries, "
+        f"{session.ledger.total} messages; "
         f"{monitor.uncertain_estimates} estimates were too close to call"
     )
 

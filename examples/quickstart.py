@@ -17,7 +17,7 @@ import numpy as np
 
 from repro import (
     ContinuousQuery,
-    DigestEngine,
+    DigestSession,
     Expression,
     OverlayGraph,
     P2PDatabase,
@@ -48,10 +48,11 @@ def main() -> None:
         Precision(delta=2.0, epsilon=2.0, confidence=0.95),
         duration=60,
     )
-    engine = DigestEngine(graph, database, continuous, origin=0, rng=rng)
+    session = DigestSession(graph, database, origin=0, rng=rng)
+    query_id = session.add_query(continuous)
     print(f"query: {continuous}")
 
-    # --- drive the world and the engine ---------------------------------
+    # --- drive the world and the session --------------------------------
     for t in range(60):
         # slow sinusoidal drift + per-tuple noise
         drift = 0.25 * np.sin(t / 6.0)
@@ -60,7 +61,7 @@ def main() -> None:
             database.update(
                 tid, {"temperature": current + drift + rng.normal(0, 0.3)}
             )
-        estimate = engine.step(t)
+        estimate = session.step(t).get(query_id)
         if estimate is not None:
             truth = database.exact_values(Expression("temperature")).mean()
             print(
@@ -69,12 +70,12 @@ def main() -> None:
                 f" (fresh={estimate.n_fresh})"
             )
 
-    metrics = engine.metrics
+    metrics = session.metrics
     print(
         f"\nran {metrics.snapshot_queries} snapshot queries over 60 steps, "
         f"{metrics.samples_total} samples total "
         f"({metrics.samples_fresh} fresh), "
-        f"{engine.ledger.total} overlay messages"
+        f"{session.ledger.total} overlay messages"
     )
 
 

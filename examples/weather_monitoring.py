@@ -13,7 +13,7 @@ Run:  python examples/weather_monitoring.py
 
 import numpy as np
 
-from repro import DigestEngine, EngineConfig, Expression, Precision
+from repro import DigestSession, EngineConfig, Precision
 from repro.core.query import ContinuousQuery, parse_query
 from repro.datasets.temperature import TemperatureConfig, TemperatureDataset
 
@@ -32,12 +32,14 @@ def main() -> None:
         Precision(delta=2.0, epsilon=1.0, confidence=0.95),
         duration=instance.n_steps,
     )
-    engine = DigestEngine(
+    session = DigestSession(
         instance.graph,
         instance.database,
-        continuous,
         origin=0,
         rng=np.random.default_rng(11),
+    )
+    query_id = session.add_query(
+        continuous,
         config=EngineConfig(scheduler="pred", evaluator="repeated", pred_points=3),
     )
 
@@ -52,19 +54,19 @@ def main() -> None:
 
     # "notify me whenever the average changes more than 2F" — the query's
     # own delta doubles as the notification threshold
-    engine.subscribe(notify)
+    session.subscribe(query_id, notify)
 
     for t in range(instance.n_steps):
         instance.step(t)
-        engine.step(t)
+        session.step(t)
 
-    metrics = engine.metrics
+    metrics = session.metrics
     print(
         f"\nDigest executed {metrics.snapshot_queries} snapshot queries where "
         f"naive continuous querying would have executed {instance.n_steps} "
         f"({100 * (1 - metrics.snapshot_queries / instance.n_steps):.0f}% fewer); "
         f"{metrics.samples_fresh} fresh samples, "
-        f"{engine.ledger.total} messages"
+        f"{session.ledger.total} messages"
     )
 
 

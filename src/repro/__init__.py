@@ -8,8 +8,8 @@ package is layered exactly like the paper's system:
   :mod:`repro.db` (horizontally partitioned relation) and
   :mod:`repro.sampling` (the Metropolis MCMC sampling operator);
 * **top tier** — :mod:`repro.core` (snapshot evaluators, extrapolation
-  scheduler, and the :class:`~repro.core.engine.DigestEngine` composing
-  them);
+  scheduler, and the :class:`~repro.core.session.DigestSession` composing
+  them for every query at one node);
 * **periphery** — :mod:`repro.baselines` (push-based comparators),
   :mod:`repro.datasets` (calibrated synthetic workloads),
   :mod:`repro.sim` (discrete-event engine) and :mod:`repro.experiments`
@@ -19,8 +19,8 @@ Quickstart::
 
     import numpy as np
     from repro import (
-        ContinuousQuery, DigestEngine, EngineConfig, OverlayGraph,
-        P2PDatabase, Precision, Schema, parse_query, power_law_topology,
+        ContinuousQuery, DigestSession, OverlayGraph, P2PDatabase,
+        Precision, Schema, parse_query, power_law_topology,
     )
 
     rng = np.random.default_rng(0)
@@ -34,17 +34,17 @@ Quickstart::
         Precision(delta=2.0, epsilon=2.0, confidence=0.95),
         duration=100,
     )
-    engine = DigestEngine(graph, db, cq, origin=0, rng=rng)
+    session = DigestSession(graph, db, origin=0, rng=rng)
+    qid = session.add_query(cq)
     for t in range(100):
         ...  # apply your updates
-        engine.step(t)
-    print(engine.result.last().estimate)
+        session.step(t)  # {query id: estimate} for the queries that ran
+    print(session.runtime(qid).result.last().estimate)
 """
 
 from repro.baselines import FilterConfig, OlstonFilterBaseline, PushAllBaseline
 from repro.core import (
     ContinuousQuery,
-    DigestEngine,
     DigestSession,
     EngineConfig,
     IndependentEvaluator,
@@ -93,7 +93,6 @@ __all__ = [
     "ChurnConfig",
     "ChurnProcess",
     "ContinuousQuery",
-    "DigestEngine",
     "DigestError",
     "DigestSession",
     "EngineConfig",

@@ -16,8 +16,8 @@ implemented so the paper's qualitative claims about them are measurable:
   aggregation (ref [15]) with its churn fragility.
 
 The sampling-based configurations (``ALL + INDEP`` and Digest itself) are
-:class:`~repro.core.engine.DigestEngine` configurations, not separate
-baselines — see :class:`~repro.core.engine.EngineConfig`.
+:class:`~repro.core.session.DigestSession` queries, not separate
+baselines — see :class:`~repro.core.session.EngineConfig`.
 """
 
 from repro.baselines.olston_filter import FilterConfig, OlstonFilterBaseline

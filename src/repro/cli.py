@@ -326,9 +326,8 @@ def load_query_set(
     """
     import json
 
-    from repro.core.engine import EngineConfig
     from repro.core.query import ContinuousQuery, Precision, parse_query
-    from repro.core.session import QuerySet
+    from repro.core.session import EngineConfig, QuerySet
     from repro.db.aggregates import AggregateOp
     from repro.errors import QueryError
 
@@ -422,11 +421,10 @@ def _run_query_set(args: argparse.Namespace) -> int:
 
 
 def _run_query(args: argparse.Namespace) -> int:
-    from repro.core.engine import DigestEngine, EngineConfig
     from repro.core.query import ContinuousQuery, Precision, parse_query
-    from repro.experiments.harness import build_instance, pick_origin
-
+    from repro.core.session import DigestSession, EngineConfig
     from repro.db.aggregates import AggregateOp
+    from repro.experiments.harness import build_instance, pick_origin
 
     instance = build_instance(args.dataset, args.scale, args.seed)
     steps = args.steps if args.steps is not None else instance.n_steps
@@ -448,30 +446,30 @@ def _run_query(args: argparse.Namespace) -> int:
         Precision(delta=delta, epsilon=epsilon, confidence=args.confidence),
         duration=steps,
     )
-    origin = pick_origin(instance, args.seed)
-    engine = DigestEngine(
+    session = DigestSession(
         instance.graph,
         instance.database,
+        pick_origin(instance, args.seed),
+        np.random.default_rng(args.seed + 1),
+    )
+    session.add_query(
         continuous,
-        origin=origin,
-        rng=np.random.default_rng(args.seed + 1),
         config=EngineConfig(scheduler=args.scheduler, evaluator=evaluator),
     )
     emit(f"running: {continuous}")
     emit(f"workload: {args.dataset} (scale {args.scale}), {steps} steps\n")
     for t in range(steps):
         instance.step(t)
-        estimate = engine.step(t)
-        if estimate is not None:
+        for estimate in session.step(t).values():
             emit(
                 f"t={t:4d}  estimate={estimate.aggregate:12.3f}  "
                 f"samples={estimate.n_total:4d} (fresh {estimate.n_fresh:4d})"
             )
-    metrics = engine.metrics
+    metrics = session.metrics
     emit(
         f"\n{metrics.snapshot_queries} snapshot queries, "
         f"{metrics.samples_total} samples "
-        f"({metrics.samples_fresh} fresh), {engine.ledger.total} messages"
+        f"({metrics.samples_fresh} fresh), {session.ledger.total} messages"
     )
     return 0
 
@@ -723,8 +721,8 @@ def _run_trace(args: argparse.Namespace) -> int:
         return 0
 
     # replay
-    from repro.core.engine import DigestEngine, EngineConfig
     from repro.core.query import ContinuousQuery, Precision, parse_query
+    from repro.core.session import DigestSession
     from repro.datasets.traces import Trace, replay_trace
 
     trace = Trace.load(args.input)
@@ -736,23 +734,21 @@ def _run_trace(args: argparse.Namespace) -> int:
         Precision(delta=delta, epsilon=epsilon, confidence=args.confidence),
         duration=trace.n_steps,
     )
-    origin = instance.graph.nodes()[0]
-    engine = DigestEngine(
+    session = DigestSession(
         instance.graph,
         instance.database,
-        continuous,
-        origin=origin,
-        rng=np.random.default_rng(args.seed),
+        instance.graph.nodes()[0],
+        np.random.default_rng(args.seed),
     )
+    result = session.runtime(session.add_query(continuous)).result
     executed = 0
     for t in range(trace.n_steps):
         instance.step(t)
-        if engine.step(t) is not None:
-            executed += 1
-    if len(engine.result):
+        executed += len(session.step(t))
+    if len(result):
         emit(
             f"replayed {trace.n_steps} steps: {executed} snapshot queries, "
-            f"final estimate {engine.result.last().estimate:.3f}"
+            f"final estimate {result.last().estimate:.3f}"
         )
     else:
         emit(f"replayed {trace.n_steps} steps: no snapshot executed")

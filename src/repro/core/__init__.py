@@ -13,13 +13,10 @@
 * :mod:`repro.core.result` — the running result ``X_hat[t]`` with hold
   semantics.
 * :mod:`repro.core.session` — :class:`~repro.core.session.DigestSession`,
-  many queries sharing one sampling substrate (pool + coalesced walks).
-* :mod:`repro.core.engine` — :class:`~repro.core.engine.DigestEngine`, the
-  two tiers composed into the full system (single-query facade over a
-  session).
+  the two tiers composed into the full system: one or many queries at a
+  node sharing one sampling substrate (pool + coalesced walks).
 """
 
-from repro.core.engine import DigestEngine, EngineConfig
 from repro.core.estimators import (
     confidence_quantile,
     ratio_estimate,
@@ -33,14 +30,19 @@ from repro.core.query import ContinuousQuery, Precision, Query, parse_query
 from repro.core.repeated import RepeatedEvaluator, optimal_partition
 from repro.core.result import NotificationFilter, RunningResult, UpdateRecord
 from repro.core.scheduler import ContinuousScheduler, ExtrapolationScheduler
-from repro.core.session import DigestSession, QueryRuntime, QuerySet, QuerySpec
+from repro.core.session import (
+    DigestSession,
+    EngineConfig,
+    QueryRuntime,
+    QuerySet,
+    QuerySpec,
+)
 from repro.core.threshold import ThresholdEvent, ThresholdMonitor, ThresholdState
 from repro.protocol.batching import WalkBatchPlan, WalkDemand, coalesce_demands
 
 __all__ = [
     "ContinuousQuery",
     "ContinuousScheduler",
-    "DigestEngine",
     "DigestSession",
     "EngineConfig",
     "ExtrapolationScheduler",

@@ -134,8 +134,8 @@ class RunningResult:
         """Attach a delta-threshold notification filter to this result.
 
         The returned filter must be fed the updates (the
-        :class:`~repro.core.engine.DigestEngine` does this automatically
-        for filters created through ``engine.subscribe``).
+        :class:`~repro.core.session.DigestSession` does this automatically
+        for filters created through ``session.subscribe``).
         """
         return NotificationFilter(delta, callback)
 

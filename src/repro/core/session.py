@@ -22,12 +22,26 @@ queries. :class:`DigestSession` is the layer that does the amortizing:
   into the pool before any query evaluates. The batch's trace span
   attributes it to every consuming query.
 
+A single query is the one-entry case: register it with :meth:`add_query`
+and read its estimate from the dict :meth:`DigestSession.step` returns.
+Every algorithm combination of the paper's evaluation is an
+:class:`EngineConfig`:
+
+=============  ======================  =========================
+Paper name     scheduler               evaluator
+=============  ======================  =========================
+ALL + INDEP    ``"all"``               ``"independent"``
+ALL + RPT      ``"all"``               ``"repeated"``
+PRED-k + INDEP ``"pred"`` (k points)   ``"independent"``
+PRED-k + RPT   ``"pred"`` (k points)   ``"repeated"``  (= Digest)
+=============  ======================  =========================
+
 Determinism: queries evaluate in sorted query-id order against one shared
-RNG, so a run is reproducible from its seed; a session with a single
-query performs *byte-identical* RNG draws to the historical single-query
-:class:`~repro.core.engine.DigestEngine` (which is now a facade over this
-class) — prefetching only engages at two or more co-due queries, and a
-cold pool passes single-query requests straight through to the operator.
+RNG, so a run is reproducible from its seed. A one-query session draws
+exactly what the pre-session single-query engine drew (pinned by
+``tests/core/test_engine_compat.py``): prefetching only engages at two or
+more co-due queries, and a cold pool passes single-query requests
+straight through to the operator.
 """
 
 from __future__ import annotations
@@ -225,7 +239,7 @@ class QueryRuntime:
         """Is a snapshot query due for this runtime at ``time``?"""
         return self.continuous_query.active_at(time) and time >= self.next_due
 
-    def finished_after(self, time: int) -> bool:
+    def finished(self) -> bool:
         """No further snapshot will ever run (the query's window closed)."""
         end = self.continuous_query.end_time
         return end is not None and self.next_due > end
@@ -234,9 +248,8 @@ class QueryRuntime:
 class DigestSession:
     """Many continuous queries answered at one querying node.
 
-    Parameters mirror the historical single-query engine where they
-    overlap; ``faults`` injects the failure model into the shared
-    operator.
+    ``faults`` injects the failure model into the shared operator;
+    ``partitions`` scopes every step to the origin's reachable region.
     """
 
     def __init__(
@@ -694,7 +707,7 @@ class DigestSession:
         upcoming = [
             runtime.next_due
             for runtime in self._runtimes.values()
-            if not runtime.finished_after(runtime.next_due)
+            if not runtime.finished()
         ]
         return min(upcoming) if upcoming else None
 

@@ -13,7 +13,7 @@ noise band. :class:`ThresholdMonitor` does it properly:
 * an optional margin adds deterministic hysteresis on top for
   applications that want a dead band.
 
-Feed it snapshot estimates (e.g. from ``DigestEngine.step``); it fires a
+Feed it snapshot estimates (e.g. from ``DigestSession.step``); it fires a
 callback on every *declared* state change.
 """
 

@@ -202,6 +202,7 @@ class ReplayInstance(DatasetInstance):
         super().__init__(graph, database, trace.attribute, trace.n_steps)
         self._trace = trace
         self._id_map: dict[int, int] = {}  # trace tuple id -> live tuple id
+        self._trace_of: dict[int, int] = {}  # live tuple id -> trace tuple id
         self._events_by_time: dict[int, list[TraceEvent]] = {}
         for event in trace.events:
             self._events_by_time.setdefault(event.time, []).append(event)
@@ -211,8 +212,11 @@ class ReplayInstance(DatasetInstance):
     def seed_tuples(self, rows: dict[int, tuple[int, float]]) -> None:
         """Install initial tuples: ``trace_tuple_id -> (node, value)``."""
         for trace_id, (node, value) in sorted(rows.items()):
-            live = self.database.insert(node, {self.attribute: value})
-            self._id_map[trace_id] = live
+            self._map(trace_id, self.database.insert(node, {self.attribute: value}))
+
+    def _map(self, trace_id: int, live: int) -> None:
+        self._id_map[trace_id] = live
+        self._trace_of[live] = trace_id
 
     def step(self, time: int) -> None:
         self._check_step(time)
@@ -230,21 +234,22 @@ class ReplayInstance(DatasetInstance):
             self.database.add_node(event.subject)
         elif event.kind == "leave":
             if event.subject in self.graph:
-                for tid, live in list(self._id_map.items()):
-                    if self.database.locate(live) == event.subject:
-                        del self._id_map[tid]
-                self.database.remove_node(event.subject)
+                # the leaver's tuples go with it: unmap exactly those, so
+                # later events naming them are ignored
+                for live in self.database.remove_node(event.subject):
+                    del self._id_map[self._trace_of.pop(live)]
                 self.graph.leave(event.subject)
         elif event.kind == "insert":
             live = self.database.insert(event.node, {attribute: event.value})
-            self._id_map[event.subject] = live
+            self._map(event.subject, live)
         elif event.kind == "update":
             live = self._id_map.get(event.subject)
-            if live is not None and live in self.database:
+            if live is not None:
                 self.database.update(live, {attribute: event.value})
         elif event.kind == "delete":
             live = self._id_map.pop(event.subject, None)
-            if live is not None and live in self.database:
+            if live is not None:
+                del self._trace_of[live]
                 self.database.delete(live)
 
 

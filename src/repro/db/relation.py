@@ -239,12 +239,14 @@ class P2PDatabase:
             return
         if ids.dtype.kind not in "iu":
             raise StoreError(f"tuple ids must be integers, got {ids.dtype}")
-        ordered = np.sort(ids)
-        if ordered[0] < 0 or ordered[-1] >= self._next_tuple_id:
+        if ids.min() < 0 or ids.max() >= self._next_tuple_id:
             raise StoreError("tuple ids outside the allocated range")
-        if self._node_of[ordered].min() < 0:
+        if self._node_of[ids].min() < 0:
             raise StoreError("tuple ids of deleted tuples")
-        if (ordered[1:] == ordered[:-1]).any():
+        # mark every written id: fewer marks than ids means one repeated
+        written = np.zeros(self._next_tuple_id, dtype=bool)
+        written[ids] = True
+        if np.count_nonzero(written) != ids.size:
             raise StoreError("repeated tuple ids")
         column[ids] = new
 

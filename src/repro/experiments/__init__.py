@@ -21,7 +21,7 @@ a ``main()`` that prints the same series the paper plots:
 * :mod:`repro.experiments.ablations` — design-choice ablations called
   out in DESIGN.md.
 * :mod:`repro.experiments.multi_query` — shared multi-query session vs
-  independent engines: messages per query, pool hit rate, per-query
+  one session per query: messages per query, pool hit rate, per-query
   ``(epsilon, p)`` coverage (the amortization of Section III's shared
   operator).
 """

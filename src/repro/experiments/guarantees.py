@@ -22,7 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.query import Precision
+from repro.core.query import ContinuousQuery, Precision, Query
+from repro.core.session import DigestSession, EngineConfig
+from repro.db.aggregates import AggregateOp
 from repro.experiments.harness import (
     build_instance,
     canonical_query,
@@ -82,17 +84,15 @@ def coverage(
     for trial in range(trials):
         instance = build_instance(dataset, scale, seed + 100 * trial)
         origin = pick_origin(instance, seed + trial)
-        engine = make_engine(
+        session = make_engine(
             instance, precision, "all", evaluator, origin, seed + trial
         )
         for time in range(min(steps_per_trial, instance.n_steps)):
             instance.step(time)
-            estimate = engine.step(time)
-            if estimate is None:
-                continue
-            truth = instance.true_average()
-            snapshots += 1
-            hits += abs(estimate.aggregate - truth) <= epsilon
+            for estimate in session.step(time).values():
+                truth = instance.true_average()
+                snapshots += 1
+                hits += abs(estimate.aggregate - truth) <= epsilon
     return CoverageResult(
         dataset=dataset,
         evaluator=evaluator,
@@ -150,31 +150,30 @@ def resolution(
     delta = delta_ratio * sigma
     epsilon = epsilon_ratio * sigma
     precision = Precision(delta=delta, epsilon=epsilon, confidence=0.95)
-    origin = pick_origin(instance, seed)
-    from repro.core.engine import DigestEngine, EngineConfig
-
-    engine = DigestEngine(
+    session = DigestSession(
         instance.graph,
         instance.database,
+        pick_origin(instance, seed),
+        np.random.default_rng(seed + 1),
+    )
+    query_id = session.add_query(
         canonical_query(instance, precision),
-        origin=origin,
-        rng=np.random.default_rng(seed + 1),
         config=EngineConfig(
             scheduler="pred",
             evaluator="repeated",
             safety_factor=safety_factor,
         ),
     )
+    result = session.runtime(query_id).result
     steps = n_steps if n_steps is not None else instance.n_steps
     skipped = 0
     violations = 0
     for time in range(steps):
         instance.step(time)
-        estimate = engine.step(time)
-        if estimate is None and len(engine.result):
+        if query_id not in session.step(time) and len(result):
             skipped += 1
             truth = instance.true_average()
-            held = engine.current_estimate(time)
+            held = result.value_at(time)
             if abs(truth - held) > delta + epsilon:
                 violations += 1
     return ResolutionResult(
@@ -184,7 +183,7 @@ def resolution(
         safety_factor=safety_factor,
         skipped_steps=skipped,
         violations=violations,
-        snapshot_queries=engine.metrics.snapshot_queries,
+        snapshot_queries=session.metrics.snapshot_queries,
         total_steps=steps,
     )
 
@@ -205,11 +204,6 @@ def multi_query_coverage(
     is the accepted price, but each query's own marginal guarantee must
     survive. One CoverageResult per query, tightest epsilon first.
     """
-    from repro.core.query import ContinuousQuery, Query
-    from repro.core.session import DigestSession
-    from repro.db.aggregates import AggregateOp
-    from repro.core.engine import EngineConfig
-
     probe = build_instance(dataset, scale, seed)
     sigma = probe.config.expected_sigma  # type: ignore[attr-defined]
     epsilons = [ratio * sigma for ratio in epsilon_ratios]

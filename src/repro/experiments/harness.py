@@ -5,8 +5,8 @@ pick a random node to issue the canonical continuous AVG query, run the
 query for the full dataset duration, and measure snapshot-query counts,
 sample counts and messages. :func:`run_continuous_query` is that loop;
 :func:`build_instance` builds the workload; :func:`make_engine` maps the
-paper's algorithm names (ALL/PRED-k x INDEP/RPT) onto engine
-configurations.
+paper's algorithm names (ALL/PRED-k x INDEP/RPT) onto a one-query
+:class:`~repro.core.session.DigestSession`.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.engine import DigestEngine, EngineConfig
 from repro.core.query import ContinuousQuery, Precision, Query
+from repro.core.session import DigestSession, EngineConfig
 from repro.datasets.base import DatasetInstance
 from repro.datasets.memory import MemoryConfig, MemoryDataset, MemoryInstance
 from repro.datasets.temperature import TemperatureConfig, TemperatureDataset
@@ -70,30 +70,33 @@ def make_engine(
     sampler_config: SamplerConfig | None = None,
     duration: int | None = None,
     tracer: SinkTracer | None = None,
-) -> DigestEngine:
-    """Engine for one of the paper's algorithm combinations.
+) -> DigestSession:
+    """A session running the canonical query under one of the paper's
+    algorithm combinations.
 
     ``scheduler``: ``"all"`` or ``"pred"`` (with ``pred_points`` = the k of
     PRED-k); ``evaluator``: ``"independent"`` or ``"repeated"``.
     ``tracer`` (e.g. a :class:`~repro.obs.tracer.RecordingTracer` when the
-    run's trace should be exported) is forwarded to the engine, which
+    run's trace should be exported) is forwarded to the session, which
     derives its counters from it.
     """
-    continuous_query = canonical_query(instance, precision, duration)
-    return DigestEngine(
+    session = DigestSession(
         instance.graph,
         instance.database,
-        continuous_query,
-        origin=origin,
-        rng=np.random.default_rng(seed),
+        origin,
+        np.random.default_rng(seed),
         sampler_config=sampler_config,
+        tracer=tracer,
+    )
+    session.add_query(
+        canonical_query(instance, precision, duration),
         config=EngineConfig(
             scheduler=scheduler,
             evaluator=evaluator,
             pred_points=pred_points,
         ),
-        tracer=tracer,
     )
+    return session
 
 
 @dataclass
@@ -105,7 +108,7 @@ class ExperimentRun:
     oracle_times: list[int] = field(default_factory=list)
     oracle_values: list[float] = field(default_factory=list)
     estimate_errors: list[float] = field(default_factory=list)
-    #: full span/event capture when the engine ran with a RecordingTracer
+    #: full span/event capture when the session ran with a RecordingTracer
     trace: Trace | None = None
 
     @property
@@ -147,26 +150,27 @@ def pick_origin(instance: DatasetInstance, seed: int) -> int:
 
 def run_continuous_query(
     instance: DatasetInstance,
-    engine: DigestEngine,
+    session: DigestSession,
     n_steps: int | None = None,
     record_oracle: bool = False,
 ) -> ExperimentRun:
-    """Drive the workload and the engine together for the query duration.
+    """Drive the workload and a one-query session together for the query
+    duration.
 
     With ``record_oracle=True`` the oracle aggregate is computed at every
     snapshot-query time and the estimate's absolute error recorded — the
     quantity the ``(epsilon, p)`` guarantee constrains.
     """
     steps = n_steps if n_steps is not None else instance.n_steps
-    run = ExperimentRun(metrics=engine.metrics, ledger=engine.ledger)
+    run = ExperimentRun(metrics=session.metrics, ledger=session.ledger)
     for time in range(steps):
         instance.step(time)
-        estimate = engine.step(time)
-        if estimate is not None and record_oracle:
-            truth = instance.true_average()
-            run.oracle_times.append(time)
-            run.oracle_values.append(truth)
-            run.estimate_errors.append(abs(estimate.aggregate - truth))
-    if isinstance(engine.tracer, RecordingTracer):
-        run.trace = engine.tracer.trace()
+        for estimate in session.step(time).values():
+            if record_oracle:
+                truth = instance.true_average()
+                run.oracle_times.append(time)
+                run.oracle_values.append(truth)
+                run.estimate_errors.append(abs(estimate.aggregate - truth))
+    if isinstance(session.tracer, RecordingTracer):
+        run.trace = session.tracer.trace()
     return run

@@ -1,4 +1,4 @@
-"""Multi-query amortization: one session vs. independent engines.
+"""Multi-query amortization: one shared session vs. one session per query.
 
 The paper frames sampling as a shared database operator (Section III)
 precisely so that co-resident queries can amortize its cost; this
@@ -9,9 +9,8 @@ precision demands run two ways over the identical workload:
   lease from one :class:`~repro.sampling.pool.SamplePool`, and co-due
   occasions coalesce their walk demands into shared batches (the batch
   needs the *maximum* demand, not the sum);
-* **solo** — ``n`` separate :class:`~repro.core.engine.DigestEngine`\\ s,
-  each paying for its own walks, over identically-seeded copies of the
-  workload.
+* **solo** — ``n`` separate one-query sessions, each paying for its own
+  walks, over identically-seeded copies of the workload.
 
 Reported: messages per query under both regimes (the headline is the
 savings ratio), the pool hit rate, and — because cheaper must not mean
@@ -29,9 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.engine import DigestEngine, EngineConfig
 from repro.core.query import ContinuousQuery, Precision, Query
-from repro.core.session import DigestSession
+from repro.core.session import DigestSession, EngineConfig
 from repro.db.aggregates import AggregateOp
 from repro.experiments.harness import build_instance, pick_origin
 from repro.experiments.report import format_table
@@ -59,7 +57,7 @@ class QueryOutcome:
 
 @dataclass
 class MultiQueryResult:
-    """Shared-session vs. solo-engines comparison over one workload."""
+    """Shared-session vs. one-session-per-query comparison over one workload."""
 
     dataset: str
     n_queries: int
@@ -236,27 +234,28 @@ def run(
         outcomes[qid].pool_hits = session.runtime(qid).metrics.pool_hits
     shared_messages = session.ledger.total
 
-    # solo: one engine per query over identically-seeded workload copies
+    # solo: one session per query over identically-seeded workload copies
     solo_messages = 0
     for index, precision in enumerate(precisions):
         instance = build_instance(dataset, scale, seed)
-        origin = pick_origin(instance, seed)
-        engine = DigestEngine(
+        solo = DigestSession(
             instance.graph,
             instance.database,
+            pick_origin(instance, seed),
+            np.random.default_rng(seed + 1 + 1000 * (index + 1)),
+        )
+        solo.add_query(
             ContinuousQuery(
                 Query(AggregateOp.AVG, instance.expression),
                 precision,
                 duration=n_steps,
             ),
-            origin=origin,
-            rng=np.random.default_rng(seed + 1 + 1000 * (index + 1)),
             config=config,
         )
         for time in range(n_steps):
             instance.step(time)
-            engine.step(time)
-        solo_messages += engine.ledger.total
+            solo.step(time)
+        solo_messages += solo.ledger.total
 
     return MultiQueryResult(
         dataset=dataset,

@@ -95,13 +95,13 @@ def gossip_crossover(
     gossip_run = gossip.run_snapshot()
 
     # Digest: per-querier snapshot cost, measured on one querier
-    engine = make_engine(
+    session = make_engine(
         instance, precision, "all", "repeated", instance.graph.nodes()[0], seed
     )
     for time in range(3):  # a few occasions so continued walks amortize
         instance.step(time)
-        engine.step(time)
-    digest_per_querier = engine.ledger.total / engine.metrics.snapshot_queries
+        session.step(time)
+    digest_per_querier = session.ledger.total / session.metrics.snapshot_queries
 
     return GossipCrossoverResult(
         n_nodes=len(instance.graph),
@@ -197,7 +197,7 @@ def tag_vs_churn(
         # --- Digest on an identical world ---------------------------------
         instance = MemoryDataset(config, seed=seed).build()
         origin = pick_origin(instance, seed)
-        engine = make_engine(
+        session = make_engine(
             instance,
             Precision(delta=sigma, epsilon=epsilon, confidence=0.95),
             "all",
@@ -208,8 +208,7 @@ def tag_vs_churn(
         digest_errors = []
         for time in range(n_steps):
             instance.step(time)
-            estimate = engine.step(time)
-            if estimate is not None:
+            for estimate in session.step(time).values():
                 digest_errors.append(
                     abs(estimate.aggregate - instance.true_average())
                 )

@@ -1,13 +1,12 @@
-"""Seed-for-seed backward compatibility of the single-query DigestEngine.
+"""Seed-for-seed backward compatibility of the single-query engine.
 
-The multi-query session refactor (QuerySet/DigestSession + SamplePool)
-turned :class:`~repro.core.engine.DigestEngine` into a facade, but its
-contract is unchanged: a single-query engine constructed with the
-historical signature must reproduce the *exact* estimate sequence the
-pre-refactor implementation produced for the same seeds. The sequences
-below were captured from the pre-session implementation (PR 3 tree) and
-pin every RNG-visible quantity: estimate values to full float precision,
-sample counts, the retained/fresh split, and the total message cost.
+A one-query :class:`~repro.core.session.DigestSession` is how a single
+continuous query runs, and it must reproduce the *exact* estimate
+sequence the pre-session single-query implementation produced for the
+same seeds. The sequences below were captured from the pre-session
+implementation (PR 3 tree) and pin every RNG-visible quantity: estimate
+values to full float precision, sample counts, the retained/fresh split,
+and the total message cost.
 
 If an intentional change to the sampling path ever invalidates these
 numbers, regenerate them from a tree where the change is the *only*
@@ -19,8 +18,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.engine import DigestEngine, EngineConfig
 from repro.core.query import Precision
+from repro.core.session import DigestSession, EngineConfig
 from repro.experiments.harness import build_instance, canonical_query, pick_origin
 
 # (time, aggregate, n_total, n_fresh, n_retained) per executed snapshot,
@@ -60,20 +59,20 @@ def _run(scheduler: str, evaluator: str):
     instance = build_instance("temperature", 0.05, seed=7)
     sigma = instance.config.expected_sigma
     precision = Precision(delta=sigma, epsilon=0.25 * sigma, confidence=0.95)
-    origin = pick_origin(instance, 7)
-    engine = DigestEngine(
+    session = DigestSession(
         instance.graph,
         instance.database,
+        pick_origin(instance, 7),
+        np.random.default_rng(11),
+    )
+    session.add_query(
         canonical_query(instance, precision, duration=10),
-        origin=origin,
-        rng=np.random.default_rng(11),
         config=EngineConfig(scheduler=scheduler, evaluator=evaluator),
     )
     rows = []
     for t in range(10):
         instance.step(t)
-        estimate = engine.step(t)
-        if estimate is not None:
+        for estimate in session.step(t).values():
             rows.append(
                 (
                     t,
@@ -83,13 +82,13 @@ def _run(scheduler: str, evaluator: str):
                     estimate.n_retained,
                 )
             )
-    return rows, engine
+    return rows, session
 
 
 @pytest.mark.parametrize("scheduler,evaluator", sorted(PINNED))
 def test_single_query_engine_is_seed_identical(scheduler, evaluator):
     expected_rows, expected_messages = PINNED[(scheduler, evaluator)]
-    rows, engine = _run(scheduler, evaluator)
+    rows, session = _run(scheduler, evaluator)
     assert [r[0] for r in rows] == [r[0] for r in expected_rows]
     for got, want in zip(rows, expected_rows):
         assert got[0] == want[0]
@@ -97,21 +96,4 @@ def test_single_query_engine_is_seed_identical(scheduler, evaluator):
             f"t={got[0]}: estimate {got[1]!r} != pinned {want[1]!r}"
         )
         assert got[2:] == want[2:]
-    assert engine.ledger.total == expected_messages
-
-
-def test_engine_public_surface_unchanged():
-    """The facade keeps the attributes the historical engine exposed."""
-    rows, engine = _run("all", "independent")
-    # the properties and mutable state callers relied on
-    assert engine.config.scheduler == "all"
-    assert engine.continuous_query.precision.confidence == 0.95
-    assert engine.next_due >= 10
-    assert len(engine.result) == len(rows)
-    assert engine.current_estimate(9) == rows[-1][1]
-    assert engine.metrics.snapshot_queries == len(rows)
-    assert engine.metrics.samples_total == sum(r[2] for r in rows)
-    assert engine.metrics.has_series("estimate")
-    assert len(engine.metrics.series("estimate")) == len(rows)
-    # operator remains reachable for callers that inspected walk state
-    assert engine.operator.samples_drawn > 0
+    assert session.ledger.total == expected_messages

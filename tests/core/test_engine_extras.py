@@ -1,10 +1,10 @@
-"""Engine tests for the less-traveled configuration paths."""
+"""One-query session tests for the less-traveled configuration paths."""
 
 import numpy as np
 import pytest
 
-from repro.core.engine import DigestEngine, EngineConfig
 from repro.core.query import ContinuousQuery, Precision, parse_query
+from repro.core.session import DigestSession, EngineConfig
 from repro.db.expression import Expression
 from repro.db.relation import P2PDatabase, Schema
 from repro.network.graph import OverlayGraph
@@ -26,6 +26,15 @@ def _world(n_nodes=64, per_node=4, seed=0, topology="mesh"):
     return graph, database, tids
 
 
+def _session(graph, database, continuous, origin, seed, config):
+    """A session at ``origin`` running ``continuous``, and its runtime."""
+    session = DigestSession(
+        graph, database, origin, np.random.default_rng(seed)
+    )
+    query_id = session.add_query(continuous, config=config)
+    return session, session.runtime(query_id)
+
+
 class TestEstimatedPopulation:
     def test_sum_with_estimated_population(self):
         """oracle_population=False: N comes from capture-recapture."""
@@ -35,19 +44,21 @@ class TestEstimatedPopulation:
             Precision(delta=500.0, epsilon=800.0, confidence=0.9),
             duration=3,
         )
-        engine = DigestEngine(
+        session, runtime = _session(
             graph,
             database,
             continuous,
             origin=0,
-            rng=np.random.default_rng(1),
+            seed=1,
             config=EngineConfig(
                 scheduler="all",
                 evaluator="independent",
                 oracle_population=False,
             ),
         )
-        estimates = [engine.step(t) for t in range(3)]
+        estimates = [
+            session.step(t).get(runtime.query_id) for t in range(3)
+        ]
         truth = float(database.exact_values(Expression("v")).sum())
         # capture-recapture N has real variance; require the right scale
         for estimate in estimates:
@@ -64,20 +75,20 @@ class TestEstimatedPopulation:
         )
         costs = {}
         for oracle in (True, False):
-            engine = DigestEngine(
+            session, runtime = _session(
                 graph,
                 database,
                 continuous,
                 origin=0,
-                rng=np.random.default_rng(2),
+                seed=2,
                 config=EngineConfig(
                     scheduler="all",
                     evaluator="independent",
                     oracle_population=oracle,
                 ),
             )
-            engine.step(0)
-            costs[oracle] = engine.ledger.total
+            session.step(0)
+            costs[oracle] = session.ledger.total
         assert costs[False] > costs[True]  # size estimation isn't free
 
 
@@ -90,12 +101,12 @@ class TestForwardRevisionScaling:
             Precision(delta=300.0, epsilon=150.0, confidence=0.95),
             duration=6,
         )
-        engine = DigestEngine(
+        session, runtime = _session(
             graph,
             database,
             continuous,
             origin=0,
-            rng=np.random.default_rng(3),
+            seed=3,
             config=EngineConfig(
                 scheduler="all", evaluator="repeated", forward_revision=True
             ),
@@ -105,9 +116,9 @@ class TestForwardRevisionScaling:
             for tid in tids:
                 current = database.read(tid)["v"]
                 database.update(tid, {"v": 0.98 * current + rng.normal(0, 0.2)})
-            engine.step(t)
+            session.step(t)
         truth_scale = float(database.exact_values(Expression("v")).sum())
-        for record in engine.result.updates:
+        for record in runtime.result.updates:
             # revised estimates must stay on the SUM scale
             assert 0.5 * truth_scale < record.estimate < 2.0 * truth_scale
 
@@ -130,20 +141,19 @@ class TestChurnIntegration:
             Precision(delta=10.0, epsilon=4.0, confidence=0.9),
             duration=25,
         )
-        engine = DigestEngine(
+        session, runtime = _session(
             instance.graph,
             instance.database,
             continuous,
             origin=origin,
-            rng=np.random.default_rng(6),
+            seed=6,
             config=EngineConfig(scheduler="all", evaluator="repeated"),
         )
         errors = []
         for t in range(25):
             instance.step(t)
-            estimate = engine.step(t)
-            if estimate is not None:
+            for estimate in session.step(t).values():
                 errors.append(abs(estimate.aggregate - instance.true_average()))
-        assert engine.metrics.snapshot_queries == 25
+        assert session.metrics.snapshot_queries == 25
         assert instance.nodes_left > 0  # churn actually happened
         assert float(np.mean(errors)) < 8.0  # estimates stayed sane

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core.engine import DigestEngine, EngineConfig
 from repro.core.estimators import ratio_estimate
 from repro.core.independent import IndependentEvaluator
 from repro.core.query import ContinuousQuery, Precision, parse_query
 from repro.core.repeated import RepeatedEvaluator
+from repro.core.session import DigestSession, EngineConfig
 from repro.db.aggregates import AggregateOp, exact_aggregate, tuple_values
 from repro.db.expression import Expression
 from repro.db.predicate import Predicate
@@ -263,10 +263,9 @@ class TestFilteredEvaluation:
             Precision(1.0, 1.0),
         )
         with pytest.raises(Exception, match="bogus|unknown"):
-            DigestEngine(
-                graph, database, continuous, origin=0,
-                rng=np.random.default_rng(0),
-            )
+            DigestSession(
+                graph, database, 0, np.random.default_rng(0)
+            ).add_query(continuous)
 
     def test_engine_runs_filtered_continuous_query(self, world):
         graph, database = world
@@ -275,20 +274,18 @@ class TestFilteredEvaluation:
             Precision(delta=20.0, epsilon=25.0, confidence=0.95),
             duration=5,
         )
-        engine = DigestEngine(
-            graph,
-            database,
+        session = DigestSession(graph, database, 0, np.random.default_rng(6))
+        query_id = session.add_query(
             continuous,
-            origin=0,
-            rng=np.random.default_rng(6),
             config=EngineConfig(scheduler="all", evaluator="repeated"),
         )
         for t in range(5):
-            engine.step(t)
+            session.step(t)
         truth = exact_aggregate(
             database,
             continuous.query.op,
             continuous.query.expression,
             continuous.query.predicate,
         )
-        assert abs(engine.result.last().estimate - truth) < 60.0
+        result = session.runtime(query_id).result
+        assert abs(result.last().estimate - truth) < 60.0

@@ -102,8 +102,8 @@ class TestResultAmend:
 
 class TestEngineIntegration:
     def test_forward_revision_amends_history(self):
-        from repro.core.engine import DigestEngine, EngineConfig
         from repro.core.query import ContinuousQuery, Precision, parse_query
+        from repro.core.session import DigestSession, EngineConfig
         from repro.db.relation import P2PDatabase, Schema
         from repro.network.graph import OverlayGraph
         from repro.network.topology import mesh_topology
@@ -120,12 +120,9 @@ class TestEngineIntegration:
             Precision(delta=4.0, epsilon=1.0, confidence=0.95),
             duration=6,
         )
-        engine = DigestEngine(
-            graph,
-            database,
+        session = DigestSession(graph, database, 0, np.random.default_rng(1))
+        query_id = session.add_query(
             continuous,
-            origin=0,
-            rng=np.random.default_rng(1),
             config=EngineConfig(
                 scheduler="all", evaluator="repeated", forward_revision=True
             ),
@@ -135,14 +132,15 @@ class TestEngineIntegration:
             for tid in tids:  # highly correlated evolution
                 current = database.read(tid)["v"]
                 database.update(tid, {"v": 0.98 * current + 1.0 + walk.normal(0, 0.5)})
-            engine.step(t)
-        revised = [r for r in engine.result.updates if r.was_revised]
+            session.step(t)
+        result = session.runtime(query_id).result
+        revised = [r for r in result.updates if r.was_revised]
         assert revised  # at least one retrospective amendment happened
 
     def test_zero_mean_sum_amends_in_aggregate_units(self):
         """A SUM answer of exactly 0 still scales the revised mean by N."""
-        from repro.core.engine import DigestEngine, EngineConfig
         from repro.core.query import ContinuousQuery, Precision, parse_query
+        from repro.core.session import DigestSession, EngineConfig
         from repro.db.relation import P2PDatabase, Schema
         from repro.network.graph import OverlayGraph
         from repro.network.topology import mesh_topology
@@ -159,23 +157,20 @@ class TestEngineIntegration:
             Precision(delta=1000.0, epsilon=300.0, confidence=0.95),
             duration=2,
         )
-        engine = DigestEngine(
-            graph,
-            database,
+        session = DigestSession(graph, database, 0, np.random.default_rng(1))
+        query_id = session.add_query(
             continuous,
-            origin=0,
-            rng=np.random.default_rng(1),
             config=EngineConfig(
                 scheduler="all", evaluator="repeated", forward_revision=True
             ),
         )
-        first = engine.step(0)
+        first = session.step(0)[query_id]
         for tid in tids:
             database.update(tid, {"v": 0.0})
-        second = engine.step(1)
+        second = session.step(1)[query_id]
         assert first.mean != 0.0
         assert second.mean == 0.0 and second.aggregate == 0.0
-        amended = engine.result.updates[0]
+        amended = session.runtime(query_id).result.updates[0]
         assert amended.original_estimate == first.aggregate  # amend() ran
         # zero matched variance leaves the revision at the original mean,
         # so the amendment restates the original aggregate, not its mean

@@ -9,9 +9,8 @@ share samples, attach to a simulation — alongside ``test_session.py``.
 import numpy as np
 import pytest
 
-from repro.core.engine import DigestEngine, EngineConfig
 from repro.core.query import ContinuousQuery, Precision, parse_query
-from repro.core.session import DigestSession
+from repro.core.session import DigestSession, EngineConfig
 from repro.db.expression import Expression
 from repro.db.relation import P2PDatabase, Schema
 from repro.errors import QueryError
@@ -85,18 +84,11 @@ class TestSampleSharing:
 
         solo_walk_steps = 0
         for i in range(3):
-            graph, database = _world(seed=2)
-            engine = DigestEngine(
-                graph,
-                database,
-                _query(duration=5),
-                0,
-                np.random.default_rng(3 + i),
-                config=_ALL_INDEP,
-            )
+            solo, _ = _session(seed_world=2, seed_rng=3 + i)
+            solo.add_query(_query(duration=5), _ALL_INDEP)
             for t in range(5):
-                engine.step(t)
-            solo_walk_steps += engine.ledger.walk_steps
+                solo.step(t)
+            solo_walk_steps += solo.ledger.walk_steps
         assert session.ledger.walk_steps < 0.6 * solo_walk_steps
 
     def test_cache_counts_reuse(self):

@@ -57,9 +57,9 @@ class TestNotificationFilter:
 
 
 class TestEngineSubscription:
-    def _engine(self):
-        from repro.core.engine import DigestEngine, EngineConfig
+    def _session(self):
         from repro.core.query import ContinuousQuery, Precision, parse_query
+        from repro.core.session import DigestSession, EngineConfig
         from repro.db.relation import P2PDatabase, Schema
         from repro.network.graph import OverlayGraph
         from repro.network.topology import mesh_topology
@@ -76,32 +76,31 @@ class TestEngineSubscription:
             Precision(delta=3.0, epsilon=1.0, confidence=0.95),
             duration=12,
         )
-        engine = DigestEngine(
-            graph,
-            database,
+        session = DigestSession(graph, database, 0, np.random.default_rng(1))
+        query_id = session.add_query(
             continuous,
-            origin=0,
-            rng=np.random.default_rng(1),
             config=EngineConfig(scheduler="all", evaluator="independent"),
         )
-        return engine, database, tids
+        return session, query_id, database, tids
 
     def test_subscription_uses_query_delta(self):
-        engine, database, tids = self._engine()
+        session, query_id, database, tids = self._session()
         notified = []
-        subscription = engine.subscribe(notified.append)
+        subscription = session.subscribe(query_id, notified.append)
         for t in range(12):
             if t == 6:  # one large shift mid-run
                 for tid in tids:
                     database.update(tid, {"v": database.read(tid)["v"] + 20.0})
-            engine.step(t)
+            session.step(t)
         # first snapshot + the shift: small sampling noise stays quiet
         assert subscription.notifications_fired == 2
         assert notified[1].estimate - notified[0].estimate > 10.0
 
     def test_custom_delta_override(self):
-        engine, _, _ = self._engine()
-        hair_trigger = engine.subscribe(lambda record: None, delta=0.0)
+        session, query_id, _, _ = self._session()
+        hair_trigger = session.subscribe(
+            query_id, lambda record: None, delta=0.0
+        )
         for t in range(5):
-            engine.step(t)
+            session.step(t)
         assert hair_trigger.notifications_fired == 5

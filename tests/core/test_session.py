@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.engine import DigestEngine, EngineConfig
 from repro.core.independent import EvaluatorConfig
 from repro.core.query import ContinuousQuery, Precision, parse_query
-from repro.core.session import DigestSession, QuerySet
+from repro.core.session import DigestSession, EngineConfig, QuerySet
 from repro.db.aggregates import exact_aggregate
 from repro.db.expression import Expression
 from repro.db.relation import P2PDatabase, Schema
@@ -101,17 +100,13 @@ class TestSharedSampling:
         solo_cost = 0
         for i, eps in enumerate(epsilons):
             graph, database = _world(seed=2)
-            engine = DigestEngine(
-                graph,
-                database,
-                _query(epsilon=eps, duration=5),
-                0,
-                np.random.default_rng(100 + i),
-                config=_ALL_INDEP,
+            solo = DigestSession(
+                graph, database, 0, np.random.default_rng(100 + i)
             )
+            solo.add_query(_query(epsilon=eps, duration=5), _ALL_INDEP)
             for t in range(5):
-                engine.step(t)
-            solo_cost += engine.ledger.total
+                solo.step(t)
+            solo_cost += solo.ledger.total
 
         assert shared_cost < 0.7 * solo_cost
 
@@ -282,24 +277,3 @@ class TestSimulationAttachment:
         assert session.runtime(qid).metrics.snapshot_queries == 5
         assert session.runtime(late).metrics.snapshot_queries == 3
 
-
-class TestSingleQueryEquivalence:
-    def test_session_matches_engine_estimates(self):
-        """One query through the session == the historical engine, exactly."""
-        graph, database = _world(seed=2)
-        engine = DigestEngine(
-            graph,
-            database,
-            _query(duration=5),
-            0,
-            np.random.default_rng(3),
-            config=_ALL_INDEP,
-        )
-        engine_estimates = [engine.step(t).aggregate for t in range(5)]
-
-        graph, database = _world(seed=2)
-        session = DigestSession(graph, database, 0, np.random.default_rng(3))
-        qid = session.add_query(_query(duration=5), _ALL_INDEP)
-        session_estimates = [session.step(t)[qid].aggregate for t in range(5)]
-
-        assert session_estimates == engine_estimates

@@ -5,9 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.engine import EngineConfig
 from repro.core.query import ContinuousQuery, Precision, parse_query
-from repro.core.session import DigestSession
+from repro.core.session import DigestSession, EngineConfig
 from repro.db.relation import P2PDatabase, Schema
 from repro.errors import QueryError
 from repro.network.faults import FaultConfig, FaultPlan

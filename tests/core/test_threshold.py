@@ -132,8 +132,8 @@ class TestScale:
 class TestEngineIntegration:
     def test_grid_scenario(self):
         """SUM query + monitor: declared flips track genuine level shifts."""
-        from repro.core.engine import DigestEngine, EngineConfig
         from repro.core.query import ContinuousQuery, Precision, parse_query
+        from repro.core.session import DigestSession, EngineConfig
         from repro.db.relation import P2PDatabase, Schema
         from repro.network.graph import OverlayGraph
         from repro.network.topology import mesh_topology
@@ -151,12 +151,9 @@ class TestEngineIntegration:
             Precision(delta=100.0, epsilon=150.0, confidence=0.95),
             duration=10,
         )
-        engine = DigestEngine(
-            graph,
-            database,
+        session = DigestSession(graph, database, 0, np.random.default_rng(1))
+        query_id = session.add_query(
             continuous,
-            origin=0,
-            rng=np.random.default_rng(1),
             config=EngineConfig(scheduler="all", evaluator="independent"),
         )
         monitor = ThresholdMonitor(threshold=total0 * 1.1, confidence=0.95)
@@ -166,8 +163,7 @@ class TestEngineIntegration:
                     database.update(
                         tid, {"mem": database.read(tid)["mem"] * 1.25}
                     )
-            estimate = engine.step(t)
-            monitor.offer(estimate)
+            monitor.offer(session.step(t)[query_id])
         states = [event.state for event in monitor.events]
         assert states == [ThresholdState.BELOW, ThresholdState.ABOVE]
         assert monitor.events[1].time >= 5

@@ -11,6 +11,7 @@ from repro.datasets.traces import (
     TraceRecorder,
     replay_trace,
 )
+from repro.db.expression import Expression
 from repro.errors import SimulationError
 
 
@@ -100,6 +101,30 @@ class TestRecordReplay:
         assert loaded.events == trace.events
         assert loaded.initial_tuples == trace.initial_tuples
         assert loaded.initial_tuples  # self-contained file
+
+    def test_leave_unmaps_exactly_the_leavers_tuples(self):
+        trace = Trace(
+            attribute="v",
+            n_steps=3,
+            initial_edges=[(0, 1), (1, 2), (2, 0)],
+            initial_nodes=[0, 1, 2],
+            events=[
+                TraceEvent(1, "leave", 1),
+                TraceEvent(2, "update", 10, value=99.0),
+                TraceEvent(2, "delete", 11),
+                TraceEvent(2, "update", 20, value=5.0),
+            ],
+            initial_tuples={10: (1, 1.0), 11: (1, 2.0), 20: (0, 3.0), 30: (2, 4.0)},
+        )
+        replayed = replay_trace(trace)
+        replayed.step(0)
+        replayed.step(1)
+        assert sorted(replayed._id_map) == [20, 30]
+        assert replayed.database.n_tuples == 2
+        replayed.step(2)  # the departed ids' update and delete are ignored
+        assert replayed.database.n_tuples == 2
+        values = replayed.database.exact_values(Expression("v"))
+        assert sorted(values.tolist()) == [4.0, 5.0]
 
     def test_events_at(self):
         trace = Trace(

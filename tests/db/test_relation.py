@@ -180,6 +180,9 @@ class TestUpdateMany:
             ("v", [-1, 0], [5.0, 5.0], "outside the allocated range"),
             ("v", [0, 1], [5.0, 5.0], "deleted"),
             ("v", [2, 0, 2], [5.0, 5.0, 5.0], "repeated"),
+            ("v", [2, 3, 0], [5.0, 5.0, 5.0], "outside the allocated range"),
+            ("v", [2, -1, 0], [5.0, 5.0, 5.0], "outside the allocated range"),
+            ("v", [2, 1, 0], [5.0, 5.0, 5.0], "deleted"),
             ("v", [0, 2], [5.0], "equal-length"),
             ("v", [0.0, 2.0], [5.0, 5.0], "integers"),
         ],
@@ -189,6 +192,9 @@ class TestUpdateMany:
             "negative-id",
             "deleted-id",
             "duplicate-ids",
+            "unsorted-unknown-id",
+            "unsorted-negative-id",
+            "unsorted-deleted-id",
             "length-mismatch",
             "float-ids",
         ],

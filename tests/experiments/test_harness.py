@@ -48,11 +48,13 @@ class TestQueryAndEngine:
         precision = Precision(4.0, 2.0)
         for scheduler in ("all", "pred"):
             for evaluator in ("independent", "repeated"):
-                engine = make_engine(
+                session = make_engine(
                     instance, precision, scheduler, evaluator, origin=0, seed=0
                 )
-                assert engine.config.scheduler == scheduler
-                assert engine.config.evaluator == evaluator
+                (query_id,) = session.query_ids()
+                config = session.runtime(query_id).config
+                assert config.scheduler == scheduler
+                assert config.evaluator == evaluator
 
 
 class TestRunLoop:

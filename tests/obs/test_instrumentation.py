@@ -110,7 +110,7 @@ class TestEngineTrace:
     def _traced_run(self, scheduler="all", n_steps=8):
         instance = build_instance("temperature", scale=0.05, seed=0)
         tracer = RecordingTracer(meta={"experiment": "unit"})
-        engine = make_engine(
+        session = make_engine(
             instance,
             Precision(4.0, 2.0),
             scheduler,
@@ -119,15 +119,15 @@ class TestEngineTrace:
             seed=0,
             tracer=tracer,
         )
-        run = run_continuous_query(instance, engine, n_steps=n_steps)
-        return engine, run
+        run = run_continuous_query(instance, session, n_steps=n_steps)
+        return session, run
 
     def test_run_captures_trace_and_counters_are_derived(self):
-        engine, run = self._traced_run()
+        session, run = self._traced_run()
         assert run.trace is not None
         queries = run.trace.spans_named("snapshot_query")
-        assert len(queries) == engine.metrics.snapshot_queries == 8
-        assert verify_trace_consistency(run.trace, engine.metrics) == []
+        assert len(queries) == session.metrics.snapshot_queries == 8
+        assert verify_trace_consistency(run.trace, session.metrics) == []
 
     def test_trigger_reasons_start_with_bootstrap(self):
         _, run = self._traced_run()

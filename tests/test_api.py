@@ -30,10 +30,11 @@ def test_quickstart_from_docstring():
         repro.Precision(delta=2.0, epsilon=2.0, confidence=0.95),
         duration=10,
     )
-    engine = repro.DigestEngine(graph, db, continuous, origin=0, rng=rng)
+    session = repro.DigestSession(graph, db, 0, rng)
+    result = session.runtime(session.add_query(continuous)).result
     for t in range(10):
-        engine.step(t)
-    estimate = engine.result.last().estimate
+        session.step(t)
+    estimate = result.last().estimate
     truth = db.exact_values(repro.Expression("temperature")).mean()
     assert abs(estimate - truth) < 5.0
 

@@ -8,8 +8,8 @@ error with an actionable message instead.
 import numpy as np
 import pytest
 
-from repro.core.engine import DigestEngine, EngineConfig
 from repro.core.query import ContinuousQuery, Precision, parse_query
+from repro.core.session import DigestSession, EngineConfig
 from repro.db.relation import P2PDatabase, Schema
 from repro.errors import (
     QueryError,
@@ -82,16 +82,13 @@ class TestEngineFailures:
             Precision(delta=1.0, epsilon=1e-9, confidence=0.999),
             duration=1,
         )
-        engine = DigestEngine(
-            graph,
-            database,
+        session = DigestSession(graph, database, 0, np.random.default_rng(0))
+        session.add_query(
             continuous,
-            origin=0,
-            rng=np.random.default_rng(0),
             config=EngineConfig(scheduler="all", evaluator="independent"),
         )
         with pytest.raises(QueryError, match="infeasible|exceeds"):
-            engine.step(0)
+            session.step(0)
 
     def test_engine_with_departed_origin_raises_on_step(self):
         graph, database = _world()
@@ -100,19 +97,16 @@ class TestEngineFailures:
             Precision(delta=1.0, epsilon=1.0, confidence=0.9),
             duration=10,
         )
-        engine = DigestEngine(
-            graph,
-            database,
+        session = DigestSession(graph, database, 5, np.random.default_rng(0))
+        session.add_query(
             continuous,
-            origin=5,
-            rng=np.random.default_rng(0),
             config=EngineConfig(scheduler="all", evaluator="independent"),
         )
-        engine.step(0)
+        session.step(0)
         graph.leave(5)
         database.remove_node(5)
         with pytest.raises(SamplingError):
-            engine.step(1)
+            session.step(1)
 
     def test_avg_over_emptied_relation(self):
         from repro.baselines.push_all import PushAllBaseline

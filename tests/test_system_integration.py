@@ -135,18 +135,18 @@ class TestWeatherScenarioWithRevision:
     def test_revisions_reduce_retrospective_error(self):
         config = TemperatureConfig().scaled(0.06)
         instance = TemperatureDataset(config, seed=21).build()
-        from repro.core.engine import DigestEngine
-
-        engine = DigestEngine(
+        session = DigestSession(
             instance.graph,
             instance.database,
+            0,
+            np.random.default_rng(22),
+        )
+        query_id = session.add_query(
             ContinuousQuery(
                 parse_query("SELECT AVG(temperature) FROM R"),
                 Precision(delta=8.0, epsilon=1.0, confidence=0.95),
                 duration=40,
             ),
-            origin=0,
-            rng=np.random.default_rng(22),
             config=EngineConfig(
                 scheduler="all", evaluator="repeated", forward_revision=True
             ),
@@ -154,9 +154,10 @@ class TestWeatherScenarioWithRevision:
         truths = {}
         for t in range(40):
             instance.step(t)
-            if engine.step(t) is not None:
+            if query_id in session.step(t):
                 truths[t] = instance.true_average()
-        revised = [r for r in engine.result.updates if r.was_revised]
+        result = session.runtime(query_id).result
+        revised = [r for r in result.updates if r.was_revised]
         assert revised, "expected at least one retrospective revision"
         original_errors = []
         revised_errors = []

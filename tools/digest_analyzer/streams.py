@@ -9,7 +9,7 @@ partition statically; this module is its ground truth.
 
 A *sink* is a constructor or builder that takes ownership of a generator
 argument. Sinks are matched by the final component of the resolved call
-target (``repro.core.DigestEngine`` and ``repro.core.engine.DigestEngine``
+target (``repro.core.DigestSession`` and ``repro.core.session.DigestSession``
 are the same sink — re-exports must not dodge the rule), restricted to
 project-internal targets. A sink terminates taint tracking: what the
 subsystem does with its generator internally is its own business.
@@ -32,7 +32,6 @@ SINK_LABELS: dict[str, str] = {
     # shared sample pool / query substrate (one stream by design:
     # DigestSession hands the same generator to its pool and evaluators)
     "SamplePool": "pool",
-    "DigestEngine": "engine",
     "DigestSession": "engine",
     # walk execution
     "SamplingOperator": "walk",
