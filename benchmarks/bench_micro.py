@@ -5,13 +5,15 @@ vectorized walk kernel, the walk snapshot (cold and cached), one churn
 tick's snapshot of a 10^4-node overlay, tuple sampling under an open
 partition, local-store operations, one tick of
 ingest (a bulk column scatter against per-row updates), expression
-evaluation and one full snapshot step of a one-query session.
+evaluation, one PRED-3 scheduling decision and one full snapshot step of a
+one-query session.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.query import ContinuousQuery, Precision, parse_query
+from repro.core.scheduler import ExtrapolationScheduler
 from repro.core.session import DigestSession, EngineConfig
 from repro.db.expression import Expression
 from repro.db.relation import P2PDatabase, Schema
@@ -209,6 +211,17 @@ def test_expression_vectorized_eval(benchmark):
         "cpu": np.random.default_rng(2).normal(0, 1, 10_000),
     }
     benchmark(expression.evaluate_columns, columns)
+
+
+def test_extrapolation_predict(benchmark):
+    """One PRED-3 schedule (fit, remainder fit, Eq. 4 scan) on 6 noisy points."""
+    rng = np.random.default_rng(0)
+    history = [(t, 20.0 + 0.5 * t + float(rng.normal(0, 0.2))) for t in range(6)]
+    scheduler = ExtrapolationScheduler(delta=4.0, n_points=3)
+
+    next_time = benchmark(scheduler.next_time, history, 5)
+    assert 5 < next_time <= 5 + scheduler.extrapolator.max_horizon
+    assert scheduler.last_decision == "predicted_drift"
 
 
 def test_engine_snapshot_step(benchmark):

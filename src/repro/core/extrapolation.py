@@ -7,38 +7,37 @@ polynomial ``P_d[t]`` with Lagrange remainder
     |X[t] - P_d[t]| <= |R_d[t]|,
     R_d[t] = (t - t_u)^{d+1} / (d+1)! * X^{(d+1)}(c),  c in [t_u, t].
 
-``P_d`` is fit to the ``d+1`` most recent snapshot results by
-Levenberg-Marquardt non-linear least squares (the paper's choice; for a
-polynomial model it converges to the interpolant in one round but is kept
-for fidelity and for robustness to degenerate geometry).
+``P_d`` is the linear least-squares fit (``np.polyfit``) over the ``2(d+1)``
+most recent snapshot results. The paper fits it by Levenberg-Marquardt; a
+polynomial's residual is linear in its coefficients, so LM converges to
+exactly this solution, and the direct solve is the same estimator.
 
 The paper leaves the ``(d+1)``-th derivative bound unspecified (its ``c_k``
 assumes oracle knowledge of ``X``). We estimate the remainder *rate*
 ``M/(d+1)!`` as the leading coefficient of a least-squares degree-``d+1``
-polynomial over a wider ``remainder_window`` of recent results: the exact
-Newton divided difference of order ``d+1`` equals that coefficient when the
-window is minimal (``d+2`` points), and widening the window averages out
-snapshot-estimation noise — which an order-``d+1`` difference would
-otherwise amplify by ``~2^{d+1}``, making high-degree predictors absurdly
-conservative. A configurable safety factor scales the estimate.
+polynomial over the same window: widening the fit past the ``d+2`` points
+that determine it averages out snapshot-estimation noise, which an
+order-``d+1`` divided difference would amplify by ``~2^{d+1}``, making
+high-degree predictors absurdly conservative. A configurable safety factor
+scales the estimate.
 
 The next update time is then the earliest ``t`` with (Eq. 4)
 
-    |P_d[t] - P_d[t_u]| + |R_d[t]| > delta.
+    |P_d[t] - P_d[t_u]| + |R_d[t]| > delta,
+
+found by evaluating both terms at every offset up to the horizon at once.
 
 ``PRED-k`` in the experiments = :class:`TaylorExtrapolator` with ``k``
-history points (degree ``k-1``); it needs ``k+1`` history points in total
-(one extra for the remainder estimate), during which the scheduler falls
-back to continuous querying (the bootstrapping period).
+history points (degree ``k-1``); both fits read the last ``2k`` results, and
+until that many exist the scheduler falls back to continuous querying (the
+bootstrapping period).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from repro.errors import QueryError
 
@@ -46,11 +45,10 @@ from repro.errors import QueryError
 @dataclass(frozen=True)
 class ExtrapolationResult:
     """Outcome of one extrapolation: the predicted next update time and
-    the fitted polynomial pieces used to derive it (for introspection)."""
+    the remainder rate used to derive it (for introspection)."""
 
     next_time: int
-    coefficients: np.ndarray  # poly coefficients in (t - t_u) powers, ascending
-    remainder_rate: float  # |divided difference| = M / (d+1)!
+    remainder_rate: float  # estimated M / (d+1)!, times the safety factor
     capped: bool  # True when the horizon cap, not Eq. 4, chose next_time
 
     @property
@@ -76,10 +74,6 @@ class TaylorExtrapolator:
     safety_factor:
         Multiplier on the estimated remainder rate (>= 1 makes the
         prediction more conservative, never less correct).
-    remainder_window:
-        History points used for the remainder-rate fit. Defaults to
-        ``2 * n_points`` (minimum ``n_points + 1``); larger = smoother,
-        less noise-inflated remainder.
     """
 
     def __init__(
@@ -87,7 +81,6 @@ class TaylorExtrapolator:
         n_points: int = 3,
         max_horizon: int = 64,
         safety_factor: float = 1.0,
-        remainder_window: int | None = None,
     ) -> None:
         if n_points < 2:
             raise QueryError(f"extrapolation needs >= 2 points, got {n_points}")
@@ -98,82 +91,12 @@ class TaylorExtrapolator:
         self.n_points = n_points
         self.max_horizon = max_horizon
         self.safety_factor = safety_factor
-        if remainder_window is None:
-            remainder_window = 2 * n_points
-        if remainder_window < n_points + 1:
-            raise QueryError(
-                f"remainder_window must be >= n_points + 1, got "
-                f"{remainder_window}"
-            )
-        self.remainder_window = remainder_window
 
     @property
     def required_history(self) -> int:
-        """History points needed before extrapolation can run."""
-        return self.remainder_window
-
-    # ------------------------------------------------------------------
-    # fitting
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _fit_polynomial(
-        times: np.ndarray, values: np.ndarray, degree: int
-    ) -> np.ndarray:
-        """LM least-squares fit; returns ascending coefficients in ``t - t_u``.
-
-        ``times`` are shifted so the last point is 0, which conditions the
-        Vandermonde geometry and makes ``coefficients[0] ~= X[t_u]``.
-        """
-        shifted = times - times[-1]
-
-        def residuals(coefficients: np.ndarray) -> np.ndarray:
-            fitted = np.zeros_like(shifted, dtype=float)
-            for power, coefficient in enumerate(coefficients):
-                fitted += coefficient * shifted**power
-            return fitted - values
-
-        initial = np.polyfit(shifted, values, degree)[::-1]
-        solution = least_squares(residuals, initial, method="lm")
-        return solution.x
-
-    @staticmethod
-    def _divided_difference(times: np.ndarray, values: np.ndarray) -> float:
-        """Newton divided difference of maximal order over the points."""
-        table = values.astype(float).copy()
-        n = times.size
-        for level in range(1, n):
-            for i in range(n - level):
-                span = times[i + level] - times[i]
-                if span == 0:
-                    raise QueryError("duplicate history times in extrapolation")
-                table[i] = (table[i + 1] - table[i]) / span
-        return float(table[0])
-
-    def _remainder_rate(self, times: np.ndarray, values: np.ndarray) -> float:
-        """Estimate ``M / (d+1)!`` — the remainder's per-step growth rate.
-
-        The leading coefficient of a least-squares degree-``d+1`` fit over
-        the remainder window; with a minimal window (``d+2`` points) this
-        is exactly the Newton divided difference of order ``d+1``.
-        """
-        degree = self.n_points  # = d + 1
-        if times.size == degree + 1:
-            return abs(self._divided_difference(times, values))
-        shifted = times - times[-1]
-        coefficients = np.polyfit(shifted, values, degree)
-        return abs(float(coefficients[0]))
-
-    @staticmethod
-    def _evaluate(coefficients: np.ndarray, offset: float) -> float:
-        value = 0.0
-        for power, coefficient in enumerate(coefficients):
-            value += coefficient * offset**power
-        return value
-
-    # ------------------------------------------------------------------
-    # prediction
-    # ------------------------------------------------------------------
+        """History points needed before extrapolation can run: the ``2k``
+        window both fits share."""
+        return 2 * self.n_points
 
     def predict_next_update(
         self,
@@ -197,46 +120,31 @@ class TaylorExtrapolator:
         if np.any(np.diff(times) <= 0):
             raise QueryError("history times must be strictly increasing")
 
-        # least-squares fit over the whole window: snapshot results carry
+        # least-squares fits over the whole window: snapshot results carry
         # estimation noise ~epsilon, and exact interpolation of n_points
         # noisy values amplifies it exponentially in the degree. With
         # near-exact snapshots this coincides with interpolation (the
-        # paper's "robust estimation ... via least squares").
-        coefficients = self._fit_polynomial(times, values, self.n_points - 1)
-        remainder_rate = self.safety_factor * self._remainder_rate(times, values)
-        t_u = int(times[-1])
-        baseline = self._evaluate(coefficients, 0.0)
-        degree = self.n_points - 1
-        for offset in range(1, self.max_horizon + 1):
-            drift = abs(self._evaluate(coefficients, float(offset)) - baseline)
-            remainder = remainder_rate * float(offset) ** (degree + 1)
-            if drift + remainder > delta:
-                return ExtrapolationResult(
-                    next_time=t_u + offset,
-                    coefficients=coefficients,
-                    remainder_rate=remainder_rate,
-                    capped=False,
-                )
-        return ExtrapolationResult(
-            next_time=t_u + self.max_horizon,
-            coefficients=coefficients,
-            remainder_rate=remainder_rate,
-            capped=True,
+        # paper's "robust estimation ... via least squares"). Times are
+        # shifted so t_u is 0, which conditions the Vandermonde geometry.
+        shifted = times - times[-1]
+        coefficients = np.polyfit(shifted, values, self.n_points - 1)
+        # the leading coefficient of the degree-(d+1) fit is M / (d+1)!
+        remainder_rate = self.safety_factor * abs(
+            float(np.polyfit(shifted, values, self.n_points)[0])
         )
-
-
-def lagrange_remainder_bound(
-    derivative_bound: float, degree: int, offset: float
-) -> float:
-    """``|R_d| <= M |t-t_u|^{d+1} / (d+1)!`` for a known derivative bound ``M``.
-
-    Utility for analytical tests; the extrapolator itself folds the
-    factorial into the divided-difference estimate.
-    """
-    if degree < 0:
-        raise QueryError(f"degree must be >= 0, got {degree}")
-    return (
-        derivative_bound
-        * abs(offset) ** (degree + 1)
-        / math.factorial(degree + 1)
-    )
+        offsets = np.arange(1, self.max_horizon + 1, dtype=float)
+        drift = np.abs(np.polyval(coefficients, offsets) - coefficients[-1])
+        remainder = remainder_rate * offsets**self.n_points
+        exceeds = drift + remainder > delta
+        t_u = int(times[-1])
+        if not exceeds.any():
+            return ExtrapolationResult(
+                next_time=t_u + self.max_horizon,
+                remainder_rate=remainder_rate,
+                capped=True,
+            )
+        return ExtrapolationResult(
+            next_time=t_u + 1 + int(np.argmax(exceeds)),
+            remainder_rate=remainder_rate,
+            capped=False,
+        )

@@ -50,7 +50,7 @@ class ExtrapolationScheduler:
     """``PRED-k``: extrapolation-driven continual querying.
 
     ``n_points`` is the paper's ``k``; ``delta`` the resolution parameter
-    of the continuous query. During bootstrap (fewer than ``k+1`` history
+    of the continuous query. During bootstrap (fewer than ``2k`` history
     points) it schedules every ``period`` steps like ``ALL``.
     """
 

@@ -116,16 +116,6 @@ class FaultLog:
         """
         self._listeners[key] = listener
 
-    def unsubscribe(self, key: str) -> bool:
-        """Remove the listener registered under ``key``.
-
-        Returns True when a listener was removed, False when the key was
-        unknown (already unsubscribed, or never registered). Long-lived
-        sessions that attach and detach observers must call this so the
-        log does not accumulate dead listeners.
-        """
-        return self._listeners.pop(key, None) is not None
-
     def record(
         self,
         time: int,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -96,9 +96,6 @@ class OverlayGraph:
     def nodes(self) -> list[int]:
         """All live node ids, sorted."""
         return sorted(self._adjacency)
-
-    def iter_nodes(self) -> Iterator[int]:
-        return iter(self._adjacency)
 
     def edges(self) -> list[Edge]:
         """All edges as sorted ``(min, max)`` pairs."""

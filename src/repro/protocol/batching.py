@@ -58,16 +58,6 @@ class WalkBatchPlan:
         return max((d.n_samples for d in self.demands), default=0)
 
     @property
-    def total_demand(self) -> int:
-        """Walks the queries would have launched independently."""
-        return sum(d.n_samples for d in self.demands)
-
-    @property
-    def walks_saved(self) -> int:
-        """Walks avoided by coalescing (``total_demand - n_walks``)."""
-        return self.total_demand - self.n_walks
-
-    @property
     def consumers(self) -> tuple[str, ...]:
         """All consuming query ids, in demand order."""
         return tuple(d.query for d in self.demands)
@@ -81,13 +71,6 @@ class WalkBatchPlan:
         return tuple(
             d.query for d in self.demands if d.n_samples > walk_index
         )
-
-    def share_of(self, query: str) -> int:
-        """How many of the batch's samples the given query consumes."""
-        for demand in self.demands:
-            if demand.query == query:
-                return demand.n_samples
-        return 0
 
 
 def coalesce_demands(demands: Iterable[WalkDemand]) -> WalkBatchPlan:

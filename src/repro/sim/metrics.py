@@ -58,10 +58,6 @@ class MetricSeries:
             raise ValueError(f"series {self.name!r} is empty")
         return float(np.sum(self._values))
 
-    def extend(self, other: "MetricSeries") -> None:
-        """Append another series' observations (times must not go back)."""
-        for time, value in zip(other._times, other._values):
-            self.record(time, value)
 
 
 @dataclass
@@ -127,36 +123,3 @@ class RunMetrics:
 
     def series_names(self) -> list[str]:
         return sorted(self._series)
-
-    def merge_counters(self, other: "RunMetrics") -> None:
-        """Fold another run's counters *and series* into this one.
-
-        Series are adopted wholesale: a series present only on one side
-        (or empty on this side) is copied over. When both sides hold
-        observations under the same name there is no meaningful merge
-        order (trial runs restart their clocks), so silently dropping or
-        interleaving would corrupt the data — it raises instead.
-        """
-        self.snapshot_queries += other.snapshot_queries
-        self.samples_total += other.samples_total
-        self.samples_fresh += other.samples_fresh
-        self.samples_retained += other.samples_retained
-        self.walks_retried += other.walks_retried
-        self.walks_failed += other.walks_failed
-        self.faults_injected += other.faults_injected
-        self.degraded_estimates += other.degraded_estimates
-        self.pool_hits += other.pool_hits
-        self.pool_misses += other.pool_misses
-        self.alerts_fired += other.alerts_fired
-        self.alerts_resolved += other.alerts_resolved
-        for name, series in other._series.items():
-            if len(series) == 0:
-                continue
-            mine = self._series.get(name)
-            if mine is not None and len(mine) > 0:
-                raise ValueError(
-                    f"cannot merge series {name!r}: both runs recorded it "
-                    f"({len(mine)} and {len(series)} observations)"
-                )
-            adopted = self.series(name)
-            adopted.extend(series)

@@ -55,7 +55,7 @@ class TestEstimatorHelpers:
         # less variance -> more confidence; more variance -> less
         assert achieved_confidence(0.5, target / 4) > 0.95
         assert achieved_confidence(0.5, target * 4) < 0.95
-        assert achieved_confidence(0.5, 0.0) == 1.0
+        assert achieved_confidence(0.5, 0.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_achieved_confidence_validation(self):
         with pytest.raises(QueryError):

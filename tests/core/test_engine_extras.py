@@ -36,8 +36,25 @@ def _session(graph, database, continuous, origin, seed, config):
 
 
 class TestEstimatedPopulation:
-    def test_sum_with_estimated_population(self):
-        """oracle_population=False: N comes from capture-recapture."""
+    def test_sum_with_estimated_population(self, monkeypatch):
+        """oracle_population=False: N comes from capture-recapture.
+
+        Every estimate's ``population_size`` must be the (rounded) value
+        the size estimator returned on that step, never the true count.
+        """
+        from repro.sampling import size_estimation
+
+        recorded = []
+        estimate_size = size_estimation.estimate_relation_size
+
+        def recording_estimate(*args, **kwargs):
+            size = estimate_size(*args, **kwargs)
+            recorded.append(size)
+            return size
+
+        monkeypatch.setattr(
+            size_estimation, "estimate_relation_size", recording_estimate
+        )
         graph, database, _ = _world(topology="power_law")
         continuous = ContinuousQuery(
             parse_query("SELECT SUM(v) FROM R"),
@@ -60,11 +77,13 @@ class TestEstimatedPopulation:
             session.step(t).get(runtime.query_id) for t in range(3)
         ]
         truth = float(database.exact_values(Expression("v")).sum())
+        # one size estimate per step, and each one is the N the step used
+        assert len(recorded) == len(estimates)
         # capture-recapture N has real variance; require the right scale
-        for estimate in estimates:
+        for estimate, size in zip(estimates, recorded):
             assert estimate is not None
             assert 0.4 * truth < estimate.aggregate < 2.5 * truth
-            assert estimate.population_size != database.n_tuples or True
+            assert estimate.population_size == int(round(size))
 
     def test_population_estimation_costs_messages(self):
         graph, database, _ = _world(topology="power_law")

@@ -95,8 +95,9 @@ class TestVarianceTarget:
 class TestSampleMoments:
     def test_population_style_variance(self):
         mean, variance = sample_mean_and_variance(np.array([1.0, 3.0]))
-        assert mean == 2.0
-        assert variance == 1.0  # (1 + 1) / 2, the 1/n convention
+        assert mean == pytest.approx(2.0, rel=1e-12)
+        # (1 + 1) / 2, the 1/n convention
+        assert variance == pytest.approx(1.0, rel=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(QueryError):

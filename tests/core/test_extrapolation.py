@@ -1,14 +1,12 @@
-"""Tests for Taylor-polynomial extrapolation (Section IV-A)."""
+"""Tests for Taylor-polynomial extrapolation (Section IV-A).
 
-import math
+PRED-k fits over the last ``2k`` snapshot results, so each history below
+has exactly ``2k`` points.
+"""
 
-import numpy as np
 import pytest
 
-from repro.core.extrapolation import (
-    TaylorExtrapolator,
-    lagrange_remainder_bound,
-)
+from repro.core.extrapolation import TaylorExtrapolator
 from repro.errors import QueryError
 
 
@@ -24,21 +22,17 @@ class TestConstruction:
             TaylorExtrapolator(max_horizon=0)
         with pytest.raises(QueryError):
             TaylorExtrapolator(safety_factor=-1)
-        with pytest.raises(QueryError):
-            TaylorExtrapolator(n_points=3, remainder_window=3)
 
     def test_required_history(self):
         assert TaylorExtrapolator(n_points=3).required_history == 6
-        assert (
-            TaylorExtrapolator(n_points=3, remainder_window=4).required_history == 4
-        )
+        assert TaylorExtrapolator(n_points=2).required_history == 4
 
 
 class TestPrediction:
     def test_linear_growth_exact(self):
         """X = 2t: drift exceeds delta=5 after 3 steps (ceil(5/2))."""
-        extrapolator = TaylorExtrapolator(n_points=2, remainder_window=3)
-        history = _history(lambda t: 2.0 * t, 3)
+        extrapolator = TaylorExtrapolator(n_points=2)
+        history = _history(lambda t: 2.0 * t, 4)
         result = extrapolator.predict_next_update(history, delta=5.0)
         assert result.next_time == history[-1][0] + 3
         assert not result.capped
@@ -53,31 +47,44 @@ class TestPrediction:
 
     def test_quadratic_exact(self):
         """X = t^2 with degree-2 fit: drift from t_u grows as offsets."""
-        extrapolator = TaylorExtrapolator(n_points=3, remainder_window=4)
-        history = _history(lambda t: float(t * t), 4)
+        extrapolator = TaylorExtrapolator(n_points=3)
+        history = _history(lambda t: float(t * t), 6)
         t_u = history[-1][0]
-        result = extrapolator.predict_next_update(history, delta=20.0)
-        # drift = (t_u + k)^2 - t_u^2 = k^2 + 2*k*t_u = k^2 + 6k > 20 -> k=3
+        result = extrapolator.predict_next_update(history, delta=30.0)
+        # the degree-3 remainder fit of an exact quadratic has leading
+        # coefficient 0, so only the drift counts:
+        # drift = (t_u + k)^2 - t_u^2 = k^2 + 2*k*t_u = k^2 + 10k;
+        # k=2 gives 24 <= 30, k=3 gives 39 > 30 -> k=3
         assert result.next_time == t_u + 3
 
     def test_faster_change_means_earlier_update(self):
-        extrapolator = TaylorExtrapolator(n_points=2, remainder_window=3)
+        extrapolator = TaylorExtrapolator(n_points=2)
         slow = extrapolator.predict_next_update(
-            _history(lambda t: 0.5 * t, 3), delta=5.0
+            _history(lambda t: 0.5 * t, 4), delta=5.2
         )
         fast = extrapolator.predict_next_update(
-            _history(lambda t: 5.0 * t, 3), delta=5.0
+            _history(lambda t: 5.0 * t, 4), delta=5.2
         )
-        assert fast.next_time < slow.next_time
+        # drift 0.5k > 5.2 first at k=11; drift 5k > 5.2 first at k=2
+        assert slow.next_time == 3 + 11
+        assert fast.next_time == 3 + 2
 
     def test_remainder_makes_prediction_conservative(self):
-        """A noisy cubic term shortens the predicted interval."""
-        smooth = TaylorExtrapolator(n_points=2, remainder_window=3)
-        linear = _history(lambda t: 2.0 * t, 3)
-        wiggly = [(t, x + (3.0 if t % 2 else -3.0)) for t, x in linear]
-        prediction_linear = smooth.predict_next_update(linear, delta=10.0)
-        prediction_wiggly = smooth.predict_next_update(wiggly, delta=10.0)
-        assert prediction_wiggly.next_time <= prediction_linear.next_time
+        """Curvature the linear fit ignores shortens the predicted interval."""
+        smooth = TaylorExtrapolator(n_points=2)
+        linear = _history(lambda t: 2.0 * t, 4)
+        # a bump e = (-3, 3, 3, -3) is orthogonal to 1 and t on t = 0..3, so
+        # the linear fit keeps slope 2; its projection on the centred
+        # quadratic (1, -1, -1, 1) is -12/4, a leading coefficient of -3
+        bump = {0: -3.0, 1: 3.0, 2: 3.0, 3: -3.0}
+        wiggly = [(t, x + bump[t]) for t, x in linear]
+        prediction_linear = smooth.predict_next_update(linear, delta=11.0)
+        prediction_wiggly = smooth.predict_next_update(wiggly, delta=11.0)
+        assert prediction_wiggly.remainder_rate == pytest.approx(3.0, rel=1e-12)
+        # linear: 2k > 11 first at k=6; wiggly: 2k + 3k^2 is 5 at k=1 and
+        # 16 > 11 at k=2
+        assert prediction_linear.next_time == 3 + 6
+        assert prediction_wiggly.next_time == 3 + 2
 
     def test_safety_factor_more_conservative(self):
         history = [(0, 0.0), (1, 1.9), (2, 4.1), (3, 6.0), (4, 8.1), (5, 9.9)]
@@ -90,10 +97,10 @@ class TestPrediction:
 
     def test_irregular_spacing_supported(self):
         """Update times are not equally spaced (that is the whole point)."""
-        extrapolator = TaylorExtrapolator(n_points=2, remainder_window=3)
-        history = [(0, 0.0), (3, 6.0), (7, 14.0)]  # still X = 2t
+        extrapolator = TaylorExtrapolator(n_points=2)
+        history = [(0, 0.0), (3, 6.0), (7, 14.0), (12, 24.0)]  # still X = 2t
         result = extrapolator.predict_next_update(history, delta=5.0)
-        assert result.next_time == 10  # 7 + ceil(5/2)
+        assert result.next_time == 15  # 12 + ceil(5/2)
 
 
 class TestValidation:
@@ -103,30 +110,14 @@ class TestValidation:
             extrapolator.predict_next_update([(0, 1.0)], delta=1.0)
 
     def test_negative_delta(self):
-        extrapolator = TaylorExtrapolator(n_points=2, remainder_window=3)
+        extrapolator = TaylorExtrapolator(n_points=2)
         with pytest.raises(QueryError):
-            extrapolator.predict_next_update(_history(float, 3), delta=-1.0)
+            extrapolator.predict_next_update(_history(float, 4), delta=-1.0)
 
     def test_non_increasing_times(self):
-        extrapolator = TaylorExtrapolator(n_points=2, remainder_window=3)
+        extrapolator = TaylorExtrapolator(n_points=2)
         with pytest.raises(QueryError):
             extrapolator.predict_next_update(
-                [(0, 1.0), (0, 2.0), (1, 3.0)], delta=1.0
+                [(0, 1.0), (0, 2.0), (1, 3.0), (2, 4.0)], delta=1.0
             )
 
-
-class TestLagrangeBound:
-    def test_formula(self):
-        # M=6, degree=2, offset=2: 6 * 8 / 6 = 8
-        assert lagrange_remainder_bound(6.0, 2, 2.0) == pytest.approx(8.0)
-
-    def test_taylor_error_within_bound(self):
-        """sin truncated at degree 3 stays within the Lagrange bound."""
-        x = 0.8
-        taylor = x - x**3 / 6.0
-        bound = lagrange_remainder_bound(1.0, 3, x)  # |sin^{(4)}| <= 1
-        assert abs(math.sin(x) - taylor) <= bound
-
-    def test_rejects_negative_degree(self):
-        with pytest.raises(QueryError):
-            lagrange_remainder_bound(1.0, -1, 1.0)

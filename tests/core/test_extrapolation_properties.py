@@ -69,3 +69,35 @@ def test_property_time_translation_invariance(history, offset, scale_value):
     shifted_history = [(t + offset, x) for t, x in history]
     shifted = extrapolator.predict_next_update(shifted_history, delta=5.0)
     assert shifted.next_time == base.next_time + offset
+
+
+def _reference_next_time(extrapolator, history, delta):
+    """Eq. 4 scanned one offset at a time with the power-sum polynomial."""
+    window = history[-extrapolator.required_history :]
+    times = np.array([t for t, _ in window], dtype=float)
+    values = np.array([x for _, x in window], dtype=float)
+    shifted = times - times[-1]
+    ascending = np.polyfit(shifted, values, extrapolator.n_points - 1)[::-1]
+    rate = extrapolator.safety_factor * abs(
+        float(np.polyfit(shifted, values, extrapolator.n_points)[0])
+    )
+    t_u = int(times[-1])
+    for offset in range(1, extrapolator.max_horizon + 1):
+        drift = abs(
+            sum(c * float(offset) ** p for p, c in enumerate(ascending))
+            - ascending[0]
+        )
+        if drift + rate * float(offset) ** extrapolator.n_points > delta:
+            return t_u + offset, False
+    return t_u + extrapolator.max_horizon, True
+
+
+@given(history=smooth_history(), delta=st.floats(0.5, 50.0))
+@settings(max_examples=120, deadline=None)
+def test_property_scan_matches_reference_loop(history, delta):
+    """The vectorised Eq. 4 scan picks the offset the scalar loop picks."""
+    extrapolator = TaylorExtrapolator(n_points=3, max_horizon=32)
+    result = extrapolator.predict_next_update(history, delta)
+    assert (result.next_time, result.capped) == _reference_next_time(
+        extrapolator, history, delta
+    )

@@ -83,7 +83,7 @@ class TestSampleContribution:
         y, _ = _contribution(
             AggregateOp.COUNT, expression, predicate, {"mem": 2.0, "cpu": 3.0}
         )
-        assert y == 1.0
+        assert y == pytest.approx(1.0, rel=1e-12)
 
     def test_no_predicate_indicator_one(self):
         y, i = _contribution(AggregateOp.SUM, Expression("mem"), None, {"mem": 4.0})

@@ -80,18 +80,19 @@ class TestResultAmend:
         result.update(UpdateRecord(time=3, estimate=20.0))
         result.amend(1, 11.5)
         record = result.updates[0]
-        assert record.estimate == 11.5
-        assert record.original_estimate == 10.0
+        assert record.estimate == pytest.approx(11.5, rel=1e-12)
+        assert record.original_estimate == pytest.approx(10.0, rel=1e-12)
         assert record.was_revised
-        assert result.value_at(2) == 11.5  # hold serves the revised value
+        # hold serves the revised value
+        assert result.value_at(2) == pytest.approx(11.5, rel=1e-12)
 
     def test_amend_twice_keeps_first_original(self):
         result = RunningResult()
         result.update(UpdateRecord(time=1, estimate=10.0))
         result.amend(1, 11.0)
         result.amend(1, 12.0)
-        assert result.updates[0].original_estimate == 10.0
-        assert result.updates[0].estimate == 12.0
+        assert result.updates[0].original_estimate == pytest.approx(10.0, rel=1e-12)
+        assert result.updates[0].estimate == pytest.approx(12.0, rel=1e-12)
 
     def test_amend_unknown_time_rejected(self):
         result = RunningResult()

@@ -33,7 +33,7 @@ class TestNotificationFilter:
         filter_ = NotificationFilter(5.0, fired.append)
         filter_.offer(_record(0, 10.0))
         assert filter_.offer(_record(1, 15.0))  # exactly delta
-        assert fired[-1].estimate == 15.0
+        assert fired[-1].estimate == pytest.approx(15.0, rel=1e-12)
 
     def test_reference_is_last_notified_not_last_update(self):
         """Drift accumulates across suppressed updates (no re-anchoring)."""

@@ -26,7 +26,8 @@ class TestParseQuery:
 
     def test_nested_parentheses(self):
         query = parse_query("SELECT AVG((a + b) * 0.5) FROM R;")
-        assert query.expression.evaluate({"a": 2, "b": 4}) == 3.0
+        value = query.expression.evaluate({"a": 2, "b": 4})
+        assert value == pytest.approx(3.0, rel=1e-12)
 
     @pytest.mark.parametrize(
         "bad",

@@ -16,11 +16,11 @@ def result():
 
 
 def test_hold_semantics(result):
-    assert result.value_at(2) == 10.0
-    assert result.value_at(3) == 10.0
-    assert result.value_at(4) == 10.0
-    assert result.value_at(5) == 20.0
-    assert result.value_at(100) == 20.0
+    assert result.value_at(2) == pytest.approx(10.0, rel=1e-12)
+    assert result.value_at(3) == pytest.approx(10.0, rel=1e-12)
+    assert result.value_at(4) == pytest.approx(10.0, rel=1e-12)
+    assert result.value_at(5) == pytest.approx(20.0, rel=1e-12)
+    assert result.value_at(100) == pytest.approx(20.0, rel=1e-12)
 
 
 def test_before_first_update_rejected(result):
@@ -44,7 +44,7 @@ def test_trajectory(result):
 def test_accessors(result):
     assert len(result) == 2
     assert result.update_times == [2, 5]
-    assert result.last().estimate == 20.0
+    assert result.last().estimate == pytest.approx(20.0, rel=1e-12)
     assert result.updates[0].n_samples == 30
 
 

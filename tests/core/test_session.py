@@ -50,7 +50,8 @@ class TestRegistration:
         assert session.add_query(_query(), _ALL_INDEP) == "q0"
         assert session.add_query(_query(), _ALL_INDEP) == "q1"
         assert session.query_ids() == ["q0", "q1"]
-        assert session.runtime("q0").continuous_query.precision.epsilon == 2.0
+        precision = session.runtime("q0").continuous_query.precision
+        assert precision.epsilon == pytest.approx(2.0, rel=1e-12)
         with pytest.raises(QueryError):
             session.runtime("nope")
 

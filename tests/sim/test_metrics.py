@@ -1,6 +1,5 @@
 """Tests for metric collection."""
 
-import numpy as np
 import pytest
 
 from repro.sim.metrics import MetricSeries, RunMetrics
@@ -40,24 +39,6 @@ class TestMetricSeries:
         with pytest.raises(ValueError):
             series.total()
 
-    def test_extend_appends_observations(self):
-        a = MetricSeries("x")
-        a.record(0, 1.0)
-        b = MetricSeries("x")
-        b.record(1, 2.0)
-        b.record(3, 4.0)
-        a.extend(b)
-        assert a.times.tolist() == [0, 1, 3]
-        assert a.values.tolist() == [1.0, 2.0, 4.0]
-
-    def test_extend_rejects_time_regression(self):
-        a = MetricSeries("x")
-        a.record(5, 1.0)
-        b = MetricSeries("x")
-        b.record(2, 2.0)
-        with pytest.raises(ValueError):
-            a.extend(b)
-
 
 class TestRunMetrics:
     def test_lazy_series_creation(self):
@@ -66,37 +47,3 @@ class TestRunMetrics:
         metrics.series("estimate").record(0, 1.0)
         assert metrics.has_series("estimate")
         assert metrics.series_names() == ["estimate"]
-
-    def test_merge_counters(self):
-        a = RunMetrics(snapshot_queries=2, samples_total=10, samples_fresh=6)
-        b = RunMetrics(snapshot_queries=1, samples_total=5, samples_retained=2)
-        a.merge_counters(b)
-        assert a.snapshot_queries == 3
-        assert a.samples_total == 15
-        assert a.samples_fresh == 6
-        assert a.samples_retained == 2
-
-    def test_merge_adopts_series(self):
-        a = RunMetrics()
-        b = RunMetrics()
-        b.series("estimate").record(0, 1.0)
-        b.series("estimate").record(2, 3.0)
-        a.merge_counters(b)
-        assert a.has_series("estimate")
-        assert a.series("estimate").values.tolist() == [1.0, 3.0]
-
-    def test_merge_ignores_empty_series(self):
-        a = RunMetrics()
-        a.series("estimate").record(0, 1.0)
-        b = RunMetrics()
-        b.series("estimate")  # created but never recorded
-        a.merge_counters(b)  # must not raise
-        assert len(a.series("estimate")) == 1
-
-    def test_merge_rejects_series_collision(self):
-        a = RunMetrics()
-        a.series("estimate").record(0, 1.0)
-        b = RunMetrics()
-        b.series("estimate").record(0, 2.0)
-        with pytest.raises(ValueError):
-            a.merge_counters(b)
