@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.extrapolation import TaylorExtrapolator
@@ -71,8 +71,9 @@ def test_property_time_translation_invariance(history, offset, scale_value):
     assert shifted.next_time == base.next_time + offset
 
 
-def _reference_next_time(extrapolator, history, delta):
-    """Eq. 4 scanned one offset at a time with the power-sum polynomial."""
+def _reference_margins(extrapolator, history, delta):
+    """Eq. 4's ``drift + remainder - delta`` at offsets 1..horizon, one at
+    a time, with the power-sum polynomial."""
     window = history[-extrapolator.required_history :]
     times = np.array([t for t, _ in window], dtype=float)
     values = np.array([x for _, x in window], dtype=float)
@@ -81,23 +82,43 @@ def _reference_next_time(extrapolator, history, delta):
     rate = extrapolator.safety_factor * abs(
         float(np.polyfit(shifted, values, extrapolator.n_points)[0])
     )
-    t_u = int(times[-1])
+    margins = []
     for offset in range(1, extrapolator.max_horizon + 1):
         drift = abs(
             sum(c * float(offset) ** p for p, c in enumerate(ascending))
             - ascending[0]
         )
-        if drift + rate * float(offset) ** extrapolator.n_points > delta:
-            return t_u + offset, False
-    return t_u + extrapolator.max_horizon, True
+        margins.append(
+            drift + rate * float(offset) ** extrapolator.n_points - delta
+        )
+    return margins
+
+
+#: a linear history with slope exactly ``delta``: offset 1 is a tie that
+#: ``np.polyval``'s Horner rule and the power sum round 1 ulp apart
+_SLOPE_TIE = [(t, 2.59375 * t + 0.9175255092254277) for t in range(6)]
 
 
 @given(history=smooth_history(), delta=st.floats(0.5, 50.0))
+@example(history=_SLOPE_TIE, delta=2.59375)
 @settings(max_examples=120, deadline=None)
 def test_property_scan_matches_reference_loop(history, delta):
-    """The vectorised Eq. 4 scan picks the offset the scalar loop picks."""
+    """The vectorised Eq. 4 scan picks the offset the scalar loop picks.
+
+    The two sum the polynomial in different orders, so they may disagree
+    only at an exact tie: where the reference's margin at the first
+    offset they differ on is within rounding of zero.
+    """
     extrapolator = TaylorExtrapolator(n_points=3, max_horizon=32)
     result = extrapolator.predict_next_update(history, delta)
-    assert (result.next_time, result.capped) == _reference_next_time(
-        extrapolator, history, delta
+    margins = _reference_margins(extrapolator, history, delta)
+    t_u = history[-1][0]
+    reference = next(
+        (offset for offset, m in enumerate(margins, 1) if m > 0), None
     )
+    scanned = None if result.capped else result.next_time - t_u
+    if result.capped:
+        assert result.next_time == t_u + extrapolator.max_horizon
+    if scanned != reference:
+        first = min(o for o in (scanned, reference) if o is not None)
+        assert abs(margins[first - 1]) <= 1e-12 * max(1.0, delta)

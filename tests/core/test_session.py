@@ -85,29 +85,36 @@ class TestRegistration:
 
 class TestSharedSampling:
     def test_coalesced_session_is_cheaper_than_solo_engines(self):
-        """Co-resident overlapping queries share walks: >=30% fewer messages."""
+        """Co-resident overlapping queries share walks: >=30% fewer messages.
+
+        Summed over ten fixed world/rng seed pairs: one pair's ratio
+        ranges from about 0.38 to 0.70, so a single pinned pair only
+        tests the draw; the sum tests the mechanism (about 0.5).
+        """
         epsilons = (1.5, 2.0, 2.5, 3.0)
-
-        graph, database = _world(seed=2)
-        session = DigestSession(graph, database, 0, np.random.default_rng(3))
-        for eps in epsilons:
-            session.add_query(_query(epsilon=eps, duration=5), _ALL_INDEP)
-        for t in range(5):
-            session.step(t)
-        shared_cost = session.ledger.total
-        assert session.batches_coalesced > 0
-        assert session.pool.pool_hits > 0
-
-        solo_cost = 0
-        for i, eps in enumerate(epsilons):
-            graph, database = _world(seed=2)
-            solo = DigestSession(
-                graph, database, 0, np.random.default_rng(100 + i)
+        shared_cost = solo_cost = 0
+        for seed in range(10):
+            graph, database = _world(seed=seed)
+            session = DigestSession(
+                graph, database, 0, np.random.default_rng([seed, 0])
             )
-            solo.add_query(_query(epsilon=eps, duration=5), _ALL_INDEP)
+            for eps in epsilons:
+                session.add_query(_query(epsilon=eps, duration=5), _ALL_INDEP)
             for t in range(5):
-                solo.step(t)
-            solo_cost += solo.ledger.total
+                session.step(t)
+            shared_cost += session.ledger.total
+            assert session.batches_coalesced > 0
+            assert session.pool.pool_hits > 0
+
+            for i, eps in enumerate(epsilons):
+                graph, database = _world(seed=seed)
+                solo = DigestSession(
+                    graph, database, 0, np.random.default_rng([seed, 1 + i])
+                )
+                solo.add_query(_query(epsilon=eps, duration=5), _ALL_INDEP)
+                for t in range(5):
+                    solo.step(t)
+                solo_cost += solo.ledger.total
 
         assert shared_cost < 0.7 * solo_cost
 
