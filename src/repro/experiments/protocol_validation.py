@@ -131,23 +131,21 @@ def run(
             )
         )
 
-    # the abstract model: one message per non-lazy proposal
+    # the abstract model: one message per non-lazy proposal, which is
+    # each walk's step budget
     from repro.sampling.walker import WalkContext, batch_walk
 
-    context = WalkContext.from_graph(graph, weight)
-    abstract_ledger = MessageLedger()
-    batch_walk(
-        context,
+    _, budgets = batch_walk(
+        WalkContext.from_graph(graph, weight),
         np.zeros(n_walks, dtype=np.int64),
         walk_length,
         np.random.default_rng(seed + 2),
-        abstract_ledger,
     )
     return ProtocolResult(
         n_nodes=n_nodes,
         n_walks=n_walks,
         walk_length=walk_length,
-        abstract_messages_per_walk=abstract_ledger.walk_steps / n_walks,
+        abstract_messages_per_walk=float(budgets.mean()),
         rows=rows,
     )
 

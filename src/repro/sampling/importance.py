@@ -87,7 +87,7 @@ class ImportanceSampler:
             if need == 0:
                 break
             starts = np.full(need, context.compact_index(origin), dtype=np.int64)
-            ends = batch_walk(
+            ends, _ = batch_walk(
                 context,
                 starts,
                 self._walk_length,

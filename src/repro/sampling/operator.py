@@ -449,35 +449,20 @@ class SamplingOperator:
             continued = alive[:n]
         n_fresh = n - continued.size
 
-        end_parts: list[np.ndarray] = []
-        if continued.size:
-            starts = np.searchsorted(context.node_ids, continued)
-            end_parts.append(
-                batch_walk(
-                    context,
-                    starts,
-                    reset_length,
-                    self._rng,
-                    self._ledger,
-                    config.laziness,
-                )
-            )
-        if n_fresh > 0:
-            starts = np.full(
-                n_fresh, context.compact_index(origin), dtype=np.int64
-            )
-            end_parts.append(
-                batch_walk(
-                    context,
-                    starts,
-                    mix_length,
-                    self._rng,
-                    self._ledger,
-                    config.laziness,
-                )
-            )
-            self.walks_started += n_fresh
-        end_rows = np.concatenate(end_parts)
+        # one batch: continued agents resume where they stopped and walk
+        # the reset length, fresh agents leave the origin and walk the
+        # full mixing length
+        starts = np.full(n, context.compact_index(origin), dtype=np.int64)
+        starts[: continued.size] = np.searchsorted(context.node_ids, continued)
+        end_rows, budgets = batch_walk(
+            context,
+            starts,
+            np.repeat((reset_length, mix_length), (continued.size, n_fresh)),
+            self._rng,
+            self._ledger,
+            config.laziness,
+        )
+        self.walks_started += n_fresh
         final_positions = context.node_ids[end_rows]
 
         if config.continued_walks:
@@ -501,13 +486,11 @@ class SamplingOperator:
                 # the messages were sent whether or not any was lost
                 self._ledger.record_sample_return(int(hops.sum()))
             if self._faults is not None:
-                # continued agents walked the reset length, fresh ones the
-                # full mixing length; one loss draw per agent, in order
-                steps = np.repeat(
-                    (reset_length, mix_length), (continued.size, n_fresh)
-                )
+                # an agent is exposed once per message it sent: its
+                # proposals (lazy steps send nothing) and its return hops;
+                # one loss draw per agent, in order
                 survivors: list[int] = []
-                for node, n_hops in zip(delivered, (steps + hops).tolist()):
+                for node, n_hops in zip(delivered, (budgets + hops).tolist()):
                     if self._faults.walk_lost(n_hops):
                         self._faults.record(
                             self._tracer.now(), "walk_lost", node=node

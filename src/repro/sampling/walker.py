@@ -19,7 +19,11 @@ Cost model: every *proposal* costs one message (the agent, carrying the
 weight probe, crosses one overlay link; a rejected proposal still crossed
 the link and must hop back, which we conservatively count as the same one
 message the paper's per-step accounting uses). Lazy self-loops are decided
-locally and are free.
+locally and are free, so the kernel does not walk them either: ``L`` lazy
+steps are ``Binomial(L, 1 - laziness)`` proposals of the non-lazy chain
+(``P_lazy^L = sum_k Bin(L, 1 - laziness)(k) P^k``), drawn once per agent
+as its step *budget*. The budgets are what the agent sent, so they are
+what the ledger books and what a lossy network can drop.
 """
 
 from __future__ import annotations
@@ -179,24 +183,27 @@ class WalkContext:
 def batch_walk(
     context: WalkContext,
     start_positions: np.ndarray,
-    steps: int,
+    lengths: int | np.ndarray,
     rng: np.random.Generator,
     ledger: MessageLedger | None = None,
     laziness: float = 0.5,
-) -> np.ndarray:
-    """Advance many agents ``steps`` transitions in lock-step.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Advance many agents along lazy walks of ``lengths`` transitions.
 
     ``start_positions`` holds *compact indices* (see
-    :meth:`WalkContext.compact_index`); the return value is the final
-    compact indices. All agents share the frozen context, so this is
-    exactly ``k`` independent chains, vectorized per transition. Each
-    transition draws, in this order, the laziness uniforms (only when
-    ``laziness > 0``), the neighbor picks of the active agents, and their
-    acceptance uniforms, which are compared against ``context.accept``.
-    An edgeless (single-node) context leaves every agent where it is.
+    :meth:`WalkContext.compact_index`); ``lengths`` is one walk length or
+    one per agent. A lazy step stands still, so a lazy walk of length
+    ``L`` is ``Binomial(L, 1 - laziness)`` steps of the non-lazy chain:
+    each agent's *budget* of proposals is drawn once (no draw when
+    ``laziness == 0``, where the budget is the length), and the agents,
+    sorted by budget so the still-moving ones are a prefix, propose in
+    lock-step until every budget is spent. Each round draws the
+    neighbor picks of the moving agents, then their acceptance uniforms,
+    which are compared against ``context.accept``. An edgeless
+    (single-node) context leaves every agent where it is and spends
+    nothing. Returns the final compact indices and the budgets, both in
+    the agents' order.
     """
-    if steps < 0:
-        raise SamplingError(f"steps must be >= 0, got {steps}")
     if not 0.0 <= laziness < 1.0:
         raise SamplingError(f"laziness must be in [0, 1), got {laziness}")
     positions = np.array(start_positions, dtype=np.int64, copy=True)
@@ -206,29 +213,31 @@ def batch_walk(
         raise SamplingError(
             f"start positions must be compact indices in [0, {context.n_nodes})"
         )
-    if positions.size == 0 or steps == 0 or context.targets.size == 0:
-        return positions
-    n_walkers = positions.size
-    everyone = np.arange(n_walkers)
-    proposals_sent = 0
-    degrees = context.degrees
+    lengths = np.broadcast_to(np.asarray(lengths, dtype=np.int64), positions.shape)
+    if lengths.size and lengths.min() < 0:
+        raise SamplingError(f"walk lengths must be >= 0, got {lengths.min()}")
+    if context.targets.size == 0:
+        return positions, np.zeros(positions.size, dtype=np.int64)
+    budgets = (
+        rng.binomial(lengths, 1.0 - laziness) if laziness > 0.0 else lengths.copy()
+    )
+    # longest budget first: round r moves the agents whose budget exceeds r
+    order = np.argsort(-budgets, kind="stable")
+    walking = positions[order]
+    descending = budgets[order]
+    n_moving = np.searchsorted(-descending, -np.arange(budgets.max(initial=0)))
     offsets = context.offsets
+    degrees = context.degrees
     targets = context.targets
     accept = context.accept
-    for _ in range(steps):
-        if laziness > 0.0:
-            active = np.flatnonzero(rng.random(n_walkers) >= laziness)
-            if active.size == 0:
-                continue
-        else:
-            active = everyone
-        current = positions[active]
-        edge = offsets[current] + (
-            rng.random(active.size) * degrees[current]
-        ).astype(np.int64)
-        proposals_sent += active.size
-        moved = np.flatnonzero(rng.random(active.size) < accept[edge])
-        positions[active[moved]] = targets[edge[moved]]
+    for k in n_moving.tolist():
+        current = walking[:k]
+        # one call draws the picks, then the acceptance uniforms
+        pick, coin = rng.random((2, k))
+        edge = offsets[current] + (pick * degrees[current]).astype(np.int64)
+        moved = np.flatnonzero(coin < accept[edge])
+        walking[moved] = targets[edge[moved]]
+    positions[order] = walking
     if ledger is not None:
-        ledger.record_walk_steps(proposals_sent)
-    return positions
+        ledger.record_walk_steps(int(budgets.sum()))
+    return positions, budgets

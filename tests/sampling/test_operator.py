@@ -5,6 +5,7 @@ import pytest
 
 from repro.db.relation import P2PDatabase, Schema
 from repro.errors import SamplingError
+from repro.network.faults import FaultConfig, FaultPlan
 from repro.network.graph import OverlayGraph
 from repro.network.messaging import MessageLedger
 from repro.network.topology import mesh_topology, power_law_topology
@@ -146,6 +147,37 @@ class TestNodeSampling:
         operator = SamplingOperator(graph, np.random.default_rng(0), ledger)
         operator.sample_nodes(uniform_weights(), 5, origin=0)
         assert ledger.sample_returns > 0
+
+    def test_loss_exposure_counts_messages_sent(self, monkeypatch):
+        """Each agent risks loss once per message it sent, lazy steps none.
+
+        Over one call, the exposures handed to the loss draw sum to the
+        proposals plus return hops the ledger booked in that call; the
+        second call mixes continued agents (reset length) with fresh ones.
+        """
+        graph, _ = _world(49)
+        ledger = MessageLedger()
+        faults = FaultPlan(FaultConfig(message_loss=0.01), rng=4)
+        exposures: list[int] = []
+        draw = faults.walk_lost
+
+        def recording(n_hops):
+            exposures.append(n_hops)
+            return draw(n_hops)
+
+        monkeypatch.setattr(faults, "walk_lost", recording)
+        operator = SamplingOperator(
+            graph, np.random.default_rng(0), ledger, faults=faults
+        )
+        for n in (12, 30):
+            exposures.clear()
+            booked = ledger.walk_steps + ledger.sample_returns
+            operator.sample_nodes(uniform_weights(), n, origin=0)
+            assert len(exposures) == n
+            assert sum(exposures) == (
+                ledger.walk_steps + ledger.sample_returns - booked
+            )
+        assert 0 < operator.samples_drawn < 42
 
     def test_eigengap_cached_until_drift(self):
         graph, _ = _world(49)

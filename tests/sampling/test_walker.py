@@ -16,7 +16,7 @@ from repro.sampling.metropolis import (
     metropolis_matrix,
     stationary_distribution,
 )
-from repro.sampling.mixing import total_variation
+from repro.sampling.mixing import sparse_transition_matrix, total_variation
 from repro.sampling.walker import WalkContext, batch_walk
 from repro.sampling.weights import (
     content_size_weights,
@@ -82,7 +82,7 @@ class TestSingleWalker:
         rng = np.random.default_rng(0)
         position = np.array([mesh_context.compact_index(0)])
         for _ in range(200):
-            step = batch_walk(mesh_context, position, 1, rng, laziness=0.0)
+            step, _ = batch_walk(mesh_context, position, 1, rng, laziness=0.0)
             previous = int(mesh_context.node_ids[position[0]])
             current = int(mesh_context.node_ids[step[0]])
             assert current == previous or graph.has_edge(previous, current)
@@ -126,10 +126,10 @@ class TestSingleWalker:
         graph = OverlayGraph(mesh_topology(16), n_nodes=16)
         context = WalkContext.from_graph(graph, uniform_weights())
         rng = np.random.default_rng(0)
-        position = batch_walk(context, np.zeros(1, dtype=np.int64), 500, rng)
+        position, _ = batch_walk(context, np.zeros(1, dtype=np.int64), 500, rng)
         counts = np.zeros(16)
         for _ in range(30000):
-            position = batch_walk(context, position, 1, rng)
+            position, _ = batch_walk(context, position, 1, rng)
             counts[position[0]] += 1
         empirical = counts / counts.sum()
         assert total_variation(empirical, context.target_distribution()) < 0.05
@@ -138,11 +138,11 @@ class TestSingleWalker:
 class TestBatchWalk:
     def test_zero_steps_identity(self, mesh_context):
         starts = np.array([0, 3, 5])
-        ends = batch_walk(mesh_context, starts, 0, np.random.default_rng(0))
+        ends, _ = batch_walk(mesh_context, starts, 0, np.random.default_rng(0))
         np.testing.assert_array_equal(ends, starts)
 
     def test_empty_batch(self, mesh_context):
-        ends = batch_walk(
+        ends, _ = batch_walk(
             mesh_context, np.array([], dtype=np.int64), 10, np.random.default_rng(0)
         )
         assert ends.size == 0
@@ -175,7 +175,7 @@ class TestBatchWalk:
         graph = OverlayGraph(mesh_topology(16), n_nodes=16)
         context = WalkContext.from_graph(graph, uniform_weights())
         starts = np.zeros(20000, dtype=np.int64)
-        ends = batch_walk(context, starts, 300, np.random.default_rng(0))
+        ends, _ = batch_walk(context, starts, 300, np.random.default_rng(0))
         counts = np.bincount(ends, minlength=16).astype(float)
         empirical = counts / counts.sum()
         assert total_variation(empirical, context.target_distribution()) < 0.03
@@ -188,7 +188,7 @@ class TestBatchWalk:
         context = WalkContext.from_graph(graph, weight)
         _, target = stationary_distribution(graph, weight)
         starts = np.zeros(20000, dtype=np.int64)
-        ends = batch_walk(context, starts, 400, np.random.default_rng(1))
+        ends, _ = batch_walk(context, starts, 400, np.random.default_rng(1))
         counts = np.bincount(ends, minlength=8).astype(float)
         empirical = counts / counts.sum()
         assert total_variation(empirical, target) < 0.03
@@ -202,7 +202,7 @@ class TestBatchWalk:
         node_ids, dense = metropolis_matrix(graph, weight)
         assert node_ids.tolist() == context.node_ids.tolist()
         exact = np.linalg.matrix_power(dense, 150)[0]
-        ends = batch_walk(
+        ends, _ = batch_walk(
             context, np.zeros(20000, dtype=np.int64), 150,
             np.random.default_rng(4),
         )
@@ -226,7 +226,7 @@ class TestBatchWalk:
         graph = OverlayGraph([], n_nodes=1)
         context = WalkContext.from_graph(graph, uniform_weights())
         ledger = MessageLedger()
-        ends = batch_walk(
+        ends, _ = batch_walk(
             context, np.zeros(5, dtype=np.int64), 20,
             np.random.default_rng(0), ledger=ledger,
         )
@@ -256,9 +256,9 @@ def _pin_context():
         ),
         (
             0.5, 6,
-            [76, 297, 198, 289, 229, 23, 58, 24, 272, 218, 129, 198,
-             136, 93, 201, 98, 208, 75, 240, 177, 206, 201, 2, 166],
-            941,
+            [19, 297, 292, 289, 281, 118, 3, 206, 199, 125, 12, 198,
+             156, 141, 71, 167, 53, 31, 229, 51, 154, 224, 248, 166],
+            920,
         ),
     ],
 )
@@ -267,12 +267,83 @@ def test_kernel_pin(laziness, seed, expected_ends, expected_steps):
     context = _pin_context()
     assert int((context.weights == 0).sum()) == 61
     ledger = MessageLedger()
-    ends = batch_walk(
+    ends, _ = batch_walk(
         context, np.arange(0, 300, 13, dtype=np.int64), 80,
         np.random.default_rng(seed), ledger, laziness,
     )
     assert ends.tolist() == expected_ends
     assert ledger.walk_steps == expected_steps
+
+
+def _law_context():
+    """20-node power-law overlay (degrees 1-10) with weights 1-4."""
+    graph = OverlayGraph(
+        power_law_topology(20, rng=np.random.default_rng(2)), n_nodes=20
+    )
+    draws = np.random.default_rng(3).integers(1, 5, size=20)
+    weight = table_weights(
+        {node: float(draws[i]) for i, node in enumerate(graph.nodes())}
+    )
+    return WalkContext.from_graph(graph, weight)
+
+
+def _lazy_law(context, origin, length):
+    """Origin row of ``P_lazy^length`` (laziness 1/2), exactly."""
+    row = np.zeros(context.n_nodes)
+    row[origin] = 1.0
+    transpose = sparse_transition_matrix(context, 0.5).T.tocsr()
+    for _ in range(length):
+        row = transpose @ row
+    return row
+
+
+#: TV between an N-draw histogram over 20 bins and its own law is at
+#: most about sqrt(20 / (2 pi N)) / 2: 0.0025 for N = 200 000, 0.0035
+#: for a third of that. The bound leaves about three times that; the
+#: lazy chain one step shorter or longer, the non-lazy chain, or another
+#: group's length sits over 0.05 away on these short walks.
+LAW_WALKERS = 200_000
+LAW_TV_BOUND = 0.01
+
+
+class TestKernelLaw:
+    """End positions follow the lazy chain's ``P_lazy^L`` row, per agent."""
+
+    def test_one_length(self):
+        context = _law_context()
+        assert len(set(context.degrees.tolist())) > 2  # not regular
+        origin = int(np.argmax(context.degrees))
+        exact = _lazy_law(context, origin, 3)
+        wrong = [_lazy_law(context, origin, 2), _lazy_law(context, origin, 4)]
+        non_lazy = sparse_transition_matrix(context, 0.0).toarray()
+        wrong.append(np.linalg.matrix_power(non_lazy, 3)[origin])
+        for law in wrong:
+            assert total_variation(exact, law) > 5 * LAW_TV_BOUND
+        ends, budgets = batch_walk(
+            context, np.full(LAW_WALKERS, origin), 3, np.random.default_rng(9)
+        )
+        empirical = np.bincount(ends, minlength=context.n_nodes) / LAW_WALKERS
+        assert total_variation(empirical, exact) < LAW_TV_BOUND
+        # Binomial(3, 1/2) budgets: mean 1.5, standard error 0.0019
+        assert budgets.max() <= 3
+        assert abs(budgets.mean() - 1.5) < 0.01
+
+    def test_mixed_lengths_in_one_call(self):
+        context = _law_context()
+        origin = int(np.argmax(context.degrees))
+        lengths = np.tile([7, 2, 4], LAW_WALKERS // 3)
+        ledger = MessageLedger()
+        ends, budgets = batch_walk(
+            context, np.full(lengths.size, origin), lengths,
+            np.random.default_rng(10), ledger,
+        )
+        assert ledger.walk_steps == budgets.sum()
+        assert (budgets <= lengths).all()
+        for length in (7, 2, 4):
+            group = ends[lengths == length]
+            empirical = np.bincount(group, minlength=context.n_nodes) / group.size
+            exact = _lazy_law(context, origin, length)
+            assert total_variation(empirical, exact) < LAW_TV_BOUND
 
 
 class TestFromSubgraph:
@@ -315,7 +386,7 @@ class TestFromSubgraph:
         )
         rng = np.random.default_rng(0)
         starts = np.zeros(32, dtype=np.int64)
-        final = batch_walk(context, starts, steps=50, rng=rng)
+        final, _ = batch_walk(context, starts, lengths=50, rng=rng)
         sampled = {int(context.node_ids[index]) for index in final}
         assert sampled <= {0, 1, 2, 3, 4}
 
