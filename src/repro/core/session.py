@@ -51,7 +51,7 @@ from typing import Callable, Container, Iterator
 
 import numpy as np
 
-from repro.core.independent import EvaluatorConfig, IndependentEvaluator
+from repro.core.independent import IndependentEvaluator
 from repro.core.query import ContinuousQuery
 from repro.core.repeated import RepeatedEvaluator
 from repro.core.result import NotificationFilter, RunningResult, UpdateRecord
@@ -103,7 +103,6 @@ class EngineConfig:
     safety_factor: float = 1.0
     oracle_population: bool = True
     forward_revision: bool = False
-    evaluator_config: EvaluatorConfig | None = None
 
     def __post_init__(self) -> None:
         if self.scheduler not in ("all", "pred"):
@@ -365,7 +364,6 @@ class DigestSession:
                 self._origin,
                 continuous_query.query,
                 population_size_provider=population_provider,
-                config=resolved.evaluator_config,
             )
         else:
             evaluator = RepeatedEvaluator(
@@ -375,7 +373,6 @@ class DigestSession:
                 continuous_query.query,
                 self._rng,
                 population_size_provider=population_provider,
-                config=resolved.evaluator_config,
             )
 
         scheduler: SnapshotScheduler

@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core.independent import EvaluatorConfig, IndependentEvaluator
+from repro.core.independent import PILOT_SIZE, IndependentEvaluator
 from repro.core.query import Query, parse_query
 from repro.db.aggregates import AggregateOp
 from repro.db.expression import Expression
 from repro.db.relation import P2PDatabase, Schema
-from repro.errors import QueryError
 from repro.network.graph import OverlayGraph
 from repro.network.topology import mesh_topology
 from repro.sampling.operator import SamplerConfig, SamplingOperator
@@ -24,24 +23,13 @@ def _world(mean=50.0, sigma=10.0, per_node=5, n_nodes=36, seed=0):
     return graph, database
 
 
-def _evaluator(graph, database, query=None, seed=1, **config_kwargs):
+def _evaluator(graph, database, query=None, seed=1):
     if query is None:
         query = Query(AggregateOp.AVG, Expression("v"))
     operator = SamplingOperator(
         graph, np.random.default_rng(seed), config=SamplerConfig()
     )
-    config = EvaluatorConfig(**config_kwargs) if config_kwargs else None
-    return IndependentEvaluator(database, operator, 0, query, config=config)
-
-
-class TestConfig:
-    def test_rejects_tiny_pilot(self):
-        with pytest.raises(QueryError):
-            EvaluatorConfig(pilot_size=1)
-
-    def test_rejects_zero_rounds(self):
-        with pytest.raises(QueryError):
-            EvaluatorConfig(max_rounds=0)
+    return IndependentEvaluator(database, operator, 0, query)
 
 
 class TestAvg:
@@ -70,10 +58,10 @@ class TestAvg:
         from repro.core.estimators import required_sample_size
 
         graph, database = _world(sigma=20.0)
-        evaluator = _evaluator(graph, database, pilot_size=10)
+        evaluator = _evaluator(graph, database)
         estimate = evaluator.evaluate(0, epsilon=2.0, confidence=0.95)
         sigma_hat = float(np.sqrt(estimate.variance * estimate.n_total))
-        needed = required_sample_size(sigma_hat, 2.0, 0.95, minimum=10)
+        needed = required_sample_size(sigma_hat, 2.0, 0.95, minimum=PILOT_SIZE)
         assert estimate.n_total >= 0.8 * needed  # one round of slack
 
     def test_coverage_probability(self):

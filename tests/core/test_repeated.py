@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.independent import EvaluatorConfig, IndependentEvaluator
+from repro.core.independent import PILOT_SIZE, IndependentEvaluator
 from repro.core.query import Query
 from repro.core.repeated import (
     RepeatedEvaluator,
@@ -370,16 +370,15 @@ class TestPlanDemand:
     def test_pilot_before_first_occasion(self):
         graph, database, tids, rng = _correlated_world()
         independent, repeated = _make_evaluators(graph, database)
-        pilot = repeated.config.pilot_size
-        assert independent.plan_demand(2.0, 0.95) == pilot
-        assert repeated.plan_demand(2.0, 0.95) == pilot
+        assert independent.plan_demand(2.0, 0.95) == PILOT_SIZE
+        assert repeated.plan_demand(2.0, 0.95) == PILOT_SIZE
 
     def test_forecast_sized_from_measured_sigma(self):
         graph, database, tids, rng = _correlated_world()
         independent, _ = _make_evaluators(graph, database)
         independent.evaluate(0, epsilon=1.0, confidence=0.95)
         forecast = independent.plan_demand(1.0, 0.95)
-        assert forecast >= independent.config.pilot_size
+        assert forecast >= PILOT_SIZE
         # a looser epsilon can never demand more samples
         assert independent.plan_demand(4.0, 0.95) <= forecast
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.independent import EvaluatorConfig
+from repro.core.independent import PILOT_SIZE
 from repro.core.query import ContinuousQuery, Precision, parse_query
 from repro.core.session import DigestSession, EngineConfig, QuerySet
 from repro.db.aggregates import exact_aggregate
@@ -159,7 +159,7 @@ class TestSharedSampling:
                 query = queries[qid]
                 truth = exact_aggregate(database, query.op, query.expression)
                 assert abs(estimate.aggregate - truth) <= 5.0
-                assert estimate.n_total >= EvaluatorConfig().pilot_size
+                assert estimate.n_total >= PILOT_SIZE
                 fresh[qid] += estimate.n_fresh
         for qid, n_fresh in fresh.items():
             metrics = session.runtime(qid).metrics

@@ -129,7 +129,7 @@ class TestNumericalEdgeCases:
         database = P2PDatabase(Schema(("v",)), graph.nodes())
         for node in graph.nodes():
             database.insert(node, {"v": 7.0})
-        from repro.core.independent import IndependentEvaluator
+        from repro.core.independent import PILOT_SIZE, IndependentEvaluator
 
         evaluator = IndependentEvaluator(
             database,
@@ -139,7 +139,7 @@ class TestNumericalEdgeCases:
         )
         estimate = evaluator.evaluate(0, epsilon=0.1, confidence=0.99)
         assert estimate.mean == pytest.approx(7.0)
-        assert estimate.n_total == evaluator.config.pilot_size
+        assert estimate.n_total == PILOT_SIZE
 
     def test_single_tuple_relation(self):
         graph = OverlayGraph(mesh_topology(4), n_nodes=4)
