@@ -193,18 +193,23 @@ class FaultPlan:
             return False
         return bool(self._rng.random() < self.config.message_loss)
 
-    def walk_lost(self, n_hops: int) -> bool:
-        """Draw whether a whole ``n_hops``-message walk loses any message.
+    def walks_lost(self, exposures: np.ndarray) -> np.ndarray:
+        """Draw which walks lose a message: a bool mask over ``exposures``.
 
         Used by the abstract (matrix-based) sampler, which executes walks
-        in batch rather than hop by hop: the survival probability of a
-        walk whose chain spans ``n_hops`` messages is
-        ``(1 - message_loss) ** n_hops``.
+        in batch rather than hop by hop: a walk that sent ``n`` messages
+        survives with probability ``(1 - message_loss) ** n``. One uniform
+        per walk with a positive exposure, in order, so the stream is the
+        one a draw per walk would consume.
         """
-        if self.config.message_loss <= 0.0 or n_hops <= 0:
-            return False
-        survival = (1.0 - self.config.message_loss) ** n_hops
-        return bool(self._rng.random() >= survival)
+        exposures = np.asarray(exposures, dtype=np.int64)
+        lost = np.zeros(exposures.size, dtype=bool)
+        if self.config.message_loss <= 0.0:
+            return lost
+        exposed = exposures > 0
+        survival = (1.0 - self.config.message_loss) ** exposures[exposed]
+        lost[exposed] = self._rng.random(survival.size) >= survival
+        return lost
 
     def delivery_delay(self, base: int) -> int:
         """Latency of one successful delivery: ``base`` plus jitter."""

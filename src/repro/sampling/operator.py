@@ -487,17 +487,11 @@ class SamplingOperator:
                 self._ledger.record_sample_return(int(hops.sum()))
             if self._faults is not None:
                 # an agent is exposed once per message it sent: its
-                # proposals (lazy steps send nothing) and its return hops;
-                # one loss draw per agent, in order
-                survivors: list[int] = []
-                for node, n_hops in zip(delivered, (budgets + hops).tolist()):
-                    if self._faults.walk_lost(n_hops):
-                        self._faults.record(
-                            self._tracer.now(), "walk_lost", node=node
-                        )
-                        continue
-                    survivors.append(node)
-                delivered = survivors
+                # proposals (lazy steps send nothing) and its return hops
+                lost = self._faults.walks_lost(budgets + hops)
+                for node in final_positions[lost].tolist():
+                    self._faults.record(self._tracer.now(), "walk_lost", node=node)
+                delivered = final_positions[~lost].tolist()
         self.samples_drawn += len(delivered)
         # retained-vs-fresh tagging: continued agents only paid the reset
         # length; fresh agents paid the full mixing length from the origin

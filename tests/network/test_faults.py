@@ -72,7 +72,7 @@ class TestFaultPlan:
     def test_no_loss_at_zero_rate(self):
         plan = FaultPlan(FaultConfig(), rng=0)
         assert not any(plan.message_lost() for _ in range(100))
-        assert not plan.walk_lost(50)
+        assert not plan.walks_lost(np.array([50, 0, 3])).any()
 
     def test_loss_rate_is_approximately_honored(self):
         plan = FaultPlan(FaultConfig(message_loss=0.3), rng=0)
@@ -81,9 +81,20 @@ class TestFaultPlan:
 
     def test_walk_loss_uses_survival_probability(self):
         plan = FaultPlan(FaultConfig(message_loss=0.1), rng=1)
-        losses = sum(plan.walk_lost(13) for _ in range(5000))
+        losses = int(plan.walks_lost(np.full(5000, 13)).sum())
         expected = 1.0 - 0.9**13  # ~0.746
         assert abs(losses / 5000 - expected) < 0.05
+
+    def test_walks_lost_draws_once_per_exposed_walk_in_order(self):
+        """The vector draw consumes the stream one draw per walk would."""
+        exposures = np.array([5, 0, 13, 2, 0, 40, 1])
+        plan = FaultPlan(FaultConfig(message_loss=0.1), rng=3)
+        reference = np.random.default_rng(3)
+        expected = [
+            n > 0 and bool(reference.random() >= 0.9**n)
+            for n in exposures.tolist()
+        ]
+        assert plan.walks_lost(exposures).tolist() == expected
 
     def test_delivery_delay_bounded_by_jitter(self):
         plan = FaultPlan(FaultConfig(latency_jitter=3), rng=2)

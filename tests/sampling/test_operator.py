@@ -159,13 +159,13 @@ class TestNodeSampling:
         ledger = MessageLedger()
         faults = FaultPlan(FaultConfig(message_loss=0.01), rng=4)
         exposures: list[int] = []
-        draw = faults.walk_lost
+        draw = faults.walks_lost
 
-        def recording(n_hops):
-            exposures.append(n_hops)
-            return draw(n_hops)
+        def recording(batch):
+            exposures.extend(batch.tolist())
+            return draw(batch)
 
-        monkeypatch.setattr(faults, "walk_lost", recording)
+        monkeypatch.setattr(faults, "walks_lost", recording)
         operator = SamplingOperator(
             graph, np.random.default_rng(0), ledger, faults=faults
         )
@@ -178,6 +178,8 @@ class TestNodeSampling:
                 ledger.walk_steps + ledger.sample_returns - booked
             )
         assert 0 < operator.samples_drawn < 42
+        # one walk_lost event per lost agent, none for the survivors
+        assert faults.log.count("walk_lost") == 42 - operator.samples_drawn
 
     def test_eigengap_cached_until_drift(self):
         graph, _ = _world(49)
