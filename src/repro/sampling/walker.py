@@ -24,6 +24,13 @@ steps are ``Binomial(L, 1 - laziness)`` proposals of the non-lazy chain
 (``P_lazy^L = sum_k Bin(L, 1 - laziness)(k) P^k``), drawn once per agent
 as its step *budget*. The budgets are what the agent sent, so they are
 what the ledger books and what a lossy network can drop.
+
+Randomness: a call draws the budgets, then one stream of uniforms: per
+round, the moving agents' neighbor picks, then their acceptance coins.
+The stream is drawn in blocks of whole rounds, one ``rng.random`` call
+per block rather than one per round; since ``Generator.random`` is
+chunk-invariant, the doubles (and the generator state after the call)
+are the ones one call per round would give.
 """
 
 from __future__ import annotations
@@ -37,6 +44,11 @@ from repro.errors import SamplingError, TopologyError
 from repro.network.graph import OverlayGraph
 from repro.network.messaging import MessageLedger
 from repro.sampling.weights import ContentSizeWeights, WeightFunction
+
+#: uniforms per ``rng.random`` call of :func:`batch_walk`, about: a block
+#: holds the whole rounds that start within one window of this many
+#: values, which keeps memory flat for long calls with many agents
+_BLOCK_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -197,9 +209,10 @@ def batch_walk(
     each agent's *budget* of proposals is drawn once (no draw when
     ``laziness == 0``, where the budget is the length), and the agents,
     sorted by budget so the still-moving ones are a prefix, propose in
-    lock-step until every budget is spent. Each round draws the
-    neighbor picks of the moving agents, then their acceptance uniforms,
-    which are compared against ``context.accept``. An edgeless
+    lock-step until every budget is spent. Each round reads the
+    neighbor picks of the moving agents, then their acceptance coins
+    (compared against ``context.accept``), from one stream of uniforms
+    drawn in blocks of whole rounds. An edgeless
     (single-node) context leaves every agent where it is and spends
     nothing. Returns the final compact indices and the budgets, both in
     the agents' order.
@@ -227,16 +240,25 @@ def batch_walk(
     descending = budgets[order]
     n_moving = np.searchsorted(-descending, -np.arange(budgets.max(initial=0)))
     offsets = context.offsets
-    degrees = context.degrees
+    # exact: every degree is below 2**53, and the product is float64 anyway
+    degrees = context.degrees.astype(np.float64)
     targets = context.targets
     accept = context.accept
-    for k in n_moving.tolist():
-        current = walking[:k]
-        # one call draws the picks, then the acceptance uniforms
-        pick, coin = rng.random((2, k))
-        edge = offsets[current] + (pick * degrees[current]).astype(np.int64)
-        moved = np.flatnonzero(coin < accept[edge])
-        walking[moved] = targets[edge[moved]]
+    # round r takes 2 k_r uniforms, its k_r picks then its k_r coins; a
+    # block is the rounds that start within one _BLOCK_VALUES window
+    first = np.cumsum(2 * n_moving) - 2 * n_moving
+    cuts = np.flatnonzero(np.diff(first // _BLOCK_VALUES)) + 1
+    for rounds in np.split(n_moving, cuts):
+        block = rng.random(2 * int(rounds.sum()))
+        at = 0
+        for k in rounds.tolist():
+            current = walking[:k]
+            edge = offsets[current]
+            edge += (block[at : at + k] * degrees[current]).astype(np.int64)
+            at += k
+            moved = (block[at : at + k] < accept[edge]).nonzero()[0]
+            at += k
+            walking[moved] = targets[edge[moved]]
     positions[order] = walking
     if ledger is not None:
         ledger.record_walk_steps(int(budgets.sum()))
