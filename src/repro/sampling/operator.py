@@ -231,6 +231,8 @@ class SamplingOperator:
             bridge_fault_log(faults.log, self._tracer)
         self._spectral = _SpectralCache()
         self._tuple_walk: _TupleWalkCache | None = None
+        #: the last partition scope and its hop counts, one per scope row
+        self._scope_hops: tuple[dict[int, int], np.ndarray] | None = None
         #: continued-walk agent positions (node ids)
         self._pool_nodes = _NO_NODES
         self.samples_drawn = 0
@@ -381,6 +383,22 @@ class SamplingOperator:
             cache.scope = scope
         return context
 
+    def _return_hops(self, scope: dict[int, int]) -> np.ndarray:
+        """``scope``'s BFS hop counts, aligned with its walk context's rows.
+
+        A scope's context rows are its node ids in ascending order, so the
+        array serves every context built over the same scope object; it is
+        built once per scope (the partition plan hands back the same dict
+        while its epoch holds).
+        """
+        cached = self._scope_hops
+        if cached is None or cached[0] is not scope:
+            nodes = np.fromiter(scope.keys(), dtype=np.int64, count=len(scope))
+            hops = np.fromiter(scope.values(), dtype=np.int64, count=len(scope))
+            cached = (scope, hops[np.argsort(nodes)])
+            self._scope_hops = cached
+        return cached[1]
+
     def _tuple_weight(self, database: P2PDatabase) -> WeightFunction:
         """The content-size weight of ``database``, stable across calls."""
         cache = self._tuple_walk
@@ -479,9 +497,7 @@ class SamplingOperator:
             else:
                 # under a partition the return route is confined to the
                 # reachable region, so return-hop accounting uses its BFS
-                hops = np.array(
-                    [scope.get(node, 0) for node in delivered], dtype=np.int64
-                )
+                hops = self._return_hops(scope)[end_rows]
             if self._ledger is not None:
                 # the messages were sent whether or not any was lost
                 self._ledger.record_sample_return(int(hops.sum()))

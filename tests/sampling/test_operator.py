@@ -482,6 +482,27 @@ class TestPartitionScoping:
         sampled = operator.sample_nodes(uniform_weights(), 40, origin)
         assert set(sampled) <= scope
 
+    def test_return_hops_follow_the_scope_bfs(self):
+        """Each agent under a cut books its hop count in the origin's scope."""
+        graph, database, plan = self._partitioned_world(fractions=(0.7, 0.3))
+        ledger = MessageLedger()
+        operator = SamplingOperator(
+            graph,
+            np.random.default_rng(1),
+            ledger,
+            config=SamplerConfig(walk_length=30, continued_walks=False),
+            partitions=plan,
+        )
+        scope = plan.reachable(graph, 0)
+        assert 1 < len(scope) < len(graph)
+        assert list(scope) != sorted(scope)  # BFS order, not row order
+        for _ in range(2):
+            booked = ledger.sample_returns
+            sampled = operator.sample_nodes(uniform_weights(), 40, 0)
+            assert ledger.sample_returns - booked == sum(
+                scope[node] for node in sampled
+            )
+
     def test_singleton_scope_degenerates_to_origin(self):
         from repro.network.partitions import (
             PartitionEpisode,
