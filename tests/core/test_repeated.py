@@ -11,6 +11,7 @@ from repro.core.independent import PILOT_SIZE, IndependentEvaluator
 from repro.core.query import Query
 from repro.core.repeated import (
     RepeatedEvaluator,
+    _MatchedPairs,
     combined_variance,
     minimum_variance,
     optimal_partition,
@@ -305,21 +306,16 @@ class TestDegenerateOccasions:
     def test_combine_all_retained_uses_regression_only(self):
         """f=0: no fresh draws; the combination is the regression estimate
         alone (no division by the zero fresh count)."""
-        graph, database, tids, rng = _correlated_world()
-        _, repeated = _make_evaluators(graph, database)
         matched_prev = np.array([48.0, 50.0, 52.0, 49.0, 51.0])
         matched_curr = matched_prev * 0.9 + 5.0  # perfectly correlated
-        estimate, variance, rho, sigma2 = repeated._combine(
-            matched_prev,
-            matched_curr,
-            np.array([]),
-            prev_estimate=50.0,
-            prev_variance=0.5,
+        pairs = _MatchedPairs.measure(
+            matched_prev, matched_curr, prev_estimate=50.0, prev_variance=0.5
         )
+        estimate, variance, sigma2 = pairs.combine(np.array([]))
         assert math.isfinite(estimate) and math.isfinite(variance)
         assert variance > 0
         # perfect correlation, clipped to the working range
-        assert rho == pytest.approx(0.999)
+        assert pairs.rho == pytest.approx(0.999)
         # regression estimate: curr_mean + b * (prev_est - prev_mean);
         # prev mean == prev estimate == 50, so it is just the current mean
         assert estimate == pytest.approx(float(matched_curr.mean()))
@@ -327,42 +323,31 @@ class TestDegenerateOccasions:
     def test_combine_all_retained_small_g_uses_matched_mean(self):
         """f=0 with g<3: too few pairs for a regression; falls back to the
         plain matched mean."""
-        graph, database, tids, rng = _correlated_world()
-        _, repeated = _make_evaluators(graph, database)
         matched_prev = np.array([48.0, 52.0])
         matched_curr = np.array([47.0, 53.0])
-        estimate, variance, rho, _ = repeated._combine(
-            matched_prev,
-            matched_curr,
-            np.array([]),
-            prev_estimate=50.0,
-            prev_variance=0.5,
+        pairs = _MatchedPairs.measure(
+            matched_prev, matched_curr, prev_estimate=50.0, prev_variance=0.5
         )
-        assert rho is None
+        estimate, variance, _ = pairs.combine(np.array([]))
+        assert pairs.rho is None
         assert estimate == pytest.approx(50.0)
         assert math.isfinite(variance) and variance > 0
 
     def test_combine_zero_samples_rejected(self):
-        graph, database, tids, rng = _correlated_world()
-        _, repeated = _make_evaluators(graph, database)
+        pairs = _MatchedPairs.measure(np.array([]), np.array([]), 50.0, 0.5)
         with pytest.raises(QueryError):
-            repeated._combine(
-                np.array([]), np.array([]), np.array([]), 50.0, 0.5
-            )
+            pairs.combine(np.array([]))
 
     def test_constant_previous_values_fall_back_to_matched_mean(self):
         """Zero variance among the retained previous values: regression is
         undefined (b = cov/0); falls back to the matched mean, combined
         with the fresh portion."""
-        graph, database, tids, rng = _correlated_world()
-        _, repeated = _make_evaluators(graph, database)
         matched_prev = np.full(5, 50.0)
         matched_curr = np.array([49.0, 50.0, 51.0, 50.0, 50.0])
         fresh = np.array([48.0, 52.0, 50.0])
-        estimate, variance, rho, _ = repeated._combine(
-            matched_prev, matched_curr, fresh, 50.0, 0.5
-        )
-        assert rho is None
+        pairs = _MatchedPairs.measure(matched_prev, matched_curr, 50.0, 0.5)
+        estimate, variance, _ = pairs.combine(fresh)
+        assert pairs.rho is None
         assert math.isfinite(estimate) and math.isfinite(variance)
 
 
