@@ -4,12 +4,18 @@ Each property pins an invariant the system's correctness rests on, over
 randomized structures rather than hand-picked cases.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.repeated import combined_variance, solve_allocation
+from repro.core.repeated import (
+    _best_partition,
+    combined_variance,
+    solve_allocation,
+)
 from repro.core.result import NotificationFilter, UpdateRecord
 from repro.errors import QueryError
 from repro.network.graph import OverlayGraph
@@ -297,6 +303,71 @@ def test_property_allocation_meets_target_minimally(
             for candidate in range(0, min(n - 1, retained) + 1)
         )
         assert best_prev > v_target * (1 - 1e-9)
+
+
+def _full_range_allocation(
+    sigma2, rho, var_prev, v_target, retained, min_n, max_n
+):
+    """Reference sizing: binary search over all of ``[min_n, max_n]``."""
+
+    def best_var(n):
+        return _best_partition(sigma2, n, rho, var_prev, retained)[1]
+
+    if best_var(max_n) > v_target:
+        return "raise"
+    low, high = min_n, max_n
+    while low < high:
+        middle = (low + high) // 2
+        if best_var(middle) <= v_target:
+            high = middle
+        else:
+            low = middle + 1
+    return low, _best_partition(sigma2, low, rho, var_prev, retained)[0]
+
+
+@given(
+    log_sigma2=st.floats(-4.0, 4.0),
+    rho=st.one_of(
+        st.sampled_from([0.0, 0.999, -0.999, 1.0, -1.0]), st.floats(-1.0, 1.0)
+    ),
+    log_prev=st.one_of(st.none(), st.floats(0.0, 5.0)),
+    log_target=st.floats(-1.0, 6.5),
+    retained=st.integers(0, 3000),
+    min_n=st.sampled_from([2, 30]),
+    max_n=st.sampled_from([50, 1000, 1_000_000]),
+)
+@settings(max_examples=300, deadline=None)
+def test_property_bracketed_allocation_matches_full_search(
+    log_sigma2, rho, log_prev, log_target, retained, min_n, max_n
+):
+    """The bracketed search returns the full-range search's ``(n, g)``.
+
+    Infeasible targets raise in both, and a previous estimate may be
+    exact (``var_prev = 0``).
+    """
+    sigma2 = 10.0**log_sigma2
+    var_prev = 0.0 if log_prev is None else sigma2 / 10.0**log_prev
+    v_target = sigma2 / 10.0**log_target
+    expected = _full_range_allocation(
+        sigma2, rho, var_prev, v_target, retained, min_n, max_n
+    )
+    try:
+        got = solve_allocation(
+            sigma2, rho, var_prev, v_target, retained, min_n=min_n, max_n=max_n
+        )
+    except QueryError:
+        got = "raise"
+    assert got == expected
+
+
+def test_allocation_all_fresh_bound_a_hair_short():
+    """``sigma2 / v_target`` rounds to 5, yet 5 fresh samples miss the
+    target by one ulp: the search must widen its upper bound, not stop."""
+    v_target = math.nextafter(0.2, 0.0)
+    assert 1.0 / v_target == 5.0 and 1.0 / 5 > v_target
+    expected = _full_range_allocation(1.0, 0.0, 0.1, v_target, 0, 2, 1_000_000)
+    assert expected == (6, 0)
+    assert solve_allocation(1.0, 0.0, 0.1, v_target, 0) == expected
 
 
 # ----------------------------------------------------------------------
