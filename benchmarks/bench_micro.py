@@ -1,9 +1,9 @@
 """Micro-benchmarks of the hot paths (pytest-benchmark, multi-round).
 
 These track implementation performance rather than paper artifacts: the
-vectorized walk kernel, the walk snapshot (cold and cached), one churn
-tick's snapshot of a 10^4-node overlay, tuple sampling under an open
-partition, local-store operations, one tick of
+vectorized walk kernel (at two shapes), the walk snapshot (cold and
+cached), one churn tick's snapshot of a 10^4-node overlay, tuple
+sampling under an open partition, local-store operations, one tick of
 ingest (a bulk column scatter against per-row updates), expression
 evaluation, one PRED-3 scheduling decision and one full snapshot step of a
 one-query session.
@@ -49,6 +49,24 @@ def test_batch_walk_kernel(benchmark, walk_setup):
 
     def run():
         ends, _ = batch_walk(context, starts, 100, np.random.default_rng(1))
+        return ends
+
+    benchmark(run)
+
+
+def test_batch_walk_kernel_partition_shape(benchmark):
+    """60 walkers x 340 lazy steps on a 2000-node power-law overlay.
+
+    About the shape of one faulted-partition sampling call: roughly 170
+    proposals per walker, so the per-round dispatch dominates the cost.
+    """
+    rng = np.random.default_rng(0)
+    graph = OverlayGraph(power_law_topology(2000, rng=rng), n_nodes=2000)
+    context = WalkContext.from_graph(graph, uniform_weights())
+    starts = np.zeros(60, dtype=np.int64)
+
+    def run():
+        ends, _ = batch_walk(context, starts, 340, np.random.default_rng(1))
         return ends
 
     benchmark(run)
