@@ -9,9 +9,10 @@ from repro.network.faults import FaultConfig, FaultPlan
 from repro.network.graph import OverlayGraph
 from repro.network.messaging import MessageLedger
 from repro.network.topology import mesh_topology, power_law_topology
+from repro.sampling import operator as operator_module
 from repro.sampling.mixing import total_variation
 from repro.sampling.operator import SamplerConfig, SamplingOperator
-from repro.sampling.walker import WalkContext
+from repro.sampling.walker import WalkContext, batch_walk
 from repro.sampling.weights import (
     content_size_weights,
     table_weights,
@@ -149,37 +150,47 @@ class TestNodeSampling:
         assert ledger.sample_returns > 0
 
     def test_loss_exposure_counts_messages_sent(self, monkeypatch):
-        """Each agent risks loss once per message it sent, lazy steps none.
+        """Each leg risks loss once per message it sent, lazy steps none.
 
-        Over one call, the exposures handed to the loss draw sum to the
-        proposals plus return hops the ledger booked in that call; the
-        second call mixes continued agents (reset length) with fresh ones.
+        A direct call makes two loss draws. The outbound draw, before the
+        walk, is exposed once per proposal: its exposures are the agents'
+        budgets, which sum to the proposals the ledger booked. The return
+        draw, after the walk, covers only the agents whose outbound leg
+        arrived, once per hop home from their end. The second call mixes
+        continued agents (reset length) with fresh ones.
         """
         graph, _ = _world(49)
         ledger = MessageLedger()
         faults = FaultPlan(FaultConfig(message_loss=0.01), rng=4)
-        exposures: list[int] = []
+        draws: list[tuple[np.ndarray, np.ndarray]] = []
         draw = faults.walks_lost
 
         def recording(batch):
-            exposures.extend(batch.tolist())
-            return draw(batch)
+            lost = draw(batch)
+            draws.append((np.array(batch), lost.copy()))
+            return lost
 
         monkeypatch.setattr(faults, "walks_lost", recording)
         operator = SamplingOperator(
             graph, np.random.default_rng(0), ledger, faults=faults
         )
+        hops = graph.hop_counts(0)  # the mesh's node ids are its CSR rows
+        lost_legs = 0
         for n in (12, 30):
-            exposures.clear()
-            booked = ledger.walk_steps + ledger.sample_returns
+            draws.clear()
+            steps = ledger.walk_steps
             operator.sample_nodes(uniform_weights(), n, origin=0)
-            assert len(exposures) == n
-            assert sum(exposures) == (
-                ledger.walk_steps + ledger.sample_returns - booked
-            )
+            (outbound, outbound_lost), (home, home_lost) = draws
+            assert outbound.size == n
+            assert int(outbound.sum()) == ledger.walk_steps - steps
+            # the pool holds every agent's end, in agent order
+            ends = np.array(operator.pool_nodes)
+            assert home.tolist() == hops[ends[~outbound_lost]].tolist()
+            lost_legs += int(outbound_lost.sum() + home_lost.sum())
         assert 0 < operator.samples_drawn < 42
-        # one walk_lost event per lost agent, none for the survivors
-        assert faults.log.count("walk_lost") == 42 - operator.samples_drawn
+        assert lost_legs == 42 - operator.samples_drawn
+        # one walk_lost event per lost leg, none for the survivors
+        assert faults.log.count("walk_lost") == lost_legs
 
     def test_eigengap_cached_until_drift(self):
         graph, _ = _world(49)
@@ -598,3 +609,142 @@ class TestPartitionScoping:
         sampled = operator.sample_nodes(uniform_weights(), 60, 0)
         # walks roam the whole overlay again
         assert len(set(sampled)) > len(graph) // 2
+
+
+class TestLossRetry:
+    """Lost outbound legs are retried inside the one kernel call."""
+
+    @pytest.mark.parametrize("loss", [0.0, 0.02])
+    def test_retried_walks_keep_the_law(self, loss):
+        """Under loss the samples stay as close to pi as without it.
+
+        One tuple per node makes the tuple law the node law, uniform over
+        the 64 nodes. Each round seeds the pool with 60 agents, then draws
+        120, so every request mixes continued and fresh agents, and at
+        this loss most first legs of both kinds are lost and retried.
+        """
+        graph = OverlayGraph(mesh_topology(64), n_nodes=64)
+        database = P2PDatabase(Schema(("v",)), graph.nodes())
+        for node in graph.nodes():
+            database.insert(node, {"v": 0.0})
+        faults = (
+            FaultPlan(FaultConfig(message_loss=loss), rng=1) if loss else None
+        )
+        operator = SamplingOperator(
+            graph, np.random.default_rng(0), faults=faults
+        )
+        counts = np.zeros(64)
+        for _ in range(200):
+            operator.reset_pool()
+            for n in (60, 120):
+                drawn = operator.sample_tuples(database, n, 0, allow_partial=True)
+                np.add.at(counts, [database.locate(t) for t in drawn.tolist()], 1)
+        if loss:
+            assert faults.log.count("walk_lost") > counts.sum() / 2
+        assert total_variation(counts / counts.sum(), np.full(64, 1 / 64)) < 0.05
+
+    @staticmethod
+    def _traced_operator(monkeypatch, loss, ledger):
+        """An operator whose kernel calls and loss draws land in one log."""
+        graph, database = _world(49)
+        faults = FaultPlan(FaultConfig(message_loss=loss), rng=2)
+        log: list[tuple[str, np.ndarray, np.ndarray]] = []
+        draw = faults.walks_lost
+
+        def losses(exposures):
+            lost = draw(exposures)
+            log.append(("loss", np.array(exposures), lost.copy()))
+            return lost
+
+        def kernel(context, starts, lengths, rng, ledger, laziness):
+            ends, budgets = batch_walk(context, starts, lengths, rng, ledger, laziness)
+            log.append(("walk", budgets, context.node_ids[ends]))
+            return ends, budgets
+
+        monkeypatch.setattr(faults, "walks_lost", losses)
+        monkeypatch.setattr(operator_module, "batch_walk", kernel)
+        operator = SamplingOperator(
+            graph, np.random.default_rng(3), ledger, faults=faults
+        )
+        return operator, database, faults, log
+
+    @staticmethod
+    def _calls(log):
+        """Split a request's log into (outbound draws, walk, return draw)."""
+        calls = []
+        outbound: list[tuple[np.ndarray, np.ndarray]] = []
+        entries = iter(log)
+        for kind, first, second in entries:
+            if kind == "loss":
+                outbound.append((first, second))
+                continue
+            _, hops, home_lost = next(entries)
+            calls.append((outbound, (first, second), (hops, home_lost)))
+            outbound = []
+        assert not outbound
+        return calls
+
+    def test_one_kernel_call_per_request(self, monkeypatch):
+        ledger = MessageLedger()
+        operator, database, faults, log = self._traced_operator(
+            monkeypatch, 0.003, ledger
+        )
+        single = retried = 0
+        for n in (20, 35, 50, 35, 20, 50, 10, 40):
+            log.clear()
+            steps = ledger.walk_steps
+            events = faults.log.count("walk_lost")
+            operator.sample_tuples(database, n, 0, allow_partial=True)
+            calls = self._calls(log)
+            outbound, (budgets, ends), (_, home_lost) = calls[0]
+            if not home_lost.any():
+                assert len(calls) == 1
+                # the pool keeps every end of the request
+                assert operator.pool_nodes == ends.tolist()
+                assert len(ends) == n
+                single += 1
+            retried += len(outbound) > 1
+            legs = [leg for call in calls for leg in call[0]]
+            # every leg's proposals are booked, walked or restarted
+            assert ledger.walk_steps - steps == sum(
+                int(exposures.sum()) for exposures, _ in legs
+            )
+            lost_legs = sum(int(lost.sum()) for _, lost in legs) + sum(
+                int(call[2][1].sum()) for call in calls
+            )
+            assert faults.log.count("walk_lost") - events == lost_legs
+        assert single >= 3 and retried >= 3
+
+    def test_attempts_bound_the_legs(self, monkeypatch):
+        operator, database, _, log = self._traced_operator(
+            monkeypatch, 0.5, MessageLedger()
+        )
+        used = []
+        for n in (10, 30, 30):
+            log.clear()
+            operator.sample_tuples(database, n, 0, max_retries=3, allow_partial=True)
+            used.append(sum(len(outbound) for outbound, _, _ in self._calls(log)))
+        assert max(used) == 3
+
+    def test_loss_free_stream_is_the_lazy_kernel(self):
+        """Without faults a request draws exactly what one lazy kernel call draws."""
+        graph, _ = _world(49)
+        rng = np.random.default_rng(5)
+        operator = SamplingOperator(
+            graph, rng, config=SamplerConfig(walk_length=40, reset_length=10)
+        )
+        operator.sample_nodes(uniform_weights(), 10, 0)
+        pool = operator.pool_nodes
+        twin = np.random.default_rng(0)
+        twin.bit_generator.state = rng.bit_generator.state
+        ends = operator.sample_nodes(uniform_weights(), 25, 0)
+
+        context = WalkContext.from_graph(graph, uniform_weights())
+        starts = [context.compact_index(node) for node in pool] + [
+            context.compact_index(0)
+        ] * 15
+        expected, _ = batch_walk(
+            context, np.array(starts), np.repeat((10, 40), (10, 15)), twin
+        )
+        assert ends == context.node_ids[expected].tolist()
+        assert rng.random() == twin.random()
