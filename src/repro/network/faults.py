@@ -197,8 +197,9 @@ class FaultPlan:
         """Draw which walks lose a message: a bool mask over ``exposures``.
 
         Used by the abstract (matrix-based) sampler, which executes walks
-        in batch rather than hop by hop: a walk that sent ``n`` messages
-        survives with probability ``(1 - message_loss) ** n``. One uniform
+        in batch rather than hop by hop, once per leg: a walk's outbound
+        leg, or its return, that sent ``n`` messages survives with
+        probability ``(1 - message_loss) ** n``. One uniform
         per walk with a positive exposure, in order, so the stream is the
         one a draw per walk would consume.
         """
