@@ -363,6 +363,9 @@ class RepeatedEvaluator(SnapshotEvaluator):
         )
         self._rng = rng
         self._state = _OccasionState()
+        #: the last solve_allocation inputs and their (n, g): plan_demand
+        #: and the evaluate() after it solve the same ones per occasion
+        self._last_allocation: tuple[object, tuple[int, int]] | None = None
         #: forward-regression revision of the *previous* occasion's mean,
         #: refreshed by every non-bootstrap evaluate() (None at bootstrap
         #: or when no regression was possible). See repro.core.forward.
@@ -399,20 +402,42 @@ class RepeatedEvaluator(SnapshotEvaluator):
             return max(0, PILOT_SIZE - min(alive, PILOT_SIZE // 2))
         v_target = variance_target(epsilon_mean, confidence)
         try:
-            n_needed, g_target = solve_allocation(
-                sigma2,
-                rho_plan,
-                state.variance,
-                v_target,
-                retained_available=alive,
-                min_n=PILOT_SIZE,
-                max_n=MAX_SAMPLE_SIZE,
+            n_needed, g_target = self._allocation(
+                sigma2, rho_plan, state.variance, v_target, alive
             )
         except QueryError:
             return PILOT_SIZE
         if state.rho is None:
             g_target = min(alive, n_needed // 2)
         return max(0, n_needed - g_target)
+
+    def _allocation(
+        self,
+        sigma2: float,
+        rho: float,
+        var_prev: float,
+        v_target: float,
+        retained_available: int,
+    ) -> tuple[int, int]:
+        """:func:`solve_allocation` within the evaluator's sample bounds.
+
+        The solver is a pure function, so inputs equal to the last call's
+        reuse its ``(n, g)``; a raised ``QueryError`` is not remembered.
+        """
+        inputs = (sigma2, rho, var_prev, v_target, retained_available)
+        last = self._last_allocation
+        if last is None or last[0] != inputs:
+            allocation = solve_allocation(
+                sigma2,
+                rho,
+                var_prev,
+                v_target,
+                retained_available=retained_available,
+                min_n=PILOT_SIZE,
+                max_n=MAX_SAMPLE_SIZE,
+            )
+            last = self._last_allocation = (inputs, allocation)
+        return last[1]
 
     # ------------------------------------------------------------------
     # occasions
@@ -454,14 +479,8 @@ class RepeatedEvaluator(SnapshotEvaluator):
             n_needed = PILOT_SIZE
             g_target = min(alive_ids.size, PILOT_SIZE // 2)
         else:
-            n_needed, g_target = solve_allocation(
-                sigma2,
-                rho_plan,
-                state.variance,
-                v_target,
-                retained_available=alive_ids.size,
-                min_n=PILOT_SIZE,
-                max_n=MAX_SAMPLE_SIZE,
+            n_needed, g_target = self._allocation(
+                sigma2, rho_plan, state.variance, v_target, alive_ids.size
             )
         if state.rho is None:
             # correlation not yet measurable: retain half the set (variance-

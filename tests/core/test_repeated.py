@@ -390,3 +390,43 @@ class TestPlanDemand:
         drawn_before = repeated._operator.samples_drawn
         repeated.plan_demand(1.5, 0.95)
         assert repeated._operator.samples_drawn == drawn_before
+
+    def test_one_allocation_per_occasion(self, monkeypatch):
+        """plan_demand and the evaluate() after it share one solve.
+
+        The memoized evaluator solves once per later occasion (the
+        bootstrap solves none), and its forecasts and estimates are the
+        ones it gives when every call solves afresh.
+        """
+        from repro.core import repeated as repeated_module
+
+        def run(memoized):
+            graph, database, tids, rng = _correlated_world()
+            _, repeated = _make_evaluators(graph, database)
+            calls = []
+
+            def counting(*args, **kwargs):
+                calls.append(args)
+                return solve_allocation(*args, **kwargs)
+
+            monkeypatch.setattr(repeated_module, "solve_allocation", counting)
+            outputs = []
+            for time in range(6):
+                _evolve(database, tids, rng)
+                if not memoized:
+                    repeated._last_allocation = None
+                demand = repeated.plan_demand(1.0, 0.95)
+                if not memoized:
+                    repeated._last_allocation = None
+                estimate = repeated.evaluate(time, epsilon=1.0, confidence=0.95)
+                outputs.append(
+                    (demand, estimate.n_fresh, estimate.n_retained)
+                    + (estimate.mean, estimate.variance)
+                )
+            return outputs, len(calls)
+
+        memoized, memoized_calls = run(True)
+        plain, plain_calls = run(False)
+        assert memoized == plain
+        assert memoized_calls == 5
+        assert plain_calls == 10
