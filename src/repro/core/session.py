@@ -176,33 +176,40 @@ class QuerySet:
         return iter(self._specs)
 
 
-class _QueryScopedSink:
-    """Derives one query's RunMetrics from the session's shared spans.
+class _QueryMetricsSink:
+    """Derives every query's RunMetrics from the session's shared spans.
 
-    Forwards to an inner :class:`~repro.obs.tracer.RunMetricsSink` only
-    the spans attributable to this query: its own ``snapshot_query`` and
-    ``pool_serve`` spans, and ``walk`` spans whose consumer attribution
-    names it. Fault events are substrate-level, not per-query, and are
-    ignored here (the session-level metrics carry them).
+    One sink per session. A span goes to the inner
+    :class:`~repro.obs.tracer.RunMetricsSink` of each query it is
+    attributable to: the query named by a ``snapshot_query`` span's
+    ``query``, by a ``pool_serve`` span's ``consumer``, and each query in
+    a ``walk`` span's comma-separated ``consumers``. Fault events are
+    substrate-level, not per-query, and are ignored here (the
+    session-level metrics carry them).
     """
 
-    needs_span_events = False  # filters on span attrs, forwards to metrics
+    needs_span_events = False  # dispatches on span attrs, forwards to metrics
 
-    def __init__(self, query_id: str, metrics: RunMetrics) -> None:
-        self._query_id = query_id
-        self._inner = RunMetricsSink(metrics)
+    def __init__(self) -> None:
+        self._sinks: dict[str, RunMetricsSink] = {}
+
+    def add(self, query_id: str, metrics: RunMetrics) -> None:
+        self._sinks[query_id] = RunMetricsSink(metrics)
 
     def on_span_end(self, span: Span) -> None:
-        if span.name in (SPAN_SNAPSHOT_QUERY,):
-            if span.attrs.get("query") == self._query_id:
-                self._inner.on_span_end(span)
+        attrs = span.attrs
+        if span.name == SPAN_SNAPSHOT_QUERY:
+            self._forward(attrs.get("query"), span)
         elif span.name == SPAN_POOL_SERVE:
-            if span.attrs.get("consumer") == self._query_id:
-                self._inner.on_span_end(span)
+            self._forward(attrs.get("consumer"), span)
         elif span.name == SPAN_WALK:
-            consumers = str(span.attrs.get("consumers", ""))
-            if self._query_id in consumers.split(","):
-                self._inner.on_span_end(span)
+            consumers = str(attrs.get("consumers", "")).split(",")
+            for query_id in dict.fromkeys(consumers):
+                self._forward(query_id, span)
+
+    def _forward(self, query_id: object, span: Span) -> None:
+        if isinstance(query_id, str) and query_id in self._sinks:
+            self._sinks[query_id].on_span_end(span)
 
     def on_event(self, event: TraceEvent) -> None:
         return None
@@ -273,6 +280,8 @@ class DigestSession:
         self.metrics = RunMetrics()
         self.tracer = tracer if tracer is not None else SinkTracer()
         self.tracer.add_sink(RunMetricsSink(self.metrics))
+        self._query_metrics = _QueryMetricsSink()
+        self.tracer.add_sink(self._query_metrics)
         #: simulated time of the step in progress; wired into the tracer
         #: (unless the caller supplied its own clock) so untimed records
         #: deep inside the sampling stack are stamped with real sim time
@@ -393,7 +402,7 @@ class DigestSession:
             evaluator=evaluator,
             scheduler=scheduler,
         )
-        self.tracer.add_sink(_QueryScopedSink(query_id, runtime.metrics))
+        self._query_metrics.add(query_id, runtime.metrics)
         self.auditor.register(
             query_id,
             continuous_query.precision.epsilon,

@@ -14,11 +14,13 @@ from repro.network.faults import FaultConfig, FaultPlan
 from repro.network.graph import OverlayGraph
 from repro.network.topology import mesh_topology
 from repro.obs.analysis import (
+    counter_dict,
     shared_walk_attribution,
     verify_trace_consistency,
 )
-from repro.obs.tracer import RecordingTracer
+from repro.obs.tracer import RecordingTracer, RunMetricsSink
 from repro.sim.engine import SimulationEngine
+from repro.sim.metrics import RunMetrics
 
 
 def _world(seed=0, n_nodes=36):
@@ -250,6 +252,65 @@ class TestTraceAttribution:
         """The ISSUE acceptance gate: trace == live, exactly, under faults."""
         session, tracer, _ = self._faulted_traced_run()
         assert verify_trace_consistency(tracer.trace(), session.metrics) == []
+
+    def test_one_sink_matches_the_per_query_filter(self):
+        """Every query's metrics are what a filter of its own would derive.
+
+        Sixteen queries share the session's one metrics sink; each query's
+        counters must equal those of the per-query filter it replaced,
+        applied to the recorded trace: its ``snapshot_query`` spans, the
+        ``pool_serve`` spans it consumed, and the ``walk`` spans naming it
+        among their ``consumers``. Two walk spans (one naming a query
+        twice) stand in for a protocol sampler sharing the tracer.
+        """
+        graph, database = _world(seed=6)
+        tracer = RecordingTracer()
+        faults = FaultPlan(
+            FaultConfig(message_loss=0.01), np.random.default_rng(7)
+        )
+        session = DigestSession(
+            graph,
+            database,
+            0,
+            np.random.default_rng(8),
+            faults=faults,
+            tracer=tracer,
+        )
+        configs = (_ALL_INDEP, EngineConfig(scheduler="all", evaluator="repeated"))
+        qids = [
+            session.add_query(
+                _query(epsilon=1.5 + 0.1 * (i % 4), duration=4), configs[i % 2]
+            )
+            for i in range(16)
+        ]
+        for t in range(4):
+            session.step(t)
+        tracer.end(tracer.span("walk", consumers="q1,q3,q1", attempts=3))
+        tracer.end(tracer.span("walk", consumers="q3"), outcome="failed")
+        trace = tracer.trace()
+        assert verify_trace_consistency(trace, session.metrics) == []
+
+        def attributed(span, qid):
+            attrs = span.attrs
+            if span.name == "snapshot_query":
+                return attrs.get("query") == qid
+            if span.name == "pool_serve":
+                return attrs.get("consumer") == qid
+            if span.name == "walk":
+                return qid in str(attrs.get("consumers", "")).split(",")
+            return False
+
+        for qid in qids:
+            expected = RunMetrics()
+            sink = RunMetricsSink(expected)
+            for span in trace.spans:
+                if attributed(span, qid):
+                    sink.on_span_end(span)
+            live = counter_dict(session.runtime(qid).metrics)
+            assert live == counter_dict(expected)
+            assert live["snapshot_queries"] == 4
+        assert session.runtime("q1").metrics.walks_retried == 2
+        assert session.runtime("q3").metrics.walks_failed == 1
 
     def test_shared_batches_attribute_every_consumer(self):
         session, tracer, qids = self._faulted_traced_run()
