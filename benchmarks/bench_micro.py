@@ -3,10 +3,10 @@
 These track implementation performance rather than paper artifacts: the
 vectorized walk kernel (at two shapes), the walk snapshot (cold and
 cached), one churn tick's snapshot of a 10^4-node overlay, tuple
-sampling under an open partition, local-store operations, one tick of
-ingest (a bulk column scatter against per-row updates), expression
-evaluation, one PRED-3 scheduling decision and one full snapshot step of a
-one-query session.
+sampling under an open partition and under message loss, local-store
+operations, one tick of ingest (a bulk column scatter against per-row
+updates), expression evaluation, one PRED-3 scheduling decision and one
+full snapshot step of a one-query session.
 """
 
 import numpy as np
@@ -18,6 +18,7 @@ from repro.core.session import DigestSession, EngineConfig
 from repro.db.expression import Expression
 from repro.db.relation import P2PDatabase, Schema
 from repro.db.store import LocalStore
+from repro.network.faults import FaultConfig, FaultPlan
 from repro.network.graph import OverlayGraph
 from repro.network.partitions import (
     PartitionEpisode,
@@ -178,6 +179,30 @@ def test_partitioned_sample_tuples(benchmark):
 
     samples = benchmark(run)
     assert {database.locate(t) for t in samples.tolist()} <= set(reachable)
+
+
+def test_sample_tuples_under_loss(benchmark):
+    """60 tuples from a 2000-node power-law overlay at 0.2% message loss.
+
+    About the shape of one faulted-partition sampling request: walks
+    whose outbound leg is lost are retried inside the request's one
+    kernel call, and the continued-walk pool carries the agents from one
+    round to the next.
+    """
+    rng = np.random.default_rng(0)
+    graph = OverlayGraph(power_law_topology(2000, rng=rng), n_nodes=2000)
+    database = P2PDatabase(Schema(("v",)), graph.nodes())
+    for node in graph.nodes():
+        database.insert(node, {"v": float(rng.normal(50, 8))})
+    faults = FaultPlan(FaultConfig(message_loss=0.002), rng=2)
+    operator = SamplingOperator(graph, np.random.default_rng(1), faults=faults)
+
+    def run():
+        return operator.sample_tuples(database, 60, origin=0)
+
+    samples = benchmark(run)
+    assert samples.size == 60
+    assert faults.log.count("walk_lost") > 0
 
 
 def test_store_insert_delete(benchmark):
