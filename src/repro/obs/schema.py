@@ -240,13 +240,14 @@ SPAN_SCHEMAS: dict[str, SpanSchema] = {
                 "mix_length",
                 "reset_length",
                 "n_delivered",
+                "attempts",
             ),
             description="one operator node-sample acquisition",
         ),
         SpanSchema(
             SPAN_TUPLE_SAMPLING,
-            required=("n_requested", "origin", "n_drawn", "rounds", "partial"),
-            description="one two-stage tuple-sampling round",
+            required=("n_requested", "origin", "n_drawn", "partial"),
+            description="one two-stage tuple-sampling request",
         ),
         SpanSchema(
             SPAN_HOP_SEGMENT,

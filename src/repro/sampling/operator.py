@@ -33,16 +33,18 @@ budgets to one :func:`~repro.sampling.walker.batch_walk` call at laziness
 0, so a fault-free request draws exactly the stream of one lazy kernel
 call.
 
-Under message loss ``q`` an agent is lost in two draws whose product is
-``(1 - q) ** (budget + hops)``: its outbound leg arrives with
-``(1 - q) ** budget``, drawn before the walk, and its sample comes home
-with ``(1 - q) ** hops``, drawn after the walk and only for agents whose
-outbound leg arrived. A lost outbound leg is retried before the walk, in
-the same call: a continued agent restarts from its (already mixed) pool
-node with a fresh reset-length leg, a fresh agent continues its walk by
-one. Every leg's proposals are booked, so one request under loss is one
-kernel call; only agents whose return is lost (and zero-weight misses)
-go back to :meth:`SamplingOperator.sample_tuples`' retry rounds.
+Under message loss ``q`` every message of a walk risks loss, and
+:meth:`SamplingOperator.sample_nodes` is the only place a lost one is
+retried, inside its one kernel call. An agent's outbound leg of ``b``
+proposals arrives with ``(1 - q) ** budget``, drawn before the walk; a
+lost leg is retried at once (a continued agent restarts from its already
+mixed pool node with a fresh reset-length leg, a fresh agent continues
+its walk by one). After the walk the end stays put: its sample goes home
+over ``h`` hops with ``(1 - q) ** hops``, and a lost return is resent
+from the end over the same hops. Which node was sampled therefore does
+not depend on which messages arrived. An agent sends at most
+:data:`MAX_ATTEMPTS` messages (outbound legs plus resends); what is still
+lost then is a shortfall of the call.
 
 Per-occasion host cost
 ----------------------
@@ -78,6 +80,11 @@ from repro.sampling.weights import WeightFunction, content_size_weights
 
 _NO_NODES = np.empty(0, dtype=np.int64)
 _NO_NODES.setflags(write=False)
+
+#: the most sends one agent makes in a request under loss: its outbound
+#: legs plus the resends of its lost return
+MAX_ATTEMPTS = 8
+
 
 @dataclass(frozen=True)
 class SamplerConfig:
@@ -146,7 +153,6 @@ class SampleSource(Protocol):
         database: P2PDatabase,
         n: int,
         origin: int,
-        max_retries: int = 8,
         allow_partial: bool = False,
     ) -> np.ndarray:
         """Draw ``n`` uniformly random tuple ids (partial under faults)."""
@@ -218,10 +224,11 @@ class SamplingOperator:
         Optional :class:`~repro.network.faults.FaultPlan`. The abstract
         sampler executes walks in batch, so faults act at leg
         granularity: an outbound leg of ``b`` proposals is lost with
-        probability ``1 - (1 - loss)**b`` and retried in the same call,
-        and a sample whose ``h`` return hops lose one (``1 - (1 -
-        loss)**h``) is not delivered. Losses are recorded on the plan's
-        log; callers see the shortfall via partial results, never an
+        probability ``1 - (1 - loss)**b`` and retried before the walk,
+        and a return over ``h`` hops is lost with ``1 - (1 - loss)**h``
+        and resent from the walk's end, up to :data:`MAX_ATTEMPTS`
+        messages per agent. Losses are recorded on the plan's log;
+        callers see the shortfall via partial results, never an
         exception.
     """
 
@@ -253,8 +260,6 @@ class SamplingOperator:
         self._scope_hops: tuple[dict[int, int], np.ndarray] | None = None
         #: continued-walk agent positions (node ids)
         self._pool_nodes = _NO_NODES
-        #: legs the unluckiest agent of the last sample_nodes call drew
-        self._legs_used = 1
         self.samples_drawn = 0
         self.walks_started = 0
 
@@ -431,28 +436,21 @@ class SamplingOperator:
     # node sampling
     # ------------------------------------------------------------------
 
-    def sample_nodes(
-        self,
-        weight: WeightFunction,
-        n: int,
-        origin: int,
-        attempts: int = 1,
-    ) -> list[int]:
+    def sample_nodes(self, weight: WeightFunction, n: int, origin: int) -> list[int]:
         """Draw ``n`` sample node ids with probability proportional to weight.
 
         Runs ``n`` agents in batch mode. With continued walks enabled,
         agents left over from previous occasions resume from their last
         position and only walk the reset length; new agents (and all agents
         when the feature is off) start at ``origin`` and walk the full
-        mixing length. Under a fault plan an agent whose outbound leg is
-        lost draws another leg, up to ``attempts`` legs in all, before the
-        one kernel call (see :meth:`_send_outbound`); ``attempts`` is
-        private to :meth:`sample_tuples`, which hands over its remaining
-        rounds.
+        mixing length. Under a fault plan a lost outbound leg is retried
+        before the one kernel call (see :meth:`_send_outbound`) and a lost
+        return is resent from the walk's end after it, up to
+        :data:`MAX_ATTEMPTS` messages per agent; the samples still lost
+        then are missing from the result.
         """
         if n < 0:
             raise SamplingError(f"cannot draw {n} samples")
-        self._legs_used = 1
         if n == 0:
             return []
         if origin not in self._graph:
@@ -477,6 +475,7 @@ class SamplingOperator:
                 mix_length=0,
                 reset_length=0,
                 n_delivered=n,
+                attempts=0,
             )
             self.samples_drawn += n
             return [origin] * n
@@ -504,13 +503,8 @@ class SamplingOperator:
         )
         faults = self._faults
         if faults is not None:
-            lost = self._send_outbound(
-                faults,
-                budgets,
-                context.node_ids[starts],
-                continued.size,
-                reset_length,
-                attempts,
+            arrived, sent = self._send_outbound(
+                faults, budgets, context.node_ids[starts], continued.size, reset_length
             )
         end_rows, _ = batch_walk(context, starts, budgets, self._rng, self._ledger, 0.0)
         self.walks_started += n_fresh
@@ -521,6 +515,7 @@ class SamplingOperator:
             # itself still sits at its final node
             self._pool_nodes = final_positions
         delivered: list[int] = final_positions.tolist()
+        attempts = 1
         if self._ledger is not None or faults is not None:
             if scope is None:
                 # the origin's BFS over this version's CSR rows, which
@@ -531,19 +526,22 @@ class SamplingOperator:
                 # under a partition the return route is confined to the
                 # reachable region, so return-hop accounting uses its BFS
                 hops = self._return_hops(scope)[end_rows]
-            if self._ledger is not None:
-                # the messages were sent whether or not any was lost
-                self._ledger.record_sample_return(int(hops.sum()))
             if faults is not None:
-                # only an agent whose outbound leg arrived sends its sample
-                # home, exposed once per return hop
-                home = np.flatnonzero(~lost)
-                dropped = home[faults.walks_lost(hops[home])]
-                now = self._tracer.now()
-                for node in final_positions[dropped].tolist():
-                    faults.record(now, "walk_lost", node=node)
-                lost[dropped] = True
-                delivered = final_positions[~lost].tolist()
+                # the end stays put: only an agent whose outbound leg
+                # arrived sends its sample home, and a lost return is
+                # resent from the end over the same hops
+                home = np.zeros(n, dtype=bool)
+                pending = np.flatnonzero(arrived)
+                while pending.size:
+                    if self._ledger is not None:
+                        self._ledger.record_sample_return(int(hops[pending].sum()))
+                    pending = self._send(
+                        faults, pending, hops[pending], final_positions, sent, home
+                    )
+                delivered = final_positions[home].tolist()
+                attempts = int(sent.max())
+            elif self._ledger is not None:
+                self._ledger.record_sample_return(int(hops.sum()))
         self.samples_drawn += len(delivered)
         # retained-vs-fresh tagging: continued agents only paid the reset
         # length; fresh agents paid the full mixing length from the origin
@@ -554,6 +552,7 @@ class SamplingOperator:
             mix_length=mix_length,
             reset_length=reset_length,
             n_delivered=len(delivered),
+            attempts=attempts,
         )
         return delivered
 
@@ -564,6 +563,34 @@ class SamplingOperator:
             return self._rng.binomial(lengths, 1.0 - laziness)
         return lengths
 
+    def _send(
+        self,
+        faults: FaultPlan,
+        pending: np.ndarray,
+        exposures: np.ndarray,
+        nodes: np.ndarray,
+        sent: np.ndarray,
+        arrived: np.ndarray,
+    ) -> np.ndarray:
+        """Make one send (an outbound leg or a return) per ``pending`` agent.
+
+        This is the one loss rule: a send over ``exposures`` hops arrives
+        with ``(1 - loss) ** exposures``. Arrivals are marked in
+        ``arrived``, and each loss is recorded as one ``walk_lost`` event
+        at the agent's entry in ``nodes``. Returns the agents whose send
+        was lost and who have made fewer than :data:`MAX_ATTEMPTS` sends,
+        their ``sent`` counts already raised for the next one.
+        """
+        lost = faults.walks_lost(exposures)
+        arrived[pending[~lost]] = True
+        pending = pending[lost]
+        now = self._tracer.now()
+        for node in nodes[pending].tolist():
+            faults.record(now, "walk_lost", node=node)
+        pending = pending[sent[pending] < MAX_ATTEMPTS]
+        sent[pending] += 1
+        return pending
+
     def _send_outbound(
         self,
         faults: FaultPlan,
@@ -571,41 +598,29 @@ class SamplingOperator:
         start_nodes: np.ndarray,
         n_continued: int,
         reset_length: int,
-        attempts: int,
-    ) -> np.ndarray:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Draw the loss of every outbound leg, retrying lost legs in place.
 
-        A leg of ``b`` proposals arrives with ``(1 - loss) ** b``. An agent
-        whose leg is lost draws a fresh ``Binomial(reset_length, 1 -
-        laziness)`` leg, until every leg arrives or an agent has drawn
-        ``attempts`` legs: a continued agent (the first ``n_continued``)
-        restarts from its pool node, which is already mixed, so its lost
-        leg is booked but not walked; a fresh agent continues its lost
-        walk, the new leg added to its budget. ``budgets`` is updated in
-        place, one ``walk_lost`` event (at the agent's start node) is
-        recorded per lost leg, and ``_legs_used`` is set to the most legs
-        one agent drew. Returns the mask of agents whose last leg was lost.
+        A leg of ``b`` proposals is exposed ``b`` times. An agent whose leg is
+        lost draws a fresh ``Binomial(reset_length, 1 - laziness)`` leg: a
+        continued agent (the first ``n_continued``) restarts from its pool
+        node, which is already mixed, so its lost leg is booked but not
+        walked; a fresh agent continues its lost walk, the new leg added
+        to its budget. ``budgets`` is updated in place. Returns the mask of
+        agents whose last leg arrived and each agent's legs.
         """
-        lost = faults.walks_lost(budgets)
-        retry = np.flatnonzero(lost)
-        legs = 1
-        while True:
-            now = self._tracer.now()
-            for node in start_nodes[retry].tolist():
-                faults.record(now, "walk_lost", node=node)
-            if retry.size == 0 or legs >= attempts:
-                break
-            legs += 1
-            leg = self._budgets(np.full(retry.size, reset_length, dtype=np.int64))
-            restart = retry < n_continued
+        arrived = np.zeros(budgets.size, dtype=bool)
+        legs = np.ones(budgets.size, dtype=np.int64)
+        pending = np.arange(budgets.size)
+        pending = self._send(faults, pending, budgets, start_nodes, legs, arrived)
+        while pending.size:
+            leg = self._budgets(np.full(pending.size, reset_length, dtype=np.int64))
+            restart = pending < n_continued
             if self._ledger is not None:
-                self._ledger.record_walk_steps(int(budgets[retry[restart]].sum()))
-            budgets[retry] = np.where(restart, leg, budgets[retry] + leg)
-            arrived = ~faults.walks_lost(leg)
-            lost[retry[arrived]] = False
-            retry = retry[~arrived]
-        self._legs_used = legs
-        return lost
+                self._ledger.record_walk_steps(int(budgets[pending[restart]].sum()))
+            budgets[pending] = np.where(restart, leg, budgets[pending] + leg)
+            pending = self._send(faults, pending, leg, start_nodes, legs, arrived)
+        return arrived, legs
 
     # ------------------------------------------------------------------
     # tuple sampling
@@ -616,22 +631,19 @@ class SamplingOperator:
         database: P2PDatabase,
         n: int,
         origin: int,
-        max_retries: int = 8,
         allow_partial: bool = False,
     ) -> np.ndarray:
         """Two-stage sampling: the ids of ``n`` uniformly random tuples of ``R``.
 
-        Stage one samples nodes with ``w_v = m_v``; stage two draws a
-        uniform local tuple at each sampled node. Empty nodes have zero
-        weight and are sampled only through numerical noise of the walk;
-        any such miss (and any walk lost to the fault plan) is retried, up
-        to ``max_retries`` rounds. A walk whose outbound leg is lost is
-        retried inside its ``sample_nodes`` call, and a call whose
-        unluckiest agent drew ``k`` legs spends ``k`` rounds; a lost return
-        or a miss costs another call. With ``allow_partial=True`` a remaining
-        shortfall returns the tuples actually drawn — the evaluator
-        degrades its precision — instead of raising. The ids come back as
-        one int64 array in draw order.
+        Stage one samples ``n`` nodes with ``w_v = m_v`` in one
+        :meth:`sample_nodes` call, which retries lost messages itself;
+        stage two draws a uniform local tuple at each sampled node. Empty
+        nodes have zero weight, so a walk ends on one only if it started on
+        one and spent its whole budget among empty nodes. Such a miss, or a
+        sample lost for good, is a shortfall: with ``allow_partial=True``
+        the call returns the tuples actually drawn — the evaluator degrades
+        its precision — instead of raising. The ids come back as one int64
+        array in draw order.
         """
         if database.n_tuples == 0:
             raise SamplingError("cannot sample tuples from an empty relation")
@@ -640,35 +652,24 @@ class SamplingOperator:
             SPAN_TUPLE_SAMPLING, n_requested=n, origin=origin
         )
         drawn: list[int] = []
-        rounds = 0
-        need = n
-        while need > 0 and rounds < max_retries:
-            nodes = self.sample_nodes(
-                weight, need, origin, attempts=max_retries - rounds
-            )
-            # a call whose unluckiest agent drew k legs spent k rounds
-            rounds += self._legs_used
-            for node in nodes:
-                store = database.store(node)
-                if len(store) == 0:
-                    continue  # zero-weight node reached; re-draw below
+        for node in self.sample_nodes(weight, n, origin):
+            store = database.store(node)
+            if len(store):
                 drawn.append(store.sample_uniform(self._rng))
-            need = n - len(drawn)
-        if need > 0:
+        partial = len(drawn) < n
+        if partial:
             if not allow_partial:
                 raise SamplingError(
-                    f"failed to draw {n} tuples after {max_retries} rounds "
-                    f"({len(drawn)} drawn); is the relation mostly empty?"
+                    f"failed to draw {n} tuples ({len(drawn)} drawn): walks "
+                    f"were lost or ended on empty nodes"
                 )
             if self._faults is not None:
                 self._faults.record(
                     self._tracer.now(),
                     "sample_shortfall",
-                    detail=f"{len(drawn)} of {n} after {max_retries} rounds",
+                    detail=f"{len(drawn)} of {n}",
                 )
-        self._tracer.end(
-            span, n_drawn=len(drawn), rounds=rounds, partial=need > 0
-        )
+        self._tracer.end(span, n_drawn=len(drawn), partial=partial)
         return np.array(drawn, dtype=np.int64)
 
     def cluster_sample(

@@ -182,7 +182,6 @@ class SamplePool:
         n: int,
         origin: int,
         consumer: str = "default",
-        max_retries: int = 8,
         allow_partial: bool = False,
     ) -> np.ndarray:
         """Serve ``n`` uniform tuple samples (their ids) to ``consumer``.
@@ -213,7 +212,7 @@ class SamplePool:
             # every live draw past the cursor is among the hits, so the
             # cursor moves past the whole pool, fresh draws included
             fresh = self._operator.sample_tuples(
-                database, shortfall, origin, max_retries, allow_partial
+                database, shortfall, origin, allow_partial
             )
             self._admit(fresh)
             served = np.concatenate([served, fresh])
@@ -236,7 +235,6 @@ class SamplePool:
         n: int,
         origin: int,
         consumers: tuple[str, ...] = (),
-        max_retries: int = 8,
         allow_partial: bool = True,
     ) -> int:
         """Draw one coalesced walk batch covering ``n`` pooled samples.
@@ -261,9 +259,7 @@ class SamplePool:
             n_consumers=len(consumers),
             origin=origin,
         )
-        fresh = self._operator.sample_tuples(
-            database, need, origin, max_retries, allow_partial
-        )
+        fresh = self._operator.sample_tuples(database, need, origin, allow_partial)
         self._admit(fresh)
         self._tracer.end(span, n_drawn=len(fresh))
         return len(fresh)
@@ -303,16 +299,10 @@ class PoolLease:
         database: P2PDatabase,
         n: int,
         origin: int,
-        max_retries: int = 8,
         allow_partial: bool = False,
     ) -> np.ndarray:
         return self._pool.acquire(
-            database,
-            n,
-            origin,
-            consumer=self._consumer,
-            max_retries=max_retries,
-            allow_partial=allow_partial,
+            database, n, origin, consumer=self._consumer, allow_partial=allow_partial
         )
 
     def sample_nodes(self, weight: WeightFunction, n: int, origin: int) -> list[int]:

@@ -69,11 +69,10 @@ class TestEstimatorHelpers:
 
 class TestOperatorPartialMode:
     def test_lossy_operator_returns_partial_sample(self):
+        # at this loss some agents still lose every message they may send
         graph, database = _world()
-        operator, plan = _lossy_operator(graph, loss=0.08)
-        samples = operator.sample_tuples(
-            database, 60, 0, max_retries=1, allow_partial=True
-        )
+        operator, plan = _lossy_operator(graph, loss=0.3)
+        samples = operator.sample_tuples(database, 60, 0, allow_partial=True)
         assert 0 < len(samples) < 60
         assert plan.log.count("walk_lost") > 0
         assert plan.log.count("sample_shortfall") == 1
@@ -82,9 +81,9 @@ class TestOperatorPartialMode:
         from repro.errors import SamplingError
 
         graph, database = _world()
-        operator, _ = _lossy_operator(graph, loss=0.2)
+        operator, _ = _lossy_operator(graph, loss=0.3)
         with pytest.raises(SamplingError, match="failed to draw"):
-            operator.sample_tuples(database, 60, 0, max_retries=1)
+            operator.sample_tuples(database, 60, 0)
 
     def test_pool_nodes_property_is_a_copy(self):
         graph, database = _world()
@@ -97,9 +96,10 @@ class TestOperatorPartialMode:
 
     def test_pool_keeps_positions_of_lost_returns(self):
         """A lost return message does not kill the agent: continued walks
-        resume from all final positions, delivered or not."""
+        resume from all final positions, delivered or not. Lost returns are
+        resent, so only a heavy loss leaves samples undelivered."""
         graph, _ = _world()
-        operator, _ = _lossy_operator(graph, loss=0.10)
+        operator, _ = _lossy_operator(graph, loss=0.3)
         from repro.sampling.weights import uniform_weights
 
         delivered = operator.sample_nodes(uniform_weights(), 40, 0)
@@ -172,7 +172,7 @@ class TestEvaluatorsAgreeOnFirstOccasion:
             ("SELECT COUNT(v) FROM R WHERE v > 50", 0.05),
         ],
     )
-    @pytest.mark.parametrize("loss", [0.0, 0.3])
+    @pytest.mark.parametrize("loss", [0.0, 0.3, 0.5])
     def test_same_estimate(self, text, epsilon_per_tuple, loss):
         graph, database = _world()
         query = parse_query(text)
@@ -190,7 +190,12 @@ class TestEvaluatorsAgreeOnFirstOccasion:
                 )
             )
         independent, repeated = estimates
-        assert independent.degraded is (loss > 0.0)
+        if not loss:
+            assert not independent.degraded
+        if loss > 0.4:
+            # resent returns deliver the COUNT query's whole sample at 0.3;
+            # at 0.5 both answers degrade, so the restatements are compared
+            assert independent.degraded
         for field in (
             "aggregate",
             "n_total",

@@ -131,7 +131,7 @@ class _Scripted:
         self._ids = tuple_ids
         self._cursor = 0
 
-    def sample_tuples(self, database, n, origin, max_retries=8, allow_partial=False):
+    def sample_tuples(self, database, n, origin, allow_partial=False):
         drawn = self._ids[self._cursor : self._cursor + n]
         self._cursor += n
         return drawn
