@@ -624,9 +624,8 @@ def _critpath_trace(args: argparse.Namespace) -> int:
 
 def _tail_trace(args: argparse.Namespace) -> int:
     from repro.obs import import_trace
-    from repro.obs.alerts import FIRING, AlertEngine, load_rules
-    from repro.obs.audit import auditor_from_trace
-    from repro.obs.live import LivePipeline, WindowConfig, feed_trace
+    from repro.obs.alerts import FIRING, AlertReplay, load_rules
+    from repro.obs.live import WindowConfig
 
     trace = import_trace(args.input)
     defaults = WindowConfig()
@@ -635,13 +634,8 @@ def _tail_trace(args: argparse.Namespace) -> int:
         slide=args.slide if args.slide is not None else defaults.slide,
     )
     rules = load_rules(args.rules) if args.rules else []
-    pipeline = LivePipeline(config)
-    engine = AlertEngine(pipeline, rules)
-    auditor = auditor_from_trace(trace)
-    span_observer = None
-    if auditor is not None:
-        pipeline.add_contributor(auditor.signals)
-        span_observer = auditor.observe_span
+    replay = AlertReplay(trace, rules, config)
+    engine = replay.engine
 
     emit(f"trace: {args.input}")
     if trace.meta:
@@ -649,7 +643,7 @@ def _tail_trace(args: argparse.Namespace) -> int:
         emit(f"meta: {meta}")
     emit(
         f"window width={config.width} slide={config.slide} "
-        f"rules={len(rules)} audit={'on' if auditor else 'off'}\n"
+        f"rules={len(rules)} audit={'on' if replay.auditor else 'off'}\n"
     )
 
     seen_transitions = 0
@@ -681,8 +675,8 @@ def _tail_trace(args: argparse.Namespace) -> int:
             )
         seen_transitions = len(engine.transitions)
 
-    pipeline.add_listener(_print_window)
-    feed_trace(pipeline, trace, span_observer=span_observer)
+    replay.pipeline.add_listener(_print_window)
+    replay.run()
     firing = engine.firing
     emit(
         f"\n{seen_transitions} alert transitions; "

@@ -393,23 +393,39 @@ class RepeatedEvaluator(SnapshotEvaluator):
         """
         if not self._state.initialized:
             return PILOT_SIZE
-        state = self._state
         _, epsilon_mean = self._budget(epsilon)
-        sigma2 = max(state.sigma2, SIGMA_FLOOR**2)
-        rho_plan = state.rho if state.rho is not None else 0.0
-        alive = state.retainable(self._database)[0].size
-        if epsilon_mean == float("inf"):
-            return max(0, PILOT_SIZE - min(alive, PILOT_SIZE // 2))
-        v_target = variance_target(epsilon_mean, confidence)
         try:
-            n_needed, g_target = self._allocation(
-                sigma2, rho_plan, state.variance, v_target, alive
-            )
+            (n_needed, g_target), _ = self._size(epsilon_mean, confidence)
         except QueryError:
             return PILOT_SIZE
-        if state.rho is None:
-            g_target = min(alive, n_needed // 2)
         return max(0, n_needed - g_target)
+
+    def _size(
+        self, epsilon_mean: float, confidence: float
+    ) -> tuple[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
+        """This occasion's ``(n, g)`` and the live retained ``(ids, values)``.
+
+        An unbounded budget draws the pilot size; otherwise the cheapest
+        allocation meeting the variance target. While the correlation is
+        not yet measurable, half the set is retained instead (variance-
+        neutral when rho is actually 0, and it seeds the rho estimate).
+        """
+        state = self._state
+        alive_ids, alive_values = state.retainable(self._database)
+        if epsilon_mean == float("inf"):
+            n_needed = PILOT_SIZE
+            g_target = min(alive_ids.size, PILOT_SIZE // 2)
+        else:
+            n_needed, g_target = self._allocation(
+                max(state.sigma2, SIGMA_FLOOR**2),
+                state.rho if state.rho is not None else 0.0,
+                state.variance,
+                variance_target(epsilon_mean, confidence),
+                alive_ids.size,
+            )
+        if state.rho is None:
+            g_target = min(alive_ids.size, n_needed // 2)
+        return (n_needed, g_target), (alive_ids, alive_values)
 
     def _allocation(
         self,
@@ -468,24 +484,11 @@ class RepeatedEvaluator(SnapshotEvaluator):
         if not self._state.initialized:
             return self._bootstrap(time, epsilon, confidence)
         population, epsilon_mean = self._budget(epsilon)
-
         state = self._state
-        sigma2 = max(state.sigma2, SIGMA_FLOOR**2)
-        rho_plan = state.rho if state.rho is not None else 0.0
-
-        alive_ids, alive_values = state.retainable(self._database)
+        (n_needed, g_target), (alive_ids, alive_values) = self._size(
+            epsilon_mean, confidence
+        )
         v_target = variance_target(epsilon_mean, confidence)
-        if epsilon_mean == float("inf"):
-            n_needed = PILOT_SIZE
-            g_target = min(alive_ids.size, PILOT_SIZE // 2)
-        else:
-            n_needed, g_target = self._allocation(
-                sigma2, rho_plan, state.variance, v_target, alive_ids.size
-            )
-        if state.rho is None:
-            # correlation not yet measurable: retain half the set (variance-
-            # neutral when rho is actually 0, and it seeds the rho estimate)
-            g_target = min(alive_ids.size, n_needed // 2)
 
         # retain a random subset of the alive previous samples
         picks = (

@@ -128,17 +128,6 @@ class RunningResult:
             raise QueryError("no updates recorded yet")
         return self._updates[-1]
 
-    def subscribe(
-        self, delta: float, callback: Callable[["UpdateRecord"], None]
-    ) -> "NotificationFilter":
-        """Attach a delta-threshold notification filter to this result.
-
-        The returned filter must be fed the updates (the
-        :class:`~repro.core.session.DigestSession` does this automatically
-        for filters created through ``session.subscribe``).
-        """
-        return NotificationFilter(delta, callback)
-
     def amend(self, time: int, revised_estimate: float) -> None:
         """Retrospectively revise the record at ``time`` (forward regression).
 

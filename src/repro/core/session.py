@@ -188,8 +188,6 @@ class _QueryMetricsSink:
     session-level metrics carry them).
     """
 
-    needs_span_events = False  # dispatches on span attrs, forwards to metrics
-
     def __init__(self) -> None:
         self._sinks: dict[str, RunMetricsSink] = {}
 
@@ -282,6 +280,11 @@ class DigestSession:
         self.tracer.add_sink(RunMetricsSink(self.metrics))
         self._query_metrics = _QueryMetricsSink()
         self.tracer.add_sink(self._query_metrics)
+        #: guarantee auditor of every ended snapshot span; it sits before
+        #: any live pipeline, so a window's burn-rate signals include the
+        #: snapshot that closed the window
+        self.auditor = GuaranteeAuditor()
+        self.tracer.add_sink(self.auditor)
         #: simulated time of the step in progress; wired into the tracer
         #: (unless the caller supplied its own clock) so untimed records
         #: deep inside the sampling stack are stamped with real sim time
@@ -309,9 +312,6 @@ class DigestSession:
         self._next_auto_id = 0
         #: coalesced prefetch batches issued (>= 2 co-due queries)
         self.batches_coalesced = 0
-        #: live guarantee auditor; every registered query's promise is
-        #: declared here and every snapshot is observed against it
-        self.auditor = GuaranteeAuditor()
         self.live_pipeline: LivePipeline | None = None
         self.alert_engine: AlertEngine | None = None
 
@@ -602,9 +602,8 @@ class DigestSession:
         runtime.history.append((time, estimate.aggregate))
         # counters (snapshot_queries, samples_*, degraded_estimates) are
         # derived from this span by the RunMetricsSink — session-wide on
-        # the session metrics, query-scoped on the runtime metrics.
-        self.auditor.observe(runtime.query_id, time, estimate)
-        runtime.audit_verdict = self.auditor.verdict(runtime.query_id)
+        # the session metrics, query-scoped on the runtime metrics; the
+        # auditor judges the same span.
         if estimate.reachable_fraction < 1.0:
             # only set on actually-partitioned snapshots so partition-free
             # traces stay byte-identical to the pre-partition format
@@ -624,6 +623,7 @@ class DigestSession:
             n_retained=estimate.n_retained,
             degraded=estimate.degraded,
         )
+        runtime.audit_verdict = self.auditor.verdict(runtime.query_id)
         runtime.metrics.series("estimate").record(time, estimate.aggregate)
         runtime.metrics.series("samples_per_query").record(
             time, estimate.n_total

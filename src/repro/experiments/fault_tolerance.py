@@ -42,7 +42,7 @@ from repro.network.topology import power_law_topology
 from repro.obs.analysis import verify_trace_consistency
 from repro.obs.console import emit
 from repro.obs.export import export_trace
-from repro.obs.tracer import RecordingTracer, RunMetricsSink, Trace
+from repro.obs.tracer import RunMetricsSink, SinkTracer, Trace
 from repro.protocol.runtime import ProtocolConfig, ProtocolSampler, RetryPolicy
 from repro.sampling.weights import uniform_weights
 from repro.sim.engine import PRIORITY_CHURN, SimulationEngine
@@ -144,7 +144,7 @@ def _run_cell(
     message_loss: float,
     crash_probability: float,
     seed: int,
-    tracer: RecordingTracer,
+    tracer: SinkTracer,
 ) -> FaultRow:
     """One sweep cell: supervised walks under one (loss, crash) setting."""
     rng = np.random.default_rng(seed)
@@ -277,7 +277,7 @@ def _run_cell(
 def run(
     config: FaultSweepConfig | None = None,
     seed: int = 0,
-    tracer: RecordingTracer | None = None,
+    tracer: SinkTracer | None = None,
 ) -> FaultSweepResult:
     """Run the full loss x crash sweep; deterministic in ``seed``.
 
@@ -290,8 +290,8 @@ def run(
     """
     config = config if config is not None else FaultSweepConfig()
     if tracer is None:
-        tracer = RecordingTracer(
-            meta={"experiment": "fault_tolerance", "seed": seed}
+        tracer = SinkTracer(
+            meta={"experiment": "fault_tolerance", "seed": seed}, record=True
         )
     rows: list[FaultRow] = []
     metrics = RunMetrics()

@@ -23,7 +23,7 @@ from repro.datasets.temperature import TemperatureConfig, TemperatureDataset
 from repro.db.aggregates import AggregateOp
 from repro.errors import SimulationError
 from repro.network.messaging import MessageLedger
-from repro.obs.tracer import RecordingTracer, SinkTracer, Trace
+from repro.obs.tracer import SinkTracer, Trace
 from repro.sampling.operator import SamplerConfig
 from repro.sim.metrics import RunMetrics
 
@@ -76,8 +76,8 @@ def make_engine(
 
     ``scheduler``: ``"all"`` or ``"pred"`` (with ``pred_points`` = the k of
     PRED-k); ``evaluator``: ``"independent"`` or ``"repeated"``.
-    ``tracer`` (e.g. a :class:`~repro.obs.tracer.RecordingTracer` when the
-    run's trace should be exported) is forwarded to the session, which
+    ``tracer`` (e.g. a recording :class:`~repro.obs.tracer.SinkTracer` when
+    the run's trace should be exported) is forwarded to the session, which
     derives its counters from it.
     """
     session = DigestSession(
@@ -108,7 +108,7 @@ class ExperimentRun:
     oracle_times: list[int] = field(default_factory=list)
     oracle_values: list[float] = field(default_factory=list)
     estimate_errors: list[float] = field(default_factory=list)
-    #: full span/event capture when the session ran with a RecordingTracer
+    #: full span/event capture when the session ran on a recording tracer
     trace: Trace | None = None
 
     @property
@@ -171,6 +171,6 @@ def run_continuous_query(
                 run.oracle_times.append(time)
                 run.oracle_values.append(truth)
                 run.estimate_errors.append(abs(estimate.aggregate - truth))
-    if isinstance(session.tracer, RecordingTracer):
+    if session.tracer.is_recording:
         run.trace = session.tracer.trace()
     return run

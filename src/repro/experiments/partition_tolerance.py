@@ -53,8 +53,8 @@ from repro.obs.console import emit
 from repro.obs.export import export_trace
 from repro.obs.schema import SPAN_PARTITION_CELL
 from repro.obs.tracer import (
-    RecordingTracer,
     RunMetricsSink,
+    SinkTracer,
     Trace,
     bridge_fault_log,
 )
@@ -165,7 +165,7 @@ def _run_cell(
     duration: int,
     heal_policy: str,
     seed: int,
-    tracer: RecordingTracer,
+    tracer: SinkTracer,
 ) -> PartitionRow:
     """One sweep cell: a two-query session through one cut-and-heal cycle."""
     rng = np.random.default_rng(seed)
@@ -303,7 +303,7 @@ def _run_cell(
 def run(
     config: PartitionSweepConfig | None = None,
     seed: int = 0,
-    tracer: RecordingTracer | None = None,
+    tracer: SinkTracer | None = None,
 ) -> PartitionSweepResult:
     """Run the width x duration x heal-policy sweep; deterministic in ``seed``.
 
@@ -314,8 +314,9 @@ def run(
     """
     config = config if config is not None else PartitionSweepConfig()
     if tracer is None:
-        tracer = RecordingTracer(
-            meta={"experiment": "partition_tolerance", "seed": seed}
+        tracer = SinkTracer(
+            meta={"experiment": "partition_tolerance", "seed": seed},
+            record=True,
         )
     rows: list[PartitionRow] = []
     metrics = RunMetrics()

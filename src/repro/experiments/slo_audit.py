@@ -50,7 +50,7 @@ from repro.obs.analysis import verify_trace_consistency
 from repro.obs.console import emit
 from repro.obs.export import export_trace
 from repro.obs.live import WindowConfig
-from repro.obs.tracer import RecordingTracer, Trace
+from repro.obs.tracer import SinkTracer, Trace
 
 #: rule names the faulted-cell gate requires to fire
 GATED_RULES = ("degraded-snapshots", "guarantee-burn")
@@ -228,12 +228,13 @@ def _run_cell(
         if message_loss > 0.0
         else None
     )
-    tracer = RecordingTracer(
+    tracer = SinkTracer(
         meta={
             "experiment": "slo_audit",
             "seed": seed,
             "message_loss": message_loss,
-        }
+        },
+        record=True,
     )
     session = DigestSession(
         graph,

@@ -53,7 +53,6 @@ from repro.obs.profile import WallClockProfiler
 from repro.obs.registry import Histogram
 from repro.obs.tracer import (
     NULL_TRACER,
-    RecordingTracer,
     RunMetricsSink,
     SinkTracer,
     Span,
@@ -74,7 +73,6 @@ __all__ = [
     "GuaranteePromise",
     "Histogram",
     "LivePipeline",
-    "RecordingTracer",
     "RunMetricsSink",
     "SinkTracer",
     "Span",

@@ -244,6 +244,32 @@ class AlertEngine:
             )
 
 
+class AlertReplay:
+    """One trace's replay wiring: a fresh pipeline and engine (whose null
+    tracer emits nothing) plus, when the trace records promises
+    (:data:`~repro.obs.audit.META_PROMISES`), the rebuilt auditor. As on
+    the live tracer, the auditor sees each span before the pipeline and
+    contributes ``audit_*`` signals, so burn-rate rules replay too. Add
+    window listeners to :attr:`pipeline` before :meth:`run`.
+    """
+
+    def __init__(
+        self, trace: Trace, rules: list[AlertRule], config: WindowConfig | None = None
+    ) -> None:
+        self.trace = trace
+        self.pipeline = LivePipeline(config)
+        self.engine = AlertEngine(self.pipeline, rules, tracer=NULL_TRACER)
+        self.auditor = auditor_from_trace(trace)
+        if self.auditor is not None:
+            self.pipeline.add_contributor(self.auditor.signals)
+
+    def run(self) -> list[AlertTransition]:
+        """Feed the trace in delivery order; the engine's transitions."""
+        sinks = [self.auditor] if self.auditor is not None else []
+        feed_trace(self.pipeline, self.trace, sinks=sinks)
+        return self.engine.transitions
+
+
 def replay_alerts(
     trace: Trace,
     rules: list[AlertRule],
@@ -251,25 +277,10 @@ def replay_alerts(
 ) -> list[AlertTransition]:
     """Re-derive the alert transitions a trace's run would have fired.
 
-    Builds a fresh pipeline + engine (with a null tracer, so the replay
-    emits nothing), feeds the trace in delivery order, and returns the
-    transitions. Recorded ``alert_firing``/``alert_resolved`` events in
-    the trace are ignored as input by the pipeline, so replaying a trace
-    that already contains alert events is not a feedback loop. When the
-    trace carries recorded promises
-    (:data:`~repro.obs.audit.META_PROMISES`), the guarantee auditor is
-    rebuilt from them and contributes ``audit_*`` signals exactly as it
-    did live, so burn-rate rules replay too.
+    Recorded alert events are ignored as input by the pipeline, so
+    replaying a trace that already contains them is not a feedback loop.
     """
-    pipeline = LivePipeline(config)
-    engine = AlertEngine(pipeline, rules, tracer=NULL_TRACER)
-    auditor = auditor_from_trace(trace)
-    span_observer = None
-    if auditor is not None:
-        pipeline.add_contributor(auditor.signals)
-        span_observer = auditor.observe_span
-    feed_trace(pipeline, trace, span_observer=span_observer)
-    return engine.transitions
+    return AlertReplay(trace, rules, config).run()
 
 
 def verify_alert_replay(

@@ -3,11 +3,17 @@
 The paper's contract is live — at every update time the estimate must
 satisfy ``|X̂ − X| <= ε`` with probability ``p`` — so the reproduction
 should judge it live too. A :class:`GuaranteeAuditor` is registered with
-each query's *promise* (its precision parameters) and observes every
-:class:`~repro.core.snapshot.SnapshotEstimate` the session produces for
-it. An observation violates the promise when the evaluator had to
-degrade it, or when its honest re-statement (``achieved_epsilon`` /
-``achieved_confidence``) falls short of what was promised.
+each query's *promise* (its precision parameters) and is a
+:class:`~repro.obs.tracer.TraceSink`: it audits every ``snapshot_query``
+span the session ends for that query. A snapshot violates the promise
+when the evaluator had to degrade it, or when its honest re-statement
+(the span's ``achieved_epsilon`` / ``achieved_confidence``) falls short
+of what was promised.
+
+A replay (:class:`repro.obs.alerts.AlertReplay`) feeds a rebuilt auditor
+the recorded spans, so live and replayed audits read the same record. A
+session on :data:`~repro.obs.tracer.NULL_TRACER` ends no spans, so it
+keeps no audit, just as it keeps no counters.
 
 SLO framing: a promise of confidence ``p`` budgets a ``1 − p`` fraction
 of violating snapshots. The **burn rate** over the recent observation
@@ -23,9 +29,8 @@ live-pipeline contributor signals, so burn-rate alert rules
 (:mod:`repro.obs.alerts`) can page on them; :meth:`verdict` renders one
 query's full audit as an immutable :class:`AuditVerdict`.
 
-This module deliberately imports nothing from ``repro.core`` at runtime
-(the session imports *us*); estimates are duck-typed on the
-``SnapshotEstimate`` fields it reads.
+This module imports nothing from ``repro.core`` (the session imports
+*us*); it reads only span attributes.
 """
 
 from __future__ import annotations
@@ -37,9 +42,8 @@ from typing import TYPE_CHECKING
 from repro.errors import QueryError
 from repro.obs.schema import SPAN_SNAPSHOT_QUERY
 
-if TYPE_CHECKING:  # pragma: no cover - layering: core imports obs.audit
-    from repro.core.snapshot import SnapshotEstimate
-    from repro.obs.tracer import Span, Trace
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from repro.obs.tracer import Span, Trace, TraceEvent
 
 #: trace meta key under which a session records every query's promise
 #: (``{query_id: {"epsilon": ..., "confidence": ...}}``), so a replayed
@@ -134,8 +138,14 @@ class GuaranteeAuditor:
     def query_ids(self) -> list[str]:
         return sorted(self._promises)
 
-    def violates(self, query_id: str, estimate: "SnapshotEstimate") -> bool:
-        """Does this estimate break the query's promise?
+    def violates(
+        self,
+        query_id: str,
+        degraded: bool,
+        achieved_epsilon: float | None,
+        achieved_confidence: float | None,
+    ) -> bool:
+        """Do these snapshot outcomes break the query's promise?
 
         A degraded estimate is a violation by definition (the evaluator
         itself declared the contract unmet); additionally, an honest
@@ -145,24 +155,38 @@ class GuaranteeAuditor:
         decoupled from it.
         """
         promise = self._promise(query_id)
-        if estimate.degraded:
+        if degraded:
             return True
-        achieved_eps = estimate.achieved_epsilon
-        if achieved_eps is not None and achieved_eps > promise.epsilon:
+        if achieved_epsilon is not None and achieved_epsilon > promise.epsilon:
             return True
-        achieved_conf = estimate.achieved_confidence
-        return achieved_conf is not None and achieved_conf < promise.confidence
+        return (
+            achieved_confidence is not None
+            and achieved_confidence < promise.confidence
+        )
 
-    def observe(
-        self, query_id: str, time: int, estimate: "SnapshotEstimate"
-    ) -> bool:
-        """Record one snapshot observation; returns its violation flag."""
-        violated = self.violates(query_id, estimate)
+    def on_span_end(self, span: "Span") -> None:
+        """Audit a finished ``snapshot_query`` span of a registered query.
+
+        ``degraded`` is always set; the re-statements only when present.
+        """
+        if span.name != SPAN_SNAPSHOT_QUERY:
+            return
+        query_id = span.attrs.get("query")
+        if not isinstance(query_id, str) or query_id not in self._promises:
+            return
+        violated = self.violates(
+            query_id,
+            bool(span.attrs.get("degraded", False)),
+            _as_optional_float(span.attrs.get("achieved_epsilon")),
+            _as_optional_float(span.attrs.get("achieved_confidence")),
+        )
         self._snapshots[query_id] += 1
         if violated:
             self._violations[query_id] += 1
         self._recent[query_id].append(violated)
-        return violated
+
+    def on_event(self, event: "TraceEvent") -> None:
+        return None
 
     def _promise(self, query_id: str) -> GuaranteePromise:
         try:
@@ -214,42 +238,6 @@ class GuaranteeAuditor:
                 sum(violations) / total_recent if total_recent else 0.0
             ),
         }
-
-    def observe_span(self, span: "Span") -> bool | None:
-        """Observe one replayed ``snapshot_query`` span (else no-op).
-
-        The replay-side twin of the session calling :meth:`observe` with
-        the real :class:`~repro.core.snapshot.SnapshotEstimate`: the span
-        carries the fields the audit reads (``degraded`` always, the
-        honest re-statements only when set — exactly the live layout).
-        Returns the violation flag, or ``None`` when the span is not an
-        audited snapshot.
-        """
-        if span.name != SPAN_SNAPSHOT_QUERY:
-            return None
-        query_id = span.attrs.get("query")
-        if not isinstance(query_id, str) or query_id not in self._promises:
-            return None
-        time = span.end if span.end is not None else span.start
-        observation = _SpanObservation(
-            degraded=bool(span.attrs.get("degraded", False)),
-            achieved_epsilon=_as_optional_float(
-                span.attrs.get("achieved_epsilon")
-            ),
-            achieved_confidence=_as_optional_float(
-                span.attrs.get("achieved_confidence")
-            ),
-        )
-        return self.observe(query_id, time, observation)  # type: ignore[arg-type]
-
-
-@dataclass(frozen=True)
-class _SpanObservation:
-    """Duck-typed stand-in for a SnapshotEstimate during trace replay."""
-
-    degraded: bool
-    achieved_epsilon: float | None
-    achieved_confidence: float | None
 
 
 def _as_optional_float(value: object) -> float | None:

@@ -15,8 +15,8 @@ maintains tumbling windows over simulated time:
   origin) sampled at each window boundary;
 * hop-segment transit latency (p95) and the orphan-span rate — transits
   delivered after their attempt was superseded (trace format v2; these
-  signals stay zero unless a recording sink has hop segments produced,
-  since the non-recording fast path never creates them).
+  signals stay zero unless the tracer records, since the non-recording
+  fast path never creates hop segments).
 
 Memory is bounded by construction: one open accumulator plus a
 ``deque(maxlen=history)`` of closed windows — a week-long run costs the
@@ -32,7 +32,10 @@ first sees them). Window accumulators are commutative within a tick, so
 feeding the same records in any same-tick order yields identical
 windows. :func:`feed_trace` exploits this: replaying an exported trace
 through a fresh pipeline reproduces the live windows — and therefore the
-exact alert transitions (:mod:`repro.obs.alerts`) — byte for byte.
+exact alert transitions (:mod:`repro.obs.alerts`) — byte for byte. Sinks
+that sat before the pipeline on the live tracer (the session's guarantee
+auditor) are handed to :func:`feed_trace` and see each record just
+before the pipeline does, as they did live.
 Alert events are pipeline *output*, never input: they are ignored here
 so a replayed trace cannot feed its own alerts back into the analytics.
 """
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.errors import QueryError
 from repro.obs.schema import (
@@ -58,7 +61,7 @@ from repro.obs.schema import (
     SPAN_SNAPSHOT_QUERY,
     SPAN_WALK,
 )
-from repro.obs.tracer import Span, Trace, TraceEvent, _as_int
+from repro.obs.tracer import Span, Trace, TraceEvent, TraceSink, _as_int
 
 #: meta key a run writes so a replay closes its final (partial) window at
 #: the same simulated time the live pipeline did
@@ -226,12 +229,6 @@ class LivePipeline:
     ``add_contributor`` callables inject extra named signals into each
     window at close time (the guarantee auditor does).
     """
-
-    #: message accounting needs only per-category counts at span end;
-    #: when span events are absent (a non-recording tracer skipped
-    #: constructing them) the counts arrive as the walk span's
-    #: ``messages_by_category`` attribute instead
-    needs_span_events = False
 
     def __init__(self, config: WindowConfig | None = None) -> None:
         self.config = config if config is not None else WindowConfig()
@@ -421,7 +418,7 @@ def feed_trace(
     pipeline: LivePipeline,
     trace: Trace,
     finish_time: int | None = None,
-    span_observer: Callable[[Span], None] | None = None,
+    sinks: Sequence[TraceSink] = (),
 ) -> LivePipeline:
     """Replay a finished trace through a pipeline in delivery order.
 
@@ -433,10 +430,10 @@ def feed_trace(
     :data:`META_FINISHED_AT` (falling back to the latest delivery time),
     so the final partial window closes exactly as it did live.
 
-    ``span_observer`` sees each span just before the pipeline does —
-    the hook stateful contributors (the replayed guarantee auditor) use
-    to track the run, mirroring the live session observing an estimate
-    before it ends the span.
+    Each of ``sinks`` receives every record just before the pipeline
+    does, in the order given — the place a session's guarantee auditor
+    holds on the live tracer, so its contributed signals see the same
+    spans at each window close.
     """
     deliveries: list[tuple[int, int, int, object]] = []
     for span in trace.spans:
@@ -446,13 +443,11 @@ def feed_trace(
         if event.time >= 0:
             deliveries.append((event.time, 1, index, event))
     deliveries.sort(key=lambda item: (item[0], item[1], item[2]))
+    receivers: list[TraceSink] = [*sinks, pipeline]
     for _time, kind, _seq, record in deliveries:
-        if kind == 0:
-            if span_observer is not None:
-                span_observer(record)  # type: ignore[arg-type]
-            pipeline.on_span_end(record)  # type: ignore[arg-type]
-        else:
-            pipeline.on_event(record)  # type: ignore[arg-type]
+        for receiver in receivers:
+            deliver = receiver.on_span_end if kind == 0 else receiver.on_event
+            deliver(record)  # type: ignore[arg-type]
     if finish_time is None:
         recorded = trace.meta.get(META_FINISHED_AT)
         if isinstance(recorded, (int, float)) and not isinstance(recorded, bool):

@@ -6,20 +6,20 @@ acquisition, a snapshot query); a :class:`TraceEvent` marks an instant
 and carry free-form attributes, so a trace is a forest annotated with
 exactly the quantities the paper's cost model is denominated in.
 
-Three tracers share one interface:
+Two tracers share one interface:
 
-* :class:`Tracer` itself, as the shared :data:`NULL_TRACER` (the default
-  everywhere) — every call is a no-op returning a shared immutable span,
-  so instrumented hot paths pay one dynamic dispatch and nothing else;
+* :class:`Tracer` itself, as the shared :data:`NULL_TRACER` — every call
+  is a no-op returning a shared immutable span, so instrumented hot paths
+  pay one dynamic dispatch and nothing else;
 * :class:`SinkTracer` — builds real spans and hands each *finished* span
   (and each span-less event) to its :class:`TraceSink` instances. The
   canonical sink is :class:`RunMetricsSink`, which derives the
   :class:`~repro.sim.metrics.RunMetrics` counters from the span stream —
   call sites no longer book counters by hand, so the live counters and a
-  replayed trace cannot drift apart;
-* :class:`RecordingTracer` — a :class:`SinkTracer` that additionally
-  retains every span and event for export
-  (:func:`repro.obs.export.export_trace`).
+  replayed trace cannot drift apart. With ``record=True`` it also retains
+  every span and event for export (:meth:`SinkTracer.trace`,
+  :func:`repro.obs.export.export_trace`), and producers construct every
+  per-hop/per-message span event (:attr:`Tracer.is_recording`).
 
 Simulated time is threaded explicitly (``time=`` arguments) or read from
 a clock passed at construction; a span recorded outside the event loop
@@ -112,16 +112,10 @@ NULL_SPAN = _NullSpan(span_id=-1, name="null", start=NO_TIME)
 class TraceSink(Protocol):
     """Receives finished spans and span-less events from a tracer.
 
-    ``needs_span_events`` declares whether the sink reads the per-span
-    ``events`` list. Sinks that derive everything from span *attributes*
-    (metrics, windowed analytics) set it ``False``; producers may then
-    skip per-hop/per-message event construction entirely on their hot
-    paths (see :attr:`SinkTracer.is_recording`). Sinks that omit the
-    attribute are treated as ``True`` — the conservative default.
+    A span's ``events`` list is filled only on a recording tracer
+    (:attr:`Tracer.is_recording`); a sink that must work on every tracer
+    reads span *attributes*, which producers always set.
     """
-
-    #: whether this sink reads ``span.events`` (default: assume it does)
-    needs_span_events: bool
 
     def on_span_end(self, span: Span) -> None:
         """Called exactly once per span, when it is closed."""
@@ -132,18 +126,13 @@ class TraceSink(Protocol):
         ...
 
 
-def _sink_needs_span_events(sink: TraceSink) -> bool:
-    return bool(getattr(sink, "needs_span_events", True))
-
-
 class Tracer:
     """Tracer interface; the base class itself is the no-op tracer."""
 
-    #: True when some attached sink retains per-span event lists, i.e.
-    #: producers must construct every span event. False lets hot paths
-    #: (per-hop/per-message hooks) skip event construction and surface
-    #: aggregate span attributes instead. A plain attribute, not a
-    #: property — the hooks read it at message rate.
+    #: True when the tracer retains every span and event for export, so
+    #: producers must construct every span event; False lets per-hop and
+    #: per-message hooks surface aggregate span attributes instead. A plain
+    #: attribute, not a property — the hooks read it at message rate.
     is_recording: bool = False
 
     @property
@@ -218,8 +207,10 @@ class SinkTracer(Tracer):
     ``clock`` supplies simulated time when a call omits ``time=``: either
     a :class:`~repro.sim.clock.SimulationClock` or any ``() -> int``
     callable; without one, untimed records use ``-1`` (outside the event
-    loop). ``profiler`` enables :meth:`profile` sections. Span ids are
-    assigned sequentially, so identical runs produce identical traces.
+    loop). ``profiler`` enables :meth:`profile` sections. ``record=True``
+    retains every finished span and span-less event for :meth:`trace`.
+    Span ids are assigned sequentially, so identical runs produce
+    identical traces.
     """
 
     def __init__(
@@ -228,16 +219,15 @@ class SinkTracer(Tracer):
         clock: SimulationClock | ClockSource | None = None,
         profiler: WallClockProfiler | None = None,
         meta: dict[str, object] | None = None,
+        record: bool = False,
     ) -> None:
         self._sinks: list[TraceSink] = list(sinks) if sinks else []
-        self.is_recording = any(
-            _sink_needs_span_events(sink) for sink in self._sinks
-        )
-        self._clock: ClockSource | None
-        if isinstance(clock, SimulationClock):
-            self._clock = lambda: clock.now
-        else:
-            self._clock = clock
+        self.is_recording = record
+        self._spans: list[Span] = []
+        self._events: list[TraceEvent] = []
+        self._clock: ClockSource | None = None
+        if clock is not None:
+            self.set_clock(clock)
         self._profiler = profiler
         self._meta: dict[str, object] = dict(meta) if meta else {}
         self._next_id = 1
@@ -249,10 +239,6 @@ class SinkTracer(Tracer):
         return True
 
     @property
-    def profiler(self) -> WallClockProfiler | None:
-        return self._profiler
-
-    @property
     def meta(self) -> dict[str, object]:
         """Run metadata, exported with the trace."""
         return self._meta
@@ -260,8 +246,6 @@ class SinkTracer(Tracer):
     def add_sink(self, sink: TraceSink) -> None:
         """Attach another sink (receives only spans finished afterwards)."""
         self._sinks.append(sink)
-        if _sink_needs_span_events(sink):
-            self.is_recording = True
 
     @property
     def has_clock(self) -> bool:
@@ -323,6 +307,8 @@ class SinkTracer(Tracer):
         span.attrs.update(attrs)
         span.end = max(self._now(time), span.start)
         self.spans_ended += 1
+        if self.is_recording:
+            self._spans.append(span)
         for sink in self._sinks:
             sink.on_span_end(span)
 
@@ -337,6 +323,10 @@ class SinkTracer(Tracer):
         if span is not None and span is not NULL_SPAN:
             span.events.append(event)
             return
+        # recorded before the sinks run, so an event a sink emits in
+        # response (an alert transition) follows its cause in the trace
+        if self.is_recording:
+            self._events.append(event)
         for sink in self._sinks:
             sink.on_event(event)
 
@@ -344,6 +334,18 @@ class SinkTracer(Tracer):
         if self._profiler is None:
             return nullcontext()
         return self._profiler.section(section)
+
+    def trace(self) -> Trace:
+        """The trace recorded so far (finished spans, in id order)."""
+        if not self.is_recording:
+            raise ValueError(
+                "tracer does not record; build it with record=True"
+            )
+        return Trace(
+            spans=sorted(self._spans, key=lambda s: s.span_id),
+            events=list(self._events),
+            meta=dict(self.meta),
+        )
 
 
 @dataclass
@@ -376,45 +378,6 @@ class Trace:
             lkey = f"loose:{event.name}"
             digest[lkey] = digest.get(lkey, 0) + 1
         return dict(sorted(digest.items()))
-
-
-class _RecorderSink:
-    """Internal sink retaining everything for :class:`RecordingTracer`."""
-
-    needs_span_events = True  # exports must carry every span event
-
-    def __init__(self) -> None:
-        self.spans: list[Span] = []
-        self.events: list[TraceEvent] = []
-
-    def on_span_end(self, span: Span) -> None:
-        self.spans.append(span)
-
-    def on_event(self, event: TraceEvent) -> None:
-        self.events.append(event)
-
-
-class RecordingTracer(SinkTracer):
-    """A :class:`SinkTracer` that retains spans and events for export."""
-
-    def __init__(
-        self,
-        sinks: list[TraceSink] | None = None,
-        clock: SimulationClock | ClockSource | None = None,
-        profiler: WallClockProfiler | None = None,
-        meta: dict[str, object] | None = None,
-    ) -> None:
-        super().__init__(sinks=sinks, clock=clock, profiler=profiler, meta=meta)
-        self._recorder = _RecorderSink()
-        self.add_sink(self._recorder)
-
-    def trace(self) -> Trace:
-        """The trace recorded so far (finished spans, in end order)."""
-        return Trace(
-            spans=sorted(self._recorder.spans, key=lambda s: s.span_id),
-            events=list(self._recorder.events),
-            meta=dict(self.meta),
-        )
 
 
 # ----------------------------------------------------------------------
@@ -452,10 +415,6 @@ class RunMetricsSink:
       ``alerts_fired`` / ``alerts_resolved`` +1 (live alert engine
       transitions; see :mod:`repro.obs.alerts`).
     """
-
-    #: everything above reads span *attributes* only — producers may
-    #: skip per-event construction when this is the only kind of sink
-    needs_span_events = False
 
     def __init__(self, metrics: "RunMetrics") -> None:
         self.metrics = metrics

@@ -31,10 +31,10 @@ Hot-path observability
 ----------------------
 ``note_hop`` / ``note_message`` / ``note_probe`` run once per hop /
 message — the innermost loops of the whole system. When the tracer is
-recording (a sink retains span events, as export does), they append
+recording (it retains span events for export), they append
 full :class:`~repro.obs.tracer.TraceEvent` records exactly as before.
-When tracing is enabled but *nothing consumes per-event records* (live
-metrics and windowed analytics read only span attributes), they skip
+When tracing is enabled but the tracer does not record (live metrics,
+windowed analytics and the auditor read only span attributes), they skip
 event construction entirely and keep a per-category message count that
 is attached to the walk span as ``messages_by_category`` at walk end —
 the quantity :class:`~repro.obs.live.LivePipeline` actually needs, at a

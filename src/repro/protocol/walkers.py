@@ -123,7 +123,7 @@ class WalkExecutor:
         still sent; loss, partitions, and crashed receivers are the
         transport's concern and surface as fault events, never here.
 
-        When a recording sink is attached, the transit gets its own
+        When the tracer records, the transit gets its own
         ``hop_segment`` span carrying the message's trace context: opened
         here at send time, closed by the wrapped ``deliver`` at delivery
         time. The transport stays context-agnostic — it just runs the

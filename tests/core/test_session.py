@@ -18,7 +18,7 @@ from repro.obs.analysis import (
     shared_walk_attribution,
     verify_trace_consistency,
 )
-from repro.obs.tracer import RecordingTracer, RunMetricsSink
+from repro.obs.tracer import RunMetricsSink, SinkTracer
 from repro.sim.engine import SimulationEngine
 from repro.sim.metrics import RunMetrics
 
@@ -228,7 +228,7 @@ class TestPerQueryMetrics:
 class TestTraceAttribution:
     def _faulted_traced_run(self):
         graph, database = _world(seed=4)
-        tracer = RecordingTracer(meta={"experiment": "multi-query-faults"})
+        tracer = SinkTracer(record=True, meta={"experiment": "multi-query-faults"})
         faults = FaultPlan(
             FaultConfig(message_loss=0.01), np.random.default_rng(99)
         )
@@ -264,7 +264,7 @@ class TestTraceAttribution:
         twice) stand in for a protocol sampler sharing the tracer.
         """
         graph, database = _world(seed=6)
-        tracer = RecordingTracer()
+        tracer = SinkTracer(record=True)
         faults = FaultPlan(
             FaultConfig(message_loss=0.01), np.random.default_rng(7)
         )

@@ -12,11 +12,12 @@ from repro.errors import QueryError
 from repro.network.faults import FaultConfig, FaultPlan
 from repro.network.graph import OverlayGraph
 from repro.network.topology import mesh_topology
-from repro.obs.alerts import FIRING, AlertRule, verify_alert_replay
+from repro.obs.alerts import FIRING, AlertReplay, AlertRule, verify_alert_replay
 from repro.obs.analysis import verify_trace_consistency
 from repro.obs.audit import META_PROMISES
+from repro.obs.export import export_trace, import_trace
 from repro.obs.live import META_FINISHED_AT, WindowConfig
-from repro.obs.tracer import RecordingTracer
+from repro.obs.tracer import SinkTracer
 
 _STEPS = 40
 _WINDOWS = WindowConfig(width=10, slide=3)
@@ -59,7 +60,7 @@ def _run_session(message_loss=0.0):
         if message_loss > 0.0
         else None
     )
-    tracer = RecordingTracer()
+    tracer = SinkTracer(record=True)
     session = DigestSession(
         graph,
         database,
@@ -119,6 +120,18 @@ class TestLiveSession:
         assert sum(v.violations for v in verdicts.values()) > 0
         assert max(v.burn_rate for v in verdicts.values()) > 2.0
         assert not all(v.ok for v in verdicts.values())
+
+    def test_live_audits_equal_replayed_audits(self, tmp_path):
+        # the live auditor and the one a replay rebuilds from the exported
+        # trace judge the same snapshot_query spans, so they agree exactly
+        session, _pipeline, _engine, trace = _run_session(message_loss=0.20)
+        exported = import_trace(export_trace(trace, tmp_path / "run.jsonl"))
+        replay = AlertReplay(exported, _RULES, _WINDOWS)
+        replay.run()
+        assert replay.auditor is not None
+        live = session.auditor.verdicts()
+        assert sum(v.violations for v in live.values()) > 0
+        assert replay.auditor.verdicts() == live
 
     def test_session_wires_clock_so_deep_records_are_timed(self):
         # every span a session-mode trace records must carry real

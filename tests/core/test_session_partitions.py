@@ -19,7 +19,7 @@ from repro.network.partitions import (
 from repro.network.topology import mesh_topology
 from repro.obs.analysis import verify_trace_consistency
 from repro.obs.schema import EVENT_POOL_INVALIDATE, SPAN_SNAPSHOT_QUERY
-from repro.obs.tracer import RecordingTracer
+from repro.obs.tracer import SinkTracer
 
 START, DURATION, HORIZON = 4, 8, 24
 
@@ -139,7 +139,7 @@ class TestRecovery:
         assert not post_heal[0].degraded  # first post-heal occasion
 
     def test_pool_invalidated_on_cut_and_heal(self):
-        tracer = RecordingTracer()
+        tracer = SinkTracer(record=True)
         graph, database, plan, session = _partitioned_session(tracer=tracer)
         _drive(graph, plan, session)
         invalidations = [
@@ -157,7 +157,7 @@ class TestRecovery:
 
 class TestTracing:
     def test_reachable_fraction_only_on_partitioned_spans(self):
-        tracer = RecordingTracer()
+        tracer = SinkTracer(record=True)
         graph, database, plan, session = _partitioned_session(tracer=tracer)
         _drive(graph, plan, session)
         for span in tracer.trace().spans:
@@ -169,7 +169,7 @@ class TestTracing:
                 assert span.attrs["reachable_fraction"] < 1.0
 
     def test_trace_verifies_exactly_on_partitioned_multi_query_run(self):
-        tracer = RecordingTracer()
+        tracer = SinkTracer(record=True)
         graph, database, plan, session = _partitioned_session(
             ops=(AggregateOp.AVG, AggregateOp.SUM), tracer=tracer
         )

@@ -8,7 +8,7 @@ from repro.network.faults import FaultConfig, FaultPlan
 from repro.network.graph import OverlayGraph
 from repro.network.messaging import MessageLedger
 from repro.network.topology import mesh_topology
-from repro.obs.tracer import RecordingTracer
+from repro.obs.tracer import SinkTracer
 from repro.protocol.batching import WalkBatchPlan, WalkDemand, coalesce_demands
 from repro.protocol.runtime import ProtocolConfig, ProtocolSampler, RetryPolicy
 from repro.sampling.weights import uniform_weights
@@ -93,7 +93,7 @@ class TestRunWalkBatch:
         assert shared_ledger.total == pytest.approx(solo_cost, rel=0.35)
 
     def test_walk_spans_attribute_every_consumer(self):
-        tracer = RecordingTracer()
+        tracer = SinkTracer(record=True)
         sampler = _sampler(tracer=tracer)
         plan = coalesce_demands([WalkDemand("q0", 5), WalkDemand("q1", 3)])
         sampler.run_walk_batch(origin=0, plan=plan, walk_length=20)

@@ -14,7 +14,7 @@ from repro.network.health import (
     HealthMonitor,
 )
 from repro.obs.schema import EVENT_BREAKER_PROBE, EVENT_BREAKER_TRIP
-from repro.obs.tracer import RecordingTracer
+from repro.obs.tracer import SinkTracer
 
 
 class TestHealthConfigValidation:
@@ -158,7 +158,7 @@ class TestHealthMonitor:
         assert monitor.open_fraction(0) == pytest.approx(1.0)
 
     def test_trip_and_probe_emit_trace_events(self):
-        tracer = RecordingTracer()
+        tracer = SinkTracer(record=True)
         monitor = self._monitor(tracer=tracer)
         for time in range(2):
             monitor.record_outcome(0, 1, ok=False, time=time, n_neighbors=3)

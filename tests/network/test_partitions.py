@@ -14,7 +14,7 @@ from repro.network.partitions import (
 )
 from repro.network.topology import power_law_topology, ring_topology
 from repro.obs.schema import EVENT_PARTITION_HEAL, EVENT_PARTITION_OPEN
-from repro.obs.tracer import RecordingTracer
+from repro.obs.tracer import SinkTracer
 
 
 def _graph(n: int = 20, seed: int = 0) -> OverlayGraph:
@@ -352,7 +352,7 @@ class TestHealRepair:
 
 class TestTracing:
     def test_open_and_heal_emit_events(self):
-        tracer = RecordingTracer()
+        tracer = SinkTracer(record=True)
         graph = _graph()
         plan = PartitionPlan(
             _one_cut(start=2, duration=3), rng=0, tracer=tracer

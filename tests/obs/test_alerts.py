@@ -22,7 +22,7 @@ from repro.obs.alerts import (
 from repro.obs.analysis import alert_timeline
 from repro.obs.live import META_FINISHED_AT, LivePipeline, WindowConfig
 from repro.obs.schema import EVENT_ALERT_FIRING, SPAN_WALK
-from repro.obs.tracer import RecordingTracer
+from repro.obs.tracer import SinkTracer
 
 
 def _fail_walk(tracer, start, end, outcome="failed"):
@@ -78,7 +78,7 @@ class TestEngineLifecycle:
     def test_fires_and_resolves(self):
         pipeline = LivePipeline(WindowConfig(width=10))
         engine = AlertEngine(pipeline, [FAILURE_RULE])
-        tracer = RecordingTracer(sinks=[pipeline])
+        tracer = SinkTracer(record=True, sinks=[pipeline])
         _fail_walk(tracer, 0, 5)  # window [0,10): 1/1 failed
         _fail_walk(tracer, 12, 15, outcome="ok")  # [10,20): clean
         _fail_walk(tracer, 22, 25, outcome="ok")  # closes [10,20)
@@ -97,7 +97,7 @@ class TestEngineLifecycle:
         )
         pipeline = LivePipeline(WindowConfig(width=10))
         engine = AlertEngine(pipeline, [rule])
-        tracer = RecordingTracer(sinks=[pipeline])
+        tracer = SinkTracer(record=True, sinks=[pipeline])
         _fail_walk(tracer, 0, 5)  # breach 1
         _fail_walk(tracer, 12, 15)  # breach 2 (closes window 1)
         _fail_walk(tracer, 22, 25)  # closes window 2 -> fires here
@@ -119,7 +119,7 @@ class TestEngineLifecycle:
         )
         pipeline = LivePipeline(WindowConfig(width=10, slide=2))
         engine = AlertEngine(pipeline, [tumbling, burn])
-        tracer = RecordingTracer(sinks=[pipeline])
+        tracer = SinkTracer(record=True, sinks=[pipeline])
         for index in range(4):
             outcome = "failed" if index % 2 == 0 else "ok"
             start = index * 10
@@ -130,7 +130,7 @@ class TestEngineLifecycle:
 
     def test_transitions_recorded_as_trace_events_and_ops_log(self):
         pipeline = LivePipeline(WindowConfig(width=10))
-        tracer = RecordingTracer(sinks=[pipeline])
+        tracer = SinkTracer(record=True, sinks=[pipeline])
         engine = AlertEngine(pipeline, [FAILURE_RULE], tracer=tracer)
         _fail_walk(tracer, 0, 5)
         _fail_walk(tracer, 12, 15)
@@ -182,7 +182,7 @@ class TestReplay:
         config = WindowConfig(width=10, slide=2)
         rules = [FAILURE_RULE]
         pipeline = LivePipeline(config)
-        tracer = RecordingTracer(sinks=[pipeline])
+        tracer = SinkTracer(record=True, sinks=[pipeline])
         AlertEngine(pipeline, rules, tracer=tracer)
         _fail_walk(tracer, 0, 5)
         _fail_walk(tracer, 12, 15, outcome="ok")

@@ -18,8 +18,8 @@ from repro.obs.analysis import (
     walk_outcomes,
 )
 from repro.obs.tracer import (
-    RecordingTracer,
     RunMetricsSink,
+    SinkTracer,
     Span,
     Trace,
     TraceEvent,
@@ -27,10 +27,10 @@ from repro.obs.tracer import (
 from repro.sim.metrics import RunMetrics
 
 
-def _traced_run() -> tuple[RecordingTracer, RunMetrics]:
+def _traced_run() -> tuple[SinkTracer, RunMetrics]:
     """A hand-built trace exercising every counter, with a live sink."""
     metrics = RunMetrics()
-    tracer = RecordingTracer(sinks=[RunMetricsSink(metrics)])
+    tracer = SinkTracer(record=True, sinks=[RunMetricsSink(metrics)])
 
     completed = tracer.span("walk", time=0, walker_id=0)
     tracer.event("message", time=0, span=completed, category="walk")
@@ -145,7 +145,7 @@ class TestTimelines:
 
 class TestFoldedStacks:
     def _nested_trace(self):
-        tracer = RecordingTracer()
+        tracer = SinkTracer(record=True)
         cell = tracer.span("fault_cell", time=0)
         walk = tracer.span("walk", time=0, parent=cell)
         tracer.end(walk, time=30)
@@ -172,7 +172,7 @@ class TestFoldedStacks:
         }
 
     def test_self_time_is_clamped_at_zero(self):
-        tracer = RecordingTracer()
+        tracer = SinkTracer(record=True)
         parent = tracer.span("outer", time=0)
         child = tracer.span("inner", time=0, parent=parent)
         tracer.end(child, time=50)
@@ -182,7 +182,7 @@ class TestFoldedStacks:
 
     def test_unknown_weight_raises(self):
         with pytest.raises(ValueError):
-            folded_stacks(RecordingTracer().trace(), weight="bytes")
+            folded_stacks(SinkTracer(record=True).trace(), weight="bytes")
 
 
 class TestDegenerateTraces:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import pytest
 
 from repro.errors import QueryError
@@ -14,14 +12,17 @@ from repro.obs.audit import (
     auditor_from_trace,
 )
 from repro.obs.schema import SPAN_SNAPSHOT_QUERY, SPAN_WALK
-from repro.obs.tracer import Span, Trace
+from repro.obs.tracer import Span, Trace, TraceEvent
 
 
-def _estimate(degraded=False, achieved_epsilon=None, achieved_confidence=None):
-    return SimpleNamespace(
-        degraded=degraded,
-        achieved_epsilon=achieved_epsilon,
-        achieved_confidence=achieved_confidence,
+def _snapshot(query="q", time=0, degraded=False, **restatements):
+    """A finished ``snapshot_query`` span laid out as the session ends it."""
+    return Span(
+        span_id=time + 1,
+        name=SPAN_SNAPSHOT_QUERY,
+        start=time,
+        end=time,
+        attrs={"query": query, "degraded": degraded, **restatements},
     )
 
 
@@ -52,9 +53,9 @@ class TestRegistration:
         with pytest.raises(QueryError):
             auditor.register("q", 0.4, 0.9)
 
-    def test_observe_unregistered_query_raises(self):
+    def test_violates_unregistered_query_raises(self):
         with pytest.raises(QueryError):
-            GuaranteeAuditor().observe("ghost", 0, _estimate())
+            GuaranteeAuditor().violates("ghost", False, None, None)
 
     def test_rejects_bad_recent_window(self):
         with pytest.raises(QueryError):
@@ -65,41 +66,41 @@ class TestViolations:
     def test_clean_estimate_is_not_a_violation(self):
         auditor = GuaranteeAuditor()
         auditor.register("q", 0.5, 0.9)
-        assert not auditor.violates("q", _estimate())
+        assert not auditor.violates("q", False, None, None)
 
     def test_degraded_is_always_a_violation(self):
         auditor = GuaranteeAuditor()
         auditor.register("q", 0.5, 0.9)
-        assert auditor.violates("q", _estimate(degraded=True))
+        assert auditor.violates("q", True, None, None)
 
     def test_wide_achieved_epsilon_violates(self):
         auditor = GuaranteeAuditor()
         auditor.register("q", 0.5, 0.9)
-        assert auditor.violates("q", _estimate(achieved_epsilon=0.7))
-        assert not auditor.violates("q", _estimate(achieved_epsilon=0.4))
+        assert auditor.violates("q", False, 0.7, None)
+        assert not auditor.violates("q", False, 0.4, None)
 
     def test_low_achieved_confidence_violates(self):
         auditor = GuaranteeAuditor()
         auditor.register("q", 0.5, 0.9)
-        assert auditor.violates("q", _estimate(achieved_confidence=0.8))
-        assert not auditor.violates("q", _estimate(achieved_confidence=0.95))
+        assert auditor.violates("q", False, None, 0.8)
+        assert not auditor.violates("q", False, None, 0.95)
 
 
 class TestBurnRate:
     def test_burn_rate_is_budget_normalized(self):
         auditor = GuaranteeAuditor(recent_window=4)
         auditor.register("q", 0.5, 0.9)  # budget 0.1
-        auditor.observe("q", 0, _estimate(degraded=True))
-        auditor.observe("q", 1, _estimate())
+        auditor.on_span_end(_snapshot(time=0, degraded=True))
+        auditor.on_span_end(_snapshot(time=1))
         # 1 violation / 2 recent = 0.5 fraction over a 0.1 budget
         assert auditor.burn_rate("q") == pytest.approx(5.0)
 
     def test_bad_snapshots_age_out_of_the_recent_window(self):
         auditor = GuaranteeAuditor(recent_window=2)
         auditor.register("q", 0.5, 0.9)
-        auditor.observe("q", 0, _estimate(degraded=True))
-        auditor.observe("q", 1, _estimate())
-        auditor.observe("q", 2, _estimate())
+        auditor.on_span_end(_snapshot(time=0, degraded=True))
+        auditor.on_span_end(_snapshot(time=1))
+        auditor.on_span_end(_snapshot(time=2))
         assert auditor.burn_rate("q") == 0.0  # the violation aged out
         verdict = auditor.verdict("q")
         assert verdict.violations == 1  # lifetime count remains
@@ -108,7 +109,7 @@ class TestBurnRate:
     def test_verdict_fields(self):
         auditor = GuaranteeAuditor(recent_window=4)
         auditor.register("q", 0.5, 0.9)
-        auditor.observe("q", 0, _estimate(degraded=True))
+        auditor.on_span_end(_snapshot(degraded=True))
         verdict = auditor.verdict("q")
         assert verdict.query_id == "q"
         assert verdict.snapshots == 1
@@ -120,8 +121,8 @@ class TestBurnRate:
         auditor = GuaranteeAuditor(recent_window=4)
         auditor.register("good", 0.5, 0.9)
         auditor.register("bad", 0.5, 0.9)
-        auditor.observe("good", 0, _estimate())
-        auditor.observe("bad", 0, _estimate(degraded=True))
+        auditor.on_span_end(_snapshot(query="good"))
+        auditor.on_span_end(_snapshot(query="bad", degraded=True))
         signals = auditor.signals()
         assert signals["audit_burn_rate"] == pytest.approx(10.0)
         assert signals["audit_violation_fraction"] == pytest.approx(0.5)
@@ -134,35 +135,41 @@ class TestBurnRate:
 
 
 class TestSpanObservation:
-    def _span(self, name=SPAN_SNAPSHOT_QUERY, attrs=None, end=5):
-        return Span(span_id=1, name=name, start=4, attrs=attrs or {}, end=end)
-
     def test_ignores_non_snapshot_spans(self):
         auditor = GuaranteeAuditor()
         auditor.register("q", 0.5, 0.9)
-        assert auditor.observe_span(self._span(name=SPAN_WALK)) is None
+        walk = Span(span_id=1, name=SPAN_WALK, start=4, end=5)
+        walk.attrs.update(query="q", degraded=True)
+        auditor.on_span_end(walk)
+        assert auditor.verdict("q").snapshots == 0
 
     def test_ignores_unregistered_queries(self):
         auditor = GuaranteeAuditor()
         auditor.register("q", 0.5, 0.9)
-        span = self._span(attrs={"query": "other", "degraded": True})
-        assert auditor.observe_span(span) is None
+        auditor.on_span_end(_snapshot(query="other", degraded=True))
         assert auditor.verdict("q").snapshots == 0
 
     def test_observes_registered_snapshot_span(self):
         auditor = GuaranteeAuditor()
         auditor.register("q", 0.5, 0.9)
-        span = self._span(attrs={"query": "q", "degraded": True})
-        assert auditor.observe_span(span) is True
-        assert auditor.verdict("q").violations == 1
+        auditor.on_span_end(_snapshot(degraded=True))
+        verdict = auditor.verdict("q")
+        assert (verdict.snapshots, verdict.violations) == (1, 1)
 
     def test_reads_achieved_restatements_from_attrs(self):
         auditor = GuaranteeAuditor()
         auditor.register("q", 0.5, 0.9)
-        span = self._span(
-            attrs={"query": "q", "degraded": False, "achieved_epsilon": 0.9}
-        )
-        assert auditor.observe_span(span) is True
+        auditor.on_span_end(_snapshot(time=0, achieved_epsilon=0.9))
+        auditor.on_span_end(_snapshot(time=1, achieved_confidence=0.8))
+        auditor.on_span_end(_snapshot(time=2, achieved_epsilon=0.4))
+        verdict = auditor.verdict("q")
+        assert (verdict.snapshots, verdict.violations) == (3, 2)
+
+    def test_loose_events_are_ignored(self):
+        auditor = GuaranteeAuditor()
+        auditor.register("q", 0.5, 0.9)
+        auditor.on_event(TraceEvent(time=0, name="fault"))
+        assert auditor.verdict("q").snapshots == 0
 
 
 class TestAuditorFromTrace:

@@ -29,7 +29,7 @@ from repro.network.topology import mesh_topology
 from repro.obs import causal
 from repro.obs.export import export_trace, import_trace
 from repro.obs.schema import SPAN_HOP_SEGMENT, SPAN_WALK
-from repro.obs.tracer import RecordingTracer
+from repro.obs.tracer import SinkTracer
 from repro.protocol.runtime import ProtocolConfig, ProtocolSampler, RetryPolicy
 from repro.sampling.weights import uniform_weights
 from repro.sim.engine import PRIORITY_CHURN, SimulationEngine
@@ -48,7 +48,7 @@ def _run(
     n_nodes = 16
     graph = OverlayGraph(mesh_topology(n_nodes), n_nodes=n_nodes)
     simulation = SimulationEngine()
-    tracer = RecordingTracer(clock=simulation.clock)
+    tracer = SinkTracer(record=True, clock=simulation.clock)
     sampler = ProtocolSampler(
         graph,
         uniform_weights(),
@@ -124,7 +124,7 @@ class TestCleanAssembly:
         n_nodes = 16
         graph = OverlayGraph(mesh_topology(n_nodes), n_nodes=n_nodes)
         simulation = SimulationEngine()
-        tracer = RecordingTracer(clock=simulation.clock)
+        tracer = SinkTracer(record=True, clock=simulation.clock)
         sampler = ProtocolSampler(
             graph,
             uniform_weights(),

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from repro.obs.export import FORMAT_VERSION, export_trace, import_trace
-from repro.obs.tracer import RecordingTracer
+from repro.obs.tracer import SinkTracer
 
 
-def _sample_tracer() -> RecordingTracer:
-    tracer = RecordingTracer(meta={"experiment": "unit", "seed": 7})
+def _sample_tracer() -> SinkTracer:
+    tracer = SinkTracer(record=True, meta={"experiment": "unit", "seed": 7})
     cell = tracer.span("fault_cell", time=0, message_loss=0.1)
     walk = tracer.span("walk", time=0, parent=cell, walker_id=0)
     tracer.event("hop", time=1, span=walk, node=3)
@@ -45,7 +45,7 @@ class TestRoundTrip:
         assert a.read_bytes() == b.read_bytes()
 
     def test_numpy_scalar_attrs_export_as_plain_json(self, tmp_path):
-        tracer = RecordingTracer()
+        tracer = SinkTracer(record=True)
         span = tracer.span("walk", time=0, weight=np.float64(0.25))
         tracer.end(span, time=np.int64(3), sampled_node=np.int64(4))
         path = export_trace(tracer.trace(), tmp_path / "np.jsonl")
@@ -56,7 +56,7 @@ class TestRoundTrip:
         assert restored.spans[0].attrs["sampled_node"] == 4
 
     def test_unportable_attr_raises_at_export(self, tmp_path):
-        tracer = RecordingTracer()
+        tracer = SinkTracer(record=True)
         span = tracer.span("walk", time=0, payload=object())
         tracer.end(span, time=1)
         with pytest.raises(TypeError):

@@ -29,7 +29,7 @@ from repro.obs.analysis import (
     walk_outcomes,
 )
 from repro.obs.export import export_trace, import_trace
-from repro.obs.tracer import NULL_TRACER, RecordingTracer
+from repro.obs.tracer import NULL_TRACER, SinkTracer
 from repro.protocol.runtime import ProtocolConfig, ProtocolSampler
 from repro.sampling.weights import uniform_weights
 from repro.sim.engine import SimulationEngine
@@ -56,7 +56,7 @@ class TestTracerIsAPureObserver:
         _, bare = _run_sampler(tracer=None, ledger=bare_ledger)
         traced_ledger = MessageLedger()
         _, traced = _run_sampler(
-            tracer=RecordingTracer(), ledger=traced_ledger
+            tracer=SinkTracer(record=True), ledger=traced_ledger
         )
         assert bare == traced
         assert bare_ledger.breakdown() == traced_ledger.breakdown()
@@ -75,7 +75,7 @@ class TestTracerIsAPureObserver:
 class TestWalkSpans:
     def test_walk_spans_match_ledger_attribution(self):
         ledger = MessageLedger()
-        tracer = RecordingTracer()
+        tracer = SinkTracer(record=True)
         sampler, sampled = _run_sampler(tracer=tracer, ledger=ledger)
         trace = tracer.trace()
         attribution = message_attribution(trace)
@@ -93,7 +93,7 @@ class TestWalkSpans:
 
     def test_cached_variant_traces_advertisements(self):
         ledger = MessageLedger()
-        tracer = RecordingTracer()
+        tracer = SinkTracer(record=True)
         sampler, _ = _run_sampler(
             tracer=tracer, ledger=ledger, variant="cached"
         )
@@ -109,7 +109,7 @@ class TestWalkSpans:
 class TestEngineTrace:
     def _traced_run(self, scheduler="all", n_steps=8):
         instance = build_instance("temperature", scale=0.05, seed=0)
-        tracer = RecordingTracer(meta={"experiment": "unit"})
+        tracer = SinkTracer(record=True, meta={"experiment": "unit"})
         session = make_engine(
             instance,
             Precision(4.0, 2.0),

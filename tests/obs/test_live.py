@@ -26,7 +26,7 @@ from repro.obs.schema import (
     SPAN_SNAPSHOT_QUERY,
     SPAN_WALK,
 )
-from repro.obs.tracer import RecordingTracer, RunMetricsSink, SinkTracer
+from repro.obs.tracer import RunMetricsSink, SinkTracer
 from repro.sim.metrics import RunMetrics
 
 
@@ -215,7 +215,7 @@ class TestReplay:
     def test_feed_trace_reproduces_live_windows(self):
         config = WindowConfig(width=10, slide=2)
         live = LivePipeline(config)
-        tracer = RecordingTracer(sinks=[live])
+        tracer = SinkTracer(record=True, sinks=[live])
         _walk_span(
             tracer,
             0,
@@ -277,7 +277,7 @@ def test_sink_order_does_not_affect_counters_or_windows(walks, fault_times):
         sinks = [RunMetricsSink(metrics), pipeline]
         if reverse:
             sinks.reverse()
-        tracer = RecordingTracer(sinks=sinks)
+        tracer = SinkTracer(record=True, sinks=sinks)
         _emit_stream(tracer, walks, fault_times)
         pipeline.finish(60)
         tracer.meta[META_FINISHED_AT] = 60

@@ -31,7 +31,7 @@ from repro.obs.schema import (
     span_names,
     trace_names,
 )
-from repro.obs.tracer import RecordingTracer, RunMetricsSink
+from repro.obs.tracer import RunMetricsSink, SinkTracer
 from repro.sim.metrics import RunMetrics
 
 #: trace format v1: these exact values appear in traces on disk and in
@@ -148,10 +148,10 @@ class TestLeafModule:
                 ), stripped
 
 
-def _traced_run() -> tuple[RecordingTracer, RunMetrics]:
+def _traced_run() -> tuple[SinkTracer, RunMetrics]:
     """A run exercising every counter, written via the schema constants."""
     metrics = RunMetrics()
-    tracer = RecordingTracer(sinks=[RunMetricsSink(metrics)])
+    tracer = SinkTracer(record=True, sinks=[RunMetricsSink(metrics)])
 
     walk = tracer.span(schema.SPAN_WALK, time=0, walker_id=0)
     tracer.event(

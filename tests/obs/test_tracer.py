@@ -7,7 +7,6 @@ from repro.obs.tracer import (
     NO_TIME,
     NULL_SPAN,
     NULL_TRACER,
-    RecordingTracer,
     RunMetricsSink,
     SinkTracer,
     Span,
@@ -170,9 +169,37 @@ class TestSinkTracer:
         assert tracer.spans_ended == 0
 
 
-class TestRecordingTracer:
+class TestSinkTracerRecording:
+    def test_without_record_nothing_is_retained(self):
+        tracer = SinkTracer()
+        assert tracer.is_recording is False
+        tracer.end(tracer.span("walk", time=0), time=1)
+        with pytest.raises(ValueError, match="record=True"):
+            tracer.trace()
+
+    def test_record_sets_is_recording(self):
+        assert SinkTracer(record=True).is_recording is True
+
+    def test_event_a_sink_emits_in_response_is_recorded_after_its_cause(self):
+        tracer = SinkTracer(record=True)
+
+        class Responder:
+            def on_span_end(self, span):
+                pass
+
+            def on_event(self, event):
+                if event.name == "fault":
+                    tracer.event("alert_firing", time=event.time)
+
+        tracer.add_sink(Responder())
+        tracer.event("fault", time=3)
+        assert [e.name for e in tracer.trace().events] == [
+            "fault",
+            "alert_firing",
+        ]
+
     def test_trace_retains_finished_spans_in_id_order(self):
-        tracer = RecordingTracer(meta={"experiment": "unit"})
+        tracer = SinkTracer(record=True, meta={"experiment": "unit"})
         first = tracer.span("walk", time=0)
         second = tracer.span("walk", time=1)
         open_span = tracer.span("walk", time=2)
@@ -186,7 +213,7 @@ class TestRecordingTracer:
         assert trace.meta == {"experiment": "unit"}
 
     def test_summary_digest_distinguishes_attachment(self):
-        tracer = RecordingTracer()
+        tracer = SinkTracer(record=True)
         span = tracer.span("walk", time=0)
         tracer.event("hop", time=1, span=span)
         tracer.end(span, time=2)
@@ -266,7 +293,7 @@ class TestBridgeFaultLog:
         from repro.obs.tracer import bridge_fault_log
 
         log = FaultLog()
-        tracer = RecordingTracer()
+        tracer = SinkTracer(record=True)
         bridge_fault_log(log, tracer)
         log.record(5, "message_loss", walker_id=3, node=1, detail="hop")
         events = tracer.trace().events
@@ -278,7 +305,7 @@ class TestBridgeFaultLog:
         from repro.obs.tracer import bridge_fault_log
 
         log = FaultLog()
-        tracer = RecordingTracer()
+        tracer = SinkTracer(record=True)
         bridge_fault_log(log, tracer)
         bridge_fault_log(log, tracer)
         log.record(1, "node_crash")

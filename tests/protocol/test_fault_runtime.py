@@ -198,7 +198,7 @@ class TestRetryExhaustion:
         """End to end through the evaluator path: a cell whose walks
         exhaust their retries reports ``degraded`` instead of raising."""
         from repro.experiments import fault_tolerance
-        from repro.obs.tracer import RecordingTracer
+        from repro.obs.tracer import SinkTracer
 
         config = fault_tolerance.FaultSweepConfig(
             n_nodes=30, walk_length=10, timeout=40, max_retries=1
@@ -208,7 +208,7 @@ class TestRetryExhaustion:
             message_loss=0.9,
             crash_probability=0.0,
             seed=0,
-            tracer=RecordingTracer(),
+            tracer=SinkTracer(record=True),
         )
         assert row.n_achieved < row.n_required
         assert row.degraded

@@ -38,7 +38,7 @@ from repro.network.partitions import (
 )
 from repro.network.topology import mesh_topology
 from repro.obs.export import export_trace
-from repro.obs.tracer import RecordingTracer
+from repro.obs.tracer import SinkTracer
 from repro.protocol.runtime import ProtocolConfig, ProtocolSampler, RetryPolicy
 from repro.sampling.weights import uniform_weights
 from repro.sim.engine import PRIORITY_CHURN, SimulationEngine
@@ -56,7 +56,7 @@ def _faulted_trace_text(tmp_dir: Path) -> str:
     n_nodes = 16
     graph = OverlayGraph(mesh_topology(n_nodes), n_nodes=n_nodes)
     simulation = SimulationEngine()
-    tracer = RecordingTracer(clock=simulation.clock)
+    tracer = SinkTracer(record=True, clock=simulation.clock)
     plan = FaultPlan(
         FaultConfig(message_loss=0.08, latency_jitter=2), rng=417
     )
@@ -86,7 +86,7 @@ def _partitioned_trace_text(tmp_dir: Path) -> str:
     duration = 60
     graph = OverlayGraph(mesh_topology(n_nodes), n_nodes=n_nodes)
     simulation = SimulationEngine()
-    tracer = RecordingTracer(clock=simulation.clock)
+    tracer = SinkTracer(record=True, clock=simulation.clock)
     plan = PartitionPlan(
         PartitionSchedule(
             episodes=(PartitionEpisode(start=0, duration=duration),)

@@ -24,7 +24,7 @@ from repro.obs.schema import (
     SPAN_HOP_SEGMENT,
     SPAN_WALK,
 )
-from repro.obs.tracer import RecordingTracer
+from repro.obs.tracer import SinkTracer
 from repro.protocol.messages import (
     SampleReturn,
     TraceContext,
@@ -42,7 +42,7 @@ def _mesh(n=16):
 
 def _traced_sampler(variant="bounce", seed=3, faults=None, retry=None):
     simulation = SimulationEngine()
-    tracer = RecordingTracer(clock=simulation.clock)
+    tracer = SinkTracer(record=True, clock=simulation.clock)
     sampler = ProtocolSampler(
         _mesh(),
         uniform_weights(),

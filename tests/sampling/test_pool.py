@@ -8,7 +8,7 @@ from repro.errors import SamplingError
 from repro.network.graph import OverlayGraph
 from repro.network.messaging import MessageLedger
 from repro.network.topology import mesh_topology
-from repro.obs.tracer import RecordingTracer
+from repro.obs.tracer import SinkTracer
 from repro.sampling.operator import SamplerConfig, SamplingOperator
 from repro.sampling.pool import SamplePool
 
@@ -178,7 +178,7 @@ class TestPrefetch:
 
     def test_records_attributed_batch_span(self):
         graph, database = _world()
-        tracer = RecordingTracer()
+        tracer = SinkTracer(record=True)
         pool = _pool(graph, tracer=tracer)
         pool.begin_epoch(0)
         pool.prefetch(database, 8, origin=0, consumers=("q1", "q0"))
@@ -198,7 +198,7 @@ class TestPrefetch:
 class TestTracing:
     def test_pool_serve_spans_carry_hit_miss_split(self):
         graph, database = _world()
-        tracer = RecordingTracer()
+        tracer = SinkTracer(record=True)
         pool = _pool(graph, tracer=tracer)
         pool.begin_epoch(0)
         pool.acquire(database, 10, origin=0, consumer="q0")
@@ -266,7 +266,7 @@ class TestInvalidateScope:
         from repro.obs.schema import EVENT_POOL_INVALIDATE
 
         graph, database = _world()
-        tracer = RecordingTracer()
+        tracer = SinkTracer(record=True)
         pool = _pool(graph, tracer=tracer)
         pool.begin_epoch(3)
         pool.prefetch(database, 5, origin=0)

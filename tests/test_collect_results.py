@@ -54,11 +54,11 @@ def test_missing_results_dir_errors(collector, tmp_path, monkeypatch):
 
 def test_folds_trace_attribution_into_results(collector):
     from repro.obs.export import export_trace
-    from repro.obs.tracer import RecordingTracer
+    from repro.obs.tracer import SinkTracer
 
     module, results = collector
     (results / "fig4a.txt").write_text("FIG4A TABLE\n")
-    tracer = RecordingTracer(meta={"experiment": "unit"})
+    tracer = SinkTracer(record=True, meta={"experiment": "unit"})
     walk = tracer.span("walk", time=0)
     tracer.event("message", time=0, span=walk, category="walk")
     tracer.end(walk, time=3, outcome="completed", attempts=1)
