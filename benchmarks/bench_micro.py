@@ -26,6 +26,8 @@ from repro.network.partitions import (
     PartitionSchedule,
 )
 from repro.network.topology import power_law_topology
+from repro.obs.schema import SPAN_SAMPLE_ACQUISITION
+from repro.obs.tracer import SinkTracer
 from repro.sampling.operator import SamplerConfig, SamplingOperator
 from repro.sampling.walker import WalkContext, batch_walk
 from repro.sampling.weights import content_size_weights, uniform_weights
@@ -195,14 +197,18 @@ def test_sample_tuples_under_loss(benchmark):
     for node in graph.nodes():
         database.insert(node, {"v": float(rng.normal(50, 8))})
     faults = FaultPlan(FaultConfig(message_loss=0.002), rng=2)
-    operator = SamplingOperator(graph, np.random.default_rng(1), faults=faults)
+    tracer = SinkTracer(record=True)
+    operator = SamplingOperator(
+        graph, np.random.default_rng(1), faults=faults, tracer=tracer
+    )
 
     def run():
         return operator.sample_tuples(database, 60, origin=0)
 
     samples = benchmark(run)
     assert samples.size == 60
-    assert faults.log.count("walk_lost") > 0
+    spans = tracer.trace().spans_named(SPAN_SAMPLE_ACQUISITION)
+    assert sum(span.attrs["n_lost"] for span in spans) > 0
 
 
 def test_store_insert_delete(benchmark):

@@ -524,19 +524,20 @@ def _summarize_trace(args: argparse.Namespace) -> int:
     for span in degraded:
         emit(f"  t={span.start}  {span.attrs.get('trigger', '?')}")
 
+    replayed = analysis.run_metrics_from_trace(trace)
+    emit(f"\nfaults: {replayed.faults_injected}")
     faults = analysis.fault_timeline(trace)
-    emit(f"\nfaults: {len(faults)}")
-    kinds: dict[str, int] = {}
+    # the rest are lost messages the operator counts on its spans (n_lost)
+    kinds = {"lost messages (n_lost)": replayed.faults_injected - len(faults)}
     for event in faults:
         kind = str(event.attrs.get("kind", "?"))
         kinds[kind] = kinds.get(kind, 0) + 1
     for kind, count in sorted(kinds.items()):
-        emit(f"  {kind:24s} {count:8d}")
+        if count:
+            emit(f"  {kind:24s} {count:8d}")
 
     emit("\nreplayed counters:")
-    for name, value in analysis.counter_dict(
-        analysis.run_metrics_from_trace(trace)
-    ).items():
+    for name, value in analysis.counter_dict(replayed).items():
         emit(f"  {name:20s} {value:8d}")
     return 0
 

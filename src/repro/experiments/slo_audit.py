@@ -16,9 +16,9 @@ gates that machinery end to end:
   alert and the guarantee burn-rate alert — a silent alerting layer is
   worse still;
 * every cell must replay exactly: counters
-  (:func:`~repro.obs.analysis.verify_trace_consistency`) *and* alert
-  transitions (:func:`~repro.obs.alerts.verify_alert_replay`) re-derived
-  from the exported trace must equal what happened live.
+  (:func:`~repro.obs.analysis.verify_trace_consistency`), ledger messages
+  *and* alert transitions (:func:`~repro.obs.alerts.verify_alert_replay`)
+  re-derived from the exported trace must equal what happened live.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from repro.obs.alerts import (
     load_rules,
     verify_alert_replay,
 )
-from repro.obs.analysis import verify_trace_consistency
+from repro.obs.analysis import message_attribution, verify_trace_consistency
 from repro.obs.console import emit
 from repro.obs.export import export_trace
 from repro.obs.live import WindowConfig
@@ -79,6 +79,8 @@ def default_rules() -> list[AlertRule]:
     its bounded top-up rounds leave residual variance: a clean run sits
     well under half its windows degraded and within ~2x budget burn,
     while a lossy run pins both signals high for the whole horizon.
+    ``walk-failure-surge`` reads ``walk_failure_fraction``, which only
+    protocol ``walk`` spans feed: it can fire only on protocol traces.
     """
     return [
         AlertRule(
@@ -271,6 +273,8 @@ def _run_cell(
         {t.rule for t in engine.transitions if t.state == FIRING}
     )
     verdicts = session.auditor.verdicts()
+    traced = message_attribution(trace)
+    booked = {**session.ledger.breakdown(), "total": session.ledger.total}
     return SloCell(
         message_loss=message_loss,
         snapshots=session.metrics.snapshot_queries,
@@ -284,9 +288,12 @@ def _run_cell(
         verdicts_ok=sum(1 for v in verdicts.values() if v.ok),
         verdicts_total=len(verdicts),
         ops_counts=engine.fault_log.counts(),
-        consistency_mismatches=verify_trace_consistency(
-            trace, session.metrics
-        ),
+        consistency_mismatches=verify_trace_consistency(trace, session.metrics)
+        + [
+            f"messages {name}: trace={traced[name]} ledger={booked[name]}"
+            for name in ("walk_steps", "sample_returns", "retries", "control", "total")
+            if traced[name] != booked[name]
+        ],
         replay_mismatches=verify_alert_replay(trace, rules, window_config),
         trace=trace,
     )

@@ -8,9 +8,9 @@ bookkeeping exactly:
   :class:`~repro.obs.tracer.RunMetricsSink` the engine uses live, so
   :func:`verify_trace_consistency` can demand exact counter equality;
 * :func:`message_attribution` rebuilds the per-category message cost
-  (first-attempt vs. retry vs. probe vs. advertisement) from walk-span
-  events, whose bucketing mirrors the
-  :class:`~repro.network.messaging.MessageLedger` categories;
+  (first-attempt vs. retry vs. probe vs. advertisement) in the
+  :class:`~repro.network.messaging.MessageLedger` categories, reading
+  each span through :func:`~repro.obs.tracer.span_messages`;
 * :func:`walk_latency_histogram`, :func:`fault_timeline`,
   :func:`degraded_timeline` and :func:`trigger_breakdown` reconstruct the
   diagnostic views the ``repro-digest trace summarize`` CLI prints;
@@ -40,14 +40,19 @@ from repro.obs.schema import (
     EVENT_ALERT_FIRING,
     EVENT_ALERT_RESOLVED,
     EVENT_FAULT,
-    EVENT_MESSAGE,
-    EVENT_PROBE,
     SPAN_POOL_SERVE,
     SPAN_SHARED_WALK_BATCH,
     SPAN_SNAPSHOT_QUERY,
     SPAN_WALK,
 )
-from repro.obs.tracer import RunMetricsSink, Span, Trace, TraceEvent, _as_int
+from repro.obs.tracer import (
+    RunMetricsSink,
+    Span,
+    Trace,
+    TraceEvent,
+    _as_int,
+    span_messages,
+)
 from repro.sim.metrics import RunMetrics
 
 #: The scalar counters RunMetricsSink derives; the consistency check
@@ -105,47 +110,25 @@ def verify_trace_consistency(trace: Trace, live: RunMetrics) -> list[str]:
 
 
 def message_attribution(trace: Trace) -> dict[str, int]:
-    """Per-category message counts rebuilt from span events.
+    """Per-category message counts: every span's :func:`span_messages`.
 
-    Buckets mirror the :class:`~repro.network.messaging.MessageLedger`
-    categories: ``walk_steps`` / ``sample_returns`` are first-attempt
-    traffic, ``retries`` is all traffic of attempts >= 2, ``probes``
-    (request + reply per cache miss) and ``advertisements`` sum to
-    ``control``.
+    The :class:`~repro.network.messaging.MessageLedger` categories:
+    ``walk_steps`` / ``sample_returns`` are first-attempt traffic,
+    ``retries`` is all traffic of attempts >= 2, a span's ``control`` is
+    its ``probes`` (request + reply per cache miss), and ``probes`` plus
+    the loose ``advertisements`` sum to ``control``.
     """
-    attribution = {
-        "walk_steps": 0,
-        "sample_returns": 0,
-        "retries": 0,
-        "probes": 0,
-        "advertisements": 0,
-    }
-    for span in trace.spans_named(SPAN_WALK):
-        for event in span.events:
-            if event.name == EVENT_MESSAGE:
-                category = event.attrs.get("category")
-                if category == "walk":
-                    attribution["walk_steps"] += 1
-                elif category == "return":
-                    attribution["sample_returns"] += 1
-                elif category == "retry":
-                    attribution["retries"] += 1
-            elif event.name == EVENT_PROBE:
-                attribution["probes"] += _as_int(
-                    event.attrs.get("messages"), default=2
-                )
+    traffic = ("walk_steps", "sample_returns", "retries")
+    attribution = dict.fromkeys((*traffic, "probes", "advertisements"), 0)
+    for span in trace.spans:
+        for category, count in span_messages(span).items():
+            key = "probes" if category == "control" else category
+            attribution[key] = attribution.get(key, 0) + count
     for event in trace.events:
         if event.name == EVENT_ADVERTISEMENT:
             attribution["advertisements"] += 1
-    attribution["control"] = (
-        attribution["probes"] + attribution["advertisements"]
-    )
-    attribution["total"] = (
-        attribution["walk_steps"]
-        + attribution["sample_returns"]
-        + attribution["retries"]
-        + attribution["control"]
-    )
+    attribution["control"] = attribution["probes"] + attribution["advertisements"]
+    attribution["total"] = sum(attribution[key] for key in (*traffic, "control"))
     return attribution
 
 

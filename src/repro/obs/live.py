@@ -8,8 +8,8 @@ span stream into it *as the run executes* (no JSONL round-trip), and it
 maintains tumbling windows over simulated time:
 
 * walk latency (count / sum / max) and walk failures;
-* per-category message rates (mirroring
-  :func:`repro.obs.analysis.message_attribution` bucketing);
+* per-category message rates (:func:`~repro.obs.tracer.span_messages`)
+  and fault counts (``fault`` events, ``sample_acquisition``'s ``n_lost``);
 * pool hit ratio, snapshot-query and degraded-estimate counts;
 * circuit-breaker churn plus the open-breaker fraction (globally and per
   origin) sampled at each window boundary;
@@ -54,14 +54,13 @@ from repro.obs.schema import (
     EVENT_BREAKER_CLOSE,
     EVENT_BREAKER_TRIP,
     EVENT_FAULT,
-    EVENT_MESSAGE,
-    EVENT_PROBE,
     SPAN_HOP_SEGMENT,
     SPAN_POOL_SERVE,
+    SPAN_SAMPLE_ACQUISITION,
     SPAN_SNAPSHOT_QUERY,
     SPAN_WALK,
 )
-from repro.obs.tracer import Span, Trace, TraceEvent, TraceSink, _as_int
+from repro.obs.tracer import Span, Trace, TraceEvent, TraceSink, _as_int, span_messages
 
 #: meta key a run writes so a replay closes its final (partial) window at
 #: the same simulated time the live pipeline did
@@ -345,33 +344,17 @@ class LivePipeline:
             return
         self.records_seen += 1
         window = self._window_for(span.end)
-        if span.name == SPAN_WALK:
+        messages = window.messages
+        for category, count in span_messages(span).items():
+            messages[category] = messages.get(category, 0) + count
+        if span.name == SPAN_SAMPLE_ACQUISITION:
+            window.faults += _as_int(span.attrs.get("n_lost"))
+        elif span.name == SPAN_WALK:
             window.walks += 1
             window.walk_latency_sum += span.duration
             window.walk_latency_max = max(window.walk_latency_max, span.duration)
             if span.attrs.get("outcome") == "failed":
                 window.walks_failed += 1
-            if span.events:
-                for event in span.events:
-                    if event.name == EVENT_MESSAGE:
-                        category = str(event.attrs.get("category", "?"))
-                        window.messages[category] = (
-                            window.messages.get(category, 0) + 1
-                        )
-                    elif event.name == EVENT_PROBE:
-                        window.messages["probe"] = window.messages.get(
-                            "probe", 0
-                        ) + _as_int(event.attrs.get("messages"), default=2)
-            else:
-                # non-recording fast path: the producer skipped event
-                # construction and attached aggregate counts instead
-                counts = span.attrs.get("messages_by_category")
-                if isinstance(counts, dict):
-                    for category, count in counts.items():
-                        window.messages[str(category)] = (
-                            window.messages.get(str(category), 0)
-                            + _as_int(count)
-                        )
         elif span.name == SPAN_HOP_SEGMENT:
             window.hops += 1
             latency = span.duration
@@ -399,9 +382,7 @@ class LivePipeline:
         if event.name == EVENT_FAULT:
             window.faults += 1
         elif event.name == EVENT_ADVERTISEMENT:
-            window.messages["advertisement"] = (
-                window.messages.get("advertisement", 0) + 1
-            )
+            window.messages["control"] = window.messages.get("control", 0) + 1
         elif event.name == EVENT_BREAKER_TRIP:
             link = (event.attrs.get("origin"), event.attrs.get("neighbor"))
             self._known_links.add(link)

@@ -241,6 +241,8 @@ SPAN_SCHEMAS: dict[str, SpanSchema] = {
                 "reset_length",
                 "n_delivered",
                 "attempts",
+                "messages_by_category",  # the call's ledger delta
+                "n_lost",
             ),
             description="one operator node-sample acquisition",
         ),

@@ -39,7 +39,10 @@ from repro.obs.schema import (
     EVENT_ALERT_FIRING,
     EVENT_ALERT_RESOLVED,
     EVENT_FAULT,
+    EVENT_MESSAGE,
+    EVENT_PROBE,
     SPAN_POOL_SERVE,
+    SPAN_SAMPLE_ACQUISITION,
     SPAN_SNAPSHOT_QUERY,
     SPAN_WALK,
 )
@@ -186,15 +189,6 @@ class Tracer:
         """Wire a simulated-time source (dropped — nothing to stamp)."""
         return None
 
-    def now(self) -> int:
-        """Current simulated time from the wired clock (``-1`` without one).
-
-        Lets code without a time parameter of its own (deep sampling
-        internals) stamp side records — fault-log entries — with the same
-        time the tracer would stamp an untimed span.
-        """
-        return NO_TIME
-
 
 #: Shared default tracer instance; instrumented constructors fall back to
 #: it so disabling tracing allocates nothing.
@@ -267,9 +261,6 @@ class SinkTracer(Tracer):
             self._clock = lambda: clock.now
         else:
             self._clock = clock
-
-    def now(self) -> int:
-        return self._clock() if self._clock is not None else NO_TIME
 
     def _now(self, time: int | None) -> int:
         if time is not None:
@@ -394,6 +385,33 @@ def _as_int(value: object, default: int = 0) -> int:
     return default
 
 
+#: the ledger category of each protocol ``message`` event's ``category``
+LEDGER_CATEGORY = {"walk": "walk_steps", "return": "sample_returns", "retry": "retries"}
+
+
+def span_messages(span: Span) -> dict[str, int]:
+    """The messages ``span`` accounts for, keyed by ledger category.
+
+    Its ``messages_by_category`` when set (every ``sample_acquisition``
+    span; a protocol ``walk`` span on a non-recording tracer), else its
+    recorded ``message`` events bucketed through :data:`LEDGER_CATEGORY`
+    and its ``probe`` round-trips as ``control`` (recorded protocol traces).
+    """
+    attached = span.attrs.get("messages_by_category")
+    if isinstance(attached, dict):
+        return attached
+    counts: dict[str, int] = {}
+    for event in span.events:
+        if event.name == EVENT_MESSAGE:
+            key = LEDGER_CATEGORY.get(str(event.attrs.get("category")))
+            if key is not None:
+                counts[key] = counts.get(key, 0) + 1
+        elif event.name == EVENT_PROBE:
+            probe = _as_int(event.attrs.get("messages"), default=2)
+            counts["control"] = counts.get("control", 0) + probe
+    return counts
+
+
 class RunMetricsSink:
     """Derives :class:`~repro.sim.metrics.RunMetrics` counters from spans.
 
@@ -410,6 +428,7 @@ class RunMetricsSink:
       ``walks_failed`` +1 when ``outcome == "failed"``.
     * ``pool_serve`` span → ``pool_hits`` += ``n_hit``;
       ``pool_misses`` += ``n_miss`` (shared-sample-pool reuse accounting).
+    * ``sample_acquisition`` span → ``faults_injected`` += ``n_lost``.
     * span-less ``fault`` event → ``faults_injected`` +1.
     * span-less ``alert_firing`` / ``alert_resolved`` event →
       ``alerts_fired`` / ``alerts_resolved`` +1 (live alert engine
@@ -436,6 +455,8 @@ class RunMetricsSink:
         elif span.name == SPAN_POOL_SERVE:
             metrics.pool_hits += _as_int(span.attrs.get("n_hit"))
             metrics.pool_misses += _as_int(span.attrs.get("n_miss"))
+        elif span.name == SPAN_SAMPLE_ACQUISITION:
+            metrics.faults_injected += _as_int(span.attrs.get("n_lost"))
 
     def on_event(self, event: TraceEvent) -> None:
         if event.name == EVENT_FAULT:

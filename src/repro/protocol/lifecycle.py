@@ -35,7 +35,7 @@ recording (it retains span events for export), they append
 full :class:`~repro.obs.tracer.TraceEvent` records exactly as before.
 When tracing is enabled but the tracer does not record (live metrics,
 windowed analytics and the auditor read only span attributes), they skip
-event construction entirely and keep a per-category message count that
+event construction entirely and keep a count per ledger category that
 is attached to the walk span as ``messages_by_category`` at walk end —
 the quantity :class:`~repro.obs.live.LivePipeline` actually needs, at a
 fraction of the cost (see ``benchmarks/bench_obs_overhead.py``).
@@ -68,7 +68,7 @@ from repro.obs.schema import (
     SPAN_HOP_SEGMENT,
     SPAN_WALK,
 )
-from repro.obs.tracer import NULL_SPAN, Span, TraceEvent, Tracer
+from repro.obs.tracer import LEDGER_CATEGORY, NULL_SPAN, Span, TraceEvent, Tracer
 from repro.protocol.messages import TraceContext, mint_context
 from repro.protocol.transport import Transport
 from repro.sim.clock import SimulationClock
@@ -211,7 +211,7 @@ class WalkRecord:
     span: Span = field(default_factory=lambda: NULL_SPAN, repr=False)
     #: per-category message counts, kept only on the non-recording trace
     #: fast path (attached as the span's ``messages_by_category`` at end)
-    msg_counts: dict[str, int] | None = field(default=None, repr=False)
+    msg_counts: dict[str, int] = field(default_factory=dict, repr=False)
 
     @property
     def done(self) -> bool:
@@ -472,7 +472,8 @@ class WalkLifecycle:
         ``return``, or ``retry`` for any retry-attempt traffic) and books
         the ledger with the same value, so trace attribution and the
         ledger cannot disagree. On the non-recording path only the
-        per-category count survives.
+        per-category count survives, keyed by the ledger's own name
+        (:data:`~repro.obs.tracer.LEDGER_CATEGORY`).
         """
         if not self._traced:
             return
@@ -489,10 +490,8 @@ class WalkLifecycle:
                 )
             )
         else:
-            counts = record.msg_counts
-            if counts is None:
-                counts = record.msg_counts = {}
-            counts[category] = counts.get(category, 0) + 1
+            key = LEDGER_CATEGORY[category]
+            record.msg_counts[key] = record.msg_counts.get(key, 0) + 1
 
     def note_probe(self, walker_id: int, node: int, target: int) -> None:
         """One cached-weight probe round-trip (2 control messages)."""
@@ -510,10 +509,7 @@ class WalkLifecycle:
                 messages=2,
             )
         else:
-            counts = record.msg_counts
-            if counts is None:
-                counts = record.msg_counts = {}
-            counts["probe"] = counts.get("probe", 0) + 2
+            record.msg_counts["control"] = record.msg_counts.get("control", 0) + 2
 
     def begin_hop_segment(
         self,

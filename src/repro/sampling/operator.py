@@ -16,9 +16,9 @@ The guaranteed length is Theorem 3's bound
 ``tau(gamma) <= theta^-1 log(1/(p_min gamma))`` with ``theta`` the
 eigengap of the forwarding matrix. Computing ``theta`` exactly on every
 occasion would dominate the simulation, so the operator caches it and
-recomputes only when the overlay has drifted materially (node count
-changed by ``recompute_drift`` or the weight fingerprint changed while
-uncached); callers can also pin ``walk_length`` explicitly.
+recomputes only when the node count has drifted by more than
+``recompute_drift`` or the origin changed; callers can also pin
+``walk_length`` explicitly.
 
 Batch mode and continued walks (Section VI-A)
 ---------------------------------------------
@@ -216,8 +216,8 @@ class SamplingOperator:
     rng:
         Randomness source (all draws flow through it).
     ledger:
-        Optional message ledger; walk proposals and sample-return hops are
-        recorded on it.
+        The message ledger walk proposals and sample-return hops are
+        booked on (a fresh one when omitted).
     config:
         See :class:`SamplerConfig`.
     faults:
@@ -227,9 +227,9 @@ class SamplingOperator:
         probability ``1 - (1 - loss)**b`` and retried before the walk,
         and a return over ``h`` hops is lost with ``1 - (1 - loss)**h``
         and resent from the walk's end, up to :data:`MAX_ATTEMPTS`
-        messages per agent. Losses are recorded on the plan's log;
-        callers see the shortfall via partial results, never an
-        exception.
+        messages per agent. Each call's span ends with its lost messages
+        (``n_lost``) and its ledger delta (``messages_by_category``);
+        callers see the shortfall via partial results, never an exception.
     """
 
     def __init__(
@@ -244,7 +244,7 @@ class SamplingOperator:
     ) -> None:
         self._graph = graph
         self._rng = rng
-        self._ledger = ledger
+        self._ledger = ledger if ledger is not None else MessageLedger()
         self._config = config if config is not None else SamplerConfig()
         self._faults = faults
         #: correlated-failure plan; while a partition is open, walks are
@@ -476,12 +476,16 @@ class SamplingOperator:
                 reset_length=0,
                 n_delivered=n,
                 attempts=0,
+                messages_by_category={},
+                n_lost=0,
             )
             self.samples_drawn += n
             return [origin] * n
         context = self._context(weight, scope)
         mix_length, reset_length = self._walk_lengths(context, origin)
         config = self._config
+        ledger = self._ledger
+        steps_before, returns_before = ledger.walk_steps, ledger.sample_returns
 
         continued = _NO_NODES
         if config.continued_walks and self._pool_nodes.size:
@@ -504,9 +508,9 @@ class SamplingOperator:
         faults = self._faults
         if faults is not None:
             arrived, sent = self._send_outbound(
-                faults, budgets, context.node_ids[starts], continued.size, reset_length
+                faults, budgets, continued.size, reset_length
             )
-        end_rows, _ = batch_walk(context, starts, budgets, self._rng, self._ledger, 0.0)
+        end_rows, _ = batch_walk(context, starts, budgets, self._rng, ledger, 0.0)
         self.walks_started += n_fresh
         final_positions = context.node_ids[end_rows]
 
@@ -514,34 +518,33 @@ class SamplingOperator:
             # pool positions survive even if a message is lost: the agent
             # itself still sits at its final node
             self._pool_nodes = final_positions
-        delivered: list[int] = final_positions.tolist()
-        attempts = 1
-        if self._ledger is not None or faults is not None:
-            if scope is None:
-                # the origin's BFS over this version's CSR rows, which
-                # are the context's rows; an agent in another component
-                # (-1) walks no hops home
-                hops = np.maximum(self._graph.hop_counts(origin)[end_rows], 0)
-            else:
-                # under a partition the return route is confined to the
-                # reachable region, so return-hop accounting uses its BFS
-                hops = self._return_hops(scope)[end_rows]
-            if faults is not None:
-                # the end stays put: only an agent whose outbound leg
-                # arrived sends its sample home, and a lost return is
-                # resent from the end over the same hops
-                home = np.zeros(n, dtype=bool)
-                pending = np.flatnonzero(arrived)
-                while pending.size:
-                    if self._ledger is not None:
-                        self._ledger.record_sample_return(int(hops[pending].sum()))
-                    pending = self._send(
-                        faults, pending, hops[pending], final_positions, sent, home
-                    )
-                delivered = final_positions[home].tolist()
-                attempts = int(sent.max())
-            elif self._ledger is not None:
-                self._ledger.record_sample_return(int(hops.sum()))
+        if scope is None:
+            # the origin's BFS over this version's CSR rows, which are the
+            # context's rows; an agent in another component (-1) walks no
+            # hops home
+            hops = np.maximum(self._graph.hop_counts(origin)[end_rows], 0)
+        else:
+            # under a partition the return route is confined to the
+            # reachable region, so return-hop accounting uses its BFS
+            hops = self._return_hops(scope)[end_rows]
+        if faults is None:
+            ledger.record_sample_return(int(hops.sum()))
+            delivered: list[int] = final_positions.tolist()
+            attempts, n_lost = 1, 0
+        else:
+            # the end stays put: only an agent whose outbound leg arrived
+            # sends its sample home, and a lost return is resent from the
+            # end over the same hops
+            home = np.zeros(n, dtype=bool)
+            pending = np.flatnonzero(arrived)
+            while pending.size:
+                ledger.record_sample_return(int(hops[pending].sum()))
+                pending = self._send(faults, pending, hops[pending], sent, home)
+            delivered = final_positions[home].tolist()
+            attempts = int(sent.max())
+            # ``sent`` counts all sends but the first return, which only an
+            # arrived leg makes: every send but a delivered return was lost
+            n_lost = int(sent.sum()) - len(delivered)
         self.samples_drawn += len(delivered)
         # retained-vs-fresh tagging: continued agents only paid the reset
         # length; fresh agents paid the full mixing length from the origin
@@ -553,6 +556,11 @@ class SamplingOperator:
             reset_length=reset_length,
             n_delivered=len(delivered),
             attempts=attempts,
+            messages_by_category={
+                "walk_steps": ledger.walk_steps - steps_before,
+                "sample_returns": ledger.sample_returns - returns_before,
+            },
+            n_lost=n_lost,
         )
         return delivered
 
@@ -563,12 +571,11 @@ class SamplingOperator:
             return self._rng.binomial(lengths, 1.0 - laziness)
         return lengths
 
+    @staticmethod
     def _send(
-        self,
         faults: FaultPlan,
         pending: np.ndarray,
         exposures: np.ndarray,
-        nodes: np.ndarray,
         sent: np.ndarray,
         arrived: np.ndarray,
     ) -> np.ndarray:
@@ -576,17 +583,13 @@ class SamplingOperator:
 
         This is the one loss rule: a send over ``exposures`` hops arrives
         with ``(1 - loss) ** exposures``. Arrivals are marked in
-        ``arrived``, and each loss is recorded as one ``walk_lost`` event
-        at the agent's entry in ``nodes``. Returns the agents whose send
-        was lost and who have made fewer than :data:`MAX_ATTEMPTS` sends,
-        their ``sent`` counts already raised for the next one.
+        ``arrived``. Returns the agents whose send was lost and who have
+        made fewer than :data:`MAX_ATTEMPTS` sends, their ``sent`` counts
+        already raised for the next one.
         """
         lost = faults.walks_lost(exposures)
         arrived[pending[~lost]] = True
         pending = pending[lost]
-        now = self._tracer.now()
-        for node in nodes[pending].tolist():
-            faults.record(now, "walk_lost", node=node)
         pending = pending[sent[pending] < MAX_ATTEMPTS]
         sent[pending] += 1
         return pending
@@ -595,7 +598,6 @@ class SamplingOperator:
         self,
         faults: FaultPlan,
         budgets: np.ndarray,
-        start_nodes: np.ndarray,
         n_continued: int,
         reset_length: int,
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -612,14 +614,13 @@ class SamplingOperator:
         arrived = np.zeros(budgets.size, dtype=bool)
         legs = np.ones(budgets.size, dtype=np.int64)
         pending = np.arange(budgets.size)
-        pending = self._send(faults, pending, budgets, start_nodes, legs, arrived)
+        pending = self._send(faults, pending, budgets, legs, arrived)
         while pending.size:
             leg = self._budgets(np.full(pending.size, reset_length, dtype=np.int64))
             restart = pending < n_continued
-            if self._ledger is not None:
-                self._ledger.record_walk_steps(int(budgets[pending[restart]].sum()))
+            self._ledger.record_walk_steps(int(budgets[pending[restart]].sum()))
             budgets[pending] = np.where(restart, leg, budgets[pending] + leg)
-            pending = self._send(faults, pending, leg, start_nodes, legs, arrived)
+            pending = self._send(faults, pending, leg, legs, arrived)
         return arrived, legs
 
     # ------------------------------------------------------------------
@@ -665,7 +666,7 @@ class SamplingOperator:
                 )
             if self._faults is not None:
                 self._faults.record(
-                    self._tracer.now(),
+                    span.start,
                     "sample_shortfall",
                     detail=f"{len(drawn)} of {n}",
                 )

@@ -20,6 +20,8 @@ from repro.errors import QueryError
 from repro.network.faults import FaultConfig, FaultPlan
 from repro.network.graph import OverlayGraph
 from repro.network.topology import mesh_topology
+from repro.obs.schema import SPAN_SAMPLE_ACQUISITION
+from repro.obs.tracer import SinkTracer
 from repro.sampling.operator import SamplerConfig, SamplingOperator
 
 
@@ -33,7 +35,7 @@ def _world(n_nodes=36, per_node=5, seed=0):
     return graph, database
 
 
-def _lossy_operator(graph, loss=0.05, seed=1):
+def _lossy_operator(graph, loss=0.05, seed=1, tracer=None):
     # losses act at walk granularity through the plan's survival draw
     plan = FaultPlan(FaultConfig(message_loss=loss), rng=seed + 50)
     operator = SamplingOperator(
@@ -41,6 +43,7 @@ def _lossy_operator(graph, loss=0.05, seed=1):
         np.random.default_rng(seed),
         config=SamplerConfig(walk_length=20),
         faults=plan,
+        tracer=tracer,
     )
     return operator, plan
 
@@ -71,10 +74,12 @@ class TestOperatorPartialMode:
     def test_lossy_operator_returns_partial_sample(self):
         # at this loss some agents still lose every message they may send
         graph, database = _world()
-        operator, plan = _lossy_operator(graph, loss=0.3)
+        tracer = SinkTracer(record=True)
+        operator, plan = _lossy_operator(graph, loss=0.3, tracer=tracer)
         samples = operator.sample_tuples(database, 60, 0, allow_partial=True)
         assert 0 < len(samples) < 60
-        assert plan.log.count("walk_lost") > 0
+        (span,) = tracer.trace().spans_named(SPAN_SAMPLE_ACQUISITION)
+        assert span.attrs["n_lost"] > 0
         assert plan.log.count("sample_shortfall") == 1
 
     def test_default_mode_still_raises(self):

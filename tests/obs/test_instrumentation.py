@@ -9,17 +9,24 @@ live RunMetrics counters exactly — the CI consistency gate.
 import time as wallclock
 
 import numpy as np
+import pytest
 
-from repro.core.query import Precision
+from repro.core.query import ContinuousQuery, Precision, Query
+from repro.core.session import DigestSession, EngineConfig
+from repro.db.aggregates import AggregateOp
+from repro.db.expression import Expression
+from repro.db.relation import P2PDatabase, Schema
 from repro.experiments import fault_tolerance
 from repro.experiments.harness import (
     build_instance,
     make_engine,
     run_continuous_query,
 )
+from repro.network.faults import FaultConfig, FaultPlan
 from repro.network.graph import OverlayGraph
 from repro.network.messaging import MessageLedger
 from repro.network.topology import mesh_topology
+from repro.obs.alerts import AlertReplay
 from repro.obs.analysis import (
     message_attribution,
     run_metrics_from_trace,
@@ -29,6 +36,8 @@ from repro.obs.analysis import (
     walk_outcomes,
 )
 from repro.obs.export import export_trace, import_trace
+from repro.obs.live import LivePipeline, WindowConfig
+from repro.obs.schema import EVENT_FAULT, SPAN_SAMPLE_ACQUISITION
 from repro.obs.tracer import NULL_TRACER, SinkTracer
 from repro.protocol.runtime import ProtocolConfig, ProtocolSampler
 from repro.sampling.weights import uniform_weights
@@ -104,6 +113,103 @@ class TestWalkSpans:
             attribution["control"] + ledger.pushes
             == ledger.control + ledger.pushes
         )
+
+    @pytest.mark.parametrize("record", [False, True])
+    def test_live_windows_count_in_ledger_categories(self, record):
+        """Both protocol trace paths feed the windows the ledger's names.
+
+        A recording tracer buckets each walk span's message and probe
+        events; a non-recording one reads the counts the lifecycle
+        attached. Advertisements are loose ``control`` messages.
+        """
+        ledger = MessageLedger()
+        pipeline = LivePipeline(WindowConfig(width=1_000_000))
+        tracer = SinkTracer(sinks=[pipeline], record=record)
+        _run_sampler(tracer=tracer, ledger=ledger, variant="cached")
+        pipeline.finish(1_000_000)
+        counted: dict[str, int] = {}
+        for window in pipeline.windows:
+            for category, count in window.messages.items():
+                counted[category] = counted.get(category, 0) + count
+        booked = {
+            category: count
+            for category, count in ledger.breakdown().items()
+            if count and ":" not in category
+        }
+        assert booked["control"] > 0
+        assert counted == booked
+
+
+def _recorded_session(loss, steps=20):
+    """A one-query session on a recording tracer with a live pipeline."""
+    rng = np.random.default_rng(3)
+    graph = OverlayGraph(mesh_topology(24), n_nodes=24)
+    database = P2PDatabase(Schema(("v",)), graph.nodes())
+    for node in graph.nodes():
+        for _ in range(4):
+            database.insert(node, {"v": float(rng.normal(50.0, 10.0))})
+    faults = FaultPlan(FaultConfig(message_loss=loss), rng=7) if loss else None
+    tracer = SinkTracer(record=True)
+    session = DigestSession(
+        graph,
+        database,
+        origin=0,
+        rng=np.random.default_rng(4),
+        faults=faults,
+        tracer=tracer,
+    )
+    pipeline, _ = session.attach_live((), WindowConfig(width=5))
+    session.add_query(
+        ContinuousQuery(
+            Query(AggregateOp.AVG, Expression("v")),
+            Precision(delta=0.8, epsilon=0.8, confidence=0.85),
+            duration=steps,
+        ),
+        config=EngineConfig(scheduler="all", evaluator="independent"),
+    )
+    for time in range(steps):
+        session.step(time)
+    session.finish_live(steps)
+    return session, pipeline, tracer.trace()
+
+
+class TestSessionSpans:
+    """A session's trace counts the messages and losses its ledger booked.
+
+    The batch sampler records no per-message events: each
+    ``sample_acquisition`` span carries its call's ledger delta and its
+    lost messages, and every trace reader counts from those.
+    """
+
+    @pytest.mark.parametrize("loss", [0.0, 0.2])
+    def test_session_spans_match_the_ledger(self, loss):
+        session, pipeline, trace = _recorded_session(loss)
+        ledger = session.ledger
+        attribution = message_attribution(trace)
+        assert ledger.total > 0
+        for category in ("walk_steps", "sample_returns", "retries", "control"):
+            assert attribution[category] == ledger.breakdown()[category]
+        assert attribution["total"] == ledger.total
+        # the live windows count the same messages, and a replay of the
+        # recorded trace rebuilds the same windows
+        live = list(pipeline.windows)
+        assert sum(window.message_total for window in live) == ledger.total
+        replay = AlertReplay(trace, [], pipeline.config)
+        replay.run()
+        assert list(replay.pipeline.windows) == live
+
+    def test_losses_are_span_counts_not_events(self):
+        session, pipeline, trace = _recorded_session(0.2)
+        faults = [event for event in trace.events if event.name == EVENT_FAULT]
+        assert {event.attrs["kind"] for event in faults} == {"sample_shortfall"}
+        lost = sum(
+            span.attrs["n_lost"]
+            for span in trace.spans_named(SPAN_SAMPLE_ACQUISITION)
+        )
+        assert lost > len(faults) > 0
+        assert session.metrics.faults_injected == lost + len(faults)
+        assert run_metrics_from_trace(trace).faults_injected == lost + len(faults)
+        assert sum(window.faults for window in pipeline.windows) == lost + len(faults)
 
 
 class TestEngineTrace:

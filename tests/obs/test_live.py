@@ -128,7 +128,7 @@ class TestAccumulation:
         pipeline.finish(5)
         window = pipeline.windows[0]
         assert window.walks_failed == 1
-        assert window.messages == {"walk": 1, "retry": 1, "probe": 2}
+        assert window.messages == {"walk_steps": 1, "retries": 1, "control": 2}
         assert window.signals()["walk_failure_fraction"] == 1.0
 
     def test_pool_and_snapshot_accumulation(self):

@@ -9,6 +9,8 @@ from repro.network.faults import FaultConfig, FaultPlan
 from repro.network.graph import OverlayGraph
 from repro.network.messaging import MessageLedger
 from repro.network.topology import mesh_topology, power_law_topology
+from repro.obs.schema import SPAN_SAMPLE_ACQUISITION
+from repro.obs.tracer import SinkTracer
 from repro.sampling import operator as operator_module
 from repro.sampling.mixing import total_variation
 from repro.sampling.operator import SamplerConfig, SamplingOperator
@@ -28,6 +30,14 @@ def _world(n=36, tuples_low=1, tuples_high=6, seed=0):
         for _ in range(int(rng.integers(tuples_low, tuples_high))):
             database.insert(node, {"v": float(rng.normal(0, 1))})
     return graph, database
+
+
+def _lost_messages(tracer):
+    """The lost messages the recorded ``sample_acquisition`` spans count."""
+    return sum(
+        span.attrs["n_lost"]
+        for span in tracer.trace().spans_named(SPAN_SAMPLE_ACQUISITION)
+    )
 
 
 class TestConfig:
@@ -178,8 +188,9 @@ class TestNodeSampling:
 
         monkeypatch.setattr(faults, "walks_lost", recording)
         monkeypatch.setattr(operator_module, "batch_walk", kernel)
+        tracer = SinkTracer(record=True)
         operator = SamplingOperator(
-            graph, np.random.default_rng(0), ledger, faults=faults
+            graph, np.random.default_rng(0), ledger, faults=faults, tracer=tracer
         )
         hops = graph.hop_counts(0)  # the mesh's node ids are its CSR rows
         lost_legs = resends = 0
@@ -212,8 +223,8 @@ class TestNodeSampling:
             lost_legs += sum(int(lost.sum()) for _, lost in outbound + home)
             resends += len(home) - 1
         assert lost_legs > 0 and resends > 0
-        # one walk_lost event per lost message, none for the survivors
-        assert faults.log.count("walk_lost") == lost_legs
+        # the spans count every lost message, none of the survivors
+        assert _lost_messages(tracer) == lost_legs
 
     def test_eigengap_cached_until_drift(self):
         graph, _ = _world(49)
@@ -654,8 +665,9 @@ class TestLossRetry:
         faults = (
             FaultPlan(FaultConfig(message_loss=loss), rng=1) if loss else None
         )
+        tracer = SinkTracer(record=True)
         operator = SamplingOperator(
-            graph, np.random.default_rng(0), faults=faults
+            graph, np.random.default_rng(0), faults=faults, tracer=tracer
         )
         counts = np.zeros(64)
         for _ in range(200):
@@ -664,7 +676,7 @@ class TestLossRetry:
                 drawn = operator.sample_tuples(database, n, 0, allow_partial=True)
                 np.add.at(counts, [database.locate(t) for t in drawn.tolist()], 1)
         if loss:
-            assert faults.log.count("walk_lost") > counts.sum() / 2
+            assert _lost_messages(tracer) > counts.sum() / 2
         assert total_variation(counts / counts.sum(), np.full(64, 1 / 64)) < 0.05
 
     @staticmethod
@@ -687,10 +699,11 @@ class TestLossRetry:
 
         monkeypatch.setattr(faults, "walks_lost", losses)
         monkeypatch.setattr(operator_module, "batch_walk", kernel)
+        tracer = SinkTracer(record=True)
         operator = SamplingOperator(
-            graph, np.random.default_rng(3), ledger, faults=faults
+            graph, np.random.default_rng(3), ledger, faults=faults, tracer=tracer
         )
-        return operator, database, faults, log
+        return operator, database, tracer, log
 
     @staticmethod
     def _split(log):
@@ -731,14 +744,14 @@ class TestLossRetry:
 
     def test_one_kernel_call_per_request(self, monkeypatch):
         ledger = MessageLedger()
-        operator, database, faults, log = self._traced_operator(
+        operator, database, tracer, log = self._traced_operator(
             monkeypatch, 0.01, ledger
         )
         retried = resent = 0
         for n in (20, 35, 50, 35, 20, 50, 10, 40):
             log.clear()
             steps, returns = ledger.walk_steps, ledger.sample_returns
-            events = faults.log.count("walk_lost")
+            lost_before = _lost_messages(tracer)
             operator.sample_tuples(database, n, 0, allow_partial=True)
             outbound, (_, ends), home = self._split(log)
             # the pool keeps every end of the request
@@ -755,7 +768,7 @@ class TestLossRetry:
                 int(hops.sum()) for hops, _ in home
             )
             lost_messages = sum(int(lost.sum()) for _, lost in outbound + home)
-            assert faults.log.count("walk_lost") - events == lost_messages
+            assert _lost_messages(tracer) - lost_before == lost_messages
         assert retried >= 3 and resent >= 3
 
     def test_attempts_bound_the_legs(self, monkeypatch):
@@ -815,14 +828,15 @@ class TestLossRetry:
             for node in graph.nodes():
                 database.insert(node, {"v": 0.0})
             faults = FaultPlan(FaultConfig(message_loss=0.05), rng=seed)
+            tracer = SinkTracer(record=True)
             operator = SamplingOperator(
-                graph, np.random.default_rng(seed), faults=faults
+                graph, np.random.default_rng(seed), faults=faults, tracer=tracer
             )
             counts = np.zeros(64)
             for _ in range(200):
                 drawn = operator.sample_tuples(database, 120, 0, allow_partial=True)
                 np.add.at(counts, [database.locate(t) for t in drawn.tolist()], 1)
-            assert faults.log.count("walk_lost") > counts.sum() / 4
+            assert _lost_messages(tracer) > counts.sum() / 4
             distances.append(total_variation(counts / counts.sum(), uniform))
         assert np.mean(distances) < 0.035
 
