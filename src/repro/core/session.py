@@ -41,7 +41,11 @@ RNG, so a run is reproducible from its seed. A one-query session draws
 exactly what the pre-session single-query engine drew (pinned by
 ``tests/core/test_engine_compat.py``): prefetching only engages at two or
 more co-due queries, and a cold pool passes single-query requests
-straight through to the operator.
+straight through to the operator. Under a partition plan the session
+keeps no scope state: the plan's epoch keys the pool's freshness and the
+operator's walk length, and while a cut is open each estimate is
+re-scoped to the origin's reachable region. A plan that never opens
+therefore draws exactly what a plan-less session draws.
 """
 
 from __future__ import annotations
@@ -292,13 +296,9 @@ class DigestSession:
         self._sim_now = 0
         if not self.tracer.has_clock:
             self.tracer.set_clock(lambda: self._sim_now)
-        #: correlated-failure plan; with one wired in, every step
-        #: re-derives the origin's reachable scope, invalidates pooled
-        #: samples on scope changes, and re-scopes estimates honestly
+        #: correlated-failure plan; while it is active, estimates are
+        #: re-scoped to the origin's reachable region
         self._partitions = partitions
-        #: the reachable node set the last step sampled under (None until
-        #: the first step with a partition plan)
-        self._scope: frozenset[int] | None = None
         self.pool = SamplePool(
             graph,
             rng,
@@ -494,7 +494,12 @@ class DigestSession:
         """
         self._sim_now = time
         self.pool.begin_epoch(time)
-        fraction = self._refresh_scope(time)
+        partitions = self._partitions
+        fraction = (
+            partitions.reachable_fraction(self._graph, self._origin)
+            if partitions is not None and partitions.active
+            else 1.0
+        )
         due = [
             self._runtimes[qid]
             for qid in sorted(self._runtimes)
@@ -508,32 +513,6 @@ class DigestSession:
                 runtime, time, fraction
             )
         return executed
-
-    def _refresh_scope(self, time: int) -> float:
-        """Re-derive the origin's reachable scope; returns its fraction.
-
-        Only meaningful under a partition plan. On any scope *change*
-        (cut, shrink, grow, or heal) all pooled samples are evicted and
-        the operator's walk-length cache dropped: samples drawn under a
-        different scope are drawn from a different stationary law and
-        would bias every query that reused them. Without a plan this is
-        free and returns 1.0.
-        """
-        if self._partitions is None:
-            return 1.0
-        if self._partitions.active:
-            scope = frozenset(
-                self._partitions.reachable(self._graph, self._origin)
-            )
-        else:
-            scope = frozenset(self._graph.nodes())
-        fraction = len(scope) / len(self._graph) if len(self._graph) else 1.0
-        if self._scope is not None and scope != self._scope:
-            reason = "cut" if fraction < 1.0 else "heal"
-            self.pool.invalidate_scope(time, reason)
-            self.pool.operator.invalidate_walk_length_cache()
-        self._scope = scope
-        return fraction
 
     def _prefetch_for(self, due: list[QueryRuntime]) -> None:
         """Draw the coalesced walk batch covering the due queries' demands.
@@ -649,8 +628,10 @@ class DigestSession:
         against the reachable tuple count and the estimate is flagged
         degraded with ``reachable_fraction`` recorded.
         """
-        scope = self._scope if self._scope is not None else frozenset()
-        reachable_population = self._database.tuples_held(scope)
+        assert self._partitions is not None, "only partitioned steps re-scope"
+        reachable_population = self._database.tuples_held(
+            self._partitions.reachable(self._graph, self._origin)
+        )
         precision = runtime.continuous_query.precision
         return SnapshotEstimate.from_mean(
             runtime.continuous_query.query.op,

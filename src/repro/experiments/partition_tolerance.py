@@ -18,9 +18,9 @@ and reports:
 * **scoped accuracy** — the partitioned estimate should track the truth
   *over the reachable region*, not the unreachable global truth;
 * **recovery** — after the heal, how many snapshot occasions each query
-  needs before estimates return to non-degraded (the pool was invalidated
-  at the scope change, so this measures honest re-convergence, not stale
-  sample reuse).
+  needs before estimates return to non-degraded (the heal moves the
+  plan's epoch, which empties the sample pool, so this measures honest
+  re-convergence, not stale sample reuse).
 
 Everything is seeded: topology/data draw from ``seed``, the walk RNG from
 ``seed + 2`` and the partition plan from ``seed + 3`` (its own stream —

@@ -138,6 +138,10 @@ class PartitionPlan:
     :meth:`reachable` / :meth:`reachable_fraction` when re-scoping
     estimates. All partition randomness (region draws, flaps, heal-time
     bridge repair) flows through the plan's private generator.
+
+    :attr:`epoch` counts the changes of partition state: a reader that
+    caches anything derived from it keys the cache on the epoch instead
+    of being told of each cut or heal.
     """
 
     def __init__(
@@ -180,9 +184,9 @@ class PartitionPlan:
         #: inactive plan must cost one attribute load on that hot path.
         self.active = False
         #: bumped whenever the set of open episodes or flapped links
-        #: changes; together with the graph version it keys
-        #: :meth:`reachable`'s cache
-        self._epoch = 0
+        #: changes; it keys :meth:`reachable`'s cache (with the graph
+        #: version), the sample pool's freshness and the walk length
+        self.epoch = 0
         #: (graph, graph version, epoch, origin) of the last BFS result;
         #: the graph compares by identity (OverlayGraph has no __eq__)
         self._reachable_key: tuple[OverlayGraph, int, int, int] | None = None
@@ -244,7 +248,7 @@ class PartitionPlan:
         """
         if not self.active:
             return graph.hop_distances(origin)
-        key = (graph, graph.version, self._epoch, origin)
+        key = (graph, graph.version, self.epoch, origin)
         if key == self._reachable_key:
             return self._reachable_cache
         distances = {origin: 0}
@@ -314,7 +318,7 @@ class PartitionPlan:
                         time, "link_flap", detail=f"({u}, {v})"
                     )
         if changed:
-            self._epoch += 1
+            self.epoch += 1
         self.active = bool(self._regions) or bool(self._flapped)
 
     def _open_episode(

@@ -140,8 +140,6 @@ EVENT_PARTITION_HEAL = "partition_heal"
 EVENT_BREAKER_TRIP = "breaker_trip"
 #: A half-open breaker admitting one probe walk through (loose).
 EVENT_BREAKER_PROBE = "breaker_probe"
-#: A reachability change evicting pooled samples wholesale (loose).
-EVENT_POOL_INVALIDATE = "pool_invalidate"
 #: A previously open circuit breaker re-closing after a successful probe (loose).
 EVENT_BREAKER_CLOSE = "breaker_close"
 #: An alert rule transitioning into the firing state (loose).
@@ -333,11 +331,6 @@ EVENT_SCHEMAS: dict[str, EventSchema] = {
             EVENT_BREAKER_PROBE,
             required=("origin", "neighbor"),
             description="a half-open breaker admitting one probe walk",
-        ),
-        EventSchema(
-            EVENT_POOL_INVALIDATE,
-            required=("n_evicted", "reason"),
-            description="a reachability change evicting pooled samples",
         ),
         EventSchema(
             EVENT_BREAKER_CLOSE,

@@ -17,7 +17,9 @@ The guaranteed length is Theorem 3's bound
 eigengap of the forwarding matrix. Computing ``theta`` exactly on every
 occasion would dominate the simulation, so the operator caches it and
 recomputes only when the node count has drifted by more than
-``recompute_drift`` or the origin changed; callers can also pin
+``recompute_drift``, the origin changed, or the partition plan's
+:attr:`~repro.network.partitions.PartitionPlan.epoch` moved (a cut, a
+heal or a link flap, however few nodes it moves); callers can also pin
 ``walk_length`` explicitly.
 
 Batch mode and continued walks (Section VI-A)
@@ -102,7 +104,8 @@ class SamplerConfig:
       (typically ~10x the empirical length).
 
     Both are recomputed when the overlay drifts by more than
-    ``recompute_drift`` in node count. ``reset_length`` defaults to the
+    ``recompute_drift`` in node count, when the origin changes and when
+    the partition plan's epoch moves. ``reset_length`` defaults to the
     relaxation time ``ceil(1/theta)``. Continued walks can be disabled for
     ablation with ``continued_walks=False``.
     """
@@ -191,6 +194,8 @@ class _SpectralCache:
 
     n_nodes: int = -1
     origin: int = -1
+    #: the partition plan's epoch they were computed under (0: no plan)
+    partition_epoch: int = 0
     gap: float = 0.0
     mix_length: int = 0
     reset_length: int = 0
@@ -249,7 +254,8 @@ class SamplingOperator:
         self._faults = faults
         #: correlated-failure plan; while a partition is open, walks are
         #: confined to the origin's reachable region (the walk must mix
-        #: over the population it can actually touch)
+        #: over the population it can actually touch), and its epoch
+        #: keys the cached walk length
         self._partitions = partitions
         self._tracer = tracer if tracer is not None else NULL_TRACER
         if faults is not None:
@@ -287,10 +293,13 @@ class SamplingOperator:
             )
             return config.walk_length, reset
         cache = self._spectral
+        partitions = self._partitions
+        partition_epoch = partitions.epoch if partitions is not None else 0
         drifted = (
             not cache.valid
             or cache.n_nodes <= 0
             or cache.origin != origin
+            or cache.partition_epoch != partition_epoch
             or abs(context.n_nodes - cache.n_nodes)
             > config.recompute_drift * cache.n_nodes
         )
@@ -299,11 +308,13 @@ class SamplingOperator:
             # hot spot of abstract-mode runs; keep it under one profiled
             # section so `repro trace` output can show its wall cost
             with self._tracer.profile("spectral_recompute"):
-                self._recompute_spectral(context, origin)
+                self._recompute_spectral(context, origin, partition_epoch)
             cache = self._spectral
         return cache.mix_length, cache.reset_length
 
-    def _recompute_spectral(self, context: WalkContext, origin: int) -> None:
+    def _recompute_spectral(
+        self, context: WalkContext, origin: int, partition_epoch: int
+    ) -> None:
         """Refresh the spectral cache for the current overlay snapshot."""
         config = self._config
         matrix = mixing.sparse_transition_matrix(context, config.laziness)
@@ -333,6 +344,7 @@ class SamplingOperator:
         self._spectral = _SpectralCache(
             n_nodes=context.n_nodes,
             origin=origin,
+            partition_epoch=partition_epoch,
             gap=gap,
             mix_length=mix_length,
             reset_length=reset_length,
@@ -364,10 +376,6 @@ class SamplingOperator:
             f"walk from origin {origin} did not mix to gamma={gamma} within "
             f"{self._config.max_walk_length} steps"
         )
-
-    def invalidate_walk_length_cache(self) -> None:
-        """Force the next occasion to recompute the spectral walk length."""
-        self._spectral = _SpectralCache()
 
     @property
     def last_eigengap(self) -> float | None:

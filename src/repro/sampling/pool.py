@@ -19,11 +19,15 @@ each query's marginal ``(epsilon, p)`` contract is untouched.
 * it **owns** the :class:`~repro.sampling.operator.SamplingOperator`
   (digest-lint DGL008 forbids constructing one anywhere else outside
   :mod:`repro.sampling`) and is the only way queries reach it;
-* the pool holds only the current **freshness epoch**'s draws (the
-  simulated tick they were drawn at): their tuple ids, in draw order, as
-  one int64 array; :meth:`begin_epoch` drops the previous tick's — the
-  paper's static-during-occasion assumption. Draws whose tuple was
-  deleted since are skipped through one liveness mask over that array;
+* the pool holds only the current **freshness epoch**'s draws: their
+  tuple ids, in draw order, as one int64 array. The epoch is the
+  simulated tick together with the partition plan's
+  :attr:`~repro.network.partitions.PartitionPlan.epoch`, and
+  :meth:`begin_epoch` drops the previous epoch's draws — the paper's
+  static-during-occasion assumption. A cut or a heal therefore empties
+  the pool as a new tick does: draws made over another reachable scope
+  follow another stationary law. Draws whose tuple was deleted since are
+  skipped through one liveness mask over that array;
 * each consumer (query) holds a **cursor**: the position of the first
   draw it has not been served. :meth:`acquire` serves only draws at or
   beyond the cursor, so a query topping up sequentially never
@@ -50,11 +54,7 @@ from repro.network.faults import FaultPlan
 from repro.network.graph import OverlayGraph
 from repro.network.messaging import MessageLedger
 from repro.network.partitions import PartitionPlan
-from repro.obs.schema import (
-    EVENT_POOL_INVALIDATE,
-    SPAN_POOL_SERVE,
-    SPAN_SHARED_WALK_BATCH,
-)
+from repro.obs.schema import SPAN_POOL_SERVE, SPAN_SHARED_WALK_BATCH
 from repro.obs.tracer import NO_TIME, NULL_TRACER, Tracer
 from repro.sampling.operator import SamplerConfig, SamplingOperator
 from repro.sampling.weights import WeightFunction
@@ -90,7 +90,10 @@ class SamplePool:
             tracer=self._tracer,
             partitions=partitions,
         )
-        self._epoch: int = NO_TIME
+        #: the partition plan whose epoch is part of the freshness epoch
+        self._partitions = partitions
+        #: (tick, partition epoch) the held draws were made in
+        self._epoch: tuple[int, int] = (NO_TIME, 0)
         #: the epoch's draws as tuple ids in draw order, and each
         #: consumer's cursor: the position of its first unserved draw
         self._ids = _NO_IDS
@@ -125,11 +128,15 @@ class SamplePool:
     def begin_epoch(self, time: int) -> None:
         """Advance the freshness epoch to ``time``, dropping older draws.
 
-        Idempotent per tick. Every cursor restarts with the empty pool.
+        The epoch is ``time`` together with the partition plan's epoch, so
+        a cut or a heal within a tick drops the draws as well. Idempotent
+        while both hold. Every cursor restarts with the empty pool.
         """
-        if time == self._epoch:
+        partitions = self._partitions
+        epoch = (time, partitions.epoch if partitions is not None else 0)
+        if epoch == self._epoch:
             return
-        self._epoch = time
+        self._epoch = epoch
         self._clear()
 
     def _clear(self) -> None:
@@ -141,29 +148,6 @@ class SamplePool:
         self._clear()
         self.pool_hits = 0
         self.pool_misses = 0
-
-    def invalidate_scope(self, time: int, reason: str) -> int:
-        """Evict *every* pooled sample after a reachability change.
-
-        Called when the population a query can reach changes — a
-        partition opening, growing, shrinking, or healing. Samples drawn
-        under the old scope are biased for the new one in both
-        directions (a heal makes pre-heal samples under-cover the
-        returned region; a cut makes pre-cut samples leak the
-        unreachable side), so the pool drops them all rather than trying
-        to filter. Every cursor restarts with the empty pool, so no
-        consumer is served a draw twice. Returns the number of samples
-        evicted.
-        """
-        n_evicted = len(self._ids)
-        self._clear()
-        self._tracer.event(
-            EVENT_POOL_INVALIDATE,
-            time=time,
-            n_evicted=n_evicted,
-            reason=reason,
-        )
-        return n_evicted
 
     # ------------------------------------------------------------------
     # serving

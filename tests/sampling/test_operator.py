@@ -8,9 +8,15 @@ from repro.errors import SamplingError
 from repro.network.faults import FaultConfig, FaultPlan
 from repro.network.graph import OverlayGraph
 from repro.network.messaging import MessageLedger
+from repro.network.partitions import (
+    PartitionEpisode,
+    PartitionPlan,
+    PartitionSchedule,
+)
 from repro.network.topology import mesh_topology, power_law_topology
 from repro.obs.schema import SPAN_SAMPLE_ACQUISITION
 from repro.obs.tracer import SinkTracer
+from repro.sampling import mixing
 from repro.sampling import operator as operator_module
 from repro.sampling.mixing import total_variation
 from repro.sampling.operator import SamplerConfig, SamplingOperator
@@ -30,6 +36,23 @@ def _world(n=36, tuples_low=1, tuples_high=6, seed=0):
         for _ in range(int(rng.integers(tuples_low, tuples_high))):
             database.insert(node, {"v": float(rng.normal(0, 1))})
     return graph, database
+
+
+def _plan(*episodes):
+    return PartitionPlan(PartitionSchedule(episodes=episodes), rng=1)
+
+
+def _count_eigengaps(monkeypatch):
+    """Record every eigengap the operator computes, in call order."""
+    gaps = []
+    compute = mixing.eigengap_sparse
+
+    def counting(matrix):
+        gaps.append(compute(matrix))
+        return gaps[-1]
+
+    monkeypatch.setattr(mixing, "eigengap_sparse", counting)
+    return gaps
 
 
 def _lost_messages(tracer):
@@ -226,18 +249,46 @@ class TestNodeSampling:
         # the spans count every lost message, none of the survivors
         assert _lost_messages(tracer) == lost_legs
 
-    def test_eigengap_cached_until_drift(self):
+    def test_eigengap_cached_until_drift(self, monkeypatch):
         graph, _ = _world(49)
-        operator = SamplingOperator(graph, np.random.default_rng(0))
+        plan = _plan(PartitionEpisode(start=0, duration=1))
+        operator = SamplingOperator(
+            graph, np.random.default_rng(0), partitions=plan
+        )
+        gaps = _count_eigengaps(monkeypatch)
         operator.sample_nodes(uniform_weights(), 1, origin=0)
         first_gap = operator.last_eigengap
         # tiny change: cache should persist (drift below threshold)
         graph.join(attach_to=[0, 1])
         operator.sample_nodes(uniform_weights(), 1, origin=0)
         assert operator.last_eigengap == first_gap
-        operator.invalidate_walk_length_cache()
+        assert len(gaps) == 1
+        # a cut opens and heals between two calls: the overlay the walk
+        # sees is unchanged, but the plan's epoch moved
+        plan.step(0, graph)
+        plan.step(1, graph)
+        assert not plan.active
         operator.sample_nodes(uniform_weights(), 1, origin=0)
+        assert len(gaps) == 2
         assert operator.last_eigengap is not None
+
+    def test_cut_below_drift_recomputes_walk_length(self, monkeypatch):
+        graph, _ = _world(49)
+        plan = _plan(PartitionEpisode(start=1, duration=4, fractions=(0.96, 0.04)))
+        operator = SamplingOperator(
+            graph, np.random.default_rng(0), partitions=plan
+        )
+        gaps = _count_eigengaps(monkeypatch)
+        operator.sample_nodes(uniform_weights(), 1, origin=0)
+        plan.step(1, graph)
+        scope = plan.reachable(graph, 0)
+        drift = operator.config.recompute_drift
+        assert len(graph) * (1 - drift) < len(scope) < len(graph)
+        operator.sample_nodes(uniform_weights(), 1, origin=0)
+        assert len(gaps) == 2
+        # the length was computed over the reachable region
+        assert operator.last_eigengap == gaps[-1]
+        assert gaps[-1] != gaps[0]
 
     def test_theorem3_policy_runs(self):
         graph, _ = _world(25)

@@ -7,6 +7,11 @@ from repro.db.relation import P2PDatabase, Schema
 from repro.errors import SamplingError
 from repro.network.graph import OverlayGraph
 from repro.network.messaging import MessageLedger
+from repro.network.partitions import (
+    PartitionEpisode,
+    PartitionPlan,
+    PartitionSchedule,
+)
 from repro.network.topology import mesh_topology
 from repro.obs.tracer import SinkTracer
 from repro.sampling.operator import SamplerConfig, SamplingOperator
@@ -23,13 +28,22 @@ def _world(n=36, tuples_low=1, tuples_high=6, seed=0):
     return graph, database
 
 
-def _pool(graph, seed=0, ledger=None, tracer=None):
+def _pool(graph, seed=0, ledger=None, tracer=None, partitions=None):
     return SamplePool(
         graph,
         np.random.default_rng(seed),
         ledger,
         SamplerConfig(walk_length=20, continued_walks=False),
         tracer=tracer,
+        partitions=partitions,
+    )
+
+
+def _cut_at(start):
+    """A plan whose one cut opens at ``start`` (step it to open it)."""
+    return PartitionPlan(
+        PartitionSchedule(episodes=(PartitionEpisode(start=start, duration=4),)),
+        rng=1,
     )
 
 
@@ -253,40 +267,29 @@ class TestReset:
 
 
 class TestInvalidateScope:
+    """A cut or a heal moves the plan's epoch, which empties the pool."""
+
     def test_evicts_everything_and_reports_count(self):
         graph, database = _world()
-        pool = _pool(graph)
+        plan = _cut_at(0)
+        pool = _pool(graph, partitions=plan)
         pool.begin_epoch(0)
         pool.prefetch(database, 10, origin=0)
+        pool.begin_epoch(0)  # same tick, same plan epoch: kept
         assert pool.n_pooled == 10
-        assert pool.invalidate_scope(0, "cut") == 10
+        plan.step(0, graph)  # the cut opens within the tick
+        pool.begin_epoch(0)
         assert pool.n_pooled == 0
-
-    def test_emits_pool_invalidate_event(self):
-        from repro.obs.schema import EVENT_POOL_INVALIDATE
-
-        graph, database = _world()
-        tracer = SinkTracer(record=True)
-        pool = _pool(graph, tracer=tracer)
-        pool.begin_epoch(3)
-        pool.prefetch(database, 5, origin=0)
-        pool.invalidate_scope(3, "heal")
-        events = [
-            event
-            for event in tracer.trace().events
-            if event.name == EVENT_POOL_INVALIDATE
-        ]
-        assert len(events) == 1
-        assert events[0].attrs == {"n_evicted": 5, "reason": "heal"}
-        assert events[0].time == 3
 
     def test_cursors_survive_invalidation(self):
         """Post-invalidation draws are still never re-served to a consumer."""
         graph, database = _world()
-        pool = _pool(graph)
+        plan = _cut_at(0)
+        pool = _pool(graph, partitions=plan)
         pool.begin_epoch(0)
         first = pool.acquire(database, 6, origin=0, consumer="q0")
-        pool.invalidate_scope(0, "cut")
+        plan.step(0, graph)
+        pool.begin_epoch(0)
         second = pool.acquire(database, 6, origin=0, consumer="q0")
         # both acquisitions drew fresh: the evicted samples were never
         # replayed (fresh draws may still coincide on tuple ids by chance)
