@@ -38,7 +38,6 @@ from repro.core.session import (
     QuerySpec,
 )
 from repro.core.threshold import ThresholdEvent, ThresholdMonitor, ThresholdState
-from repro.protocol.batching import WalkBatchPlan, WalkDemand, coalesce_demands
 
 __all__ = [
     "ContinuousQuery",
@@ -61,9 +60,6 @@ __all__ = [
     "ThresholdMonitor",
     "ThresholdState",
     "UpdateRecord",
-    "WalkBatchPlan",
-    "WalkDemand",
-    "coalesce_demands",
     "confidence_quantile",
     "optimal_partition",
     "parse_query",

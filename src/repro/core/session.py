@@ -15,12 +15,11 @@ queries. :class:`DigestSession` is the layer that does the amortizing:
   each other's same-occasion samples (each query's ``(epsilon, p)``
   contract holds marginally; see :mod:`repro.sampling.pool`);
 * when two or more queries come due at the same tick, the session asks
-  each evaluator to *plan* its fresh-sample demand
-  (``plan_demand``), coalesces the demands
-  (:func:`~repro.protocol.batching.coalesce_demands` — the batch needs only
-  the **maximum**, not the sum), and prefetches one shared walk batch
-  into the pool before any query evaluates. The batch's trace span
-  attributes it to every consuming query.
+  each evaluator to *plan* its fresh-sample demand (``plan_demand``) and,
+  if at least two forecast fresh samples, prefetches one shared walk
+  batch of the **maximum** forecast (not the sum) into the pool before
+  any query evaluates. The batch's ``shared_walk_batch`` span attributes
+  it to every consuming query.
 
 A single query is the one-entry case: register it with :meth:`add_query`
 and read its estimate from the dict :meth:`DigestSession.step` returns.
@@ -74,9 +73,8 @@ from repro.network.partitions import PartitionPlan
 from repro.obs.alerts import AlertEngine, AlertRule
 from repro.obs.audit import META_PROMISES, AuditVerdict, GuaranteeAuditor
 from repro.obs.live import META_FINISHED_AT, LivePipeline, WindowConfig
-from repro.obs.schema import SPAN_POOL_SERVE, SPAN_SNAPSHOT_QUERY, SPAN_WALK
+from repro.obs.schema import SPAN_POOL_SERVE, SPAN_SNAPSHOT_QUERY
 from repro.obs.tracer import RunMetricsSink, SinkTracer, Span, TraceEvent
-from repro.protocol.batching import WalkDemand, coalesce_demands
 from repro.sampling.operator import SamplerConfig
 from repro.sampling.pool import SamplePool
 from repro.sim.engine import PRIORITY_QUERY, SimulationEngine
@@ -184,10 +182,9 @@ class _QueryMetricsSink:
     """Derives every query's RunMetrics from the session's shared spans.
 
     One sink per session. A span goes to the inner
-    :class:`~repro.obs.tracer.RunMetricsSink` of each query it is
+    :class:`~repro.obs.tracer.RunMetricsSink` of the query it is
     attributable to: the query named by a ``snapshot_query`` span's
-    ``query``, by a ``pool_serve`` span's ``consumer``, and each query in
-    a ``walk`` span's comma-separated ``consumers``. Fault events are
+    ``query`` or by a ``pool_serve`` span's ``consumer``. Fault events are
     substrate-level, not per-query, and are ignored here (the
     session-level metrics carry them).
     """
@@ -204,10 +201,6 @@ class _QueryMetricsSink:
             self._forward(attrs.get("query"), span)
         elif span.name == SPAN_POOL_SERVE:
             self._forward(attrs.get("consumer"), span)
-        elif span.name == SPAN_WALK:
-            consumers = str(attrs.get("consumers", "")).split(",")
-            for query_id in dict.fromkeys(consumers):
-                self._forward(query_id, span)
 
     def _forward(self, query_id: object, span: Span) -> None:
         if isinstance(query_id, str) and query_id in self._sinks:
@@ -517,29 +510,29 @@ class DigestSession:
     def _prefetch_for(self, due: list[QueryRuntime]) -> None:
         """Draw the coalesced walk batch covering the due queries' demands.
 
-        Demands are forecasts — a low forecast is topped up by the
-        evaluator itself, a high one leaves pooled samples other queries
-        may still consume within the epoch.
+        Walks are fungible, so the batch needs the maximum forecast, not
+        the sum; its consumers are the queries forecasting any fresh
+        samples, in query-id order, and with fewer than two there is
+        nothing to share. Demands are forecasts — a low forecast is topped
+        up by the evaluator itself, a high one leaves pooled samples other
+        queries may still consume within the epoch.
         """
-        demands = [
-            WalkDemand(
-                runtime.query_id,
-                runtime.evaluator.plan_demand(
-                    runtime.continuous_query.precision.epsilon,
-                    runtime.continuous_query.precision.confidence,
-                ),
+        forecasts = {
+            runtime.query_id: runtime.evaluator.plan_demand(
+                runtime.continuous_query.precision.epsilon,
+                runtime.continuous_query.precision.confidence,
             )
             for runtime in due
-        ]
-        plan = coalesce_demands(demands)
-        if plan.n_walks == 0 or len(plan.demands) < 2:
+        }
+        consumers = tuple(qid for qid, n in forecasts.items() if n > 0)
+        if len(consumers) < 2:
             return
         self.batches_coalesced += 1
         self.pool.prefetch(
             self._database,
-            plan.n_walks,
+            max(forecasts.values()),
             self._origin,
-            consumers=plan.consumers,
+            consumers=consumers,
             allow_partial=True,
         )
 

@@ -79,9 +79,10 @@ class FaultConfig:
 class FaultEvent:
     """One recorded fault: what went wrong, where, and to whom.
 
-    ``time`` is simulated time (``-1`` when the recorder had no simulated
-    clock, e.g. an operator's ``sample_shortfall`` on a tracer without
-    one). ``walker_id`` and ``node`` are ``None`` when not applicable.
+    ``time`` is simulated time (``-1`` when the recorder has no simulated
+    clock, e.g. an operator's ``sample_shortfall``; a bridged tracer
+    stamps such an event with its own clock). ``walker_id`` and ``node``
+    are ``None`` when not applicable.
     """
 
     time: int

@@ -136,12 +136,12 @@ def shared_walk_attribution(trace: Trace) -> dict[str, dict[str, int]]:
     """Per-query accounting of pool serving and coalesced walk batches.
 
     Every ``pool_serve`` span names its consuming query; every
-    ``shared_walk_batch`` span (and, in protocol mode, every ``walk`` span
-    launched by a batch) carries the comma-joined ids of *all* its
-    consumers. This reconstructs, per query id: how many pooled samples it
-    reused (``pool_hits``), how many fresh draws it triggered
-    (``pool_misses``), how many coalesced batches it consumed from
-    (``shared_batches``) with how many delivered samples
+    ``shared_walk_batch`` span (and, in older recorded protocol traces,
+    every ``walk`` span launched by a batch) carries the comma-joined ids
+    of *all* its consumers. This reconstructs, per query id: how many
+    pooled samples it reused (``pool_hits``), how many fresh draws it
+    triggered (``pool_misses``), how many coalesced batches it consumed
+    from (``shared_batches``) with how many delivered samples
     (``batch_samples``), and how many attributed protocol walks served it
     (``walks``) — the per-query view of costs that the shared substrate
     pays only once.

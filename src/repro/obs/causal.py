@@ -280,9 +280,10 @@ def critical_paths(
 
     Walks are associated to a ``shared_walk_batch`` span by interval
     containment — batches drive to completion before the next one
-    starts, so containment is unambiguous on the traces the runtime
-    produces, and wrong associations merely mislabel a batch's
-    membership rather than corrupting any walk's own chain.
+    starts, so containment is unambiguous on recorded protocol traces,
+    and wrong associations merely mislabel a batch's membership rather
+    than corrupting any walk's own chain. A session's batches hold no
+    walk spans, so only recorded protocol traces give ``batch:`` scopes.
     """
     if assembly is None:
         assembly = assemble(trace)

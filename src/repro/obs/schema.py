@@ -96,7 +96,8 @@ class EventSchema:
 
 #: One supervised random walk, from launch to completion or failure.
 SPAN_WALK = "walk"
-#: One coalesced multi-query walk batch (protocol or pool side).
+#: One coalesced multi-query walk batch (the session's pool prefetch;
+#: older recorded protocol traces hold them too).
 SPAN_SHARED_WALK_BATCH = "shared_walk_batch"
 #: One snapshot-query evaluation of a continuous query.
 SPAN_SNAPSHOT_QUERY = "snapshot_query"
@@ -108,8 +109,6 @@ SPAN_POOL_SERVE = "pool_serve"
 SPAN_PARTITION_CELL = "partition_cell"
 #: One operator-level node-sample acquisition (Metropolis walks).
 SPAN_SAMPLE_ACQUISITION = "sample_acquisition"
-#: One two-stage tuple-sampling round (nodes, then local tuples).
-SPAN_TUPLE_SAMPLING = "tuple_sampling"
 #: One message transit between two nodes, joined to its walk by the
 #: trace context the message carried (trace format v2).
 SPAN_HOP_SEGMENT = "hop_segment"
@@ -158,6 +157,8 @@ SPAN_SCHEMAS: dict[str, SpanSchema] = {
             SPAN_WALK,
             required=("walker_id", "origin", "walk_length", "outcome", "attempts"),
             optional=(
+                # set only by older protocol batches; kept so their
+                # recorded traces still read
                 "consumers",
                 "n_consumers",
                 "sampled_node",
@@ -243,11 +244,6 @@ SPAN_SCHEMAS: dict[str, SpanSchema] = {
                 "n_lost",
             ),
             description="one operator node-sample acquisition",
-        ),
-        SpanSchema(
-            SPAN_TUPLE_SAMPLING,
-            required=("n_requested", "origin", "n_drawn", "partial"),
-            description="one two-stage tuple-sampling request",
         ),
         SpanSchema(
             SPAN_HOP_SEGMENT,

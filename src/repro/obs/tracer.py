@@ -472,7 +472,8 @@ def bridge_fault_log(log: "FaultLog", tracer: Tracer) -> None:
 
     Subscribes to the log keyed by the tracer's identity, so bridging the
     same log to the same tracer twice (e.g. a fault plan shared between an
-    operator and a protocol sampler) records each fault once.
+    operator and a protocol sampler) records each fault once. A fault
+    recorded without a clock (:data:`NO_TIME`) takes the tracer's.
     """
     if not tracer.enabled:
         return
@@ -480,7 +481,7 @@ def bridge_fault_log(log: "FaultLog", tracer: Tracer) -> None:
     def forward(event: "FaultEvent") -> None:
         tracer.event(
             EVENT_FAULT,
-            time=event.time,
+            time=None if event.time == NO_TIME else event.time,
             kind=event.kind,
             walker_id=event.walker_id,
             node=event.node,

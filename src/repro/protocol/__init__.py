@@ -31,16 +31,13 @@ failure model, a :class:`~repro.protocol.lifecycle.WalkLifecycle` state
 machine owns supervision, a :class:`~repro.protocol.routing.RoutingPolicy`
 owns first-hop choice, :class:`~repro.protocol.walkers.WalkExecutor` owns
 the per-node handlers, and :class:`ProtocolSampler` is the thin
-orchestrator tying them together.
+orchestrator tying them together. It runs single walks only: sharing
+walks between co-due queries is the session's pool prefetch
+(:meth:`repro.sampling.pool.SamplePool.prefetch`).
 
 See :mod:`repro.experiments.protocol_validation` for the measurements.
 """
 
-from repro.protocol.batching import (
-    WalkBatchPlan,
-    WalkDemand,
-    coalesce_demands,
-)
 from repro.protocol.lifecycle import (
     TRANSITIONS,
     WalkLifecycle,
@@ -76,13 +73,10 @@ __all__ = [
     "TRANSITIONS",
     "Transport",
     "UniformRouting",
-    "WalkBatchPlan",
-    "WalkDemand",
     "WalkLifecycle",
     "WalkOutcome",
     "WalkRecord",
     "WalkStats",
     "WalkToken",
     "WeightAdvertisement",
-    "coalesce_demands",
 ]

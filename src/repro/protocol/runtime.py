@@ -18,10 +18,10 @@ the run-level API. The layers do the work:
 * :mod:`repro.protocol.walkers` — the per-node handlers (both protocol
   variants, acceptance, hop-by-hop return routing, ledger accounting);
 * :mod:`repro.protocol.advertisements` — cached-variant weight caches
-  and their maintenance traffic;
-* :mod:`repro.protocol.batching` — coalesced multi-query walk batches
-  (:meth:`ProtocolSampler.run_walk_batch` is lifecycle-supervised like
-  any other walk, plus per-consumer trace attribution).
+  and their maintenance traffic.
+
+The runtime runs single walks only: multi-query walk sharing is the
+session's pool prefetch (:meth:`repro.sampling.pool.SamplePool.prefetch`).
 
 The overlay is *unreliable*: an optional :class:`FaultPlan` injects
 per-hop message loss, delivery-latency jitter, and (via
@@ -46,10 +46,8 @@ from repro.network.graph import OverlayGraph
 from repro.network.health import HealthConfig, HealthMonitor
 from repro.network.messaging import MessageLedger
 from repro.network.partitions import PartitionPlan
-from repro.obs.schema import SPAN_SHARED_WALK_BATCH
 from repro.obs.tracer import NULL_TRACER, Tracer, bridge_fault_log
 from repro.protocol.advertisements import AdvertisementCache
-from repro.protocol.batching import WalkBatchPlan
 from repro.protocol.lifecycle import (
     RetryPolicy,
     WalkLifecycle,
@@ -274,63 +272,6 @@ class ProtocolSampler:
         return [
             outcomes[w].sampled_node for w in walker_ids if w in outcomes
         ]
-
-    def run_walk_batch(
-        self,
-        origin: int,
-        plan: WalkBatchPlan,
-        walk_length: int,
-        allow_partial: bool = False,
-        deadline: int | None = None,
-    ) -> dict[str, list[int]]:
-        """Run one coalesced walk batch and slice it per consuming query.
-
-        Launches ``plan.n_walks`` supervised walks (the maximum demand
-        across the plan's queries — retries, faults, and ledger accounting
-        identical to :meth:`run_walks`) and returns, for each query, the
-        first ``n_q`` delivered sample nodes, so consumers overlap
-        maximally and the batch is paid for once. Every walk's trace span
-        carries the ids of the queries consuming it (``consumers``), which
-        is how per-query attribution survives the sharing.
-        """
-        batch_span = self._tracer.span(
-            SPAN_SHARED_WALK_BATCH,
-            time=self._transport.now,
-            n_requested=plan.n_walks,
-            n_pooled=0,
-            consumers=",".join(plan.consumers),
-            n_consumers=len(plan.demands),
-            origin=origin,
-        )
-        walker_ids = []
-        for index in range(plan.n_walks):
-            walker_id = self.start_walk(origin, walk_length)
-            consumers = plan.consumers_of(index)
-            self._lifecycle.record(walker_id).span.set(
-                consumers=",".join(consumers), n_consumers=len(consumers)
-            )
-            walker_ids.append(walker_id)
-        self._lifecycle.drive(walker_ids, deadline)
-        outcomes = self._lifecycle.outcomes
-        delivered = [
-            outcomes[w].sampled_node for w in walker_ids if w in outcomes
-        ]
-        missing = plan.n_walks - len(delivered)
-        if missing and not allow_partial:
-            raise SamplingError(
-                f"{missing} of {plan.n_walks} batched walks never completed "
-                f"(faults: {self.fault_log.summary()}); pass "
-                f"allow_partial=True to degrade instead"
-            )
-        self._tracer.end(
-            batch_span,
-            time=self._transport.now,
-            n_drawn=len(delivered),
-        )
-        return {
-            demand.query: delivered[: demand.n_samples]
-            for demand in plan.demands
-        }
 
     def outcome(self, walker_id: int) -> WalkOutcome | None:
         return self._lifecycle.outcomes.get(walker_id)

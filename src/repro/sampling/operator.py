@@ -74,8 +74,8 @@ from repro.network.faults import FaultPlan
 from repro.network.graph import OverlayGraph
 from repro.network.messaging import MessageLedger
 from repro.network.partitions import PartitionPlan
-from repro.obs.schema import SPAN_SAMPLE_ACQUISITION, SPAN_TUPLE_SAMPLING
-from repro.obs.tracer import NULL_TRACER, Tracer, bridge_fault_log
+from repro.obs.schema import SPAN_SAMPLE_ACQUISITION
+from repro.obs.tracer import NO_TIME, NULL_TRACER, Tracer, bridge_fault_log
 from repro.sampling import mixing
 from repro.sampling.walker import WalkContext, batch_walk
 from repro.sampling.weights import WeightFunction, content_size_weights
@@ -657,28 +657,22 @@ class SamplingOperator:
         if database.n_tuples == 0:
             raise SamplingError("cannot sample tuples from an empty relation")
         weight = self._tuple_weight(database)
-        span = self._tracer.span(
-            SPAN_TUPLE_SAMPLING, n_requested=n, origin=origin
-        )
         drawn: list[int] = []
         for node in self.sample_nodes(weight, n, origin):
             store = database.store(node)
             if len(store):
                 drawn.append(store.sample_uniform(self._rng))
-        partial = len(drawn) < n
-        if partial:
+        if len(drawn) < n:
             if not allow_partial:
                 raise SamplingError(
                     f"failed to draw {n} tuples ({len(drawn)} drawn): walks "
                     f"were lost or ended on empty nodes"
                 )
             if self._faults is not None:
+                # the operator keeps no clock; the bridged tracer stamps it
                 self._faults.record(
-                    span.start,
-                    "sample_shortfall",
-                    detail=f"{len(drawn)} of {n}",
+                    NO_TIME, "sample_shortfall", detail=f"{len(drawn)} of {n}"
                 )
-        self._tracer.end(span, n_drawn=len(drawn), partial=partial)
         return np.array(drawn, dtype=np.int64)
 
     def cluster_sample(

@@ -187,6 +187,48 @@ class TestSharedSampling:
         assert fired[0].time == 0
 
 
+class TestCoalescing:
+    """The co-due rule: one batch of the maximum forecast, not the sum."""
+
+    def _first_tick(self, monkeypatch, forecasts):
+        graph, database = _world(seed=3)
+        tracer = SinkTracer(record=True)
+        session = DigestSession(
+            graph, database, 0, np.random.default_rng(4), tracer=tracer
+        )
+        for forecast in forecasts:
+            qid = session.add_query(_query(duration=2), _ALL_INDEP)
+            monkeypatch.setattr(
+                session.runtime(qid).evaluator,
+                "plan_demand",
+                lambda epsilon, confidence, n=forecast: n,
+            )
+        session.step(0)
+        batches = list(tracer.trace().spans_named("shared_walk_batch"))
+        return session, batches
+
+    def test_batch_is_the_maximum_forecast(self, monkeypatch):
+        session, batches = self._first_tick(monkeypatch, (30, 50, 20))
+        assert session.batches_coalesced == 1
+        [batch] = batches
+        assert batch.attrs["n_requested"] == 50
+        assert batch.attrs["consumers"] == "q0,q1,q2"
+
+    def test_consumers_are_the_positive_forecasts(self, monkeypatch):
+        session, batches = self._first_tick(monkeypatch, (0, 40, 25))
+        [batch] = batches
+        assert batch.attrs["n_requested"] == 40
+        assert batch.attrs["consumers"] == "q1,q2"
+        assert batch.attrs["n_consumers"] == 2
+
+    def test_fewer_than_two_positive_forecasts_share_nothing(
+        self, monkeypatch
+    ):
+        session, batches = self._first_tick(monkeypatch, (0, 40, 0))
+        assert batches == []
+        assert session.batches_coalesced == 0
+
+
 class TestPerQueryMetrics:
     def test_snapshot_counts_are_scoped(self):
         graph, database = _world(seed=2)
@@ -258,10 +300,8 @@ class TestTraceAttribution:
 
         Sixteen queries share the session's one metrics sink; each query's
         counters must equal those of the per-query filter it replaced,
-        applied to the recorded trace: its ``snapshot_query`` spans, the
-        ``pool_serve`` spans it consumed, and the ``walk`` spans naming it
-        among their ``consumers``. Two walk spans (one naming a query
-        twice) stand in for a protocol sampler sharing the tracer.
+        applied to the recorded trace: its ``snapshot_query`` spans and the
+        ``pool_serve`` spans it consumed.
         """
         graph, database = _world(seed=6)
         tracer = SinkTracer(record=True)
@@ -285,8 +325,6 @@ class TestTraceAttribution:
         ]
         for t in range(4):
             session.step(t)
-        tracer.end(tracer.span("walk", consumers="q1,q3,q1", attempts=3))
-        tracer.end(tracer.span("walk", consumers="q3"), outcome="failed")
         trace = tracer.trace()
         assert verify_trace_consistency(trace, session.metrics) == []
 
@@ -296,8 +334,6 @@ class TestTraceAttribution:
                 return attrs.get("query") == qid
             if span.name == "pool_serve":
                 return attrs.get("consumer") == qid
-            if span.name == "walk":
-                return qid in str(attrs.get("consumers", "")).split(",")
             return False
 
         for qid in qids:
@@ -309,8 +345,6 @@ class TestTraceAttribution:
             live = counter_dict(session.runtime(qid).metrics)
             assert live == counter_dict(expected)
             assert live["snapshot_queries"] == 4
-        assert session.runtime("q1").metrics.walks_retried == 2
-        assert session.runtime("q3").metrics.walks_failed == 1
 
     def test_shared_batches_attribute_every_consumer(self):
         session, tracer, qids = self._faulted_traced_run()

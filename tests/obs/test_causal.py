@@ -13,6 +13,8 @@ precisely when something went wrong.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,6 +35,9 @@ from repro.obs.tracer import SinkTracer
 from repro.protocol.runtime import ProtocolConfig, ProtocolSampler, RetryPolicy
 from repro.sampling.weights import uniform_weights
 from repro.sim.engine import PRIORITY_CHURN, SimulationEngine
+
+#: a committed v1 protocol trace whose walks include one coalesced batch
+V1_TRACE = Path(__file__).parent / "golden" / "v1_faulted_trace.jsonl"
 
 
 def _run(
@@ -119,30 +124,18 @@ class TestCleanAssembly:
         assert run.chain_latency + run.supervision_latency == run.walk_latency
 
     def test_batch_scopes_cover_coalesced_batches(self):
-        from repro.protocol.batching import WalkDemand, coalesce_demands
-
-        n_nodes = 16
-        graph = OverlayGraph(mesh_topology(n_nodes), n_nodes=n_nodes)
-        simulation = SimulationEngine()
-        tracer = SinkTracer(record=True, clock=simulation.clock)
-        sampler = ProtocolSampler(
-            graph,
-            uniform_weights(),
-            simulation,
-            np.random.default_rng(9),
-            MessageLedger(),
-            ProtocolConfig(variant="bounce"),
-            tracer=tracer,
-        )
-        plan = coalesce_demands([WalkDemand("q0", 4), WalkDemand("q1", 3)])
-        sampler.run_walk_batch(origin=0, plan=plan, walk_length=5)
-        paths = causal.critical_paths(tracer.trace())
+        """A recorded protocol batch (the committed v1 golden holds one of
+        nine walks carrying ``consumers``) gets its own ``batch:`` scope."""
+        trace = import_trace(V1_TRACE)
+        paths = causal.critical_paths(trace)
         batch_paths = [p for p in paths if p.scope.startswith("batch:")]
         assert len(batch_paths) == 1
-        # coalescing shares walks across the two demands: the batch pays
-        # for max(4, 3) walks, and every one belongs to the batch scope
-        n_walks = len(list(tracer.trace().spans_named(SPAN_WALK)))
-        assert batch_paths[0].n_walks == n_walks == 4
+        consumed = [
+            span
+            for span in trace.spans_named(SPAN_WALK)
+            if "consumers" in span.attrs
+        ]
+        assert batch_paths[0].n_walks == len(consumed) == 9
         assert batch_paths[0].walk_latency >= batch_paths[0].chain_latency
 
 

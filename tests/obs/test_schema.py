@@ -45,7 +45,6 @@ V1_SPAN_NAMES = {
     "SPAN_PARTITION_CELL": "partition_cell",
     "SPAN_POOL_SERVE": "pool_serve",
     "SPAN_SAMPLE_ACQUISITION": "sample_acquisition",
-    "SPAN_TUPLE_SAMPLING": "tuple_sampling",
 }
 
 V1_EVENT_NAMES = {

@@ -300,6 +300,16 @@ class TestBridgeFaultLog:
         assert events[0].time == 5
         assert events[0].attrs["kind"] == "message_loss"
 
+    def test_clockless_fault_takes_the_tracer_clock(self):
+        from repro.obs.tracer import NO_TIME, bridge_fault_log
+
+        log = FaultLog()
+        tracer = SinkTracer(record=True, clock=lambda: 7)
+        bridge_fault_log(log, tracer)
+        log.record(NO_TIME, "sample_shortfall")
+        log.record(2, "message_loss")
+        assert [e.time for e in tracer.trace().events] == [7, 2]
+
     def test_double_bridge_records_each_fault_once(self):
         from repro.obs.tracer import bridge_fault_log
 

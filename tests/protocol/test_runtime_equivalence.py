@@ -7,9 +7,8 @@ ticks, the same fault-log entries, the same span ids. The only proof
 strong enough for that claim is byte equality of exported traces.
 
 These tests re-run two small fixed-seed workloads — a faulted run (loss
-+ jitter + retries, both a plain ``run_walks`` and a coalesced
-``run_walk_batch``) and a partitioned run (a scheduled cut with
-health-aware breaker routing) — and compare the exported JSONL trace
++ jitter + retries over ``run_walks``) and a partitioned run (a scheduled
+cut with health-aware breaker routing) — and compare the exported JSONL trace
 byte-for-byte against reference files committed *before* the refactor
 (``tests/protocol/golden/``). Any reordering of RNG draws, scheduling,
 fault recording, or trace emission shows up as a diff.
@@ -50,9 +49,7 @@ FIXTURES = ("faulted_trace.jsonl", "partitioned_trace.jsonl")
 
 
 def _faulted_trace_text(tmp_dir: Path) -> str:
-    """A lossy, jittery run: plain walks plus one coalesced batch."""
-    from repro.protocol.batching import WalkDemand, coalesce_demands
-
+    """A lossy, jittery run: timeouts, retries and failed walks."""
     n_nodes = 16
     graph = OverlayGraph(mesh_topology(n_nodes), n_nodes=n_nodes)
     simulation = SimulationEngine()
@@ -72,10 +69,6 @@ def _faulted_trace_text(tmp_dir: Path) -> str:
         tracer=tracer,
     )
     sampler.run_walks(origin=0, n=12, walk_length=8, allow_partial=True)
-    batch = coalesce_demands(
-        [WalkDemand("q0", 6), WalkDemand("q1", 9), WalkDemand("q2", 3)]
-    )
-    sampler.run_walk_batch(origin=0, plan=batch, walk_length=6, allow_partial=True)
     path = export_trace(tracer.trace(), tmp_dir / "faulted_trace.jsonl")
     return path.read_text(encoding="utf-8")
 
@@ -158,7 +151,6 @@ class TestGoldenTraces:
             encoding="utf-8"
         )
         assert '"message_loss"' in faulted
-        assert '"shared_walk_batch"' in faulted
         assert '"partition_drop"' in partitioned
         assert '"breaker_trip"' in partitioned
 

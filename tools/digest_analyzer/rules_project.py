@@ -540,10 +540,10 @@ class LayeringConformance(ProjectRule):
         "must not import repro.protocol (stack direction is one-way)"
     )
     rationale = (
-        "The protocol stack layers one way: core orchestrates protocol, "
-        "protocol runs over network primitives. An import against that "
-        "direction (protocol reaching up into core, network reaching up "
-        "into protocol) couples a lower layer to its callers, reintroduces "
+        "The protocol stack layers one way: the experiments drive "
+        "protocol, protocol runs over network primitives. An import "
+        "against that direction (protocol reaching into core, network "
+        "reaching up into protocol) couples a lower layer to its callers, reintroduces "
         "the monolith the stack was split to remove, and blocks swapping "
         "a layer (e.g. an asyncio Transport) independently. TYPE_CHECKING "
         "guards don't exempt a crossing: type-only coupling still pins "
