@@ -5,8 +5,9 @@ vectorized walk kernel (at two shapes), the walk snapshot (cold and
 cached), one churn tick's snapshot of a 10^4-node overlay, tuple
 sampling under an open partition and under message loss, local-store
 operations, one tick of ingest (a bulk column scatter against per-row
-updates), expression evaluation, one PRED-3 scheduling decision and one
-full snapshot step of a one-query session.
+updates), expression evaluation, one PRED-3 scheduling decision, one
+full snapshot step of a one-query session and 16 co-due evaluations
+served from one pool.
 """
 
 import numpy as np
@@ -302,3 +303,48 @@ def test_engine_snapshot_step(benchmark):
         clock["t"] += 1
 
     benchmark.pedantic(run, rounds=30, iterations=1)
+
+
+def test_pool_serve_codue_queries(benchmark):
+    """16 co-due INDEP AVG evaluations against one pool on a 10^4-node overlay.
+
+    Each round opens a new epoch and prefetches enough draws for every
+    query (untimed); the timed part is the 16 evaluations alone: their
+    serves from the pool, the values they read and their fits, no walk.
+    """
+    rng = np.random.default_rng(0)
+    graph = OverlayGraph(power_law_topology(10_000, rng=rng), n_nodes=10_000)
+    database = P2PDatabase(Schema(("v",)), graph.nodes())
+    # every node holds a tuple: a zero-weight node would cut the walk
+    hosts = np.concatenate([graph.nodes(), rng.integers(0, 10_000, size=2_000)])
+    for node in hosts.tolist():
+        database.insert(node, {"v": float(rng.normal(50, 8))})
+    origin = max(graph.nodes(), key=graph.degree)
+    session = DigestSession(graph, database, origin, np.random.default_rng(1))
+    for epsilon in np.linspace(1.6, 2.8, 16).tolist():
+        session.add_query(
+            ContinuousQuery(
+                parse_query("SELECT AVG(v) FROM R"),
+                Precision(delta=epsilon, epsilon=epsilon, confidence=0.95),
+            ),
+            config=EngineConfig(scheduler="all", evaluator="independent"),
+        )
+    runtimes = [session.runtime(qid) for qid in session.query_ids()]
+    clock = {"t": 0}
+
+    def fill():
+        clock["t"] += 1
+        session.pool.begin_epoch(clock["t"])
+        session.pool.prefetch(database, 1000, origin)
+
+    def evaluate_all():
+        return [
+            runtime.evaluator.evaluate(
+                clock["t"], runtime.continuous_query.precision.epsilon, 0.95
+            )
+            for runtime in runtimes
+        ]
+
+    estimates = benchmark.pedantic(evaluate_all, setup=fill, rounds=30, iterations=1)
+    assert len(estimates) == 16
+    assert session.pool.pool_misses == 0

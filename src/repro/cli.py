@@ -510,14 +510,17 @@ def _summarize_trace(args: argparse.Namespace) -> int:
 
     shared = analysis.shared_walk_attribution(trace)
     if shared:
+        # only protocol-batch walk spans name their consumers, and only
+        # older recorded traces hold them: elsewhere the column reads 0
+        show_walks = any(stats["walks"] for stats in shared.values())
         emit("\nshared-walk attribution (per query):")
         for query_id, stats in sorted(shared.items()):
-            emit(
+            line = (
                 f"  {query_id:12s} pool_hits={stats['pool_hits']:6d}  "
                 f"pool_misses={stats['pool_misses']:6d}  "
-                f"batches={stats['shared_batches']:4d}  "
-                f"walks={stats['walks']:6d}"
+                f"batches={stats['shared_batches']:4d}"
             )
+            emit(f"{line}  walks={stats['walks']:6d}" if show_walks else line)
 
     degraded = analysis.degraded_timeline(trace)
     emit(f"\ndegraded estimates: {len(degraded)}")

@@ -26,12 +26,7 @@ from repro.core.estimators import (
 )
 from repro.core.query import Query
 from repro.core.snapshot import SnapshotEstimate
-from repro.db.aggregates import (
-    AggregateOp,
-    mean_error_budget,
-    query_attributes,
-    tuple_values,
-)
+from repro.db.aggregates import AggregateOp, ValueSpec, mean_error_budget
 from repro.db.relation import P2PDatabase
 from repro.errors import QueryError
 from repro.sampling.operator import SampleSource
@@ -149,20 +144,13 @@ class SnapshotEvaluator:
             if population_size_provider is not None
             else lambda: database.n_tuples
         )
-        self._attributes = query_attributes(query.expression, query.predicate)
+        #: what a draw reads of its tuple (equal queries read equal values)
+        self._spec = ValueSpec(query.op, query.expression, query.predicate)
 
     def _budget(self, epsilon: float) -> tuple[int, float]:
         """``(N, epsilon_mean)``: the population and its mean-level budget."""
         population = int(round(self._population_size_provider()))
         return population, mean_error_budget(self._query.op, epsilon, population)
-
-    def _values(self, tuple_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(y, indicator)`` arrays of live tuples under the query's transform."""
-        query = self._query
-        columns = self._database.gather(self._attributes, tuple_ids)
-        return tuple_values(
-            query.op, query.expression, query.predicate, columns, len(tuple_ids)
-        )
 
     def _draw(self, n: int) -> Sample:
         """Draw up to ``n`` fresh samples: ``(tuple_ids, y, indicator)``.
@@ -173,11 +161,9 @@ class SnapshotEvaluator:
         """
         if n <= 0:
             return np.empty(0, dtype=np.int64), np.empty(0), np.empty(0)
-        tuple_ids = self._operator.sample_tuples(
-            self._database, n, self._origin, allow_partial=True
+        return self._operator.sample_values(
+            self._database, self._spec, n, self._origin, allow_partial=True
         )
-        values, indicators = self._values(tuple_ids)
-        return tuple_ids, values, indicators
 
     def _sample_from_scratch(
         self,

@@ -499,7 +499,7 @@ class RepeatedEvaluator(SnapshotEvaluator):
         matched_ids = alive_ids[picks]
         matched_prev = alive_values[picks]
         # re-evaluation: already located, negligible communication cost
-        matched_curr = self._values(matched_ids)[0]
+        matched_curr = self._spec.values(self._database, matched_ids)[0]
 
         pairs = _MatchedPairs.measure(
             matched_prev, matched_curr, state.estimate, state.variance

@@ -17,6 +17,7 @@ change autonomously (Section II). This package provides:
 
 from repro.db.aggregates import (
     AggregateOp,
+    ValueSpec,
     estimate_from_mean,
     exact_aggregate,
     tuple_values,
@@ -34,6 +35,7 @@ __all__ = [
     "P2PDatabase",
     "Predicate",
     "Schema",
+    "ValueSpec",
     "estimate_from_mean",
     "exact_aggregate",
     "tuple_values",

@@ -20,7 +20,9 @@ achieve (``epsilon / N`` for SUM/COUNT).
 from __future__ import annotations
 
 import enum
-from typing import Mapping
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -114,6 +116,34 @@ def tuple_values(
     if op is AggregateOp.COUNT:
         expressed = (expressed != 0.0).astype(float)
     return expressed * indicators, indicators
+
+
+@dataclass(frozen=True)
+class ValueSpec:
+    """What a query reads of each sampled tuple: ``op(expression) WHERE predicate``.
+
+    Equal specs read equal ``(y, indicator)`` values from the same tuples,
+    so queries that differ only in precision share them (the sample pool
+    keys its gathered columns on the spec).
+    """
+
+    op: AggregateOp
+    expression: Expression
+    predicate: Predicate | None = None
+
+    @cached_property
+    def attributes(self) -> list[str]:
+        """The attributes the spec reads (:func:`query_attributes`)."""
+        return query_attributes(self.expression, self.predicate)
+
+    def values(
+        self, database: P2PDatabase, tuple_ids: Sequence[int] | np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`tuple_values` of live ``tuple_ids``, read with one gather."""
+        columns = database.gather(self.attributes, tuple_ids)
+        return tuple_values(
+            self.op, self.expression, self.predicate, columns, len(tuple_ids)
+        )
 
 
 def exact_aggregate(

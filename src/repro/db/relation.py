@@ -83,6 +83,7 @@ class P2PDatabase:
         self._has_store = np.zeros(0, dtype=bool)
         self._next_tuple_id = 0
         self._layout_version = 0
+        self._write_version = 0
         self._order: tuple[int, np.ndarray] | None = None
         for node in nodes:
             self.add_node(node)
@@ -105,6 +106,18 @@ class P2PDatabase:
         """
         return self._layout_version
 
+    @property
+    def write_version(self) -> int:
+        """Monotone counter bumped by every write to the relation.
+
+        ``insert``, ``update``, ``update_many``, ``delete``, ``add_node``
+        and ``remove_node`` bump it. While it is unchanged, every tuple's
+        liveness and values are unchanged, so whatever was read of a set of
+        tuple ids still holds (the sample pool keys its gathered columns
+        on it).
+        """
+        return self._write_version
+
     # ------------------------------------------------------------------
     # node membership
     # ------------------------------------------------------------------
@@ -121,6 +134,7 @@ class P2PDatabase:
             self._has_store = grown(self._has_store, node + 1, False)
         self._has_store[node] = True
         self._layout_version += 1
+        self._write_version += 1
 
     def remove_node(self, node: int) -> list[int]:
         """Drop a node and its entire fragment; returns the lost tuple ids.
@@ -138,6 +152,7 @@ class P2PDatabase:
         self._sizes[node] = 0
         self._has_store[node] = False
         self._layout_version += 1
+        self._write_version += 1
         return lost
 
     def handle_churn(self, event: ChurnEvent) -> list[int]:
@@ -204,6 +219,7 @@ class P2PDatabase:
         self._n_live += 1
         self._sizes[node] = len(store)
         self._layout_version += 1
+        self._write_version += 1
         return tuple_id
 
     def update(self, tuple_id: int, values: Mapping[str, float]) -> None:
@@ -212,6 +228,7 @@ class P2PDatabase:
         if node is None:
             raise StoreError(f"tuple {tuple_id} does not exist")
         self._stores[node].update(tuple_id, values)
+        self._write_version += 1
 
     def update_many(
         self,
@@ -225,7 +242,7 @@ class P2PDatabase:
         all or nothing: an unknown attribute, an unknown or deleted id, a
         repeated id or a length mismatch raises :class:`StoreError` before
         anything is written. Like :meth:`update`, it leaves
-        :attr:`layout_version` alone.
+        :attr:`layout_version` alone and bumps :attr:`write_version`.
         """
         column = self._columns.array(attribute)
         ids = np.asarray(tuple_ids)
@@ -249,6 +266,7 @@ class P2PDatabase:
         if np.count_nonzero(written) != ids.size:
             raise StoreError("repeated tuple ids")
         column[ids] = new
+        self._write_version += 1
 
     def delete(self, tuple_id: int) -> None:
         node = self.locate(tuple_id)
@@ -260,6 +278,7 @@ class P2PDatabase:
         self._n_live -= 1
         self._sizes[node] = len(store)
         self._layout_version += 1
+        self._write_version += 1
 
     def locate(self, tuple_id: int) -> int | None:
         """Node currently hosting ``tuple_id``; None for a deleted or unknown id."""

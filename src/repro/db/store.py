@@ -179,6 +179,15 @@ class LocalStore:
             raise StoreError(f"tuple {tuple_id} does not exist")
         return self._columns.row(tuple_id)
 
+    def tuple_id_at(self, position: int) -> int:
+        """The id at ``position`` of the local order (``0 <= position < len``).
+
+        A uniform ``position`` is a uniform local tuple: drawing the
+        positions of many fragments in one vector call and reading the ids
+        here is :meth:`sample_uniform` for each of them.
+        """
+        return self._ids[position]
+
     def sample_uniform(self, rng: np.random.Generator) -> int:
         """Uniformly random tuple id — the local stage of two-stage sampling."""
         if not self._ids:

@@ -68,6 +68,7 @@ from typing import Protocol
 
 import numpy as np
 
+from repro.db.aggregates import ValueSpec
 from repro.db.relation import P2PDatabase
 from repro.errors import SamplingError
 from repro.network.faults import FaultPlan
@@ -145,20 +146,24 @@ class SampleSource(Protocol):
     Implemented by :class:`SamplingOperator` itself and by
     :class:`~repro.sampling.pool.PoolLease` (a query's handle on the
     shared :class:`~repro.sampling.pool.SamplePool`) — anything that can
-    deliver uniform tuple samples and weighted node samples. A batch of
-    tuple samples is an int64 array of tuple ids, in draw order; it
-    carries no values (read them with one
-    :meth:`~repro.db.relation.P2PDatabase.gather`).
+    deliver uniform tuple samples with a query's values and weighted node
+    samples.
     """
 
-    def sample_tuples(
+    def sample_values(
         self,
         database: P2PDatabase,
+        spec: ValueSpec,
         n: int,
         origin: int,
         allow_partial: bool = False,
-    ) -> np.ndarray:
-        """Draw ``n`` uniformly random tuple ids (partial under faults)."""
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Draw ``n`` uniform tuples: ``(tuple_ids, y, indicator)`` under ``spec``.
+
+        Three parallel arrays in draw order: the int64 tuple ids and their
+        :meth:`~repro.db.aggregates.ValueSpec.values` (partial under
+        faults).
+        """
         ...
 
     def sample_nodes(
@@ -646,7 +651,9 @@ class SamplingOperator:
 
         Stage one samples ``n`` nodes with ``w_v = m_v`` in one
         :meth:`sample_nodes` call, which retries lost messages itself;
-        stage two draws a uniform local tuple at each sampled node. Empty
+        stage two draws a uniform local tuple at each sampled node, all in
+        one ``integers`` call over their sizes (the integers, and the
+        generator state after them, of one scalar draw per node). Empty
         nodes have zero weight, so a walk ends on one only if it started on
         one and spent its whole budget among empty nodes. Such a miss, or a
         sample lost for good, is a shortfall: with ``allow_partial=True``
@@ -657,23 +664,43 @@ class SamplingOperator:
         if database.n_tuples == 0:
             raise SamplingError("cannot sample tuples from an empty relation")
         weight = self._tuple_weight(database)
-        drawn: list[int] = []
-        for node in self.sample_nodes(weight, n, origin):
-            store = database.store(node)
-            if len(store):
-                drawn.append(store.sample_uniform(self._rng))
-        if len(drawn) < n:
+        nodes = np.array(self.sample_nodes(weight, n, origin), dtype=np.int64)
+        sizes = database.content_size_array(nodes)
+        held = sizes > 0
+        nodes = nodes[held]
+        positions = self._rng.integers(0, sizes[held])
+        drawn = np.fromiter(
+            (
+                database.store(node).tuple_id_at(position)
+                for node, position in zip(nodes.tolist(), positions.tolist())
+            ),
+            dtype=np.int64,
+            count=nodes.size,
+        )
+        if drawn.size < n:
             if not allow_partial:
                 raise SamplingError(
-                    f"failed to draw {n} tuples ({len(drawn)} drawn): walks "
+                    f"failed to draw {n} tuples ({drawn.size} drawn): walks "
                     f"were lost or ended on empty nodes"
                 )
             if self._faults is not None:
                 # the operator keeps no clock; the bridged tracer stamps it
                 self._faults.record(
-                    NO_TIME, "sample_shortfall", detail=f"{len(drawn)} of {n}"
+                    NO_TIME, "sample_shortfall", detail=f"{drawn.size} of {n}"
                 )
-        return np.array(drawn, dtype=np.int64)
+        return drawn
+
+    def sample_values(
+        self,
+        database: P2PDatabase,
+        spec: ValueSpec,
+        n: int,
+        origin: int,
+        allow_partial: bool = False,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`sample_tuples` and the drawn tuples' values under ``spec``."""
+        tuple_ids = self.sample_tuples(database, n, origin, allow_partial)
+        return (tuple_ids, *spec.values(database, tuple_ids))
 
     def cluster_sample(
         self, database: P2PDatabase, origin: int

@@ -151,8 +151,10 @@ class TestRecovery:
         served = []
 
         def recording(*args, **kwargs):
-            served.append(acquire(*args, **kwargs))
-            return served[-1]
+            # a lease's serve is (tuple_ids, y, indicator); spy on the ids
+            serve = acquire(*args, **kwargs)
+            served.append(serve[0])
+            return serve
 
         session.pool.acquire = recording
         for time in range(HORIZON):

@@ -131,10 +131,10 @@ class _Scripted:
         self._ids = tuple_ids
         self._cursor = 0
 
-    def sample_tuples(self, database, n, origin, allow_partial=False):
+    def sample_values(self, database, spec, n, origin, allow_partial=False):
         drawn = self._ids[self._cursor : self._cursor + n]
         self._cursor += n
-        return drawn
+        return (drawn, *spec.values(database, drawn))
 
     def sample_nodes(self, weight, n, origin):
         raise AssertionError("the evaluators draw tuples only")

@@ -9,6 +9,8 @@ its attribution at that level.
 import numpy as np
 import pytest
 
+from repro.db.aggregates import AggregateOp, ValueSpec
+from repro.db.expression import Expression
 from repro.db.relation import P2PDatabase, Schema
 from repro.network.graph import OverlayGraph
 from repro.network.messaging import MessageLedger
@@ -17,6 +19,9 @@ from repro.obs.analysis import shared_walk_attribution
 from repro.obs.tracer import SinkTracer
 from repro.sampling.operator import SamplerConfig
 from repro.sampling.pool import SamplePool
+
+
+AVG_V = ValueSpec(AggregateOp.AVG, Expression("v"))
 
 
 def _world(n=16, seed=0):
@@ -48,14 +53,14 @@ class TestRunWalkBatch:
         shared = _pool(graph, ledger=shared_ledger)
         shared.prefetch(database, 8, origin=0, consumers=("q0", "q1"))
         for consumer in ("q0", "q1"):
-            shared.acquire(database, 8, origin=0, consumer=consumer)
+            shared.acquire(database, AVG_V, 8, origin=0, consumer=consumer)
         assert shared.pool_misses == 0
 
         solo_ledger = MessageLedger()
         solo_cost = 0
         for seed, consumer in enumerate(("q0", "q1")):
             solo = _pool(graph, seed=seed, ledger=solo_ledger)
-            solo.acquire(database, 8, origin=0, consumer=consumer)
+            solo.acquire(database, AVG_V, 8, origin=0, consumer=consumer)
             if seed == 0:
                 solo_cost = solo_ledger.total
 
@@ -67,8 +72,8 @@ class TestRunWalkBatch:
         tracer = SinkTracer(record=True)
         pool = _pool(graph, tracer=tracer)
         pool.prefetch(database, 5, origin=0, consumers=("q0", "q1"))
-        pool.acquire(database, 5, origin=0, consumer="q0")
-        pool.acquire(database, 3, origin=0, consumer="q1")
+        pool.acquire(database, AVG_V, 5, origin=0, consumer="q0")
+        pool.acquire(database, AVG_V, 3, origin=0, consumer="q1")
         trace = tracer.trace()
 
         # the batch's walks are drawn once, by one acquisition

@@ -343,6 +343,40 @@ class TestTupleSampling:
         assert len(samples) == 50
         assert all(database.locate(t) < 8 for t in samples.tolist())
 
+    def test_vector_local_draw_matches_scalar_draws(self, monkeypatch):
+        """One ``integers`` call over the delivered nodes is one draw per node.
+
+        The delivered nodes are scripted: empty, one-tuple and large
+        fragments, repeats included. The operator's ids and its generator
+        state afterwards equal a ``sample_uniform`` loop over the same
+        nodes that skips the empty ones.
+        """
+        sizes = [0, 1, 3, 0, 2000, 1, 57, 0, 9, 40_000]
+        graph = OverlayGraph(mesh_topology(len(sizes)), n_nodes=len(sizes))
+        database = P2PDatabase(Schema(("v",)), graph.nodes())
+        for node, size in enumerate(sizes):
+            for _ in range(size):
+                database.insert(node, {"v": 0.0})
+        delivered = [9, 0, 1, 4, 3, 2, 6, 9, 8, 7, 5, 4, 4, 0, 2] * 20
+        rng = np.random.default_rng(11)
+        operator = SamplingOperator(graph, rng)
+        monkeypatch.setattr(
+            operator, "sample_nodes", lambda weight, n, origin: delivered
+        )
+        drawn = operator.sample_tuples(
+            database, len(delivered), origin=0, allow_partial=True
+        )
+
+        reference = np.random.default_rng(11)
+        expected = [
+            database.store(node).sample_uniform(reference)
+            for node in delivered
+            if sizes[node]
+        ]
+        assert drawn.dtype == np.int64
+        assert drawn.tolist() == expected
+        assert rng.bit_generator.state == reference.bit_generator.state
+
     def test_cluster_sample_returns_whole_fragment(self):
         graph, database = _world()
         operator = SamplingOperator(graph, np.random.default_rng(0))

@@ -1,8 +1,14 @@
 """Tests for the command-line interface."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
+from repro.experiments import slo_audit
+
+V1_GOLDEN = Path(__file__).parent / "obs" / "golden" / "v1_faulted_trace.jsonl"
 
 
 class TestExperimentCommand:
@@ -99,3 +105,19 @@ class TestTraceCommands:
             == 0
         )
         assert "replayed 5 steps" in capsys.readouterr().out
+
+    def test_summarize_walks_column_only_with_protocol_batches(
+        self, tmp_path, capsys
+    ):
+        """A session trace has no attributed walks, so no ``walks=`` column."""
+        path = tmp_path / "slo.jsonl"
+        assert slo_audit.main(["--smoke", "--trace-out", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["trace", "summarize", "--input", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "shared-walk attribution" in out
+        assert "walks=" not in out
+        # the v1 golden holds one protocol batch, whose walks name q1 nine times
+        assert main(["trace", "summarize", "--input", str(V1_GOLDEN)]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^  q1 .* walks=\s+9$", out, re.MULTILINE)
