@@ -405,8 +405,6 @@ def _run_query_set(args: argparse.Namespace) -> int:
                     f"(fresh {estimate.n_fresh:4d})"
                 )
     pool = session.pool
-    served = pool.pool_hits + pool.pool_misses
-    hit_rate = pool.pool_hits / served if served else 0.0
     emit(
         f"\n{session.metrics.snapshot_queries} snapshot queries across "
         f"{len(qids)} queries, {session.metrics.samples_total} samples, "
@@ -414,7 +412,7 @@ def _run_query_set(args: argparse.Namespace) -> int:
     )
     emit(
         f"pool: {pool.pool_hits} hits / {pool.pool_misses} misses "
-        f"({hit_rate:.1%} hit rate), "
+        f"({pool.hit_rate:.1%} hit rate), "
         f"{session.batches_coalesced} coalesced walk batches"
     )
     return 0

@@ -71,10 +71,10 @@ from repro.network.graph import OverlayGraph
 from repro.network.messaging import MessageLedger
 from repro.network.partitions import PartitionPlan
 from repro.obs.alerts import AlertEngine, AlertRule
-from repro.obs.audit import META_PROMISES, AuditVerdict, GuaranteeAuditor
+from repro.obs.audit import META_PROMISES, GuaranteeAuditor
 from repro.obs.live import META_FINISHED_AT, LivePipeline, WindowConfig
-from repro.obs.schema import SPAN_POOL_SERVE, SPAN_SNAPSHOT_QUERY
-from repro.obs.tracer import RunMetricsSink, SinkTracer, Span, TraceEvent
+from repro.obs.schema import SPAN_SNAPSHOT_QUERY
+from repro.obs.tracer import RunMetricsSink, SinkTracer
 from repro.sampling.operator import SamplerConfig
 from repro.sampling.pool import SamplePool
 from repro.sim.engine import PRIORITY_QUERY, SimulationEngine
@@ -178,38 +178,6 @@ class QuerySet:
         return iter(self._specs)
 
 
-class _QueryMetricsSink:
-    """Derives every query's RunMetrics from the session's shared spans.
-
-    One sink per session. A span goes to the inner
-    :class:`~repro.obs.tracer.RunMetricsSink` of the query it is
-    attributable to: the query named by a ``snapshot_query`` span's
-    ``query`` or by a ``pool_serve`` span's ``consumer``. Fault events are
-    substrate-level, not per-query, and are ignored here (the
-    session-level metrics carry them).
-    """
-
-    def __init__(self) -> None:
-        self._sinks: dict[str, RunMetricsSink] = {}
-
-    def add(self, query_id: str, metrics: RunMetrics) -> None:
-        self._sinks[query_id] = RunMetricsSink(metrics)
-
-    def on_span_end(self, span: Span) -> None:
-        attrs = span.attrs
-        if span.name == SPAN_SNAPSHOT_QUERY:
-            self._forward(attrs.get("query"), span)
-        elif span.name == SPAN_POOL_SERVE:
-            self._forward(attrs.get("consumer"), span)
-
-    def _forward(self, query_id: object, span: Span) -> None:
-        if isinstance(query_id, str) and query_id in self._sinks:
-            self._sinks[query_id].on_span_end(span)
-
-    def on_event(self, event: TraceEvent) -> None:
-        return None
-
-
 class QueryRuntime:
     """One query's live state inside a session (created by the session)."""
 
@@ -232,9 +200,9 @@ class QueryRuntime:
         self.subscriptions: list[NotificationFilter] = []
         self.next_due = continuous_query.start_time
         self.next_trigger = "bootstrap"
-        #: the session's guarantee audit of the latest snapshot (None
-        #: until the first snapshot runs); see :mod:`repro.obs.audit`
-        self.audit_verdict: AuditVerdict | None = None
+        #: derives :attr:`metrics` from this query's ``snapshot_query``
+        #: spans, which the session hands it as each one ends
+        self.metrics_sink = RunMetricsSink(self.metrics)
 
     def due_at(self, time: int) -> bool:
         """Is a snapshot query due for this runtime at ``time``?"""
@@ -275,8 +243,6 @@ class DigestSession:
         self.metrics = RunMetrics()
         self.tracer = tracer if tracer is not None else SinkTracer()
         self.tracer.add_sink(RunMetricsSink(self.metrics))
-        self._query_metrics = _QueryMetricsSink()
-        self.tracer.add_sink(self._query_metrics)
         #: guarantee auditor of every ended snapshot span; it sits before
         #: any live pipeline, so a window's burn-rate signals include the
         #: snapshot that closed the window
@@ -395,7 +361,6 @@ class DigestSession:
             evaluator=evaluator,
             scheduler=scheduler,
         )
-        self._query_metrics.add(query_id, runtime.metrics)
         self.auditor.register(
             query_id,
             continuous_query.precision.epsilon,
@@ -547,6 +512,8 @@ class DigestSession:
             trigger=runtime.next_trigger,
             query=runtime.query_id,
         )
+        pool = self.pool
+        hits, misses = pool.pool_hits, pool.pool_misses
         with self.tracer.profile("snapshot_evaluate"):
             estimate = runtime.evaluator.evaluate(
                 time, precision.epsilon, precision.confidence
@@ -572,10 +539,11 @@ class DigestSession:
         for subscription in runtime.subscriptions:
             subscription.offer(record)
         runtime.history.append((time, estimate.aggregate))
-        # counters (snapshot_queries, samples_*, degraded_estimates) are
-        # derived from this span by the RunMetricsSink — session-wide on
-        # the session metrics, query-scoped on the runtime metrics; the
-        # auditor judges the same span.
+        # counters (snapshot_queries, samples_*, degraded_estimates and
+        # the pool's hit/miss split of this evaluation) are derived from
+        # this span by a RunMetricsSink — session-wide as a tracer sink,
+        # query-scoped by the runtime's own; the auditor judges the same
+        # span.
         if estimate.reachable_fraction < 1.0:
             # only set on actually-partitioned snapshots so partition-free
             # traces stay byte-identical to the pre-partition format
@@ -594,12 +562,10 @@ class DigestSession:
             n_fresh=estimate.n_fresh,
             n_retained=estimate.n_retained,
             degraded=estimate.degraded,
+            n_hit=pool.pool_hits - hits,
+            n_miss=pool.pool_misses - misses,
         )
-        runtime.audit_verdict = self.auditor.verdict(runtime.query_id)
-        runtime.metrics.series("estimate").record(time, estimate.aggregate)
-        runtime.metrics.series("samples_per_query").record(
-            time, estimate.n_total
-        )
+        runtime.metrics_sink.on_span_end(span)
         runtime.next_due = runtime.scheduler.next_time(runtime.history, time)
         runtime.next_trigger = runtime.scheduler.last_decision
         return estimate

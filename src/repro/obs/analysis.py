@@ -40,7 +40,6 @@ from repro.obs.schema import (
     EVENT_ALERT_FIRING,
     EVENT_ALERT_RESOLVED,
     EVENT_FAULT,
-    SPAN_POOL_SERVE,
     SPAN_SHARED_WALK_BATCH,
     SPAN_SNAPSHOT_QUERY,
     SPAN_WALK,
@@ -135,7 +134,8 @@ def message_attribution(trace: Trace) -> dict[str, int]:
 def shared_walk_attribution(trace: Trace) -> dict[str, dict[str, int]]:
     """Per-query accounting of pool serving and coalesced walk batches.
 
-    Every ``pool_serve`` span names its consuming query; every
+    Every ``snapshot_query`` span a pool served names its query and
+    carries the evaluation's pool hits and misses; every
     ``shared_walk_batch`` span (and, in older recorded protocol traces,
     every ``walk`` span launched by a batch) carries the comma-joined ids
     of *all* its consumers. This reconstructs, per query id: how many
@@ -160,11 +160,11 @@ def shared_walk_attribution(trace: Trace) -> dict[str, dict[str, int]]:
             },
         )
 
-    for span in trace.spans_named(SPAN_POOL_SERVE):
-        consumer = str(span.attrs.get("consumer", "?"))
-        record = entry(consumer)
-        record["pool_hits"] += _as_int(span.attrs.get("n_hit"))
-        record["pool_misses"] += _as_int(span.attrs.get("n_miss"))
+    for span in trace.spans_named(SPAN_SNAPSHOT_QUERY):
+        if "n_hit" in span.attrs:
+            record = entry(str(span.attrs.get("query", "?")))
+            record["pool_hits"] += _as_int(span.attrs.get("n_hit"))
+            record["pool_misses"] += _as_int(span.attrs.get("n_miss"))
     for span in trace.spans_named(SPAN_SHARED_WALK_BATCH):
         consumers = str(span.attrs.get("consumers", ""))
         for query_id in filter(None, consumers.split(",")):

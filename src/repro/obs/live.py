@@ -55,7 +55,6 @@ from repro.obs.schema import (
     EVENT_BREAKER_TRIP,
     EVENT_FAULT,
     SPAN_HOP_SEGMENT,
-    SPAN_POOL_SERVE,
     SPAN_SAMPLE_ACQUISITION,
     SPAN_SNAPSHOT_QUERY,
     SPAN_WALK,
@@ -367,7 +366,6 @@ class LivePipeline:
             window.snapshots += 1
             if bool(span.attrs.get("degraded", False)):
                 window.degraded += 1
-        elif span.name == SPAN_POOL_SERVE:
             window.pool_hits += _as_int(span.attrs.get("n_hit"))
             window.pool_misses += _as_int(span.attrs.get("n_miss"))
 

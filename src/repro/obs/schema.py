@@ -103,8 +103,6 @@ SPAN_SHARED_WALK_BATCH = "shared_walk_batch"
 SPAN_SNAPSHOT_QUERY = "snapshot_query"
 #: One (message_loss, crash_probability) cell of the fault sweep.
 SPAN_FAULT_CELL = "fault_cell"
-#: One pool request served to a consuming query (hits + fresh draws).
-SPAN_POOL_SERVE = "pool_serve"
 #: One (width, duration, heal policy) cell of the partition sweep.
 SPAN_PARTITION_CELL = "partition_cell"
 #: One operator-level node-sample acquisition (Metropolis walks).
@@ -196,6 +194,8 @@ SPAN_SCHEMAS: dict[str, SpanSchema] = {
                 "reachable_fraction",
                 "achieved_epsilon",
                 "achieved_confidence",
+                "n_hit",  # the evaluation's pool hits, where a pool served it
+                "n_miss",  # and its fresh draws
             ),
             description="one snapshot evaluation; drives RunMetrics counters",
         ),
@@ -223,11 +223,6 @@ SPAN_SCHEMAS: dict[str, SpanSchema] = {
             ),
             optional=("recovery_occasions",),
             description="one cell of the partition-tolerance sweep",
-        ),
-        SpanSchema(
-            SPAN_POOL_SERVE,
-            required=("n_requested", "consumer", "origin", "n_hit", "n_miss", "n_drawn"),
-            description="one pool request served to a query (reuse accounting)",
         ),
         SpanSchema(
             SPAN_SAMPLE_ACQUISITION,

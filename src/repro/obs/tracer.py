@@ -41,7 +41,6 @@ from repro.obs.schema import (
     EVENT_FAULT,
     EVENT_MESSAGE,
     EVENT_PROBE,
-    SPAN_POOL_SERVE,
     SPAN_SAMPLE_ACQUISITION,
     SPAN_SNAPSHOT_QUERY,
     SPAN_WALK,
@@ -423,11 +422,11 @@ class RunMetricsSink:
     * ``snapshot_query`` span → ``snapshot_queries`` +1; ``samples_total``
       / ``samples_fresh`` / ``samples_retained`` from the span's
       ``n_total`` / ``n_fresh`` / ``n_retained``; ``degraded_estimates``
-      +1 when ``degraded`` is true.
+      +1 when ``degraded`` is true; ``pool_hits`` / ``pool_misses`` from
+      ``n_hit`` / ``n_miss`` (the evaluation's shared-sample-pool reuse,
+      absent where no pool served it).
     * ``walk`` span → ``walks_retried`` += ``attempts`` - 1;
       ``walks_failed`` +1 when ``outcome == "failed"``.
-    * ``pool_serve`` span → ``pool_hits`` += ``n_hit``;
-      ``pool_misses`` += ``n_miss`` (shared-sample-pool reuse accounting).
     * ``sample_acquisition`` span → ``faults_injected`` += ``n_lost``.
     * span-less ``fault`` event → ``faults_injected`` +1.
     * span-less ``alert_firing`` / ``alert_resolved`` event →
@@ -447,14 +446,13 @@ class RunMetricsSink:
             metrics.samples_retained += _as_int(span.attrs.get("n_retained"))
             if bool(span.attrs.get("degraded", False)):
                 metrics.degraded_estimates += 1
+            metrics.pool_hits += _as_int(span.attrs.get("n_hit"))
+            metrics.pool_misses += _as_int(span.attrs.get("n_miss"))
         elif span.name == SPAN_WALK:
             attempts = _as_int(span.attrs.get("attempts"), default=1)
             metrics.walks_retried += max(0, attempts - 1)
             if span.attrs.get("outcome") == "failed":
                 metrics.walks_failed += 1
-        elif span.name == SPAN_POOL_SERVE:
-            metrics.pool_hits += _as_int(span.attrs.get("n_hit"))
-            metrics.pool_misses += _as_int(span.attrs.get("n_miss"))
         elif span.name == SPAN_SAMPLE_ACQUISITION:
             metrics.faults_injected += _as_int(span.attrs.get("n_lost"))
 

@@ -45,9 +45,10 @@ each query's marginal ``(epsilon, p)`` contract is untouched.
   same pooled samples;
 * only the marginal shortfall ``n_required - n_pooled`` is drawn fresh
   through the operator — the pool hit/miss split is counted
-  (:attr:`pool_hits` / :attr:`pool_misses`), traced (``pool_serve``
-  spans), and derived into
-  :class:`~repro.sim.metrics.RunMetrics` by the standard sink;
+  (:attr:`pool_hits` / :attr:`pool_misses`); a session records each
+  evaluation's share of it on that evaluation's ``snapshot_query`` span,
+  from which the standard sink derives
+  :class:`~repro.sim.metrics.RunMetrics`;
 * :meth:`prefetch` draws one **coalesced walk batch** on behalf of several
   queries at once (the session's demand coalescing), recording a
   ``shared_walk_batch`` span attributing the batch to every consuming
@@ -65,7 +66,7 @@ from repro.network.faults import FaultPlan
 from repro.network.graph import OverlayGraph
 from repro.network.messaging import MessageLedger
 from repro.network.partitions import PartitionPlan
-from repro.obs.schema import SPAN_POOL_SERVE, SPAN_SHARED_WALK_BATCH
+from repro.obs.schema import SPAN_SHARED_WALK_BATCH
 from repro.obs.tracer import NO_TIME, NULL_TRACER, Tracer
 from repro.sampling.operator import SamplerConfig, SamplingOperator
 from repro.sampling.weights import WeightFunction
@@ -249,12 +250,6 @@ class SamplePool:
         if n == 0:
             return np.empty(0, dtype=np.int64), np.empty(0), np.empty(0)
         cursor = self._cursors.get(consumer, 0)
-        span = self._tracer.span(
-            SPAN_POOL_SERVE,
-            n_requested=n,
-            consumer=consumer,
-            origin=origin,
-        )
         self._sync(database)
         live = self._live
         # the serve is the run of live draws from the cursor on, ranked
@@ -276,12 +271,6 @@ class SamplePool:
             self._cursors[consumer] = int(live[end - 1]) + 1
         self.pool_hits += n_hit
         self.pool_misses += shortfall
-        self._tracer.end(
-            span,
-            n_hit=n_hit,
-            n_miss=shortfall,
-            n_drawn=end - first - n_hit,
-        )
         tuple_ids = self._ids[self._live[first:end]]
         y, indicator = self._spec_values(database, spec, first, end, tuple_ids)
         return tuple_ids, y, indicator

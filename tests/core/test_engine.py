@@ -149,8 +149,7 @@ class TestStepping:
             session.step(t)
         metrics = runtime.metrics
         assert metrics.samples_total == metrics.samples_fresh + metrics.samples_retained
-        assert metrics.has_series("estimate")
-        assert len(metrics.series("estimate")) == 4
+        assert len(runtime.history) == 4
         assert session.ledger.total > 0
 
 

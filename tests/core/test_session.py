@@ -299,9 +299,8 @@ class TestTraceAttribution:
         """Every query's metrics are what a filter of its own would derive.
 
         Sixteen queries share the session's one metrics sink; each query's
-        counters must equal those of the per-query filter it replaced,
-        applied to the recorded trace: its ``snapshot_query`` spans and the
-        ``pool_serve`` spans it consumed.
+        counters must equal those of a per-query filter applied to the
+        recorded trace: its ``snapshot_query`` spans.
         """
         graph, database = _world(seed=6)
         tracer = SinkTracer(record=True)
@@ -328,23 +327,36 @@ class TestTraceAttribution:
         trace = tracer.trace()
         assert verify_trace_consistency(trace, session.metrics) == []
 
-        def attributed(span, qid):
-            attrs = span.attrs
-            if span.name == "snapshot_query":
-                return attrs.get("query") == qid
-            if span.name == "pool_serve":
-                return attrs.get("consumer") == qid
-            return False
-
         for qid in qids:
             expected = RunMetrics()
             sink = RunMetricsSink(expected)
-            for span in trace.spans:
-                if attributed(span, qid):
+            for span in trace.spans_named("snapshot_query"):
+                if span.attrs.get("query") == qid:
                     sink.on_span_end(span)
             live = counter_dict(session.runtime(qid).metrics)
             assert live == counter_dict(expected)
             assert live["snapshot_queries"] == 4
+
+    def test_snapshot_spans_carry_pool_split(self):
+        """Each snapshot span holds its evaluation's pool hits and misses.
+
+        Summed per query they are the query's own counters, and summed
+        over all queries they are the pool's.
+        """
+        session, tracer, qids = self._faulted_traced_run()
+        snapshots = tracer.trace().spans_named("snapshot_query")
+        assert snapshots
+        for span in snapshots:
+            assert {"n_hit", "n_miss"} <= span.attrs.keys()
+        for qid in qids:
+            own = [s for s in snapshots if s.attrs["query"] == qid]
+            metrics = session.runtime(qid).metrics
+            assert sum(s.attrs["n_hit"] for s in own) == metrics.pool_hits
+            assert sum(s.attrs["n_miss"] for s in own) == metrics.pool_misses
+        pool = session.pool
+        assert pool.pool_hits > 0 and pool.pool_misses > 0
+        assert sum(s.attrs["n_hit"] for s in snapshots) == pool.pool_hits
+        assert sum(s.attrs["n_miss"] for s in snapshots) == pool.pool_misses
 
     def test_shared_batches_attribute_every_consumer(self):
         session, tracer, qids = self._faulted_traced_run()

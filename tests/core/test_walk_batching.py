@@ -73,7 +73,9 @@ class TestRunWalkBatch:
         pool = _pool(graph, tracer=tracer)
         pool.prefetch(database, 5, origin=0, consumers=("q0", "q1"))
         pool.acquire(database, AVG_V, 5, origin=0, consumer="q0")
+        assert (pool.pool_hits, pool.pool_misses) == (5, 0)
         pool.acquire(database, AVG_V, 3, origin=0, consumer="q1")
+        assert (pool.pool_hits, pool.pool_misses) == (8, 0)
         trace = tracer.trace()
 
         # the batch's walks are drawn once, by one acquisition
@@ -82,16 +84,7 @@ class TestRunWalkBatch:
         [batch] = trace.spans_named("shared_walk_batch")
         assert batch.attrs["consumers"] == "q0,q1"
         assert batch.attrs["n_drawn"] == 5
-
-        # both consumers are served from the batch without a fresh walk
-        serves = {
-            span.attrs["consumer"]: span
-            for span in trace.spans_named("pool_serve")
-        }
-        assert serves["q0"].attrs["n_hit"] == 5
-        assert serves["q1"].attrs["n_hit"] == 3
         attribution = shared_walk_attribution(trace)
         for qid in ("q0", "q1"):
             assert attribution[qid]["shared_batches"] == 1
             assert attribution[qid]["batch_samples"] == 5
-            assert attribution[qid]["pool_misses"] == 0

@@ -22,7 +22,6 @@ from repro.obs.schema import (
     EVENT_FAULT,
     EVENT_MESSAGE,
     EVENT_PROBE,
-    SPAN_POOL_SERVE,
     SPAN_SNAPSHOT_QUERY,
     SPAN_WALK,
 )
@@ -134,16 +133,8 @@ class TestAccumulation:
     def test_pool_and_snapshot_accumulation(self):
         pipeline = LivePipeline(WindowConfig(width=10))
         tracer = SinkTracer(sinks=[pipeline])
-        span = tracer.span(
-            SPAN_POOL_SERVE,
-            time=1,
-            n_requested=4,
-            consumer="q0",
-            origin=0,
-        )
-        tracer.end(span, time=1, n_hit=3, n_miss=1, n_drawn=1)
         span = tracer.span(SPAN_SNAPSHOT_QUERY, time=2, query="q0")
-        tracer.end(span, time=2, degraded=True)
+        tracer.end(span, time=2, degraded=True, n_hit=3, n_miss=1)
         span = tracer.span(SPAN_SNAPSHOT_QUERY, time=3, query="q1")
         tracer.end(span, time=3, degraded=False)
         pipeline.finish(4)

@@ -43,7 +43,6 @@ V1_SPAN_NAMES = {
     "SPAN_SNAPSHOT_QUERY": "snapshot_query",
     "SPAN_FAULT_CELL": "fault_cell",
     "SPAN_PARTITION_CELL": "partition_cell",
-    "SPAN_POOL_SERVE": "pool_serve",
     "SPAN_SAMPLE_ACQUISITION": "sample_acquisition",
 }
 

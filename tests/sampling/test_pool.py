@@ -237,22 +237,6 @@ class TestPrefetch:
             pool.prefetch(database, -1, origin=0)
 
 
-class TestTracing:
-    def test_pool_serve_spans_carry_hit_miss_split(self):
-        graph, database = _world()
-        tracer = SinkTracer(record=True)
-        pool = _pool(graph, tracer=tracer)
-        pool.begin_epoch(0)
-        pool.acquire(database, AVG_V, 10, origin=0, consumer="q0")
-        pool.acquire(database, AVG_V, 6, origin=0, consumer="q1")
-        serves = tracer.trace().spans_named("pool_serve")
-        assert [s.attrs["consumer"] for s in serves] == ["q0", "q1"]
-        assert serves[0].attrs["n_hit"] == 0
-        assert serves[0].attrs["n_miss"] == 10
-        assert serves[1].attrs["n_hit"] == 6
-        assert serves[1].attrs["n_miss"] == 0
-
-
 class TestServedValues:
     """A serve slices the pool's columns; they must read like a gather."""
 

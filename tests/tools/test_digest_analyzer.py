@@ -347,21 +347,21 @@ class TestTraceNameLiterals:
         result = analyze(
             {
                 "tools/trace_analysis/extra.py": """\
-                def pool_serves(trace):
-                    return trace.spans_named("pool_serve")
+                def batches(trace):
+                    return trace.spans_named("shared_walk_batch")
                 """
             },
             select={"DGL010"},
         )
         assert [f.code for f in result.findings] == ["DGL010"]
-        assert "SPAN_POOL_SERVE" in result.findings[0].message
+        assert "SPAN_SHARED_WALK_BATCH" in result.findings[0].message
 
     def test_membership_comparison_literals(self) -> None:
         result = analyze(
             {
                 "benchmarks/collect.py": """\
                 def interesting(span):
-                    return span.name in ("walk", "pool_serve")
+                    return span.name in ("walk", "shared_walk_batch")
                 """
             },
             select={"DGL010"},
