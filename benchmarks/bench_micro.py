@@ -1,7 +1,7 @@
 """Micro-benchmarks of the hot paths (pytest-benchmark, multi-round).
 
 These track implementation performance rather than paper artifacts: the
-vectorized walk kernel (at two shapes), the walk snapshot (cold and
+walk kernel (at three shapes), the walk snapshot (cold and
 cached), one churn tick's snapshot of a 10^4-node overlay, tuple
 sampling under an open partition and under message loss, local-store
 operations, one tick of ingest (a bulk column scatter against per-row
@@ -71,6 +71,24 @@ def test_batch_walk_kernel_partition_shape(benchmark):
 
     def run():
         ends, _ = batch_walk(context, starts, 340, np.random.default_rng(1))
+        return ends
+
+    benchmark(run)
+
+
+def test_batch_walk_kernel_topup_shape(benchmark):
+    """4 walkers x 360 lazy steps on a 10^4-node power-law overlay.
+
+    About the shape of a top-up after a pool miss: few agents and about
+    180 proposals each, so every round moves at most a handful of them.
+    """
+    rng = np.random.default_rng(0)
+    graph = OverlayGraph(power_law_topology(10_000, rng=rng), n_nodes=10_000)
+    context = WalkContext.from_graph(graph, uniform_weights())
+    starts = np.zeros(4, dtype=np.int64)
+
+    def run():
+        ends, _ = batch_walk(context, starts, 360, np.random.default_rng(1))
         return ends
 
     benchmark(run)

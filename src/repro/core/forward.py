@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.estimators import column_mean
 from repro.errors import QueryError
 
 _RHO_CLIP = 0.999
@@ -95,18 +96,15 @@ def revise_previous(
     )
     if g < 3:
         return unrevised
-    current_var = float(np.mean((matched_current - matched_current.mean()) ** 2))
+    current_mean = column_mean(matched_current)
+    current_centered = matched_current - current_mean
+    current_var = column_mean(current_centered**2)
     if current_var <= 0:
         return unrevised
-    covariance = float(
-        np.mean(
-            (matched_previous - matched_previous.mean())
-            * (matched_current - matched_current.mean())
-        )
-    )
-    previous_var = float(
-        np.mean((matched_previous - matched_previous.mean()) ** 2)
-    )
+    previous_mean = column_mean(matched_previous)
+    previous_centered = matched_previous - previous_mean
+    covariance = column_mean(previous_centered * current_centered)
+    previous_var = column_mean(previous_centered**2)
     b_back = covariance / current_var
     if previous_var > 0:
         r = covariance / math.sqrt(previous_var * current_var)
@@ -115,9 +113,7 @@ def revise_previous(
         r = 0.0
     if r * r < min_r_squared:
         return unrevised
-    regression = float(matched_previous.mean()) + b_back * (
-        current_estimate - float(matched_current.mean())
-    )
+    regression = previous_mean + b_back * (current_estimate - current_mean)
     var_regression = (
         sigma2 * (1.0 - r * r) / g + r * r * current_variance
     )

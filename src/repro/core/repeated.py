@@ -51,7 +51,11 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.estimators import sample_mean_and_variance, variance_target
+from repro.core.estimators import (
+    column_mean,
+    sample_mean_and_variance,
+    variance_target,
+)
 from repro.core.forward import RevisedEstimate, revise_previous
 from repro.core.independent import (
     MAX_SAMPLE_SIZE,
@@ -247,26 +251,23 @@ class _MatchedPairs:
         """Regress current on previous values (three pairs at least)."""
         g = matched_curr.size
         if g >= 3:
-            prev_var = float(np.mean((matched_prev - matched_prev.mean()) ** 2))
+            prev_mean = column_mean(matched_prev)
+            prev_centered = matched_prev - prev_mean
+            prev_var = column_mean(prev_centered**2)
             if prev_var > 0:
-                covariance = float(
-                    np.mean(
-                        (matched_prev - matched_prev.mean())
-                        * (matched_curr - matched_curr.mean())
-                    )
-                )
+                curr_mean = column_mean(matched_curr)
+                curr_centered = matched_curr - curr_mean
+                covariance = column_mean(prev_centered * curr_centered)
                 b = covariance / prev_var
-                curr_var = float(np.mean((matched_curr - matched_curr.mean()) ** 2))
+                curr_var = column_mean(curr_centered**2)
                 rho: float | None = None
                 if curr_var > 0:
                     rho = covariance / math.sqrt(prev_var * curr_var)
                     rho = max(-_RHO_CLIP, min(_RHO_CLIP, rho))
-                regression = float(matched_curr.mean()) + b * (
-                    prev_estimate - float(matched_prev.mean())
-                )
+                regression = curr_mean + b * (prev_estimate - prev_mean)
                 r2 = rho**2 if rho is not None else 0.0
                 return cls(matched_curr, regression, r2, rho, prev_variance)
-        mean = float(matched_curr.mean()) if g else math.nan
+        mean = column_mean(matched_curr) if g else math.nan
         return cls(matched_curr, mean, None, None, prev_variance)
 
     def combine(self, fresh_values: np.ndarray) -> Fit:
@@ -292,7 +293,7 @@ class _MatchedPairs:
         elif g > 0:
             estimates.append((self.estimate, sigma2 / g))
         if f > 0:
-            estimates.append((float(fresh_values.mean()), sigma2 / f))
+            estimates.append((column_mean(fresh_values), sigma2 / f))
 
         weights = [1.0 / var for _, var in estimates]
         total_weight = sum(weights)

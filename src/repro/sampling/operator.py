@@ -504,9 +504,13 @@ class SamplingOperator:
         if config.continued_walks and self._pool_nodes.size:
             # agents survive only if their node is still in the overlay
             # (and, under a partition, on the origin's side of the cut):
-            # exactly the context's nodes
-            alive = self._pool_nodes[np.isin(self._pool_nodes, context.node_ids)]
-            continued = alive[:n]
+            # exactly the context's nodes. node_ids is sorted and unique,
+            # so one search gives each pool node's row and tells whether
+            # it is there (a node past the largest id gets row n_nodes,
+            # which the clipped read rejects)
+            rows = np.searchsorted(context.node_ids, self._pool_nodes)
+            alive = context.node_ids.take(rows, mode="clip") == self._pool_nodes
+            continued = rows[alive][:n]
         n_fresh = n - continued.size
 
         # one batch: continued agents resume where they stopped and walk
@@ -514,7 +518,7 @@ class SamplingOperator:
         # full mixing length; at laziness 0 the kernel walks the drawn
         # budgets as given
         starts = np.full(n, context.compact_index(origin), dtype=np.int64)
-        starts[: continued.size] = np.searchsorted(context.node_ids, continued)
+        starts[: continued.size] = continued
         budgets = self._budgets(
             np.repeat((reset_length, mix_length), (continued.size, n_fresh))
         )

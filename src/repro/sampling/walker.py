@@ -7,13 +7,19 @@ runs on one immutable :class:`WalkContext` snapshot of the overlay, which
 carries the Metropolis acceptance probability of every directed edge
 (``WalkContext.accept``, Eq. 12) next to the CSR adjacency.
 
-:func:`batch_walk` is the one kernel: many agents advanced in lock-step
-with vectorized numpy operations, each proposal a table lookup. This is
-the paper's "batch mode" (Section VI-A): to derive ``n`` samples, ``n``
-walks run with overlapping convergence time. The sparse forwarding matrix
+:func:`batch_walk` is the one kernel: many agents advanced in lock-step,
+each proposal a table lookup. This is the paper's "batch mode" (Section
+VI-A): to derive ``n`` samples, ``n`` walks run with overlapping
+convergence time. The sparse forwarding matrix
 (:func:`repro.sampling.mixing.sparse_transition_matrix`) reads the same
 table, and :func:`repro.sampling.metropolis.acceptance_probability` is the
 scalar reference both agree with.
+
+A call runs in two phases. While more than :data:`_TAIL_MOVERS` agents
+move, a round is a few vectorized numpy operations over the movers,
+whose fixed dispatch cost does not depend on how many move. The rounds
+after that move few agents and are stepped one agent at a time in plain
+Python, which costs per proposal instead.
 
 Cost model: every *proposal* costs one message (the agent, carrying the
 weight probe, crosses one overlay link; a rejected proposal still crossed
@@ -27,10 +33,13 @@ what the ledger books and what a lossy network can drop.
 
 Randomness: a call draws the budgets, then one stream of uniforms: per
 round, the moving agents' neighbor picks, then their acceptance coins.
-The stream is drawn in blocks of whole rounds, one ``rng.random`` call
-per block rather than one per round; since ``Generator.random`` is
-chunk-invariant, the doubles (and the generator state after the call)
-are the ones one call per round would give.
+The vector phase draws the stream in blocks of whole rounds, and the
+scalar tail draws all its rounds with one more ``rng.random`` call; each
+tail agent reads its own pick and coin slots of every round, so it sees
+the doubles the vector phase would have handed it. Since
+``Generator.random`` is chunk-invariant, the doubles (and the generator
+state after the call) are the ones one call per round would give, and
+the ends are those of the all-vector kernel bit for bit.
 """
 
 from __future__ import annotations
@@ -49,6 +58,13 @@ from repro.sampling.weights import ContentSizeWeights, WeightFunction
 #: holds the whole rounds that start within one window of this many
 #: values, which keeps memory flat for long calls with many agents
 _BLOCK_VALUES = 1 << 16
+
+#: a round that moves at most this many agents, and every round after
+#: it, is stepped one agent at a time in Python. A vector round is a
+#: dozen numpy dispatches, about 3.5 us however few agents move; a scalar
+#: step is about 0.35 us. They cross near 10 movers (10^4-node power-law
+#: overlay, 2-core x86 host); 8 leaves room for the tail's fixed set-up
+_TAIL_MOVERS = 8
 
 
 @dataclass(frozen=True)
@@ -211,8 +227,9 @@ def batch_walk(
     sorted by budget so the still-moving ones are a prefix, propose in
     lock-step until every budget is spent. Each round reads the
     neighbor picks of the moving agents, then their acceptance coins
-    (compared against ``context.accept``), from one stream of uniforms
-    drawn in blocks of whole rounds. An edgeless
+    (compared against ``context.accept``), from one stream of uniforms;
+    once a round moves at most :data:`_TAIL_MOVERS` agents, the rest of
+    the call steps them one at a time over the same slots. An edgeless
     (single-node) context leaves every agent where it is and spends
     nothing. Returns the final compact indices and the budgets, both in
     the agents' order.
@@ -239,26 +256,51 @@ def batch_walk(
     walking = positions[order]
     descending = budgets[order]
     n_moving = np.searchsorted(-descending, -np.arange(budgets.max(initial=0)))
+    # the vector phase runs the rounds that move more than _TAIL_MOVERS
+    # agents; since the movers are a prefix of a budget-sorted order, every
+    # later round is at least as small and belongs to the scalar tail
+    head = int(np.searchsorted(-n_moving, -_TAIL_MOVERS))
     offsets = context.offsets
-    # exact: every degree is below 2**53, and the product is float64 anyway
-    degrees = context.degrees.astype(np.float64)
     targets = context.targets
     accept = context.accept
-    # round r takes 2 k_r uniforms, its k_r picks then its k_r coins; a
-    # block is the rounds that start within one _BLOCK_VALUES window
-    first = np.cumsum(2 * n_moving) - 2 * n_moving
-    cuts = np.flatnonzero(np.diff(first // _BLOCK_VALUES)) + 1
-    for rounds in np.split(n_moving, cuts):
-        block = rng.random(2 * int(rounds.sum()))
-        at = 0
-        for k in rounds.tolist():
-            current = walking[:k]
-            edge = offsets[current]
-            edge += (block[at : at + k] * degrees[current]).astype(np.int64)
-            at += k
-            moved = (block[at : at + k] < accept[edge]).nonzero()[0]
-            at += k
-            walking[moved] = targets[edge[moved]]
+    if head:
+        # exact: every degree is below 2**53, and the product is float64
+        degrees = context.degrees.astype(np.float64)
+        # round r takes 2 k_r uniforms, its k_r picks then its k_r coins;
+        # a block is the rounds that start within one _BLOCK_VALUES window
+        vector = n_moving[:head]
+        first = np.cumsum(2 * vector) - 2 * vector
+        cuts = np.flatnonzero(np.diff(first // _BLOCK_VALUES)) + 1
+        for rounds in np.split(vector, cuts):
+            block = rng.random(2 * int(rounds.sum()))
+            at = 0
+            for k in rounds.tolist():
+                current = walking[:k]
+                edge = offsets[current]
+                edge += (block[at : at + k] * degrees[current]).astype(np.int64)
+                at += k
+                moved = (block[at : at + k] < accept[edge]).nonzero()[0]
+                at += k
+                walking[moved] = targets[edge[moved]]
+    tail = n_moving[head:]
+    if tail.size:
+        # the same slots, one agent at a time: tail round t starts at
+        # uniform firsts[t], agent j's pick is firsts[t] + j and its coin
+        # firsts[t] + k_t + j. Python floats are IEEE doubles and int()
+        # truncates like astype, so every edge and coin is the vector one;
+        # the context is read through memoryviews, which copy nothing
+        uniforms = rng.random(2 * int(tail.sum())).tolist()
+        firsts = (np.cumsum(2 * tail) - 2 * tail).tolist()
+        counts = tail.tolist()
+        row_offsets, row_degrees = memoryview(offsets), memoryview(context.degrees)
+        edge_targets, edge_accept = memoryview(targets), memoryview(accept)
+        for j, budget in enumerate(descending[: counts[0]].tolist()):
+            node = walking.item(j)
+            for at, k in zip(firsts[: budget - head], counts):
+                edge = row_offsets[node] + int(uniforms[at + j] * row_degrees[node])
+                if uniforms[at + k + j] < edge_accept[edge]:
+                    node = edge_targets[edge]
+            walking[j] = node
     positions[order] = walking
     if ledger is not None:
         ledger.record_walk_steps(int(budgets.sum()))

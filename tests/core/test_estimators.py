@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.stats import norm
 
 from repro.core.estimators import (
     achieved_epsilon,
     confidence_quantile,
+    ratio_estimate,
     required_sample_size,
     sample_mean_and_variance,
     variance_target,
@@ -106,3 +110,58 @@ class TestSampleMoments:
     def test_achieved_epsilon_negative_variance(self):
         with pytest.raises(QueryError):
             achieved_epsilon(-1.0, 0.95)
+
+
+_FLOATS = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+_ZERO_ONE = st.sampled_from([0.0, 1.0])
+
+
+def _columns(*elements):
+    """Equal-length float64 columns of 1-2000 values, one per ``elements``."""
+    return st.integers(1, 2000).flatmap(
+        lambda n: st.tuples(
+            *(arrays(np.float64, n, elements=element) for element in elements)
+        )
+    )
+
+
+def _bits(*numbers):
+    return [float(number).hex() for number in numbers]
+
+
+def _np_mean_moments(values):
+    """The fits' moments as ``np.mean`` computes them."""
+    mean = float(values.mean())
+    return mean, float(np.mean((values - mean) ** 2))
+
+
+def _np_mean_ratio(values, indicators):
+    """The ratio estimator as ``np.mean`` computes it."""
+    indicator_mean = float(indicators.mean())
+    ratio = float(values.mean()) / indicator_mean
+    residuals = values - ratio * indicators
+    return ratio, float(np.mean(residuals**2)) / (
+        values.size * indicator_mean**2
+    )
+
+
+class TestBareReductions:
+    """The fits reduce with ``np.add.reduce``, bit for bit ``np.mean``."""
+
+    @given(columns=st.one_of(_columns(_FLOATS), _columns(_ZERO_ONE)))
+    @settings(max_examples=200, deadline=None)
+    def test_moments_match_np_mean(self, columns):
+        (values,) = columns
+        assert _bits(*sample_mean_and_variance(values)) == _bits(
+            *_np_mean_moments(values)
+        )
+
+    @given(columns=_columns(_FLOATS, _ZERO_ONE))
+    @settings(max_examples=200, deadline=None)
+    def test_ratio_matches_np_mean(self, columns):
+        expressed, indicators = columns
+        indicators[0] = 1.0  # some tuple qualifies
+        for values in (expressed * indicators, indicators):
+            assert _bits(*ratio_estimate(values, indicators)) == _bits(
+                *_np_mean_ratio(values, indicators)
+            )

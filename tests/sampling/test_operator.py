@@ -162,18 +162,42 @@ class TestNodeSampling:
             costs[continued] = ledger.walk_steps
         assert costs[True] < costs[False]
 
-    def test_pool_survives_and_prunes_on_churn(self):
-        graph, database = _world(49)
+    def test_pool_survives_and_prunes_on_churn(self, monkeypatch):
+        """Surviving agents resume from their compact rows, in pool order.
+
+        Two pool nodes leave: one from the middle of the id range, and
+        the overlay's largest id, whose search row falls past the last
+        row. Their agents are dropped; fresh agents from the origin take
+        their places at the end of the batch.
+        """
+        graph, _ = _world(49)
+        starts = []
+
+        def kernel(context, start_positions, *args):
+            starts.append(np.array(start_positions))
+            return batch_walk(context, start_positions, *args)
+
+        monkeypatch.setattr(operator_module, "batch_walk", kernel)
+        tracer = SinkTracer(record=True)
         operator = SamplingOperator(
-            graph, np.random.default_rng(0), config=SamplerConfig()
+            graph, np.random.default_rng(0), config=SamplerConfig(), tracer=tracer
         )
-        operator.sample_nodes(uniform_weights(), 10, origin=0)
-        assert operator.pool_nodes  # continued pool populated
-        # remove a sampled node; the pool entry must not be reused
-        victim = operator.pool_nodes[0]
-        graph.leave(victim)
-        samples = operator.sample_nodes(uniform_weights(), 10, origin=0)
-        assert victim not in samples
+        operator.sample_nodes(uniform_weights(), 200, origin=0)
+        pool = operator.pool_nodes
+        largest = max(graph.nodes())
+        assert largest in pool
+        middle = sorted(set(pool))[len(set(pool)) // 2]
+        graph.leave(middle)
+        graph.leave(largest)
+        survivors = [node for node in pool if node not in (middle, largest)]
+        operator.sample_nodes(uniform_weights(), len(pool), origin=0)
+        rows = sorted(graph.nodes())
+        assert starts[-1].tolist() == (
+            [rows.index(node) for node in survivors]
+            + [rows.index(0)] * (len(pool) - len(survivors))
+        )
+        span = tracer.trace().spans_named(SPAN_SAMPLE_ACQUISITION)[-1]
+        assert span.attrs["n_continued"] == len(survivors)
 
     def test_sample_returns_counted(self):
         graph, _ = _world()

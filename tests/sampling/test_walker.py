@@ -333,17 +333,31 @@ def _random_kernel_call(seed):
     return context, starts, lengths, laziness
 
 
-@pytest.mark.parametrize("block", [None, 1, 2, 7])
+@pytest.mark.parametrize(
+    ("block", "tail"),
+    [
+        pytest.param(
+            block, tail, id=f"{block}" if tail is None else f"{block}-tail{tail}"
+        )
+        for tail in (None, 0, 1, 64)
+        for block in (None, 1, 2, 7)
+    ],
+)
 @pytest.mark.parametrize("seed", range(60))
-def test_kernel_matches_per_round_reference(seed, block, monkeypatch):
+def test_kernel_matches_per_round_reference(seed, block, tail, monkeypatch):
     """Same ends, budgets, ledger and generator state as the reference.
 
-    ``block`` overrides the kernel's uniforms-per-draw cap (None keeps
-    the default): 1 and 2 draw every round on its own, 7 groups the
-    short rounds at the end of a call.
+    ``block`` overrides the kernel's uniforms-per-draw cap and ``tail``
+    its scalar-tail threshold (None keeps a default): blocks 1 and 2 draw
+    every vector round on its own, 7 groups the short rounds at the end
+    of a call. Tail 0 runs every round as a vector round, 64 steps these
+    calls of at most 60 agents one agent at a time, and 1 switches over
+    for the last mover alone.
     """
     if block is not None:
         monkeypatch.setattr(walker, "_BLOCK_VALUES", block)
+    if tail is not None:
+        monkeypatch.setattr(walker, "_TAIL_MOVERS", tail)
     context, starts, lengths, laziness = _random_kernel_call(seed)
     outcomes = []
     for kernel in (batch_walk, _reference_walk):
