@@ -41,5 +41,5 @@ def test_multi_query_amortization(benchmark, record_table, results_dir):
     assert result.pool_hit_rate > 0.5
     # each query's own marginal guarantee, with single-run sampling slack
     for outcome in result.outcomes:
-        assert outcome.snapshots > 0
-        assert outcome.coverage >= result.confidence - 0.15
+        assert outcome.audit.answers > 0
+        assert outcome.audit.rate >= result.confidence - 0.15

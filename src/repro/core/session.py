@@ -80,6 +80,9 @@ from repro.sampling.pool import SamplePool
 from repro.sim.engine import PRIORITY_QUERY, SimulationEngine
 from repro.sim.metrics import RunMetrics
 
+#: maps a query id to the query's true aggregate at the step's time
+Oracle = Callable[[str], float]
+
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -441,7 +444,9 @@ class DigestSession:
     # execution
     # ------------------------------------------------------------------
 
-    def step(self, time: int) -> dict[str, SnapshotEstimate]:
+    def step(
+        self, time: int, truth: Oracle | None = None
+    ) -> dict[str, SnapshotEstimate]:
         """Advance every registered query to ``time``.
 
         Opens a fresh pool epoch (honoring the static-during-occasion
@@ -449,6 +454,10 @@ class DigestSession:
         into one prefetched walk batch when at least two are due, then
         evaluates the due queries in sorted query-id order. Returns the
         snapshot estimates of the queries that executed this step.
+
+        ``truth``, when given, is called once per answered query and its
+        value recorded on the query's ``snapshot_query`` span, where
+        :attr:`auditor` judges the answer against it.
         """
         self._sim_now = time
         self.pool.begin_epoch(time)
@@ -468,7 +477,7 @@ class DigestSession:
         executed: dict[str, SnapshotEstimate] = {}
         for runtime in due:
             executed[runtime.query_id] = self._run_snapshot(
-                runtime, time, fraction
+                runtime, time, fraction, truth
             )
         return executed
 
@@ -502,7 +511,7 @@ class DigestSession:
         )
 
     def _run_snapshot(
-        self, runtime: QueryRuntime, time: int, fraction: float = 1.0
+        self, runtime: QueryRuntime, time: int, fraction: float, truth: Oracle | None
     ) -> SnapshotEstimate:
         """Execute one query's snapshot at ``time`` (the engine core)."""
         precision = runtime.continuous_query.precision
@@ -554,6 +563,8 @@ class DigestSession:
             span.set(achieved_epsilon=estimate.achieved_epsilon)
         if estimate.achieved_confidence is not None:
             span.set(achieved_confidence=estimate.achieved_confidence)
+        if truth is not None:
+            span.set(truth=float(truth(runtime.query_id)))
         self.tracer.end(
             span,
             time=time,

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.query import ContinuousQuery, Precision, Query
+from repro.core.query import Precision
 from repro.core.session import DigestSession, EngineConfig
-from repro.db.aggregates import AggregateOp
 from repro.experiments.harness import (
     build_instance,
     canonical_query,
@@ -79,8 +78,7 @@ def coverage(
     sigma = probe.config.expected_sigma  # type: ignore[attr-defined]
     epsilon = epsilon_ratio * sigma
     precision = Precision(delta=sigma, epsilon=epsilon, confidence=confidence)
-    snapshots = 0
-    hits = 0
+    snapshots = hits = 0
     for trial in range(trials):
         instance = build_instance(dataset, scale, seed + 100 * trial)
         origin = pick_origin(instance, seed + trial)
@@ -89,10 +87,10 @@ def coverage(
         )
         for time in range(min(steps_per_trial, instance.n_steps)):
             instance.step(time)
-            for estimate in session.step(time).values():
-                truth = instance.true_average()
-                snapshots += 1
-                hits += abs(estimate.aggregate - truth) <= epsilon
+            session.step(time, truth=lambda _: instance.true_average())
+        judged = session.auditor.coverage()
+        snapshots += judged.answers
+        hits += judged.within
     return CoverageResult(
         dataset=dataset,
         evaluator=evaluator,
@@ -188,86 +186,12 @@ def resolution(
     )
 
 
-def multi_query_coverage(
-    dataset: str = "temperature",
-    scale: float = 0.08,
-    epsilon_ratios: tuple[float, ...] = (0.2, 0.25, 0.3),
-    confidence: float = 0.95,
-    trials: int = 5,
-    steps_per_trial: int = 30,
-    seed: int = 0,
-) -> list[CoverageResult]:
-    """Per-query ``(epsilon, p)`` coverage when queries *share* samples.
-
-    The multi-query session reuses pooled samples and coalesced walk
-    batches across co-resident queries; cross-query estimate correlation
-    is the accepted price, but each query's own marginal guarantee must
-    survive. One CoverageResult per query, tightest epsilon first.
-    """
-    probe = build_instance(dataset, scale, seed)
-    sigma = probe.config.expected_sigma  # type: ignore[attr-defined]
-    epsilons = [ratio * sigma for ratio in epsilon_ratios]
-    snapshots = [0] * len(epsilons)
-    hits = [0] * len(epsilons)
-    for trial in range(trials):
-        instance = build_instance(dataset, scale, seed + 100 * trial)
-        origin = pick_origin(instance, seed + trial)
-        steps = min(steps_per_trial, instance.n_steps)
-        session = DigestSession(
-            instance.graph,
-            instance.database,
-            origin,
-            np.random.default_rng(seed + trial + 1),
-        )
-        qids = [
-            session.add_query(
-                ContinuousQuery(
-                    Query(AggregateOp.AVG, instance.expression),
-                    Precision(
-                        delta=sigma, epsilon=epsilon, confidence=confidence
-                    ),
-                    duration=steps,
-                ),
-                config=EngineConfig(scheduler="all", evaluator="independent"),
-            )
-            for epsilon in epsilons
-        ]
-        for time in range(steps):
-            instance.step(time)
-            executed = session.step(time)
-            if not executed:
-                continue
-            truth = instance.true_average()
-            for index, qid in enumerate(qids):
-                estimate = executed.get(qid)
-                if estimate is None:
-                    continue
-                snapshots[index] += 1
-                hits[index] += (
-                    abs(estimate.aggregate - truth) <= epsilons[index]
-                )
-    return [
-        CoverageResult(
-            dataset=dataset,
-            evaluator=f"shared q{index}",
-            epsilon=epsilons[index],
-            confidence=confidence,
-            snapshots=snapshots[index],
-            hits=hits[index],
-        )
-        for index in range(len(epsilons))
-    ]
-
-
 def main() -> None:
     for evaluator in ("independent", "repeated"):
         emit(coverage(evaluator=evaluator).to_table())
         emit()
     for safety in (1.0, 2.0):
         emit(resolution(safety_factor=safety).to_table())
-        emit()
-    for result in multi_query_coverage():
-        emit(result.to_table())
         emit()
 
 

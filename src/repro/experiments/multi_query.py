@@ -15,7 +15,9 @@ precision demands run two ways over the identical workload:
 Reported: messages per query under both regimes (the headline is the
 savings ratio), the pool hit rate, and — because cheaper must not mean
 wrong — each query's own empirical ``(epsilon, p)`` hit rate against the
-oracle aggregate.
+oracle aggregate, as the shared session's auditor counts it. The command
+line exits non-zero when any query's Clopper–Pearson upper bound on
+coverage falls below ``p``.
 """
 
 from __future__ import annotations
@@ -30,9 +32,11 @@ import numpy as np
 
 from repro.core.query import ContinuousQuery, Precision, Query
 from repro.core.session import DigestSession, EngineConfig
+from repro.datasets.base import DatasetInstance
 from repro.db.aggregates import AggregateOp
 from repro.experiments.harness import build_instance, pick_origin
 from repro.experiments.report import format_table
+from repro.obs.audit import Coverage
 from repro.obs.console import emit
 
 #: default overlapping precision demands, as multiples of the workload sigma
@@ -45,14 +49,10 @@ class QueryOutcome:
 
     query_id: str
     epsilon: float
-    snapshots: int
-    hits: int
+    #: the session auditor's count of this query's answers within epsilon
+    audit: Coverage
     samples: int
     pool_hits: int
-
-    @property
-    def coverage(self) -> float:
-        return self.hits / self.snapshots if self.snapshots else 0.0
 
 
 @dataclass
@@ -112,8 +112,8 @@ class MultiQueryResult:
                 {
                     "query_id": outcome.query_id,
                     "epsilon": outcome.epsilon,
-                    "snapshots": outcome.snapshots,
-                    "coverage": outcome.coverage,
+                    "snapshots": outcome.audit.answers,
+                    "coverage": outcome.audit.rate,
                     "samples": outcome.samples,
                     "pool_hits": outcome.pool_hits,
                 }
@@ -129,8 +129,8 @@ class MultiQueryResult:
             [
                 outcome.query_id,
                 f"{outcome.epsilon:.3f}",
-                outcome.snapshots,
-                f"{outcome.coverage:.3f}",
+                outcome.audit.answers,
+                f"{outcome.audit.rate:.3f}",
                 outcome.samples,
                 outcome.pool_hits,
             ]
@@ -158,13 +158,37 @@ class MultiQueryResult:
         return per_query + "\n\n" + summary
 
 
-def _precisions(
-    sigma: float, epsilon_ratios: tuple[float, ...], confidence: float
-) -> list[Precision]:
-    return [
-        Precision(delta=sigma, epsilon=ratio * sigma, confidence=confidence)
-        for ratio in epsilon_ratios
+def _run_session(
+    instance: DatasetInstance,
+    precisions: list[Precision],
+    config: EngineConfig,
+    n_steps: int,
+    seed: int,
+    rng_seed: int,
+) -> tuple[DigestSession, list[str]]:
+    """One session answering an AVG query per precision for ``n_steps``
+    ticks, each answer judged against the workload's true average."""
+    session = DigestSession(
+        instance.graph,
+        instance.database,
+        pick_origin(instance, seed),
+        np.random.default_rng(rng_seed),
+    )
+    qids = [
+        session.add_query(
+            ContinuousQuery(
+                Query(AggregateOp.AVG, instance.expression),
+                precision,
+                duration=n_steps,
+            ),
+            config=config,
+        )
+        for precision in precisions
     ]
+    for time in range(n_steps):
+        instance.step(time)
+        session.step(time, truth=lambda _: instance.true_average())
+    return session, qids
 
 
 def run(
@@ -182,79 +206,40 @@ def run(
     regime the coalescing is built for (PRED queries overlap only when
     their predicted update times collide).
     """
-    probe = build_instance(dataset, scale, seed)
-    sigma = probe.config.expected_sigma  # type: ignore[attr-defined]
-    precisions = _precisions(sigma, epsilon_ratios, confidence)
-    config = EngineConfig(scheduler="all", evaluator=evaluator)
-
     # shared: one session, all queries leasing from one pool
     instance = build_instance(dataset, scale, seed)
-    origin = pick_origin(instance, seed)
-    n_steps = min(steps, instance.n_steps) if steps else instance.n_steps
-    session = DigestSession(
-        instance.graph,
-        instance.database,
-        origin,
-        np.random.default_rng(seed + 1),
-    )
-    qids = [
-        session.add_query(
-            ContinuousQuery(
-                Query(AggregateOp.AVG, instance.expression),
-                precision,
-                duration=n_steps,
-            ),
-            config=config,
-        )
-        for precision in precisions
+    sigma = instance.config.expected_sigma  # type: ignore[attr-defined]
+    precisions = [
+        Precision(delta=sigma, epsilon=ratio * sigma, confidence=confidence)
+        for ratio in epsilon_ratios
     ]
-    outcomes = {
-        qid: QueryOutcome(
+    config = EngineConfig(scheduler="all", evaluator=evaluator)
+    n_steps = min(steps, instance.n_steps) if steps else instance.n_steps
+    session, qids = _run_session(
+        instance, precisions, config, n_steps, seed, seed + 1
+    )
+    outcomes = [
+        QueryOutcome(
             query_id=qid,
             epsilon=precision.epsilon,
-            snapshots=0,
-            hits=0,
-            samples=0,
-            pool_hits=0,
+            audit=session.auditor.verdict(qid).coverage,
+            samples=session.runtime(qid).metrics.samples_total,
+            pool_hits=session.runtime(qid).metrics.pool_hits,
         )
         for qid, precision in zip(qids, precisions)
-    }
-    for time in range(n_steps):
-        instance.step(time)
-        executed = session.step(time)
-        if not executed:
-            continue
-        truth = instance.true_average()
-        for qid, estimate in executed.items():
-            outcome = outcomes[qid]
-            outcome.snapshots += 1
-            outcome.hits += abs(estimate.aggregate - truth) <= outcome.epsilon
-            outcome.samples += estimate.n_total
-    for qid in qids:
-        outcomes[qid].pool_hits = session.runtime(qid).metrics.pool_hits
-    shared_messages = session.ledger.total
+    ]
 
     # solo: one session per query over identically-seeded workload copies
     solo_messages = 0
     for index, precision in enumerate(precisions):
-        instance = build_instance(dataset, scale, seed)
-        solo = DigestSession(
-            instance.graph,
-            instance.database,
-            pick_origin(instance, seed),
-            np.random.default_rng(seed + 1 + 1000 * (index + 1)),
+        solo, _ = _run_session(
+            build_instance(dataset, scale, seed),
+            [precision],
+            config,
+            n_steps,
+            seed,
+            seed + 1 + 1000 * (index + 1),
         )
-        solo.add_query(
-            ContinuousQuery(
-                Query(AggregateOp.AVG, instance.expression),
-                precision,
-                duration=n_steps,
-            ),
-            config=config,
-        )
-        for time in range(n_steps):
-            instance.step(time)
-            solo.step(time)
         solo_messages += solo.ledger.total
 
     return MultiQueryResult(
@@ -262,12 +247,12 @@ def run(
         n_queries=len(precisions),
         steps=n_steps,
         confidence=confidence,
-        shared_messages=shared_messages,
+        shared_messages=session.ledger.total,
         solo_messages=solo_messages,
         pool_hits=session.pool.pool_hits,
         pool_misses=session.pool.pool_misses,
         batches_coalesced=session.batches_coalesced,
-        outcomes=[outcomes[qid] for qid in qids],
+        outcomes=outcomes,
     )
 
 
@@ -305,6 +290,13 @@ def main(argv: list[str] | None = None) -> None:
         path = Path(args.json_out)
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         emit(f"wrote {path}")
+    short = [
+        f"{outcome.query_id} {outcome.audit.upper_bound:.4f}"
+        for outcome in result.outcomes
+        if outcome.audit.upper_bound < result.confidence
+    ]
+    if short:
+        raise SystemExit(f"coverage upper bound below p: {', '.join(short)}")
 
 
 if __name__ == "__main__":

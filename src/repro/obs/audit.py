@@ -10,6 +10,11 @@ when the evaluator had to degrade it, or when its honest re-statement
 (the span's ``achieved_epsilon`` / ``achieved_confidence``) falls short
 of what was promised.
 
+A span that carries the caller's ``truth`` also counts toward
+**coverage**: the answer is within when ``|aggregate − truth| <= max(ε,
+achieved_epsilon)``. Coverage is reported next to the burn rate (which
+it leaves untouched) with its Clopper–Pearson upper bound.
+
 A replay (:class:`repro.obs.alerts.AlertReplay`) feeds a rebuilt auditor
 the recorded spans, so live and replayed audits read the same record. A
 session on :data:`~repro.obs.tracer.NULL_TRACER` ends no spans, so it
@@ -35,9 +40,11 @@ This module imports nothing from ``repro.core`` (the session imports
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+from scipy.stats import beta
 
 from repro.errors import QueryError
 from repro.obs.schema import SPAN_SNAPSHOT_QUERY
@@ -50,6 +57,27 @@ if TYPE_CHECKING:  # pragma: no cover - types only
 #: trace can rebuild the auditor — and therefore the burn-rate signals —
 #: without the session that produced it
 META_PROMISES = "promises"
+
+#: two-sided level of the coverage interval: a false alarm near 1e-3 per
+#: run, yet coverage of 0.88 or less over 120 answer ticks still fails
+COVERAGE_ALPHA = 0.002
+
+
+def coverage_upper_bound(within: int, answers: int, trials: int) -> float:
+    """Clopper–Pearson upper bound on the coverage probability.
+
+    Answers emitted at the same tick share one walk batch, so they are
+    not independent trials: the interval is taken over ``trials``, the
+    number of distinct answer ticks, at the observed coverage rate. That
+    is conservative against correlated misses yet still rejects a real
+    shortfall (e.g. 0.85 observed over 80 ticks).
+    """
+    if trials == 0:
+        return 0.0
+    hits = round(trials * within / answers)
+    if hits >= trials:
+        return 1.0
+    return float(beta.ppf(1.0 - COVERAGE_ALPHA / 2, hits + 1, trials - hits))
 
 
 @dataclass(frozen=True)
@@ -79,6 +107,24 @@ class GuaranteePromise:
 
 
 @dataclass(frozen=True)
+class Coverage:
+    """Answers judged against the truth, those within ε, and the trials
+    (distinct answer ticks session-wide, answers per query)."""
+
+    answers: int
+    within: int
+    trials: int
+
+    @property
+    def rate(self) -> float:
+        return self.within / self.answers if self.answers else 0.0
+
+    @property
+    def upper_bound(self) -> float:
+        return coverage_upper_bound(self.within, self.answers, self.trials)
+
+
+@dataclass(frozen=True)
 class AuditVerdict:
     """One query's audit standing at a point in the run."""
 
@@ -91,6 +137,8 @@ class AuditVerdict:
     recent_window: int
     burn_rate: float
     ok: bool
+    #: this query's answers judged against a caller-supplied truth
+    coverage: Coverage
 
     @property
     def violation_fraction(self) -> float:
@@ -115,6 +163,9 @@ class GuaranteeAuditor:
         self._recent: dict[str, deque[bool]] = {}
         self._snapshots: dict[str, int] = {}
         self._violations: dict[str, int] = {}
+        self._judged: Counter[str] = Counter()
+        self._within: Counter[str] = Counter()
+        self._answer_ticks: set[int] = set()
 
     def register(
         self, query_id: str, epsilon: float, confidence: float
@@ -167,23 +218,33 @@ class GuaranteeAuditor:
     def on_span_end(self, span: "Span") -> None:
         """Audit a finished ``snapshot_query`` span of a registered query.
 
-        ``degraded`` is always set; the re-statements only when present.
+        ``degraded`` is always set; the re-statements and ``truth`` only
+        when present.
         """
         if span.name != SPAN_SNAPSHOT_QUERY:
             return
         query_id = span.attrs.get("query")
         if not isinstance(query_id, str) or query_id not in self._promises:
             return
+        achieved_epsilon = _as_optional_float(span.attrs.get("achieved_epsilon"))
         violated = self.violates(
             query_id,
             bool(span.attrs.get("degraded", False)),
-            _as_optional_float(span.attrs.get("achieved_epsilon")),
+            achieved_epsilon,
             _as_optional_float(span.attrs.get("achieved_confidence")),
         )
         self._snapshots[query_id] += 1
         if violated:
             self._violations[query_id] += 1
         self._recent[query_id].append(violated)
+        truth = _as_optional_float(span.attrs.get("truth"))
+        if truth is None:
+            return
+        tolerance = max(self._promises[query_id].epsilon, achieved_epsilon or 0.0)
+        within = abs(float(span.attrs["aggregate"]) - truth) <= tolerance
+        self._judged[query_id] += 1
+        self._within[query_id] += within
+        self._answer_ticks.add(span.start)
 
     def on_event(self, event: "TraceEvent") -> None:
         return None
@@ -210,6 +271,7 @@ class GuaranteeAuditor:
         promise = self._promise(query_id)
         recent = self._recent[query_id]
         burn = self.burn_rate(query_id)
+        judged = self._judged[query_id]
         return AuditVerdict(
             query_id=query_id,
             promised_epsilon=promise.epsilon,
@@ -220,11 +282,20 @@ class GuaranteeAuditor:
             recent_window=self.recent_window,
             burn_rate=burn,
             ok=burn <= 1.0,
+            coverage=Coverage(judged, self._within[query_id], judged),
         )
 
     def verdicts(self) -> dict[str, AuditVerdict]:
         """All verdicts, keyed by query id (sorted)."""
         return {query_id: self.verdict(query_id) for query_id in self.query_ids()}
+
+    def coverage(self) -> Coverage:
+        """Every judged answer of the session, over distinct answer ticks."""
+        return Coverage(
+            sum(self._judged.values()),
+            sum(self._within.values()),
+            len(self._answer_ticks),
+        )
 
     def signals(self) -> dict[str, float]:
         """Live-pipeline contributor signals (worst-case across queries)."""

@@ -196,6 +196,7 @@ SPAN_SCHEMAS: dict[str, SpanSchema] = {
                 "achieved_confidence",
                 "n_hit",  # the evaluation's pool hits, where a pool served it
                 "n_miss",  # and its fresh draws
+                "truth",  # the caller's true aggregate, where one was given
             ),
             description="one snapshot evaluation; drives RunMetrics counters",
         ),

@@ -187,6 +187,28 @@ class TestSharedSampling:
         assert fired[0].time == 0
 
 
+class TestTruthAudit:
+    def test_clean_answers_missing_the_truth_burn_nothing_but_cover_nothing(self):
+        # the burn rate judges the evaluator's own flags; only the truth
+        # on the span shows that every one of these answers missed
+        graph, database = _world()
+        session = DigestSession(graph, database, 0, np.random.default_rng(1))
+        for _ in range(2):
+            session.add_query(_query(), _ALL_INDEP)
+        for t in range(10):
+            session.step(t, truth=lambda _query_id: 1e9)
+        assert session.metrics.degraded_estimates == 0
+        for verdict in session.auditor.verdicts().values():
+            assert (verdict.snapshots, verdict.violations) == (10, 0)
+            assert verdict.burn_rate == 0.0
+            assert verdict.ok
+            assert (verdict.coverage.within, verdict.coverage.answers) == (0, 10)
+            assert verdict.coverage.upper_bound < verdict.promised_confidence
+        # two co-due queries per tick are one trial, not two
+        overall = session.auditor.coverage()
+        assert (overall.answers, overall.within, overall.trials) == (20, 0, 10)
+
+
 class TestCoalescing:
     """The co-due rule: one batch of the maximum forecast, not the sum."""
 

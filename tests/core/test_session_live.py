@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.query import ContinuousQuery, Precision, parse_query
 from repro.core.session import DigestSession, EngineConfig
+from repro.db.aggregates import exact_aggregate
 from repro.db.relation import P2PDatabase, Schema
 from repro.errors import QueryError
 from repro.network.faults import FaultConfig, FaultPlan
@@ -17,6 +18,7 @@ from repro.obs.analysis import verify_trace_consistency
 from repro.obs.audit import META_PROMISES
 from repro.obs.export import export_trace, import_trace
 from repro.obs.live import META_FINISHED_AT, WindowConfig
+from repro.obs.schema import SPAN_SNAPSHOT_QUERY
 from repro.obs.tracer import SinkTracer
 
 _STEPS = 40
@@ -47,7 +49,17 @@ _CLEAN_SEED = 0
 _FAULTED_SEED = 1000
 
 
-def _run_session(message_loss=0.0):
+_QUERY = "SELECT AVG(v) FROM R"
+
+
+def _true_average(database):
+    query = parse_query(_QUERY)
+    return exact_aggregate(database, query.op, query.expression)
+
+
+def _run_session(message_loss=0.0, truth=None):
+    """Two co-due AVG queries over ``_STEPS`` ticks; ``truth``, when
+    given, maps the database to the queries' true aggregate."""
     seed = _FAULTED_SEED if message_loss > 0.0 else _CLEAN_SEED
     rng = np.random.default_rng(seed)
     graph = OverlayGraph(mesh_topology(24), n_nodes=24)
@@ -73,14 +85,15 @@ def _run_session(message_loss=0.0):
     for _ in range(2):
         session.add_query(
             ContinuousQuery(
-                parse_query("SELECT AVG(v) FROM R"),
+                parse_query(_QUERY),
                 Precision(delta=0.8, epsilon=0.8, confidence=0.85),
                 duration=_STEPS,
             ),
             config=EngineConfig(scheduler="all", evaluator="independent"),
         )
+    oracle = None if truth is None else (lambda _query_id: truth(database))
     for tick in range(_STEPS):
-        session.step(tick)
+        session.step(tick, truth=oracle)
     session.finish_live(_STEPS)
     return session, pipeline, engine, tracer.trace()
 
@@ -132,6 +145,25 @@ class TestLiveSession:
         live = session.auditor.verdicts()
         assert sum(v.violations for v in live.values()) > 0
         assert replay.auditor.verdicts() == live
+
+    def test_replayed_coverage_equals_live_coverage(self, tmp_path):
+        session, _pipeline, _engine, trace = _run_session(truth=_true_average)
+        spans = [s for s in trace.spans if s.name == SPAN_SNAPSHOT_QUERY]
+        assert spans and all("truth" in s.attrs for s in spans)
+        exported = import_trace(export_trace(trace, tmp_path / "run.jsonl"))
+        replay = AlertReplay(exported, _RULES, _WINDOWS)
+        replay.run()
+        assert replay.auditor is not None
+        live = session.auditor.verdicts()
+        assert all(v.coverage.answers == _STEPS for v in live.values())
+        assert sum(v.coverage.within for v in live.values()) > 0
+        assert replay.auditor.verdicts() == live
+        assert replay.auditor.coverage() == session.auditor.coverage()
+
+    def test_no_truth_key_unless_the_caller_passes_truth(self):
+        session, _pipeline, _engine, trace = _run_session()
+        assert not any("truth" in s.attrs for s in trace.spans)
+        assert session.auditor.coverage().answers == 0
 
     def test_session_wires_clock_so_deep_records_are_timed(self):
         # every span a session-mode trace records must carry real

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import pytest
+from scipy.stats import beta
 
 from repro.errors import QueryError
 from repro.obs.audit import (
+    COVERAGE_ALPHA,
     META_PROMISES,
+    Coverage,
     GuaranteeAuditor,
     GuaranteePromise,
     auditor_from_trace,
+    coverage_upper_bound,
 )
 from repro.obs.schema import SPAN_SNAPSHOT_QUERY, SPAN_WALK
 from repro.obs.tracer import Span, Trace, TraceEvent
@@ -170,6 +174,65 @@ class TestSpanObservation:
         auditor.register("q", 0.5, 0.9)
         auditor.on_event(TraceEvent(time=0, name="fault"))
         assert auditor.verdict("q").snapshots == 0
+
+
+class TestCoverage:
+    def test_upper_bound_is_the_clopper_pearson_quantile(self):
+        for within, answers, trials in ((26, 30, 30), (1200, 1280, 80), (0, 5, 5)):
+            hits = round(trials * within / answers)
+            expected = beta.ppf(1.0 - COVERAGE_ALPHA / 2, hits + 1, trials - hits)
+            assert coverage_upper_bound(within, answers, trials) == pytest.approx(
+                expected, rel=1e-12
+            )
+
+    def test_upper_bound_edges(self):
+        assert coverage_upper_bound(0, 0, 0) == 0.0
+        assert coverage_upper_bound(15, 15, 15) == 1.0
+        # 16 co-due answers per tick are one trial, not sixteen
+        assert coverage_upper_bound(1200, 1280, 80) > 0.95
+        assert coverage_upper_bound(120, 150, 150) < 0.95
+
+    def test_hit_rule_widens_to_the_achieved_epsilon(self):
+        auditor = GuaranteeAuditor()
+        auditor.register("q", 0.5, 0.9)
+        auditor.on_span_end(_snapshot(time=0, aggregate=10.4, truth=10.0))
+        auditor.on_span_end(_snapshot(time=1, aggregate=10.6, truth=10.0))
+        auditor.on_span_end(
+            _snapshot(
+                time=2, degraded=True, aggregate=10.6, truth=10.0,
+                achieved_epsilon=0.7,
+            )
+        )
+        assert auditor.verdict("q").coverage == Coverage(3, 2, 3)
+
+    def test_spans_without_truth_are_not_judged(self):
+        auditor = GuaranteeAuditor()
+        auditor.register("q", 0.5, 0.9)
+        auditor.on_span_end(_snapshot(aggregate=99.0))
+        verdict = auditor.verdict("q")
+        assert verdict.snapshots == 1
+        assert verdict.coverage == Coverage(0, 0, 0)
+        assert verdict.coverage.rate == 0.0
+
+    def test_session_trials_are_distinct_answer_ticks(self):
+        auditor = GuaranteeAuditor()
+        for query in ("a", "b"):
+            auditor.register(query, 0.5, 0.9)
+        for time in range(4):
+            for query in ("a", "b"):
+                auditor.on_span_end(
+                    _snapshot(query=query, time=time, aggregate=1.0, truth=1.0)
+                )
+        assert auditor.coverage() == Coverage(answers=8, within=8, trials=4)
+        assert auditor.verdict("a").coverage == Coverage(4, 4, 4)
+
+    def test_coverage_leaves_burn_untouched(self):
+        auditor = GuaranteeAuditor()
+        auditor.register("q", 0.5, 0.9)
+        auditor.on_span_end(_snapshot(aggregate=5.0, truth=0.0))
+        verdict = auditor.verdict("q")
+        assert (verdict.violations, verdict.burn_rate, verdict.ok) == (0, 0.0, True)
+        assert verdict.coverage.rate == 0.0
 
 
 class TestAuditorFromTrace:
