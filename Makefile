@@ -3,7 +3,7 @@
 PYTHON ?= python
 
 .PHONY: install test bench results examples full-scale clean lint typecheck check \
-	perfbench-selftest bench-smoke gates
+	kernel-fallback perfbench-selftest bench-smoke gates
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -31,7 +31,14 @@ typecheck:
 
 # everything CI runs, in CI's order, except the fault- and obs-overhead
 # benches: they rewrite the committed BENCH_faults.json / BENCH_obs.json
-check: lint typecheck test perfbench-selftest bench-smoke examples gates
+check: lint typecheck test kernel-fallback perfbench-selftest bench-smoke examples gates
+
+# the walk kernel's Python fallback: the kernel tests and the compat pins
+# with no C compiler on PATH (the interpreter called by its absolute path)
+kernel-fallback:
+	python=$$($(PYTHON) -c 'import sys; print(sys.executable)') && \
+	PYTHONPATH=src PATH=/nonexistent "$$python" -m pytest -q \
+		tests/sampling/test_walker.py tests/core/test_engine_compat.py
 
 # the benchmark harness's self-tests: a tiny run of every perfbench workload
 perfbench-selftest:

@@ -1,7 +1,7 @@
 """Micro-benchmarks of the hot paths (pytest-benchmark, multi-round).
 
 These track implementation performance rather than paper artifacts: the
-walk kernel (at three shapes), the walk snapshot (cold and
+walk kernel (at three shapes, compiled and its Python fallback), the walk snapshot (cold and
 cached), one churn tick's snapshot of a 10^4-node overlay, tuple
 sampling under an open partition and under message loss, local-store
 operations, one tick of ingest (a bulk column scatter against per-row
@@ -29,9 +29,19 @@ from repro.network.partitions import (
 from repro.network.topology import power_law_topology
 from repro.obs.schema import SPAN_SAMPLE_ACQUISITION
 from repro.obs.tracer import SinkTracer
+from repro.sampling import native
 from repro.sampling.operator import SamplerConfig, SamplingOperator
 from repro.sampling.walker import WalkContext, batch_walk
 from repro.sampling.weights import content_size_weights, uniform_weights
+
+
+@pytest.fixture(params=["native", "python"])
+def walk_kernel(request, monkeypatch):
+    """Run ``batch_walk`` on the compiled kernel or on its Python fallback."""
+    if request.param == "python":
+        monkeypatch.setattr(native, "walk_rounds", lambda: None)
+    elif native.walk_rounds() is None:
+        pytest.skip("the native kernel did not build (no C compiler?)")
 
 
 @pytest.fixture(scope="module")
@@ -42,8 +52,8 @@ def walk_setup():
     return context
 
 
-def test_batch_walk_kernel(benchmark, walk_setup):
-    """100 walkers x 100 lazy steps of the vectorized Metropolis kernel.
+def test_batch_walk_kernel(benchmark, walk_setup, walk_kernel):
+    """100 walkers x 100 lazy steps of the Metropolis kernel.
 
     At laziness 1/2 each walker's budget is about 50 proposals; the
     kernel returns the end positions and those budgets.
@@ -58,7 +68,7 @@ def test_batch_walk_kernel(benchmark, walk_setup):
     benchmark(run)
 
 
-def test_batch_walk_kernel_partition_shape(benchmark):
+def test_batch_walk_kernel_partition_shape(benchmark, walk_kernel):
     """60 walkers x 340 lazy steps on a 2000-node power-law overlay.
 
     About the shape of one faulted-partition sampling call: roughly 170
@@ -76,7 +86,7 @@ def test_batch_walk_kernel_partition_shape(benchmark):
     benchmark(run)
 
 
-def test_batch_walk_kernel_topup_shape(benchmark):
+def test_batch_walk_kernel_topup_shape(benchmark, walk_kernel):
     """4 walkers x 360 lazy steps on a 10^4-node power-law overlay.
 
     About the shape of a top-up after a pool miss: few agents and about

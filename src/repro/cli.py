@@ -273,14 +273,10 @@ def _run_experiment(args: argparse.Namespace) -> int:
     elif name == "multi_query":
         from repro.experiments import multi_query
 
-        result = multi_query.run(
-            dataset=args.dataset, scale=args.scale, seed=args.seed
-        )
-        emit(result.to_table())
-        emit(
-            f"\n{result.n_queries} co-resident queries pay "
-            f"{result.message_savings:.0%} fewer messages per query than "
-            f"independent engines"
+        # exits non-zero when a query's coverage upper bound is below p
+        multi_query.main(
+            ["--dataset", args.dataset, "--scale", str(args.scale),
+             "--seed", str(args.seed)]
         )
     elif name == "partition_tolerance":
         from repro.experiments import partition_tolerance

@@ -14,6 +14,8 @@ Modules
   (Eq. 12) and the full transition matrix for analysis.
 * :mod:`repro.sampling.walker` — the walk snapshot (with its Metropolis
   edge table) and the batch random-walk kernel.
+* :mod:`repro.sampling.native` — the kernel's walk rounds in C, compiled
+  with the system compiler on first use (``None`` where that fails).
 * :mod:`repro.sampling.mixing` — total-variation distance, eigengap,
   mixing-time bound (Theorems 1-4).
 * :mod:`repro.sampling.operator` — the sampling operator ``S``: batch mode,

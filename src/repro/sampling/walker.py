@@ -15,11 +15,15 @@ convergence time. The sparse forwarding matrix
 table, and :func:`repro.sampling.metropolis.acceptance_probability` is the
 scalar reference both agree with.
 
-A call runs in two phases. While more than :data:`_TAIL_MOVERS` agents
-move, a round is a few vectorized numpy operations over the movers,
-whose fixed dispatch cost does not depend on how many move. The rounds
-after that move few agents and are stepped one agent at a time in plain
-Python, which costs per proposal instead.
+The rounds run in C (:mod:`repro.sampling.native`), compiled with the
+system compiler on the first call of a process, so a proposal costs a
+few nanoseconds. Where no compiler is found, a call runs the Python
+kernel in two phases. While more than :data:`_TAIL_MOVERS` agents move,
+a round is a few vectorized numpy operations over the movers, whose
+fixed dispatch cost does not depend on how many move. The rounds after
+that move few agents and are stepped one agent at a time in plain
+Python, which costs per proposal instead. The Python kernel is also the
+reference the C kernel is tested against.
 
 Cost model: every *proposal* costs one message (the agent, carrying the
 weight probe, crosses one overlay link; a rejected proposal still crossed
@@ -33,18 +37,20 @@ what the ledger books and what a lossy network can drop.
 
 Randomness: a call draws the budgets, then one stream of uniforms: per
 round, the moving agents' neighbor picks, then their acceptance coins.
-The vector phase draws the stream in blocks of whole rounds, and the
-scalar tail draws all its rounds with one more ``rng.random`` call; each
-tail agent reads its own pick and coin slots of every round, so it sees
-the doubles the vector phase would have handed it. Since
-``Generator.random`` is chunk-invariant, the doubles (and the generator
-state after the call) are the ones one call per round would give, and
-the ends are those of the all-vector kernel bit for bit.
+The C kernel and the vector phase draw the stream in blocks of whole
+rounds, and the scalar tail draws all its rounds with one more
+``rng.random`` call; each tail agent reads its own pick and coin slots
+of every round, so it sees the doubles the vector phase would have
+handed it. Since ``Generator.random`` is chunk-invariant, the doubles
+(and the generator state after the call) are the ones one call per
+round would give, and the ends are those of the all-vector kernel bit
+for bit, on either kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -52,6 +58,7 @@ import numpy as np
 from repro.errors import SamplingError, TopologyError
 from repro.network.graph import OverlayGraph
 from repro.network.messaging import MessageLedger
+from repro.sampling import native
 from repro.sampling.weights import ContentSizeWeights, WeightFunction
 
 #: uniforms per ``rng.random`` call of :func:`batch_walk`, about: a block
@@ -59,11 +66,12 @@ from repro.sampling.weights import ContentSizeWeights, WeightFunction
 #: values, which keeps memory flat for long calls with many agents
 _BLOCK_VALUES = 1 << 16
 
-#: a round that moves at most this many agents, and every round after
-#: it, is stepped one agent at a time in Python. A vector round is a
-#: dozen numpy dispatches, about 3.5 us however few agents move; a scalar
-#: step is about 0.35 us. They cross near 10 movers (10^4-node power-law
-#: overlay, 2-core x86 host); 8 leaves room for the tail's fixed set-up
+#: in the Python kernel (where the C kernel did not build), a round that
+#: moves at most this many agents, and every round after it, is stepped
+#: one agent at a time in Python. A vector round is a dozen numpy
+#: dispatches, about 3.5 us however few agents move; a scalar step is
+#: about 0.35 us. They cross near 10 movers (10^4-node power-law overlay,
+#: 2-core x86 host); 8 leaves room for the tail's fixed set-up
 _TAIL_MOVERS = 8
 
 
@@ -106,8 +114,13 @@ class WalkContext:
 
         Content-size weights are read with one gather from the database's
         size array; any other weight function is called once per node.
+        ``offsets``, ``targets`` and ``degrees`` come out C-contiguous
+        int64 and ``accept`` C-contiguous float64, the layout the compiled
+        kernel reads through raw pointers (no copy when already so).
         """
-        degrees = np.diff(offsets).astype(np.int64)
+        offsets = np.ascontiguousarray(offsets, dtype=np.int64)
+        targets = np.ascontiguousarray(targets, dtype=np.int64)
+        degrees = np.diff(offsets)
         if np.any(degrees == 0) and node_ids.size > 1:
             isolated = node_ids[degrees == 0]
             raise TopologyError(
@@ -131,7 +144,7 @@ class WalkContext:
                 weight_i * degrees[targets]
             )
         ratio[weight_i == 0.0] = 1.0
-        accept = np.minimum(1.0, ratio)
+        accept = np.minimum(1.0, ratio, dtype=np.float64)
         accept.flags.writeable = False
         return cls(
             node_ids=node_ids,
@@ -192,6 +205,21 @@ class WalkContext:
         )
         return cls._build(graph, weight, node_ids, offsets, targets)
 
+    @cached_property
+    def addresses(self) -> tuple[int, int, int, int]:
+        """Addresses of ``offsets``, ``degrees``, ``targets`` and ``accept``.
+
+        The compiled kernel's first four arguments, read once per context:
+        a numpy address lookup costs about a microsecond, and the arrays
+        never move.
+        """
+        return (
+            self.offsets.ctypes.data,
+            self.degrees.ctypes.data,
+            self.targets.ctypes.data,
+            self.accept.ctypes.data,
+        )
+
     @property
     def n_nodes(self) -> int:
         return int(self.node_ids.size)
@@ -227,9 +255,11 @@ def batch_walk(
     sorted by budget so the still-moving ones are a prefix, propose in
     lock-step until every budget is spent. Each round reads the
     neighbor picks of the moving agents, then their acceptance coins
-    (compared against ``context.accept``), from one stream of uniforms;
-    once a round moves at most :data:`_TAIL_MOVERS` agents, the rest of
-    the call steps them one at a time over the same slots. An edgeless
+    (compared against ``context.accept``), from one stream of uniforms.
+    The rounds run in the compiled kernel where it built; in the Python
+    kernel, once a round moves at most :data:`_TAIL_MOVERS` agents, the
+    rest of the call steps them one at a time over the same slots. Both
+    give the same ends and generator state bit for bit. An edgeless
     (single-node) context leaves every agent where it is and spends
     nothing. Returns the final compact indices and the budgets, both in
     the agents' order.
@@ -256,23 +286,41 @@ def batch_walk(
     walking = positions[order]
     descending = budgets[order]
     n_moving = np.searchsorted(-descending, -np.arange(budgets.max(initial=0)))
-    # the vector phase runs the rounds that move more than _TAIL_MOVERS
-    # agents; since the movers are a prefix of a budget-sorted order, every
-    # later round is at least as small and belongs to the scalar tail
-    head = int(np.searchsorted(-n_moving, -_TAIL_MOVERS))
+    # the compiled kernel runs every round. Without it, the vector phase
+    # runs the rounds that move more than _TAIL_MOVERS agents; since the
+    # movers are a prefix of a budget-sorted order, every later round is
+    # at least as small and belongs to the scalar tail
+    compiled = native.walk_rounds()
+    if compiled is None:
+        head = int(np.searchsorted(-n_moving, -_TAIL_MOVERS))
+        # exact: every degree is below 2**53, and the product is float64
+        degrees = context.degrees.astype(np.float64)
+    else:
+        head = n_moving.size
+        n_moving = n_moving.astype(np.int64, copy=False)
     offsets = context.offsets
     targets = context.targets
     accept = context.accept
     if head:
-        # exact: every degree is below 2**53, and the product is float64
-        degrees = context.degrees.astype(np.float64)
         # round r takes 2 k_r uniforms, its k_r picks then its k_r coins;
         # a block is the rounds that start within one _BLOCK_VALUES window
         vector = n_moving[:head]
-        first = np.cumsum(2 * vector) - 2 * vector
-        cuts = np.flatnonzero(np.diff(first // _BLOCK_VALUES)) + 1
-        for rounds in np.split(vector, cuts):
+        blocks = [vector]
+        if 2 * int(vector.sum()) > _BLOCK_VALUES:
+            first = np.cumsum(2 * vector) - 2 * vector
+            cuts = np.flatnonzero(np.diff(first // _BLOCK_VALUES)) + 1
+            blocks = np.split(vector, cuts)
+        for rounds in blocks:
             block = rng.random(2 * int(rounds.sum()))
+            if compiled is not None:
+                # every array is C-contiguous with the dtype C reads (the
+                # context's by WalkContext._build); starts are range-checked
+                # and every uniform is below 1, so C reads only in bounds
+                compiled(
+                    *context.addresses, walking.ctypes.data,
+                    rounds.ctypes.data, rounds.size, block.ctypes.data,
+                )
+                continue
             at = 0
             for k in rounds.tolist():
                 current = walking[:k]

@@ -11,7 +11,7 @@ from repro.network.churn import ChurnConfig, ChurnProcess
 from repro.network.graph import OverlayGraph
 from repro.network.messaging import MessageLedger
 from repro.network.topology import mesh_topology, power_law_topology, ring_topology
-from repro.sampling import walker
+from repro.sampling import native, walker
 from repro.sampling.metropolis import (
     acceptance_probability,
     metropolis_matrix,
@@ -246,25 +246,51 @@ def _pin_context():
     return WalkContext.from_graph(graph, weight)
 
 
+def _use_kernel(kernel, monkeypatch):
+    """Route :func:`batch_walk` through the ``native`` or ``python`` kernel.
+
+    The Python kernel is forced by a loader that finds no compiler; the
+    native cases skip only where the C kernel could not be built.
+    """
+    if kernel == "python":
+        monkeypatch.setattr(native, "walk_rounds", lambda: None)
+    elif native.walk_rounds() is None:
+        pytest.skip("the native kernel did not build (no C compiler?)")
+
+
+_PINS = [
+    (
+        0.0, 5,
+        [65, 44, 192, 250, 75, 53, 32, 24, 93, 71, 36, 143,
+         233, 129, 117, 250, 132, 76, 124, 205, 287, 19, 102, 280],
+        1920,
+    ),
+    (
+        0.5, 6,
+        [19, 297, 292, 289, 281, 118, 3, 206, 199, 125, 12, 198,
+         156, 141, 71, 167, 53, 31, 229, 51, 154, 224, 248, 166],
+        920,
+    ),
+]
+
+
 @pytest.mark.parametrize(
-    ("laziness", "seed", "expected_ends", "expected_steps"),
+    ("kernel", "laziness", "seed", "expected_ends", "expected_steps"),
     [
-        (
-            0.0, 5,
-            [65, 44, 192, 250, 75, 53, 32, 24, 93, 71, 36, 143,
-             233, 129, 117, 250, 132, 76, 124, 205, 287, 19, 102, 280],
-            1920,
-        ),
-        (
-            0.5, 6,
-            [19, 297, 292, 289, 281, 118, 3, 206, 199, 125, 12, 198,
-             156, 141, 71, 167, 53, 31, 229, 51, 154, 224, 248, 166],
-            920,
-        ),
+        pytest.param(
+            kernel, *pin,
+            id=f"{'' if kernel == 'python' else 'native-'}"
+            f"{pin[0]}-{pin[1]}-expected_ends{i}-{pin[3]}",
+        )
+        for kernel in ("python", "native")
+        for i, pin in enumerate(_PINS)
     ],
 )
-def test_kernel_pin(laziness, seed, expected_ends, expected_steps):
+def test_kernel_pin(
+    kernel, laziness, seed, expected_ends, expected_steps, monkeypatch
+):
     """Seed-for-seed pin of :func:`batch_walk`: end positions and ledger."""
+    _use_kernel(kernel, monkeypatch)
     context = _pin_context()
     assert int((context.weights == 0).sum()) == 61
     ledger = MessageLedger()
@@ -333,41 +359,81 @@ def _random_kernel_call(seed):
     return context, starts, lengths, laziness
 
 
+def _assert_matches_reference(context, starts, lengths, laziness, seed):
+    """Ends, budgets, ledger and the next ``rng.random()`` all agree."""
+    outcomes = []
+    for walk in (batch_walk, _reference_walk):
+        rng = np.random.default_rng(seed)
+        ledger = MessageLedger()
+        ends, budgets = walk(context, starts, lengths, rng, ledger, laziness)
+        outcomes.append(
+            (ends.tolist(), budgets.tolist(), ledger.walk_steps, rng.random())
+        )
+    assert outcomes[0] == outcomes[1]
+
+
 @pytest.mark.parametrize(
-    ("block", "tail"),
+    ("kernel", "block", "tail"),
     [
         pytest.param(
-            block, tail, id=f"{block}" if tail is None else f"{block}-tail{tail}"
+            "python", block, tail,
+            id=f"{block}" if tail is None else f"{block}-tail{tail}",
         )
         for tail in (None, 0, 1, 64)
+        for block in (None, 1, 2, 7)
+    ]
+    + [
+        pytest.param("native", block, None, id=f"native-{block}")
         for block in (None, 1, 2, 7)
     ],
 )
 @pytest.mark.parametrize("seed", range(60))
-def test_kernel_matches_per_round_reference(seed, block, tail, monkeypatch):
+def test_kernel_matches_per_round_reference(
+    seed, kernel, block, tail, monkeypatch
+):
     """Same ends, budgets, ledger and generator state as the reference.
 
     ``block`` overrides the kernel's uniforms-per-draw cap and ``tail``
-    its scalar-tail threshold (None keeps a default): blocks 1 and 2 draw
-    every vector round on its own, 7 groups the short rounds at the end
-    of a call. Tail 0 runs every round as a vector round, 64 steps these
-    calls of at most 60 agents one agent at a time, and 1 switches over
-    for the last mover alone.
+    the Python kernel's scalar-tail threshold (None keeps a default):
+    blocks 1 and 2 draw every round on its own, 7 groups the short
+    rounds at the end of a call. Tail 0 runs every round as a vector
+    round, 64 steps these calls of at most 60 agents one agent at a
+    time, and 1 switches over for the last mover alone. The native
+    kernel runs every round in C, so only ``block`` reaches it.
     """
+    _use_kernel(kernel, monkeypatch)
     if block is not None:
         monkeypatch.setattr(walker, "_BLOCK_VALUES", block)
     if tail is not None:
         monkeypatch.setattr(walker, "_TAIL_MOVERS", tail)
     context, starts, lengths, laziness = _random_kernel_call(seed)
-    outcomes = []
-    for kernel in (batch_walk, _reference_walk):
-        rng = np.random.default_rng(1000 + seed)
-        ledger = MessageLedger()
-        ends, budgets = kernel(context, starts, lengths, rng, ledger, laziness)
-        outcomes.append(
-            (ends.tolist(), budgets.tolist(), ledger.walk_steps, rng.random())
-        )
-    assert outcomes[0] == outcomes[1]
+    _assert_matches_reference(context, starts, lengths, laziness, 1000 + seed)
+
+
+@pytest.fixture(scope="module")
+def power_law_10k():
+    """10^4-node power-law overlay with content-like weights 1-50."""
+    rng = np.random.default_rng(21)
+    graph = OverlayGraph(power_law_topology(10_000, rng=rng), n_nodes=10_000)
+    draws = np.random.default_rng(22).integers(1, 51, size=10_000)
+    weight = table_weights(
+        {node: float(draws[i]) for i, node in enumerate(graph.nodes())}
+    )
+    return WalkContext.from_graph(graph, weight)
+
+
+@pytest.mark.parametrize("kernel", ["python", "native"])
+@pytest.mark.parametrize(
+    ("n_agents", "length"), [(100, 700), (13, 720)], ids=["prefetch", "topup"]
+)
+def test_kernel_matches_reference_at_scale(
+    power_law_10k, n_agents, length, kernel, monkeypatch
+):
+    """The session's call shapes on a 10^4-node overlay: a pool prefetch
+    (about 100 agents, budgets about 350) and a top-up (13 agents)."""
+    _use_kernel(kernel, monkeypatch)
+    starts = np.random.default_rng(n_agents).integers(0, 10_000, size=n_agents)
+    _assert_matches_reference(power_law_10k, starts, length, 0.5, 7)
 
 
 def _law_context():

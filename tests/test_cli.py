@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.experiments import slo_audit
+from repro.experiments import multi_query, slo_audit
+from tests.experiments.test_multi_query import _result as multi_query_result
 
 V1_GOLDEN = Path(__file__).parent / "obs" / "golden" / "v1_faulted_trace.jsonl"
 
@@ -24,6 +25,17 @@ class TestExperimentCommand:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["experiment", "nonsense"])
+
+    def test_multi_query_applies_the_coverage_gate(self, monkeypatch, capsys):
+        # 10 of 15 within: the upper bound 0.944 is below p = 0.95
+        monkeypatch.setattr(multi_query, "run", lambda **_: multi_query_result(10))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["experiment", "multi_query"])
+        assert exit_info.value.code not in (0, None)
+        assert "coverage upper bound below p: q0" in str(exit_info.value.code)
+        monkeypatch.setattr(multi_query, "run", lambda **_: multi_query_result(15))
+        assert main(["experiment", "multi_query"]) == 0
+        assert "fewer messages per query" in capsys.readouterr().out
 
 
 class TestQueryCommand:
