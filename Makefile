@@ -48,16 +48,21 @@ perfbench-selftest:
 bench-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_micro.py --benchmark-disable -q
 
-# CI's honesty gates: the traced fault, partition and SLO-audit smoke runs,
-# each replaying its trace against the live counters (traces go to a temp
-# dir, not the repo), and the protocol golden-trace equivalence
+# CI's gate steps: the traced fault, partition and SLO-audit smoke runs,
+# each replaying its trace against the live counters, the multi-query
+# coverage smoke (traces and JSON go to a temp dir, not the repo; each
+# run exits 1 when its gate fails), and the protocol golden-trace
+# equivalence
 gates:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	for experiment in fault_tolerance partition_tolerance slo_audit; do \
 		echo "=== $$experiment --smoke --verify-trace"; \
 		PYTHONPATH=src $(PYTHON) -m repro.experiments.$$experiment --smoke \
 			--trace-out "$$tmp/$$experiment.jsonl" --verify-trace || exit 1; \
-	done
+	done && \
+	echo "=== multi_query --scale 0.05 --steps 15" && \
+	PYTHONPATH=src $(PYTHON) -m repro.experiments.multi_query --scale 0.05 \
+		--steps 15 --json-out "$$tmp/BENCH_multi_query.json" || exit 1
 	PYTHONPATH=src $(PYTHON) -m pytest tests/protocol/test_runtime_equivalence.py -q
 
 bench:

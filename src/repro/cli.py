@@ -3,8 +3,14 @@
 Four subcommands::
 
     repro-digest experiment <name> [--scale S] [--seed N]
-        Run a named paper experiment (fig4a, fig4b, fig5a, fig5b, table1,
-        table2, mixing, ablations, forward) and print its tables.
+        Run a named experiment (fig4a, fig4b, fig5a, fig5b, table1,
+        table2, mixing, ablations, forward, guarantees, related_work,
+        occasion_drift, protocol, fault_tolerance, multi_query,
+        partition_tolerance, slo_audit) and print its tables. The gated
+        ones (fault_tolerance, partition_tolerance, slo_audit,
+        multi_query) run their module's ``main``, gate included, and
+        exit 1 when the gate fails; ``--scale`` below 1 runs the three
+        sweeps' ``--smoke`` grids.
 
     repro-digest query --query "SELECT AVG(temperature) FROM R" \\
         [--dataset temperature] [--delta D] [--epsilon E] [--confidence P]
@@ -35,6 +41,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Callable
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -209,17 +216,45 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run_experiment(args: argparse.Namespace) -> int:
     from repro.experiments import (
         ablations,
+        fault_tolerance,
         fig4a,
         fig4b,
         fig5a,
         fig5b,
         forward,
+        guarantees,
         mixing,
+        multi_query,
+        occasion_drift,
+        partition_tolerance,
+        protocol_validation,
+        related_work,
+        slo_audit,
         table1,
         table2,
     )
 
     name = args.name
+    # scale < 1 maps to the gated sweeps' reduced CI grids
+    sweep_argv = ["--seed", str(args.seed)] + (["--smoke"] if args.scale < 1.0 else [])
+    # experiments whose main() prints their tables and applies their gate
+    mains: dict[str, Callable[[], int]] = {
+        "ablations": ablations.main,
+        "forward": forward.main,
+        "guarantees": guarantees.main,
+        "related_work": related_work.main,
+        "occasion_drift": occasion_drift.main,
+        "protocol": protocol_validation.main,
+        "fault_tolerance": lambda: fault_tolerance.main(sweep_argv),
+        "partition_tolerance": lambda: partition_tolerance.main(sweep_argv),
+        "slo_audit": lambda: slo_audit.main(sweep_argv),
+        "multi_query": lambda: multi_query.main(
+            ["--dataset", args.dataset, "--scale", str(args.scale),
+             "--seed", str(args.seed)]
+        ),
+    }
+    if name in mains:
+        return mains[name]()
     if name == "fig4a":
         emit(fig4a.run(dataset=args.dataset, scale=args.scale, seed=args.seed).to_table())
     elif name == "fig4b":
@@ -240,61 +275,6 @@ def _run_experiment(args: argparse.Namespace) -> int:
         emit(table2.run(dataset=args.dataset, scale=args.scale, seed=args.seed).to_table())
     elif name == "mixing":
         emit(mixing.run(seed=args.seed).to_table())
-    elif name == "ablations":
-        ablations.main()
-    elif name == "forward":
-        forward.main()
-    elif name == "guarantees":
-        from repro.experiments import guarantees
-
-        guarantees.main()
-    elif name == "related_work":
-        from repro.experiments import related_work
-
-        related_work.main()
-    elif name == "occasion_drift":
-        from repro.experiments import occasion_drift
-
-        occasion_drift.main()
-    elif name == "protocol":
-        from repro.experiments import protocol_validation
-
-        protocol_validation.main()
-    elif name == "fault_tolerance":
-        from repro.experiments import fault_tolerance
-
-        # scale < 1 maps to the reduced CI sweep, full grid otherwise
-        config = (
-            fault_tolerance.smoke_config()
-            if args.scale < 1.0
-            else fault_tolerance.FaultSweepConfig()
-        )
-        emit(fault_tolerance.run(config, seed=args.seed).to_table())
-    elif name == "multi_query":
-        from repro.experiments import multi_query
-
-        # exits non-zero when a query's coverage upper bound is below p
-        multi_query.main(
-            ["--dataset", args.dataset, "--scale", str(args.scale),
-             "--seed", str(args.seed)]
-        )
-    elif name == "partition_tolerance":
-        from repro.experiments import partition_tolerance
-
-        # scale < 1 maps to the reduced CI sweep, full grid otherwise
-        config = (
-            partition_tolerance.smoke_config()
-            if args.scale < 1.0
-            else partition_tolerance.PartitionSweepConfig()
-        )
-        emit(partition_tolerance.run(config, seed=args.seed).to_table())
-    elif name == "slo_audit":
-        from repro.experiments import slo_audit
-
-        argv = ["--seed", str(args.seed)]
-        if args.scale < 1.0:  # scale < 1 maps to the reduced CI sweep
-            argv.append("--smoke")
-        return slo_audit.main(argv)
     return 0
 
 

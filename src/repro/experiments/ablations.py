@@ -354,13 +354,14 @@ def importance_sampling_ablation(
     )
 
 
-def main() -> None:
+def main() -> int:
     emit(laziness_ablation().to_table() + "\n")
     emit(continued_walk_ablation().to_table() + "\n")
     emit(cluster_sampling_ablation().to_table() + "\n")
     emit(replacement_policy_ablation().to_table() + "\n")
     emit(importance_sampling_ablation().to_table())
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -207,9 +207,10 @@ def run(
     )
 
 
-def main() -> None:
+def main() -> int:
     emit(run().to_table())
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

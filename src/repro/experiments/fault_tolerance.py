@@ -23,8 +23,8 @@ walk RNG, so enabling faults never perturbs the walk trajectories).
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -33,16 +33,15 @@ from repro.core.estimators import (
     achieved_epsilon,
     required_sample_size,
 )
+from repro.experiments import sweep
 from repro.experiments.report import format_table
 from repro.network.faults import CrashProcess, FaultConfig, FaultPlan
 from repro.obs.schema import SPAN_FAULT_CELL, SPAN_SNAPSHOT_QUERY
 from repro.network.graph import OverlayGraph
 from repro.network.messaging import MessageLedger
 from repro.network.topology import power_law_topology
-from repro.obs.analysis import verify_trace_consistency
 from repro.obs.console import emit
-from repro.obs.export import export_trace
-from repro.obs.tracer import RunMetricsSink, SinkTracer, Trace
+from repro.obs.tracer import SinkTracer, Trace
 from repro.protocol.runtime import ProtocolConfig, ProtocolSampler, RetryPolicy
 from repro.sampling.weights import uniform_weights
 from repro.sim.engine import PRIORITY_CHURN, SimulationEngine
@@ -98,7 +97,7 @@ class FaultSweepResult:
     #: full telemetry capture of the sweep; ``metrics``' counters are
     #: derived from it (RunMetricsSink), so replaying the trace must
     #: reproduce them exactly — see --verify-trace
-    trace: Trace | None = None
+    trace: Trace
 
     def to_table(self) -> str:
         table_rows = [
@@ -274,43 +273,25 @@ def _run_cell(
     )
 
 
-def run(
-    config: FaultSweepConfig | None = None,
-    seed: int = 0,
-    tracer: SinkTracer | None = None,
-) -> FaultSweepResult:
+def run(config: FaultSweepConfig | None = None, seed: int = 0) -> FaultSweepResult:
     """Run the full loss x crash sweep; deterministic in ``seed``.
 
-    The sweep always runs traced: counters on the returned ``metrics``
-    are *derived* from the span stream by a
-    :class:`~repro.obs.tracer.RunMetricsSink` (single source of truth —
-    no hand-booked duplicates), and the full trace is returned for
-    export/verification. Pass a ``tracer`` to add extra sinks or
-    metadata; otherwise one is created.
+    The sweep always runs traced (:func:`repro.experiments.sweep.run_traced`):
+    the returned ``metrics``' counters are derived from the span stream,
+    and the full trace is returned for export/verification.
     """
     config = config if config is not None else FaultSweepConfig()
-    if tracer is None:
-        tracer = SinkTracer(
-            meta={"experiment": "fault_tolerance", "seed": seed}, record=True
-        )
-    rows: list[FaultRow] = []
-    metrics = RunMetrics()
-    tracer.add_sink(RunMetricsSink(metrics))
-    for i, loss in enumerate(config.loss_rates):
-        for j, crash in enumerate(config.crash_rates):
-            cell_seed = seed + 1000 * i + 10 * j
-            row = _run_cell(config, loss, crash, cell_seed, tracer)
-            rows.append(row)
-            # series stay hand-recorded: cell-indexed, not sim-timed
-            metrics.series("completion_rate").record(
-                len(rows), row.completion_rate
-            )
-            metrics.series("retry_overhead").record(
-                len(rows), row.retry_overhead
-            )
-    return FaultSweepResult(
-        config=config, rows=rows, metrics=metrics, trace=tracer.trace()
+    rows, metrics, trace = sweep.run_traced(
+        "fault_tolerance",
+        seed,
+        [(config.loss_rates, 1000), (config.crash_rates, 10)],
+        partial(_run_cell, config),
     )
+    # series stay hand-recorded: cell-indexed, not sim-timed
+    for index, row in enumerate(rows, 1):
+        metrics.series("completion_rate").record(index, row.completion_rate)
+        metrics.series("retry_overhead").record(index, row.retry_overhead)
+    return FaultSweepResult(config, rows, metrics, trace)
 
 
 def smoke_config() -> FaultSweepConfig:
@@ -323,67 +304,37 @@ def smoke_config() -> FaultSweepConfig:
     )
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="reduced sweep for CI (2x2 grid, small overlay)",
-    )
-    parser.add_argument(
-        "--trace-out",
-        default=None,
-        help="export the sweep's JSONL telemetry trace to this path",
-    )
-    parser.add_argument(
-        "--verify-trace",
-        action="store_true",
-        help="fail unless replayed-trace counters equal the live metrics",
-    )
-    args = parser.parse_args(argv)
-    config = smoke_config() if args.smoke else FaultSweepConfig()
-    result = run(config, seed=args.seed)
-    emit(result.to_table())
-    worst = [
-        row
-        for row in result.rows
-        if row.message_loss == max(config.loss_rates)
-        and row.crash_probability == max(config.crash_rates)
-    ]
-    for row in worst:
-        emit(
-            f"\nworst cell (loss={row.message_loss}, crash="
-            f"{row.crash_probability}): completion {row.completion_rate:.3f}, "
-            f"recovery {row.recovery_rate:.3f}, faults: "
-            + ", ".join(f"{k}={v}" for k, v in sorted(row.faults.items()))
-        )
-    # honesty check: every row either meets the promise or says it didn't
-    dishonest = [
-        row
+def gate(result: FaultSweepResult) -> list[str]:
+    """Honesty: every row meets its sample size or is flagged degraded."""
+    return [
+        f"dishonest row (loss={row.message_loss}, crash="
+        f"{row.crash_probability}): {row.n_achieved}/{row.n_required} "
+        f"samples, not flagged degraded"
         for row in result.rows
         if not row.degraded and row.n_achieved < row.n_required
     ]
-    if dishonest:
-        emit(f"DISHONEST ROWS: {len(dishonest)}")
-        return 1
-    assert result.trace is not None
-    if args.trace_out:
-        path = export_trace(result.trace, args.trace_out)
-        emit(
-            f"\ntrace: {len(result.trace.spans)} spans, "
-            f"{len(result.trace.events)} events -> {path}"
-        )
-    if args.verify_trace:
-        mismatches = verify_trace_consistency(result.trace, result.metrics)
-        if mismatches:
-            emit("TRACE-COUNTER MISMATCH:")
-            for mismatch in mismatches:
-                emit(f"  {mismatch}")
-            return 1
-        emit("trace-vs-counters consistency: OK")
-    return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = sweep.parser(
+        __doc__, "reduced sweep for CI (2x2 grid, small overlay)"
+    ).parse_args(argv)
+    config = smoke_config() if args.smoke else FaultSweepConfig()
+    result = run(config, seed=args.seed)
+    emit(result.to_table())
+    worst = (max(config.loss_rates), max(config.crash_rates))
+    for row in result.rows:
+        if (row.message_loss, row.crash_probability) == worst:
+            emit(
+                f"\nworst cell (loss={row.message_loss}, crash="
+                f"{row.crash_probability}): completion {row.completion_rate:.3f}, "
+                f"recovery {row.recovery_rate:.3f}, faults: "
+                + ", ".join(f"{k}={v}" for k, v in sorted(row.faults.items()))
+            )
+    return sweep.conclude(
+        args, "fault_tolerance", gate(result), result.trace, result.metrics
+    )
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

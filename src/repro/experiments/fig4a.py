@@ -113,7 +113,7 @@ def run(
     )
 
 
-def main() -> None:
+def main() -> int:
     from repro.experiments.plotting import ascii_chart
 
     result = run()
@@ -137,7 +137,8 @@ def main() -> None:
             f"{result.ratios[last]}: "
             f"{100 * result.reduction_vs_all(algorithm, last):.0f}%"
         )
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

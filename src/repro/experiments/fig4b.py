@@ -126,7 +126,7 @@ def run(
     )
 
 
-def main() -> None:
+def main() -> int:
     from repro.experiments.plotting import ascii_chart
 
     for dataset in ("temperature", "memory"):
@@ -148,7 +148,8 @@ def main() -> None:
             f"{dataset}: average improvement factor I = "
             f"{result.improvement_factor:.2f}\n"
         )
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

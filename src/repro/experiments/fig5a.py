@@ -104,7 +104,7 @@ def run(
     )
 
 
-def main() -> None:
+def main() -> int:
     for dataset in ("temperature", "memory"):
         result = run(dataset=dataset)
         emit(result.to_table())
@@ -113,7 +113,8 @@ def main() -> None:
             f"{result.digest_vs_naive:.2f}x "
             f"(paper: up to 3.2x on TEMPERATURE)\n"
         )
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -125,7 +125,7 @@ def run(
     )
 
 
-def main() -> None:
+def main() -> int:
     from repro.experiments.plotting import ascii_bars
 
     result = run(dataset="temperature")
@@ -138,7 +138,8 @@ def main() -> None:
             log=True,
         )
     )
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

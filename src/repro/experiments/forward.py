@@ -118,11 +118,12 @@ def simulate(
     )
 
 
-def main() -> None:
+def main() -> int:
     for rho in (0.5, 0.85, 0.95):
         emit(simulate(rho=rho).to_table())
         emit()
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -186,14 +186,15 @@ def resolution(
     )
 
 
-def main() -> None:
+def main() -> int:
     for evaluator in ("independent", "repeated"):
         emit(coverage(evaluator=evaluator).to_table())
         emit()
     for safety in (1.0, 2.0):
         emit(resolution(safety_factor=safety).to_table())
         emit()
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

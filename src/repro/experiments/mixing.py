@@ -163,7 +163,7 @@ def paper_scale_costs(seed: int = 0) -> dict[str, float]:
     }
 
 
-def main() -> None:
+def main() -> int:
     result = run()
     emit(result.to_table())
     costs = paper_scale_costs()
@@ -172,7 +172,8 @@ def main() -> None:
         f"{costs['mesh_530']:.0f} msgs (paper: 65), power-law(820) = "
         f"{costs['power_law_820']:.0f} msgs (paper: 43)"
     )
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

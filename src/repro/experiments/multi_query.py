@@ -16,8 +16,8 @@ Reported: messages per query under both regimes (the headline is the
 savings ratio), the pool hit rate, and — because cheaper must not mean
 wrong — each query's own empirical ``(epsilon, p)`` hit rate against the
 oracle aggregate, as the shared session's auditor counts it. The command
-line exits non-zero when any query's Clopper–Pearson upper bound on
-coverage falls below ``p``.
+line exits 1 when any query's Clopper–Pearson upper bound on coverage
+falls below ``p`` (:func:`gate`).
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from repro.core.query import ContinuousQuery, Precision, Query
 from repro.core.session import DigestSession, EngineConfig
 from repro.datasets.base import DatasetInstance
 from repro.db.aggregates import AggregateOp
+from repro.experiments import sweep
 from repro.experiments.harness import build_instance, pick_origin
 from repro.experiments.report import format_table
 from repro.obs.audit import Coverage
@@ -256,7 +257,17 @@ def run(
     )
 
 
-def main(argv: list[str] | None = None) -> None:
+def gate(result: MultiQueryResult) -> list[str]:
+    """Coverage: each query's Clopper–Pearson upper bound reaches ``p``."""
+    return [
+        f"coverage upper bound below p: {outcome.query_id} "
+        f"{outcome.audit.upper_bound:.4f}"
+        for outcome in result.outcomes
+        if outcome.audit.upper_bound < result.confidence
+    ]
+
+
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="Shared multi-query session vs. independent engines"
     )
@@ -290,14 +301,8 @@ def main(argv: list[str] | None = None) -> None:
         path = Path(args.json_out)
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         emit(f"wrote {path}")
-    short = [
-        f"{outcome.query_id} {outcome.audit.upper_bound:.4f}"
-        for outcome in result.outcomes
-        if outcome.audit.upper_bound < result.confidence
-    ]
-    if short:
-        raise SystemExit(f"coverage upper bound below p: {', '.join(short)}")
+    return sweep.report("multi_query", gate(result))
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

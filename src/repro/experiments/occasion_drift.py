@@ -176,9 +176,10 @@ def run(
     return DriftResult(dataset="linear-drift", n_samples=n_samples, rows=rows)
 
 
-def main() -> None:
+def main() -> int:
     emit(run().to_table())
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -29,8 +29,8 @@ enabling partitions never perturbs walk trajectories).
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from repro.core.snapshot import SnapshotEstimate
 from repro.db.aggregates import AggregateOp
 from repro.db.expression import Expression
 from repro.db.relation import P2PDatabase, Schema
+from repro.experiments import sweep
 from repro.experiments.report import format_table
 from repro.network.graph import OverlayGraph
 from repro.network.partitions import (
@@ -48,16 +49,9 @@ from repro.network.partitions import (
     PartitionSchedule,
 )
 from repro.network.topology import power_law_topology
-from repro.obs.analysis import verify_trace_consistency
 from repro.obs.console import emit
-from repro.obs.export import export_trace
 from repro.obs.schema import SPAN_PARTITION_CELL
-from repro.obs.tracer import (
-    RunMetricsSink,
-    SinkTracer,
-    Trace,
-    bridge_fault_log,
-)
+from repro.obs.tracer import SinkTracer, Trace, bridge_fault_log
 from repro.sim.metrics import RunMetrics
 
 
@@ -104,7 +98,7 @@ class PartitionSweepResult:
     #: full telemetry capture of the sweep; ``metrics``' counters are
     #: derived from it (RunMetricsSink), so replaying the trace must
     #: reproduce them exactly — see --verify-trace
-    trace: Trace | None = None
+    trace: Trace
 
     def to_table(self) -> str:
         table_rows = [
@@ -301,44 +295,30 @@ def _run_cell(
 
 
 def run(
-    config: PartitionSweepConfig | None = None,
-    seed: int = 0,
-    tracer: SinkTracer | None = None,
+    config: PartitionSweepConfig | None = None, seed: int = 0
 ) -> PartitionSweepResult:
     """Run the width x duration x heal-policy sweep; deterministic in ``seed``.
 
-    The sweep always runs traced: counters on the returned ``metrics`` are
-    *derived* from the span stream by a
-    :class:`~repro.obs.tracer.RunMetricsSink` (single source of truth),
+    The sweep always runs traced (:func:`repro.experiments.sweep.run_traced`):
+    the returned ``metrics``' counters are derived from the span stream,
     and the full trace is returned for export/verification.
     """
     config = config if config is not None else PartitionSweepConfig()
-    if tracer is None:
-        tracer = SinkTracer(
-            meta={"experiment": "partition_tolerance", "seed": seed},
-            record=True,
-        )
-    rows: list[PartitionRow] = []
-    metrics = RunMetrics()
-    tracer.add_sink(RunMetricsSink(metrics))
-    for i, width in enumerate(config.widths):
-        for j, duration in enumerate(config.durations):
-            for k, heal_policy in enumerate(config.heal_policies):
-                cell_seed = seed + 10000 * i + 100 * j + 10 * k
-                row = _run_cell(
-                    config, width, duration, heal_policy, cell_seed, tracer
-                )
-                rows.append(row)
-                # series stay hand-recorded: cell-indexed, not sim-timed
-                metrics.series("min_reachable_fraction").record(
-                    len(rows), row.min_fraction
-                )
-                metrics.series("dishonest_estimates").record(
-                    len(rows), row.n_dishonest
-                )
-    return PartitionSweepResult(
-        config=config, rows=rows, metrics=metrics, trace=tracer.trace()
+    rows, metrics, trace = sweep.run_traced(
+        "partition_tolerance",
+        seed,
+        [
+            (config.widths, 10000),
+            (config.durations, 100),
+            (config.heal_policies, 10),
+        ],
+        partial(_run_cell, config),
     )
+    # series stay hand-recorded: cell-indexed, not sim-timed
+    for index, row in enumerate(rows, 1):
+        metrics.series("min_reachable_fraction").record(index, row.min_fraction)
+        metrics.series("dishonest_estimates").record(index, row.n_dishonest)
+    return PartitionSweepResult(config, rows, metrics, trace)
 
 
 def smoke_config() -> PartitionSweepConfig:
@@ -352,64 +332,35 @@ def smoke_config() -> PartitionSweepConfig:
     )
 
 
+def gate(result: PartitionSweepResult) -> list[str]:
+    """Honesty and recovery, per cell.
+
+    A cell fails on any silently unscoped during-partition estimate, and
+    when a query is still degraded ``recovery_bound`` snapshot occasions
+    after the heal.
+    """
+    bound = result.config.recovery_bound
+    failures: list[str] = []
+    for row in result.rows:
+        label = f"width={row.width} duration={row.duration} heal={row.heal_policy}"
+        if row.n_dishonest:
+            failures.append(f"{label}: {row.n_dishonest} dishonest estimates")
+        if not row.recovered or (row.recovery_occasions or 0) > bound:
+            failures.append(f"{label}: still degraded {bound} occasions after the heal")
+    return failures
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="reduced sweep for CI (1x1x2 grid, small overlay)",
-    )
-    parser.add_argument(
-        "--trace-out",
-        default=None,
-        help="export the sweep's JSONL telemetry trace to this path",
-    )
-    parser.add_argument(
-        "--verify-trace",
-        action="store_true",
-        help="fail unless replayed-trace counters equal the live metrics",
-    )
-    args = parser.parse_args(argv)
+    args = sweep.parser(
+        __doc__, "reduced sweep for CI (1x1x2 grid, small overlay)"
+    ).parse_args(argv)
     config = smoke_config() if args.smoke else PartitionSweepConfig()
     result = run(config, seed=args.seed)
     emit(result.to_table())
-    # honesty gate: a cell with any silently-unscoped during-partition
-    # estimate, or one that never returns to non-degraded after the heal,
-    # fails the run
-    dishonest = [row for row in result.rows if row.n_dishonest > 0]
-    unrecovered = [
-        row
-        for row in result.rows
-        if not row.recovered
-        or (
-            row.recovery_occasions is not None
-            and row.recovery_occasions > config.recovery_bound
-        )
-    ]
-    if dishonest:
-        emit(f"DISHONEST CELLS: {len(dishonest)}")
-        return 1
-    if unrecovered:
-        emit(f"UNRECOVERED CELLS: {len(unrecovered)}")
-        return 1
-    assert result.trace is not None
-    if args.trace_out:
-        path = export_trace(result.trace, args.trace_out)
-        emit(
-            f"\ntrace: {len(result.trace.spans)} spans, "
-            f"{len(result.trace.events)} events -> {path}"
-        )
-    if args.verify_trace:
-        mismatches = verify_trace_consistency(result.trace, result.metrics)
-        if mismatches:
-            emit("TRACE-COUNTER MISMATCH:")
-            for mismatch in mismatches:
-                emit(f"  {mismatch}")
-            return 1
-        emit("trace-vs-counters consistency: OK")
-    return 0
+    return sweep.conclude(
+        args, "partition_tolerance", gate(result), result.trace, result.metrics
+    )
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

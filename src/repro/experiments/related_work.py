@@ -223,11 +223,12 @@ def tag_vs_churn(
     return TagChurnResult(rows=rows, epsilon=epsilon)
 
 
-def main() -> None:
+def main() -> int:
     emit(gossip_crossover().to_table())
     emit()
     emit(tag_vs_churn().to_table())
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

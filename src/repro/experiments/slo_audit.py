@@ -23,7 +23,6 @@ gates that machinery end to end:
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +32,7 @@ from repro.core.session import DigestSession, EngineConfig
 from repro.db.aggregates import AggregateOp
 from repro.db.expression import Expression
 from repro.db.relation import P2PDatabase, Schema
+from repro.experiments import sweep
 from repro.experiments.report import format_table
 from repro.network.faults import FaultConfig, FaultPlan
 from repro.network.graph import OverlayGraph
@@ -48,7 +48,6 @@ from repro.obs.alerts import (
 )
 from repro.obs.analysis import message_attribution, verify_trace_consistency
 from repro.obs.console import emit
-from repro.obs.export import export_trace
 from repro.obs.live import WindowConfig
 from repro.obs.tracer import SinkTracer, Trace
 
@@ -320,31 +319,14 @@ def smoke_config() -> SloSweepConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="reduced sweep for CI (smaller overlay, shorter horizon)",
+    parser = sweep.parser(
+        __doc__, "reduced sweep for CI (smaller overlay, shorter horizon)"
     )
     parser.add_argument(
         "--rules",
         default=None,
         metavar="PATH",
         help="JSON alert-rules file (defaults to the built-in rule set)",
-    )
-    parser.add_argument(
-        "--trace-out",
-        default=None,
-        help="export the faulted cell's JSONL telemetry trace to this path",
-    )
-    parser.add_argument(
-        "--verify-trace",
-        action="store_true",
-        help=(
-            "fail unless every cell's counters AND alert transitions "
-            "replay exactly from its trace"
-        ),
     )
     args = parser.parse_args(argv)
     config = smoke_config() if args.smoke else SloSweepConfig()
@@ -360,28 +342,14 @@ def main(argv: list[str] | None = None) -> int:
                     for kind, count in cell.ops_counts.items()
                 )
             )
-    failures = result.gate_failures()
-    if failures:
-        emit("\nSLO AUDIT GATE FAILURES:")
-        for failure in failures:
-            emit(f"  {failure}")
-        return 1
-    emit("\nslo-audit gate: clean run silent, faulted run paged: OK")
-    if args.trace_out:
-        faulted = [c for c in result.cells if c.message_loss > 0.0]
-        exported = (faulted or result.cells)[-1]
-        path = export_trace(exported.trace, args.trace_out)
-        emit(
-            f"trace (loss={exported.message_loss}): "
-            f"{len(exported.trace.spans)} spans, "
-            f"{len(exported.trace.events)} events -> {path}"
-        )
-    if args.verify_trace:
-        # the per-cell verifications already ran inside run(); the gate
-        # above fails on any mismatch, so reaching here means they held
-        emit("trace-vs-counters and alert-replay consistency: OK")
-    return 0
+    # every cell's counters and alerts replay inside the gate; the trace
+    # written is the last faulted cell's
+    faulted = [c for c in result.cells if c.message_loss > 0.0]
+    exported = (faulted or result.cells)[-1].trace
+    return sweep.conclude(
+        args, "slo_audit", result.gate_failures(), exported, None
+    )
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -139,7 +139,7 @@ def simulate(
     return result
 
 
-def main() -> None:
+def main() -> int:
     for rho in (0.5, 0.85, 0.95):
         result = simulate(rho=rho)
         emit(result.to_table())
@@ -148,7 +148,8 @@ def main() -> None:
             f"Eq. 10 minimum variance at optimal split: {opt:.5f} "
             f"(empirical combined: {result.empirical['combined']:.5f})\n"
         )
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

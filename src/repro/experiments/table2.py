@@ -107,11 +107,12 @@ def run(dataset: str = "temperature", scale: float = 0.1, seed: int = 0,
     )
 
 
-def main() -> None:
+def main() -> int:
     for dataset in ("temperature", "memory"):
         emit(run(dataset=dataset).to_table())
         emit()
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -5,9 +5,12 @@ remaining dispatch branches call the right experiment module without
 paying for the computation.
 """
 
+import importlib
+
 import pytest
 
 from repro import cli
+from tests.experiments.test_sweep import FAILING
 
 
 class _Recorder:
@@ -16,7 +19,7 @@ class _Recorder:
 
     def __call__(self, *args, **kwargs):
         self.calls.append(kwargs)
-        return self
+        return 0
 
 
 @pytest.fixture
@@ -95,3 +98,24 @@ def test_fig5b_scale_floor(canned):
     """fig5b refuses to run below the push-vs-sample crossover scale."""
     cli.main(["experiment", "fig5b", "--scale", "0.05"])
     assert canned["fig5b"].calls[0]["scale"] >= 0.25
+
+
+@pytest.mark.parametrize("case", sorted(FAILING))
+def test_experiment_applies_the_sweep_gates(monkeypatch, capsys, case):
+    """``repro experiment <sweep>`` exits 1 where the module's main does."""
+    module, result, line = FAILING[case]
+    monkeypatch.setattr(module, "run", lambda *args, **kwargs: result())
+    assert cli.main(["experiment", module.__name__.rsplit(".", 1)[1]]) == 1
+    assert f"  {line}\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "name", ["fault_tolerance", "partition_tolerance", "slo_audit"]
+)
+@pytest.mark.parametrize("scale, smoke", [("0.5", True), ("1", False)])
+def test_scale_below_one_runs_the_smoke_sweep(monkeypatch, name, scale, smoke):
+    module = importlib.import_module(f"repro.experiments.{name}")
+    argvs = []
+    monkeypatch.setattr(module, "main", lambda argv: argvs.append(argv) or 0)
+    assert cli.main(["experiment", name, "--scale", scale, "--seed", "4"]) == 0
+    assert argvs == [["--seed", "4"] + (["--smoke"] if smoke else [])]
