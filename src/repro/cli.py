@@ -49,6 +49,7 @@ import numpy as np
 from repro.obs.console import emit
 
 if TYPE_CHECKING:
+    from repro.core.query import Query
     from repro.core.session import QuerySet
 
 
@@ -289,6 +290,23 @@ def _default_precision(
     return delta, epsilon
 
 
+def _evaluator_for(query: Query, evaluator: str) -> str:
+    """``evaluator``, or ``independent`` for a filtered AVG under ``repeated``.
+
+    A filtered AVG needs the ratio estimator, which only the independent
+    evaluator has.
+    """
+    from repro.db.aggregates import AggregateOp
+
+    if (
+        evaluator == "repeated"
+        and query.op is AggregateOp.AVG
+        and query.predicate is not None
+    ):
+        return "independent"
+    return evaluator
+
+
 def load_query_set(
     path: str, default_delta: float, default_epsilon: float
 ) -> QuerySet:
@@ -304,7 +322,6 @@ def load_query_set(
 
     from repro.core.query import ContinuousQuery, Precision, parse_query
     from repro.core.session import EngineConfig, QuerySet
-    from repro.db.aggregates import AggregateOp
     from repro.errors import QueryError
 
     with open(path, encoding="utf-8") as handle:
@@ -319,13 +336,7 @@ def load_query_set(
         if "query" not in entry:
             raise QueryError(f"{path}: every entry needs a 'query' string")
         query = parse_query(entry["query"])
-        evaluator = entry.get("evaluator", "repeated")
-        if (
-            evaluator == "repeated"
-            and query.op is AggregateOp.AVG
-            and query.predicate is not None
-        ):
-            evaluator = "independent"  # filtered AVG needs the ratio estimator
+        evaluator = _evaluator_for(query, entry.get("evaluator", "repeated"))
         continuous = ContinuousQuery(
             query,
             Precision(
@@ -397,24 +408,18 @@ def _run_query_set(args: argparse.Namespace) -> int:
 def _run_query(args: argparse.Namespace) -> int:
     from repro.core.query import ContinuousQuery, Precision, parse_query
     from repro.core.session import DigestSession, EngineConfig
-    from repro.db.aggregates import AggregateOp
     from repro.experiments.harness import build_instance, pick_origin
 
     instance = build_instance(args.dataset, args.scale, args.seed)
     steps = args.steps if args.steps is not None else instance.n_steps
     delta, epsilon = _default_precision(instance, args.delta, args.epsilon)
     query = parse_query(args.query)
-    evaluator = args.evaluator
-    if (
-        evaluator == "repeated"
-        and query.op is AggregateOp.AVG
-        and query.predicate is not None
-    ):
+    evaluator = _evaluator_for(query, args.evaluator)
+    if evaluator != args.evaluator:
         emit(
             "note: filtered AVG needs the ratio estimator; "
-            "falling back to evaluator=independent"
+            f"falling back to evaluator={evaluator}"
         )
-        evaluator = "independent"
     continuous = ContinuousQuery(
         query,
         Precision(delta=delta, epsilon=epsilon, confidence=args.confidence),

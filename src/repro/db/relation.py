@@ -113,8 +113,9 @@ class P2PDatabase:
         ``insert``, ``update``, ``update_many``, ``delete``, ``add_node``
         and ``remove_node`` bump it. While it is unchanged, every tuple's
         liveness and values are unchanged, so whatever was read of a set of
-        tuple ids still holds (the sample pool keys its gathered columns
-        on it).
+        tuple ids still holds. A move ends the sample pool's occasion: the
+        pool drops its draws, cursors and gathered columns, as it does at a
+        new tick.
         """
         return self._write_version
 

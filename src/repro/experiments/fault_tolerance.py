@@ -96,7 +96,7 @@ class FaultSweepResult:
     metrics: RunMetrics
     #: full telemetry capture of the sweep; ``metrics``' counters are
     #: derived from it (RunMetricsSink), so replaying the trace must
-    #: reproduce them exactly — see --verify-trace
+    #: reproduce them exactly, as the gate checks
     trace: Trace
 
     def to_table(self) -> str:
@@ -287,10 +287,6 @@ def run(config: FaultSweepConfig | None = None, seed: int = 0) -> FaultSweepResu
         [(config.loss_rates, 1000), (config.crash_rates, 10)],
         partial(_run_cell, config),
     )
-    # series stay hand-recorded: cell-indexed, not sim-timed
-    for index, row in enumerate(rows, 1):
-        metrics.series("completion_rate").record(index, row.completion_rate)
-        metrics.series("retry_overhead").record(index, row.retry_overhead)
     return FaultSweepResult(config, rows, metrics, trace)
 
 

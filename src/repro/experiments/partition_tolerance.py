@@ -97,7 +97,7 @@ class PartitionSweepResult:
     metrics: RunMetrics
     #: full telemetry capture of the sweep; ``metrics``' counters are
     #: derived from it (RunMetricsSink), so replaying the trace must
-    #: reproduce them exactly — see --verify-trace
+    #: reproduce them exactly, as the gate checks
     trace: Trace
 
     def to_table(self) -> str:
@@ -314,10 +314,6 @@ def run(
         ],
         partial(_run_cell, config),
     )
-    # series stay hand-recorded: cell-indexed, not sim-timed
-    for index, row in enumerate(rows, 1):
-        metrics.series("min_reachable_fraction").record(index, row.min_fraction)
-        metrics.series("dishonest_estimates").record(index, row.n_dishonest)
     return PartitionSweepResult(config, rows, metrics, trace)
 
 

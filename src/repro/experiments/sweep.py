@@ -2,9 +2,9 @@
 
 ``fault_tolerance``, ``partition_tolerance`` and ``slo_audit`` take the
 same flags (:func:`parser`) and end the same way (:func:`conclude`):
-export the trace, replay its counters under ``--verify-trace``, and
-apply :func:`report`, the exit rule of every gate (``multi_query``'s
-too). The first two also run their cells through :func:`run_traced`.
+export the trace, replay its counters, and apply :func:`report`, the
+exit rule of every gate (``multi_query``'s too). The first two also run
+their cells through :func:`run_traced`.
 """
 
 from __future__ import annotations
@@ -31,11 +31,6 @@ def parser(doc: str, smoke_help: str) -> argparse.ArgumentParser:
     flags.add_argument(
         "--trace-out",
         help="export the sweep's JSONL telemetry trace to this path",
-    )
-    flags.add_argument(
-        "--verify-trace",
-        action="store_true",
-        help="fail unless replayed-trace counters equal the live metrics",
     )
     return flags
 
@@ -84,7 +79,7 @@ def conclude(
     trace: Trace,
     metrics: RunMetrics | None,
 ) -> int:
-    """Export ``trace``, replay it under ``--verify-trace``, apply the gate.
+    """Export ``trace``, replay it against ``metrics``, apply the gate.
 
     ``metrics`` are the live counters the replayed trace must equal;
     ``None`` when ``failures`` already hold every cell's replay.
@@ -95,12 +90,12 @@ def conclude(
             f"\ntrace: {len(trace.spans)} spans, "
             f"{len(trace.events)} events -> {path}"
         )
-    if args.verify_trace and metrics is not None:
+    if metrics is not None:
         failures = failures + [
             f"trace-counter mismatch: {mismatch}"
             for mismatch in verify_trace_consistency(trace, metrics)
         ]
     status = report(experiment, failures)
-    if status == 0 and args.verify_trace:
+    if status == 0:
         emit("trace-vs-counters consistency: OK")
     return status

@@ -27,17 +27,18 @@ each query's marginal ``(epsilon, p)`` contract is untouched.
   static-during-occasion assumption. A cut or a heal therefore empties
   the pool as a new tick does: draws made over another reachable scope
   follow another stationary law;
-* next to the ids the pool keeps what serving reads of them: the
-  liveness mask (as the positions of the live draws, so a draw whose
-  tuple was deleted since is skipped) and, per
+* a write to the database ends the occasion as well: the pool holds its
+  draws for one :attr:`~repro.db.relation.P2PDatabase.write_version`,
+  and the first serve or prefetch after a write drops them, their
+  cursors and their columns, so every pooled draw names a live tuple
+  whose values are the ones it was drawn with;
+* next to the ids the pool keeps, per
   :class:`~repro.db.aggregates.ValueSpec`, the ``(y, indicator)``
   columns, gathered once and sliced by every serve. Equal specs share one
   entry, so co-due queries that differ only in precision read one column.
   A column is read only at draws some serve returned, so a tuple whose
   expression cannot be evaluated fails the queries it is served to and
-  no other. Both hold for one
-  :attr:`~repro.db.relation.P2PDatabase.write_version`: a write between
-  two serves rebuilds the mask and drops the columns;
+  no other;
 * each consumer (query) holds a **cursor**: the position of the first
   draw it has not been served. :meth:`acquire` serves only draws at or
   beyond the cursor, so a query topping up sequentially never
@@ -112,14 +113,11 @@ class SamplePool:
         #: consumer's cursor: the position of its first unserved draw
         self._ids = _NO_IDS
         self._cursors: dict[str, int] = {}
-        #: the database and its write version the two caches below hold
-        #: for: the positions of the live draws, ascending (the liveness
-        #: mask; a serve takes a run of them, so a live draw's index here
-        #: is its *rank*), and per spec the rank its columns start at and
-        #: the ``(y, indicator)`` of the live draws from that rank on
+        #: the database and its write version the draws were made at, and
+        #: per spec the position its columns start at and the
+        #: ``(y, indicator)`` of the draws from that position on
         self._database: P2PDatabase | None = None
         self._version = -1
-        self._live = _NO_IDS
         self._columns: dict[ValueSpec, tuple[int, np.ndarray, np.ndarray]] = {}
         self.pool_hits = 0
         self.pool_misses = 0
@@ -131,7 +129,7 @@ class SamplePool:
 
     @property
     def n_pooled(self) -> int:
-        """Draws held for the current epoch (deleted tuples included)."""
+        """Draws held for the current epoch."""
         return len(self._ids)
 
     @property
@@ -165,7 +163,6 @@ class SamplePool:
     def _clear(self) -> None:
         self._ids = _NO_IDS
         self._cursors = {}
-        self._live = _NO_IDS
         self._columns = {}
 
     def reset(self) -> None:
@@ -179,20 +176,12 @@ class SamplePool:
     # ------------------------------------------------------------------
 
     def _sync(self, database: P2PDatabase) -> None:
-        """Rebuild the live positions, and drop the columns, after a write."""
+        """End the occasion after a write: drop draws, cursors and columns."""
         version = database.write_version
         if database is self._database and version == self._version:
             return
         self._database, self._version = database, version
-        self._live = np.flatnonzero(database.live_mask(self._ids))
-        self._columns = {}
-
-    def _admit(self, fresh: np.ndarray) -> None:
-        """Pool ``fresh`` draws."""
-        positions = np.arange(self._ids.size, self._ids.size + fresh.size)
-        self._ids = np.concatenate([self._ids, fresh])
-        # a fresh draw was read from a fragment just now: it is live
-        self._live = np.concatenate([self._live, positions])
+        self._clear()
 
     def _spec_values(
         self,
@@ -202,13 +191,13 @@ class SamplePool:
         end: int,
         tuple_ids: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The ``(y, indicator)`` of the live draws ranked ``first`` to ``end - 1``.
+        """The ``(y, indicator)`` of the draws at positions ``first`` to ``end - 1``.
 
         ``tuple_ids`` are those draws' ids: the serve. Only the ones the
         spec's columns lack are read, so only tuples the serve returns are
         read. A serve from before the columns' start or past their end (a
-        write dropped the columns since the consumer's last serve)
-        restarts them at its own first rank.
+        consumer that switched spec skipped draws the columns lack)
+        restarts them at its own first position.
         """
         start, y, indicator = self._columns.get(
             spec, (first, _NO_VALUES, _NO_VALUES)
@@ -249,29 +238,22 @@ class SamplePool:
             raise SamplingError(f"cannot serve {n} samples")
         if n == 0:
             return np.empty(0, dtype=np.int64), np.empty(0), np.empty(0)
-        cursor = self._cursors.get(consumer, 0)
         self._sync(database)
-        live = self._live
-        # the serve is the run of live draws from the cursor on, ranked
-        # first to end - 1, topped up by fresh draws
-        first = int(np.searchsorted(live, cursor))
-        end = min(first + n, live.size)
+        # the serve is the draws from the cursor on, topped up by fresh ones
+        first = self._cursors.get(consumer, 0)
+        end = min(first + n, self._ids.size)
         n_hit = end - first
         shortfall = n - n_hit
         if shortfall > 0:
-            # every live draw past the cursor is among the hits, so the
-            # cursor moves past the whole pool, fresh draws included
             fresh = self._operator.sample_tuples(
                 database, shortfall, origin, allow_partial
             )
-            self._admit(fresh)
-            end = self._live.size
-            self._cursors[consumer] = self._ids.size
-        else:
-            self._cursors[consumer] = int(live[end - 1]) + 1
+            self._ids = np.concatenate([self._ids, fresh])
+            end = self._ids.size
+        self._cursors[consumer] = end
         self.pool_hits += n_hit
         self.pool_misses += shortfall
-        tuple_ids = self._ids[self._live[first:end]]
+        tuple_ids = self._ids[first:end].copy()
         y, indicator = self._spec_values(database, spec, first, end, tuple_ids)
         return tuple_ids, y, indicator
 
@@ -294,7 +276,7 @@ class SamplePool:
         if n < 0:
             raise SamplingError(f"cannot prefetch {n} samples")
         self._sync(database)
-        available = self._live.size
+        available = self._ids.size
         need = n - available
         if need <= 0:
             return 0
@@ -307,7 +289,7 @@ class SamplePool:
             origin=origin,
         )
         fresh = self._operator.sample_tuples(database, need, origin, allow_partial)
-        self._admit(fresh)
+        self._ids = np.concatenate([self._ids, fresh])
         self._tracer.end(span, n_drawn=len(fresh))
         return len(fresh)
 

@@ -10,11 +10,10 @@ streams, churn rounds and snapshot queries, plus metric collection helpers
 
 from repro.sim.clock import SimulationClock
 from repro.sim.engine import Event, SimulationEngine
-from repro.sim.metrics import MetricSeries, RunMetrics
+from repro.sim.metrics import RunMetrics
 
 __all__ = [
     "Event",
-    "MetricSeries",
     "RunMetrics",
     "SimulationClock",
     "SimulationEngine",

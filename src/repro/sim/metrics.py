@@ -1,63 +1,13 @@
 """Metric collection for experiments.
 
-:class:`MetricSeries` records ``(time, value)`` pairs for one named metric;
-:class:`RunMetrics` groups the series of one experiment run together with
-scalar counters (total samples, fresh samples, snapshot-query count, ...)
-so every benchmark reports through the same structure.
+:class:`RunMetrics` holds the scalar counters of one experiment run
+(total samples, fresh samples, snapshot-query count, ...) so every
+benchmark reports through the same structure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
-
-
-class MetricSeries:
-    """Append-only time series of float observations."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._times: list[int] = []
-        self._values: list[float] = []
-
-    def record(self, time: int, value: float) -> None:
-        if self._times and time < self._times[-1]:
-            raise ValueError(
-                f"series {self.name!r} requires non-decreasing times; "
-                f"got {time} after {self._times[-1]}"
-            )
-        self._times.append(time)
-        self._values.append(float(value))
-
-    def __len__(self) -> int:
-        return len(self._times)
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array(self._times, dtype=np.int64)
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.array(self._values, dtype=float)
-
-    def last(self) -> float:
-        if not self._values:
-            raise ValueError(f"series {self.name!r} is empty")
-        return self._values[-1]
-
-    def mean(self) -> float:
-        if not self._values:
-            raise ValueError(f"series {self.name!r} is empty")
-        return float(np.mean(self._values))
-
-    def total(self) -> float:
-        # raises on empty like mean()/last(): an empty series is a
-        # measurement that never happened, not a measurement of zero
-        if not self._values:
-            raise ValueError(f"series {self.name!r} is empty")
-        return float(np.sum(self._values))
-
+from dataclasses import dataclass
 
 
 @dataclass
@@ -108,18 +58,3 @@ class RunMetrics:
     pool_misses: int = 0
     alerts_fired: int = 0
     alerts_resolved: int = 0
-    _series: dict[str, MetricSeries] = field(default_factory=dict)
-
-    def series(self, name: str) -> MetricSeries:
-        """Get (or lazily create) the named series."""
-        found = self._series.get(name)
-        if found is None:
-            found = MetricSeries(name)
-            self._series[name] = found
-        return found
-
-    def has_series(self, name: str) -> bool:
-        return name in self._series and len(self._series[name]) > 0
-
-    def series_names(self) -> list[str]:
-        return sorted(self._series)

@@ -70,8 +70,6 @@ class TestSweep:
         result = _smoke()
         assert result.metrics.snapshot_queries > 0
         assert result.metrics.degraded_estimates > 0
-        assert result.metrics.has_series("min_reachable_fraction")
-        assert result.metrics.has_series("dishonest_estimates")
         assert result.trace is not None
         cells = [
             span
@@ -113,12 +111,7 @@ class TestDeterminism:
 
 class TestMain:
     def test_main_smoke_exits_zero(self, capsys):
-        assert (
-            partition_tolerance.main(
-                ["--smoke", "--seed", "1", "--verify-trace"]
-            )
-            == 0
-        )
+        assert partition_tolerance.main(["--smoke", "--seed", "1"]) == 0
         out = capsys.readouterr().out
         assert "Partition tolerance" in out
         assert "consistency: OK" in out

@@ -157,16 +157,14 @@ def test_run_traced_seeds_every_cell_by_its_indices():
     assert trace.meta == {"experiment": "demo", "seed": 7}
 
 
-def _args(tmp_path, verify):
-    return argparse.Namespace(
-        trace_out=str(tmp_path / "trace.jsonl"), verify_trace=verify
-    )
+def _args(tmp_path):
+    return argparse.Namespace(trace_out=str(tmp_path / "trace.jsonl"))
 
 
 def test_conclude_fails_on_a_trace_counter_mismatch(tmp_path, capsys):
     live = RunMetrics()
     live.snapshot_queries = 1
-    status = sweep.conclude(_args(tmp_path, True), "demo", [], Trace(), live)
+    status = sweep.conclude(_args(tmp_path), "demo", [], Trace(), live)
     assert status == 1
     out = capsys.readouterr().out
     assert "DEMO GATE FAILURES:" in out
@@ -176,9 +174,7 @@ def test_conclude_fails_on_a_trace_counter_mismatch(tmp_path, capsys):
 
 
 def test_conclude_passes_a_consistent_trace(tmp_path, capsys):
-    status = sweep.conclude(
-        _args(tmp_path, True), "demo", [], Trace(), RunMetrics()
-    )
+    status = sweep.conclude(_args(tmp_path), "demo", [], Trace(), RunMetrics())
     assert status == 0
     assert "trace-vs-counters consistency: OK" in capsys.readouterr().out
 

@@ -133,29 +133,10 @@ class TestAcquire:
         with pytest.raises(SamplingError):
             pool.acquire(database, AVG_V, -1, origin=0)
 
-    def test_deleted_tuples_not_served(self):
-        graph, database = _world()
-        pool = _pool(graph)
-        pool.begin_epoch(0)
-        first = pool.acquire(database, AVG_V, 10, origin=0, consumer="q0")[0]
-        dead = set(first[:5].tolist())
-        for tuple_id in dead:
-            database.delete(tuple_id)
-        live = sum(1 for t in first.tolist() if t not in dead)
-        second, y, indicator = pool.acquire(
-            database, AVG_V, 10, origin=0, consumer="q1"
-        )
-        assert all(t in database for t in second.tolist())
-        assert pool.pool_hits == live  # only the live entries reused
-        # the values of the served draws, not of the pooled dead ones
-        expected_y, expected_indicator = _gathered(database, AVG_V, second)
-        assert y.tolist() == expected_y.tolist()
-        assert indicator.tolist() == expected_indicator.tolist()
-
     def test_writing_a_served_batch_changes_nothing_pooled(self):
         """A served id array is the consumer's own: scribbling dead or
-        unallocated ids into it reaches neither the pool's liveness check
-        nor what another consumer is served."""
+        unallocated ids into it does not reach what another consumer is
+        served."""
         graph, database = _world()
         pool = _pool(graph)
         pool.begin_epoch(0)
@@ -164,7 +145,7 @@ class TestAcquire:
         first[:] = -1
         second = pool.acquire(database, AVG_V, 10, origin=0, consumer="q1")[0]
         assert second.tolist() == drawn
-        assert pool.pool_hits == 10  # every pooled draw still counts as live
+        assert pool.pool_hits == 10
         second[:] = 10**9
         third = pool.acquire(database, AVG_V, 12, origin=0, consumer="q2")[0]
         assert third[:10].tolist() == drawn
@@ -293,38 +274,24 @@ class TestServedValues:
         )
         assert gathers == [10, 10]
 
-    def test_update_between_serves_is_served(self):
+    def test_switched_spec_reads_only_served_draws(self):
+        """A consumer that switches spec starts that spec's columns at its
+        cursor; a serve from before them restarts them, so a tuple the
+        expression fails on fails only the queries it is served to."""
         graph, database = _world()
-        pool = _pool(graph)
-        pool.begin_epoch(0)
-        first = pool.acquire(database, AVG_V, 10, origin=0, consumer="q0")[0]
-        pool.acquire(database, AVG_V, 20, origin=0, consumer="q2")
-        written = np.unique(first)[:3]
-        database.update_many("v", written, [100.0, 200.0, 300.0])
-        ids, y, _ = pool.acquire(database, AVG_V, 10, origin=0, consumer="q1")
-        assert ids.tolist() == first.tolist()  # served from the pool
-        assert y.tolist() == _gathered(database, AVG_V, ids)[0].tolist()
-        assert set(y.tolist()) >= {100.0, 200.0, 300.0}
-        # serves from past the columns rebuilt since, then from before them
-        for consumer in ("q2", "q0"):
-            ids, y, _ = pool.acquire(
-                database, AVG_V, 10, origin=0, consumer=consumer
-            )
-            assert y.tolist() == _gathered(database, AVG_V, ids)[0].tolist()
-
-
-    def test_write_after_serve_reads_only_served_tuples(self):
-        """A write that makes an already-served tuple fail the expression
-        fails only the queries that tuple is served to afterwards."""
-        graph, database = _world()
-        pool = _pool(graph)
+        probe = _pool(graph, seed=4)
+        probe.begin_epoch(0)
+        pooled = probe.acquire(database, AVG_V, 30, origin=0, consumer="ref")[0]
+        zeroed = next(t for t in pooled[:10].tolist() if t not in pooled[10:20])
+        # a value write moves no m_v, so a pool of the same seed draws
+        # the same ids over the rewritten relation
+        database.update_many("v", [zeroed], [0.0])
+        pool = _pool(graph, seed=4)
         pool.begin_epoch(0)
         pool.prefetch(database, 30, origin=0)
-        pooled = pool.acquire(database, AVG_V, 30, origin=0, consumer="ref")[0]
         inverse = ValueSpec(AggregateOp.AVG, Expression("1 / v"))
-        pool.acquire(database, inverse, 10, origin=0, consumer="q0")
-        zeroed = next(t for t in pooled[:10].tolist() if t not in pooled[10:20])
-        database.update_many("v", [zeroed], [0.0])
+        served = pool.acquire(database, AVG_V, 10, origin=0, consumer="q0")[0]
+        assert served.tolist() == pooled[:10].tolist()
         ids, y, indicator = pool.acquire(
             database, inverse, 10, origin=0, consumer="q0"
         )
@@ -334,6 +301,57 @@ class TestServedValues:
         assert indicator.tolist() == expected_indicator.tolist()
         with pytest.raises(ExpressionError):
             pool.acquire(database, inverse, 10, origin=0, consumer="q1")
+
+
+def _write(graph, database, kind, tuple_id):
+    """One write of ``kind`` that touches ``tuple_id`` or its node."""
+    node = database.locate(tuple_id)
+    if kind == "delete":
+        database.delete(tuple_id)
+    elif kind == "update":
+        database.update(tuple_id, {"v": 100.0})
+    elif kind == "update_many":
+        database.update_many("v", [tuple_id], [200.0])
+    elif kind == "insert":
+        database.insert(node, {"v": 300.0})
+    else:
+        # the node leaves the overlay too, as churn has it
+        graph.leave(node)
+        database.remove_node(node)
+
+
+class TestWrites:
+    """A write ends the occasion: the pool starts over, as at a new tick."""
+
+    @pytest.mark.parametrize(
+        "kind", ["delete", "update", "update_many", "insert", "remove_node"]
+    )
+    def test_write_ends_the_occasion(self, kind):
+        graph, database = _world()
+        pool = _pool(graph)
+        pool.begin_epoch(0)
+        first = pool.acquire(database, AVG_V, 10, origin=0, consumer="q0")[0]
+        # q1 over-draws, leaving 10 pooled draws q0 has not been served
+        pool.acquire(database, AVG_V, 20, origin=0, consumer="q1")
+        hits, misses = pool.pool_hits, pool.pool_misses
+        # a tuple away from the origin, whose node may leave
+        tuple_id = next(t for t in first.tolist() if database.locate(t) != 0)
+        _write(graph, database, kind, tuple_id)
+        ids, y, indicator = pool.acquire(
+            database, AVG_V, 10, origin=0, consumer="q0"
+        )
+        # all misses: nothing drawn before the write is served after it
+        assert (pool.pool_hits, pool.pool_misses) == (hits, misses + 10)
+        assert pool.n_pooled == 10
+        assert database.live_mask(ids).all()
+        expected_y, expected_indicator = _gathered(database, AVG_V, ids)
+        assert y.tolist() == expected_y.tolist()
+        assert indicator.tolist() == expected_indicator.tolist()
+        # q1's cursor restarted too: it is served q0's fresh draws
+        again = pool.acquire(database, AVG_V, 10, origin=0, consumer="q1")
+        assert again[0].tolist() == ids.tolist()
+        assert [c.tolist() for c in again[1:]] == [y.tolist(), indicator.tolist()]
+        assert pool.pool_hits == hits + 10
 
 
 class TestLease:

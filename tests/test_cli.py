@@ -1,11 +1,12 @@
 """Tests for the command-line interface."""
 
+import json
 import re
 from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import load_query_set, main
 from repro.experiments import multi_query, slo_audit
 from tests.experiments.test_multi_query import _result as multi_query_result
 
@@ -76,6 +77,35 @@ class TestQueryCommand:
     def test_query_required(self):
         with pytest.raises(SystemExit):
             main(["query"])
+
+
+class TestQuerySetCommand:
+    def test_filtered_avg_falls_back(self, tmp_path, capsys):
+        spec = tmp_path / "queries.json"
+        spec.write_text(
+            json.dumps(
+                {
+                    "queries": [
+                        {"id": "all", "query": "SELECT AVG(temperature) FROM R"},
+                        {
+                            "id": "hot",
+                            "query": "SELECT AVG(temperature) FROM R "
+                            "WHERE temperature > 55",
+                        },
+                    ]
+                }
+            )
+        )
+        evaluators = {
+            entry.query_id: entry.config.evaluator
+            for entry in load_query_set(str(spec), 1.0, 0.25)
+        }
+        assert evaluators == {"all": "repeated", "hot": "independent"}
+        code = main(
+            ["queryset", "--spec", str(spec), "--scale", "0.04", "--steps", "4"]
+        )
+        assert code == 0
+        assert "[hot] estimate=" in capsys.readouterr().out
 
 
 class TestTraceCommands:
